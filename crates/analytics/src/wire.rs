@@ -4,7 +4,7 @@
 
 use crate::correlate::{GapReport, LinkMap};
 use fet_netsim::engine::Simulator;
-use netseer::deploy::gap_reports;
+use netseer::deploy::monitors;
 
 /// The fleet's link map, from the simulator's port wiring.
 pub fn link_map_from_sim(sim: &Simulator) -> LinkMap {
@@ -12,11 +12,17 @@ pub fn link_map_from_sim(sim: &Simulator) -> LinkMap {
 }
 
 /// Scrape every deployed monitor's per-port gap counts as correlator
-/// input. Counts are cumulative; feed each scrape to a fresh engine (or
-/// diff externally) rather than re-ingesting the same scrape twice.
+/// input, in `(device, port)` order (monitors walk in node-id order, ports
+/// ascend), skipping ports with no gaps. Counts are cumulative; feed each
+/// scrape to a fresh engine (or diff externally) rather than re-ingesting
+/// the same scrape twice.
 pub fn harvest_gap_reports(sim: &Simulator) -> Vec<GapReport> {
-    gap_reports(sim)
-        .into_iter()
-        .map(|(device, port, gaps)| GapReport { device, port, gaps })
+    monitors(sim)
+        .flat_map(|m| {
+            m.gap_counts()
+                .into_iter()
+                .filter(|&(_, gaps)| gaps > 0)
+                .map(move |(port, gaps)| GapReport { device: m.device(), port, gaps })
+        })
         .collect()
 }

@@ -1,6 +1,7 @@
 //! Fleet deployment helpers: attach NetSeer to every switch (and
 //! optionally every NIC) of a simulated network, mark which ports carry
-//! sequence tags, and gather delivered events into a queryable store.
+//! sequence tags, walk the deployed monitors ([`monitors`]), and gather
+//! their delivered events, ledgers, and counters fleet-wide.
 
 use crate::config::NetSeerConfig;
 use crate::monitor::{NetSeerMonitor, Role};
@@ -60,23 +61,40 @@ pub fn deploy(sim: &mut Simulator, opts: &DeployOptions) {
     }
 }
 
+/// The one place a node's monitor is downcast to NetSeer (shared form).
+fn netseer_on(node: &Node) -> Option<&NetSeerMonitor> {
+    let m = match node {
+        Node::Switch(s) => s.monitor.as_ref(),
+        Node::Host(h) => h.monitor.as_ref(),
+        Node::Vacant => None,
+    };
+    m?.as_any().downcast_ref::<NetSeerMonitor>()
+}
+
+/// The one place a node's monitor is downcast to NetSeer (mutable form).
+/// `None` when the node has no monitor attached (never deployed, or
+/// detached by a crash) or runs a different monitor.
+pub(crate) fn netseer_mut(sim: &mut Simulator, id: NodeId) -> Option<&mut NetSeerMonitor> {
+    let m = match &mut sim.nodes[id as usize] {
+        Node::Switch(s) => s.monitor.as_mut(),
+        Node::Host(h) => h.monitor.as_mut(),
+        Node::Vacant => None,
+    };
+    m?.as_any_mut().downcast_mut::<NetSeerMonitor>()
+}
+
+/// Every attached NetSeer monitor, switches and NICs alike, in node-id
+/// order. The one way to walk the fleet; every fleet-wide view below is a
+/// fold over it.
+pub fn monitors(sim: &Simulator) -> impl Iterator<Item = &NetSeerMonitor> {
+    sim.nodes.iter().filter_map(netseer_on)
+}
+
 /// Pull every delivered event from every monitor into one indexed store.
 /// Call after the simulation run.
 pub fn collect_events(sim: &mut Simulator) -> EventStore {
     let mut store = EventStore::new();
-    let ids: Vec<NodeId> = (0..sim.nodes.len() as NodeId).collect();
-    for id in ids {
-        let mon = match &mut sim.nodes[id as usize] {
-            Node::Switch(s) => s.monitor.as_mut(),
-            Node::Host(h) => h.monitor.as_mut(),
-            Node::Vacant => None,
-        };
-        if let Some(m) = mon {
-            if let Some(ns) = m.as_any_mut().downcast_mut::<NetSeerMonitor>() {
-                store.extend(ns.delivered.iter().copied());
-            }
-        }
-    }
+    store.extend(monitors(sim).flat_map(|m| m.delivered.iter().copied()));
     store
 }
 
@@ -84,55 +102,12 @@ pub fn collect_events(sim: &mut Simulator) -> EventStore {
 /// callable mid-run): the at-least-once replay source the analytics layer
 /// reconciles from after a collector crash.
 pub fn delivered_history(sim: &Simulator) -> Vec<crate::storage::StoredEvent> {
-    let mut out = Vec::new();
-    for node in &sim.nodes {
-        let mon = match node {
-            Node::Switch(s) => s.monitor.as_ref(),
-            Node::Host(h) => h.monitor.as_ref(),
-            Node::Vacant => None,
-        };
-        if let Some(m) = mon {
-            if let Some(ns) = m.as_any().downcast_ref::<NetSeerMonitor>() {
-                out.extend(ns.delivered.iter().copied());
-            }
-        }
-    }
-    out
+    monitors(sim).flat_map(|m| m.delivered.iter().copied()).collect()
 }
 
-/// Scrape every monitor's per-port gap-detector counts:
-/// `(device, ingress port, gaps)`, sorted. The downstream half of the
-/// analytics correlator's link-loss join.
-pub fn gap_reports(sim: &Simulator) -> Vec<(u32, u8, u64)> {
-    let mut out = Vec::new();
-    for node in &sim.nodes {
-        let mon = match node {
-            Node::Switch(s) => s.monitor.as_ref(),
-            Node::Host(h) => h.monitor.as_ref(),
-            Node::Vacant => None,
-        };
-        if let Some(m) = mon {
-            if let Some(ns) = m.as_any().downcast_ref::<NetSeerMonitor>() {
-                for (port, gaps) in ns.gap_counts() {
-                    if gaps > 0 {
-                        out.push((ns.device(), port, gaps));
-                    }
-                }
-            }
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
-/// Borrow the NetSeer monitor on a switch (panics if absent/not NetSeer).
+/// Borrow the NetSeer monitor on a node (panics if absent/not NetSeer).
 pub fn monitor_of(sim: &Simulator, id: NodeId) -> &NetSeerMonitor {
-    let m = match &sim.nodes[id as usize] {
-        Node::Switch(s) => s.monitor.as_ref(),
-        Node::Host(h) => h.monitor.as_ref(),
-        Node::Vacant => None,
-    };
-    m.expect("monitor attached").as_any().downcast_ref::<NetSeerMonitor>().expect("NetSeer monitor")
+    netseer_on(&sim.nodes[id as usize]).expect("NetSeer monitor attached")
 }
 
 /// Mutably borrow the NetSeer monitor on a node (panics if absent/not
@@ -140,48 +115,20 @@ pub fn monitor_of(sim: &Simulator, id: NodeId) -> &NetSeerMonitor {
 /// the packet path go through here — e.g. relaying the collector's
 /// backpressure level, which a real deployment piggybacks on ACKs.
 pub fn monitor_of_mut(sim: &mut Simulator, id: NodeId) -> &mut NetSeerMonitor {
-    let m = match &mut sim.nodes[id as usize] {
-        Node::Switch(s) => s.monitor.as_mut(),
-        Node::Host(h) => h.monitor.as_mut(),
-        Node::Vacant => None,
-    };
-    m.expect("monitor attached")
-        .as_any_mut()
-        .downcast_mut::<NetSeerMonitor>()
-        .expect("NetSeer monitor")
+    netseer_mut(sim, id).expect("NetSeer monitor attached")
 }
 
 /// Sum every attached monitor's delivery ledger into one fleet ledger.
 /// Each per-monitor ledger is asserted balanced on the way, so the sum
 /// is too — the fleet-wide conservation identity the exporters publish.
 pub fn fleet_ledger(sim: &Simulator) -> crate::DeliveryLedger {
-    let mut total = crate::DeliveryLedger::default();
-    for node in &sim.nodes {
-        let mon = match node {
-            Node::Switch(s) => s.monitor.as_ref(),
-            Node::Host(h) => h.monitor.as_ref(),
-            Node::Vacant => None,
-        };
-        if let Some(m) = mon {
-            if let Some(ns) = m.as_any().downcast_ref::<NetSeerMonitor>() {
-                let l = ns.ledger();
-                l.assert_balanced();
-                total.generated += l.generated;
-                total.delivered += l.delivered;
-                total.shed_stack += l.shed_stack;
-                total.shed_pcie += l.shed_pcie;
-                total.shed_cpu_overload += l.shed_cpu_overload;
-                total.shed_false_positive += l.shed_false_positive;
-                total.shed_transport += l.shed_transport;
-                total.pending += l.pending;
-                total.buffered += l.buffered;
-                total.lost_to_crash += l.lost_to_crash;
-                total.corrupted += l.corrupted;
-                total.malformed += l.malformed;
-            }
-        }
-    }
-    total
+    monitors(sim)
+        .map(|m| {
+            let l = m.ledger();
+            l.assert_balanced();
+            l
+        })
+        .sum()
 }
 
 /// Fleet-wide reliability counters aggregated across every monitor —
@@ -207,22 +154,13 @@ pub struct FleetStats {
 /// Aggregate [`FleetStats`] across every attached monitor.
 pub fn fleet_stats(sim: &Simulator) -> FleetStats {
     let mut total = FleetStats::default();
-    for node in &sim.nodes {
-        let mon = match node {
-            Node::Switch(s) => s.monitor.as_ref(),
-            Node::Host(h) => h.monitor.as_ref(),
-            Node::Vacant => None,
-        };
-        if let Some(m) = mon {
-            if let Some(ns) = m.as_any().downcast_ref::<NetSeerMonitor>() {
-                total.crc_failures += ns.cebp_crc_failures;
-                total.wal_records_rejected += ns.recovery.wal_records_rejected;
-                total.flushes_skipped += ns.batcher.flushes_skipped;
-                total.retransmissions += ns.transport.retransmissions;
-                total.notification_copies_dropped += ns.notification_copies_dropped;
-                total.restarts += ns.recovery.restarts;
-            }
-        }
+    for m in monitors(sim) {
+        total.crc_failures += m.cebp_crc_failures;
+        total.wal_records_rejected += m.recovery.wal_records_rejected;
+        total.flushes_skipped += m.batcher.flushes_skipped;
+        total.retransmissions += m.transport.retransmissions;
+        total.notification_copies_dropped += m.notification_copies_dropped;
+        total.restarts += m.recovery.restarts;
     }
     total
 }
@@ -230,16 +168,13 @@ pub fn fleet_stats(sim: &Simulator) -> FleetStats {
 /// Aggregate per-step stats across all switch monitors (for Figure 13).
 pub fn aggregate_stats(sim: &Simulator) -> crate::monitor::StepStats {
     let mut agg = crate::monitor::StepStats::default();
-    for id in sim.switch_ids() {
-        if sim.switch(id).monitor.is_some() {
-            let m = monitor_of(sim, id);
-            agg.packets_seen += m.stats.packets_seen;
-            agg.packets_bytes += m.stats.packets_bytes;
-            agg.event_packets += m.stats.event_packets;
-            agg.event_packet_bytes += m.stats.event_packet_bytes;
-            agg.final_reports += m.stats.final_reports;
-            agg.final_bytes += m.stats.final_bytes;
-        }
+    for m in monitors(sim).filter(|m| m.role == Role::Switch) {
+        agg.packets_seen += m.stats.packets_seen;
+        agg.packets_bytes += m.stats.packets_bytes;
+        agg.event_packets += m.stats.event_packets;
+        agg.event_packet_bytes += m.stats.event_packet_bytes;
+        agg.final_reports += m.stats.final_reports;
+        agg.final_bytes += m.stats.final_bytes;
     }
     agg
 }

@@ -15,9 +15,11 @@
 //!    reproduces the same run bit-for-bit.
 //!
 //! 2. [`DeliveryLedger`] — the pipeline-wide accounting invariant:
-//!    `generated == delivered + shed + pending + lost_to_crash +
-//!    corrupted`, where every shed event is attributed to a named choke
-//!    point. Any imbalance is a silent-loss bug.
+//!    `generated == delivered + shed + pending + buffered +
+//!    lost_to_crash + corrupted + malformed`, where every shed event is
+//!    attributed to a named choke point. Any imbalance is a silent-loss
+//!    bug. Ledgers add with `+=` and [`Sum`](std::iter::Sum), the one
+//!    place the terms are summed.
 //!
 //! The plan is pure data ([`Clone`], [`Default`]); per-concern runtime
 //! state (Gilbert–Elliott channel state, RNG streams) lives in
@@ -428,6 +430,49 @@ impl DeliveryLedger {
     }
 }
 
+/// Term-by-term sum. The destructure is exhaustive on purpose: a new
+/// ledger term fails to compile here until it is summed, so no fleet or
+/// merged ledger can silently drop it.
+impl std::ops::AddAssign for DeliveryLedger {
+    fn add_assign(&mut self, rhs: Self) {
+        let DeliveryLedger {
+            generated,
+            delivered,
+            shed_stack,
+            shed_pcie,
+            shed_cpu_overload,
+            shed_false_positive,
+            shed_transport,
+            pending,
+            buffered,
+            lost_to_crash,
+            corrupted,
+            malformed,
+        } = rhs;
+        self.generated += generated;
+        self.delivered += delivered;
+        self.shed_stack += shed_stack;
+        self.shed_pcie += shed_pcie;
+        self.shed_cpu_overload += shed_cpu_overload;
+        self.shed_false_positive += shed_false_positive;
+        self.shed_transport += shed_transport;
+        self.pending += pending;
+        self.buffered += buffered;
+        self.lost_to_crash += lost_to_crash;
+        self.corrupted += corrupted;
+        self.malformed += malformed;
+    }
+}
+
+impl std::iter::Sum for DeliveryLedger {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut acc, l| {
+            acc += l;
+            acc
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,6 +572,35 @@ mod tests {
         l.delivered += 1; // double delivery must also trip the invariant
         assert!(!l.balanced());
         assert_eq!(l.surplus(), 1);
+    }
+
+    /// `k` times a ledger whose 12 terms are distinct and non-zero, so a
+    /// dropped or crossed term in the algebra shows up as a wrong value.
+    fn every_term_ledger(k: u64) -> DeliveryLedger {
+        DeliveryLedger {
+            generated: k,
+            delivered: 2 * k,
+            shed_stack: 3 * k,
+            shed_pcie: 4 * k,
+            shed_cpu_overload: 5 * k,
+            shed_false_positive: 6 * k,
+            shed_transport: 7 * k,
+            pending: 8 * k,
+            buffered: 9 * k,
+            lost_to_crash: 10 * k,
+            corrupted: 11 * k,
+            malformed: 12 * k,
+        }
+    }
+
+    #[test]
+    fn ledger_add_assign_and_sum_cover_every_term() {
+        let one = every_term_ledger(1);
+        let mut doubled = one;
+        doubled += one;
+        assert_eq!(doubled, every_term_ledger(2));
+        assert_eq!([one; 3].into_iter().sum::<DeliveryLedger>(), every_term_ledger(3));
+        assert_eq!(std::iter::empty().sum::<DeliveryLedger>(), DeliveryLedger::default());
     }
 
     #[test]

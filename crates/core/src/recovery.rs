@@ -37,8 +37,8 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use crate::config::CollectorConfig;
+use crate::deploy::netseer_mut;
 use crate::faults::{CollectorCrash, CorruptionGen, CrashKind, DeliveryLedger, DeviceCrash};
-use crate::monitor::NetSeerMonitor;
 use crate::spill::SpillStore;
 use crate::storage::{EventStore, StoredEvent};
 use crate::transport::{EpochReceiver, RxVerdict};
@@ -846,43 +846,53 @@ pub fn schedule_device_crashes(sim: &mut Simulator, crashes: &[DeviceCrash]) -> 
 
         let kill_stash = Arc::clone(&stash);
         sim.schedule_control(c.at_ns, move |s| {
-            if let Some(mut bm) = s.take_node_monitor(c.device) {
-                if let Some(ns) = bm.as_any_mut().downcast_mut::<NetSeerMonitor>() {
-                    ns.crash(c.kind, c.at_ns);
-                }
-                *kill_stash.lock().unwrap() = Some(bm);
+            if let Some(ns) = netseer_mut(s, c.device) {
+                ns.crash(c.kind, c.at_ns);
             }
+            // Detaching the monitor is the fault being modelled.
+            *kill_stash.lock().unwrap() = s.take_node_monitor(c.device);
         });
 
         let restart_stash = Arc::clone(&stash);
         let reports = Arc::clone(&log.reports);
         sim.schedule_control(c.restart_ns, move |s| {
-            let Some(mut bm) = restart_stash.lock().unwrap().take() else {
+            let Some(bm) = restart_stash.lock().unwrap().take() else {
                 return;
             };
-            if let Some(ns) = bm.as_any_mut().downcast_mut::<NetSeerMonitor>() {
-                reports.lock().unwrap().push(ns.restart(c.restart_ns));
-            }
-            s.install_node_monitor(c.device, bm);
-            // Downstream neighbors (switches AND host NICs — edge ports
-            // are tagged when NIC deployment is on) re-sync on the
-            // restarted tagger without charging the discontinuity as
-            // inter-switch loss. A neighbor currently crashed itself is
-            // skipped: its own restart re-bases all its detectors.
-            let ports: Vec<u8> =
-                s.adjacency().get(&c.device).into_iter().flatten().map(|&(port, _)| port).collect();
-            for port in ports {
-                let Some((nb, nb_port)) = s.peer_of(c.device, port) else { continue };
-                if let Some(mut nm) = s.take_node_monitor(nb) {
-                    if let Some(ns) = nm.as_any_mut().downcast_mut::<NetSeerMonitor>() {
-                        ns.rebase_ingress(nb_port);
-                    }
-                    s.install_node_monitor(nb, nm);
-                }
+            if let Some(report) = restart_detached(s, c.device, bm, c.restart_ns) {
+                reports.lock().unwrap().push(report);
             }
         });
     }
     log
+}
+
+/// The one restart path, shared by scripted crashes and the watchdog's
+/// supervised restarts: reattach a detached monitor to `device`, recover
+/// it from its checkpoint + WAL at `now_ns`, and re-base every
+/// neighbour's gap detector on the restarted tagger so the sequence
+/// discontinuity is not charged as inter-switch loss. Neighbours are
+/// switches AND host NICs (edge ports are tagged when NIC deployment is
+/// on); a neighbour currently crashed itself is skipped, since its own
+/// restart re-bases all its detectors. Returns the crash report, or
+/// `None` when the monitor is not NetSeer.
+pub(crate) fn restart_detached(
+    s: &mut Simulator,
+    device: u32,
+    monitor: Box<dyn fet_netsim::monitor::SwitchMonitor>,
+    now_ns: u64,
+) -> Option<CrashReport> {
+    s.install_node_monitor(device, monitor);
+    let report = netseer_mut(s, device).map(|ns| ns.restart(now_ns));
+    let ports: Vec<u8> =
+        s.adjacency().get(&device).into_iter().flatten().map(|&(port, _)| port).collect();
+    for port in ports {
+        let Some((nb, nb_port)) = s.peer_of(device, port) else { continue };
+        if let Some(ns) = netseer_mut(s, nb) {
+            ns.rebase_ingress(nb_port);
+        }
+    }
+    report
 }
 
 /// Drive a collector through a crash schedule against a time-ordered

@@ -289,6 +289,39 @@ mod tests {
     }
 
     #[test]
+    fn random_conjunctive_queries_match_naive_filter() {
+        // Random stores queried with every optional filter drawn
+        // independently: whichever index path the query takes, it returns
+        // exactly the naive filter's events, in insertion order.
+        let mut rng = fet_netsim::rng::Pcg32::new(0x5709_E0E5, 1);
+        for _ in 0..300 {
+            let mut s = EventStore::new();
+            for _ in 0..rng.next_below(100) {
+                let ty = EventType::from_code(1 + rng.next_below(6) as u8).unwrap();
+                let t = u64::from(rng.next_below(1_000));
+                s.insert(ev(t, rng.next_below(4), ty, rng.next_below(8) as u16));
+            }
+            let q_flow = rng.chance(0.5).then(|| flow(rng.next_below(8) as u16));
+            let q_device = rng.chance(0.5).then(|| rng.next_below(4));
+            let q_ty =
+                rng.chance(0.5).then(|| EventType::from_code(1 + rng.next_below(6) as u8).unwrap());
+            let q_window = rng
+                .chance(0.5)
+                .then(|| (u64::from(rng.next_below(500)), 500 + u64::from(rng.next_below(500))));
+            let q = Query { flow: q_flow, device: q_device, ty: q_ty, window: q_window };
+            let want: Vec<&StoredEvent> = s
+                .events()
+                .iter()
+                .filter(|e| q_flow.is_none_or(|f| e.record.flow == f))
+                .filter(|e| q_device.is_none_or(|d| e.device == d))
+                .filter(|e| q_ty.is_none_or(|t| e.record.ty == t))
+                .filter(|e| q_window.is_none_or(|(a, b)| a <= e.time_ns && e.time_ns < b))
+                .collect();
+            assert_eq!(s.query(&q), want, "{q:?}");
+        }
+    }
+
+    #[test]
     fn conjunctive_filters() {
         let s = store();
         let r = s.query(&Query::any().flow(flow(1)).device(2).window(0, 100));

@@ -32,9 +32,9 @@
 //! `run_until_parallel` shard counts (controls always run serially on the
 //! master thread, and a control may schedule further controls).
 
+use crate::deploy::{monitor_of, netseer_mut};
 use crate::faults::CrashKind;
-use crate::monitor::NetSeerMonitor;
-use crate::recovery::CrashReport;
+use crate::recovery::{restart_detached, CrashReport};
 use fet_netsim::engine::Simulator;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -150,11 +150,8 @@ struct Tracked {
 /// (watchdog-driven) restart clears it.
 pub fn schedule_wedge(sim: &mut Simulator, device: u32, at_ns: u64) {
     sim.schedule_control(at_ns, move |s| {
-        if let Some(mut bm) = s.take_node_monitor(device) {
-            if let Some(ns) = bm.as_any_mut().downcast_mut::<NetSeerMonitor>() {
-                ns.wedge();
-            }
-            s.install_node_monitor(device, bm);
+        if let Some(ns) = netseer_mut(s, device) {
+            ns.wedge();
         }
     });
 }
@@ -191,11 +188,7 @@ pub fn schedule_watchdog(
             for &device in devices.iter() {
                 // A detached monitor (crashed, or already suspect) has no
                 // heartbeat to sample; its restart resets the tracker.
-                let Some(mut bm) = s.take_node_monitor(device) else { continue };
-                let Some(ns) = bm.as_any_mut().downcast_mut::<NetSeerMonitor>() else {
-                    s.install_node_monitor(device, bm);
-                    continue;
-                };
+                let Some(ns) = netseer_mut(s, device) else { continue };
                 let beat = ns.heartbeat;
                 // Observability only: record how far the monitor's local
                 // clock has wandered from the supervisor's. Liveness below
@@ -208,21 +201,21 @@ pub fn schedule_watchdog(
                         st.flagged += 1;
                     }
                 }
-                let mut map = tracked.lock().unwrap();
-                let t = map.entry(device).or_insert(Tracked { last_beat: beat, stalls: 0 });
-                if beat == t.last_beat {
-                    t.stalls += 1;
-                } else {
-                    *t = Tracked { last_beat: beat, stalls: 0 };
-                }
-                if t.stalls < cfg.missed_beats {
-                    drop(map);
-                    s.install_node_monitor(device, bm);
-                    continue;
+                {
+                    let mut map = tracked.lock().unwrap();
+                    let t = map.entry(device).or_insert(Tracked { last_beat: beat, stalls: 0 });
+                    if beat == t.last_beat {
+                        t.stalls += 1;
+                    } else {
+                        *t = Tracked { last_beat: beat, stalls: 0 };
+                    }
+                    if t.stalls < cfg.missed_beats {
+                        continue;
+                    }
                 }
                 // Suspect: hard-kill now (a hung process flushes nothing),
-                // stash the monitor, and schedule the supervised restart.
-                drop(map);
+                // detach and stash the monitor, and schedule the
+                // supervised restart.
                 let restart_ns = check_at + cfg.restart_delay_ns.max(1);
                 ns.crash(CrashKind::Hard, check_at);
                 incidents.lock().unwrap().push(Incident {
@@ -231,43 +224,26 @@ pub fn schedule_watchdog(
                     stuck_heartbeat: beat,
                     restart_ns,
                 });
-                stash.lock().unwrap().insert(device, bm);
+                if let Some(bm) = s.take_node_monitor(device) {
+                    stash.lock().unwrap().insert(device, bm);
+                }
 
                 let tracked = Arc::clone(&tracked);
                 let stash = Arc::clone(&stash);
                 let restarts = Arc::clone(&restarts);
                 s.schedule_control(restart_ns, move |s| {
-                    let Some(mut bm) = stash.lock().unwrap().remove(&device) else {
+                    let Some(bm) = stash.lock().unwrap().remove(&device) else {
                         return;
                     };
-                    if let Some(ns) = bm.as_any_mut().downcast_mut::<NetSeerMonitor>() {
-                        restarts.lock().unwrap().push(ns.restart(restart_ns));
+                    if let Some(report) = restart_detached(s, device, bm, restart_ns) {
+                        restarts.lock().unwrap().push(report);
                         // Fresh baseline: supervision resumes from the
                         // restarted process's first heartbeat.
+                        let beat = monitor_of(s, device).heartbeat;
                         tracked
                             .lock()
                             .unwrap()
-                            .insert(device, Tracked { last_beat: ns.heartbeat, stalls: 0 });
-                    }
-                    s.install_node_monitor(device, bm);
-                    // Neighbors re-sync their gap detectors on the
-                    // restarted tagger instead of charging the sequence
-                    // discontinuity as an inter-switch loss burst.
-                    let ports: Vec<u8> = s
-                        .adjacency()
-                        .get(&device)
-                        .into_iter()
-                        .flatten()
-                        .map(|&(port, _)| port)
-                        .collect();
-                    for port in ports {
-                        let Some((nb, nb_port)) = s.peer_of(device, port) else { continue };
-                        if let Some(mut nm) = s.take_node_monitor(nb) {
-                            if let Some(ns) = nm.as_any_mut().downcast_mut::<NetSeerMonitor>() {
-                                ns.rebase_ingress(nb_port);
-                            }
-                            s.install_node_monitor(nb, nm);
-                        }
+                            .insert(device, Tracked { last_beat: beat, stalls: 0 });
                     }
                 });
             }

@@ -403,6 +403,53 @@ mod tests {
     }
 
     #[test]
+    fn random_streams_respect_caps_and_conserve_attempts() {
+        // Random (family, series) insert streams with repeats under random
+        // tiny caps. Families and series are never evicted, so a refused
+        // attempt stays refused: every attempt either lands on a stored
+        // series or is counted as exactly one refusal.
+        let mut rng = fet_netsim::rng::Pcg32::new(0xCA95_0001, 1);
+        for _ in 0..300 {
+            let cfg = RegistryConfig {
+                max_families: 1 + rng.next_below(4) as usize,
+                max_series_per_family: 1 + rng.next_below(4) as usize,
+            };
+            let mut r = MetricRegistry::new(cfg);
+            let attempts: Vec<(u32, u32)> = (0..1 + rng.next_below(200))
+                .map(|_| (rng.next_below(8), rng.next_below(32)))
+                .collect();
+            for &(f, sr) in &attempts {
+                r.counter_add(&format!("fet_f{f}_total"), "Prop.", &[("s", &sr.to_string())], 1);
+            }
+            assert!(r.family_count() <= cfg.max_families, "family cap violated");
+            assert!(r.families().all(|fam| fam.series.len() <= cfg.max_series_per_family));
+            let stored = attempts
+                .iter()
+                .filter(|&&(f, sr)| {
+                    r.family(&format!("fet_f{f}_total")).is_some_and(|fam| {
+                        fam.series.contains_key(&labels(&[("s", &sr.to_string())]))
+                    })
+                })
+                .count() as u64;
+            assert_eq!(
+                stored + r.series_rejected + r.families_rejected,
+                attempts.len() as u64,
+                "stored + rejected must equal attempted"
+            );
+            // The stored counters hold exactly the stored attempts.
+            let total: u64 = r
+                .families()
+                .flat_map(|fam| fam.series.values())
+                .map(|v| match v {
+                    SeriesValue::Counter(c) => *c,
+                    _ => unreachable!("only counters were added"),
+                })
+                .sum();
+            assert_eq!(total, stored);
+        }
+    }
+
+    #[test]
     fn kind_conflicts_are_refused_not_merged() {
         let mut r = MetricRegistry::default();
         r.counter_add("fet_x_total", "x", &[], 1);

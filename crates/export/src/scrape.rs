@@ -27,25 +27,41 @@ pub const BREACH_DURATION_BOUNDS_NS: [f64; 4] = [1e6, 2e6, 4e6, 8e6];
 /// (`fleet`, `wire`, `merged`, ...). Occupancy-style terms (`pending`,
 /// `buffered`) are gauges; terminal dispositions are counters.
 pub fn scrape_ledger(reg: &mut MetricRegistry, scope: &str, l: &DeliveryLedger) {
+    // Exhaustive on purpose: a new ledger term fails to compile here until
+    // it is published.
+    let DeliveryLedger {
+        generated,
+        delivered,
+        shed_stack,
+        shed_pcie,
+        shed_cpu_overload,
+        shed_false_positive,
+        shed_transport,
+        pending,
+        buffered,
+        lost_to_crash,
+        corrupted,
+        malformed,
+    } = *l;
     let s = [("scope", scope)];
     reg.counter_add(
         "fet_events_generated_total",
         "Event records handed to the reporting path (post-dedup).",
         &s,
-        l.generated,
+        generated,
     );
     reg.counter_add(
         "fet_events_delivered_total",
         "Events that reached the backend store.",
         &s,
-        l.delivered,
+        delivered,
     );
     for (reason, v) in [
-        ("stack", l.shed_stack),
-        ("pcie", l.shed_pcie),
-        ("cpu_overload", l.shed_cpu_overload),
-        ("false_positive", l.shed_false_positive),
-        ("transport", l.shed_transport),
+        ("stack", shed_stack),
+        ("pcie", shed_pcie),
+        ("cpu_overload", shed_cpu_overload),
+        ("false_positive", shed_false_positive),
+        ("transport", shed_transport),
     ] {
         reg.counter_add(
             "fet_events_shed_total",
@@ -58,31 +74,31 @@ pub fn scrape_ledger(reg: &mut MetricRegistry, scope: &str, l: &DeliveryLedger) 
         "fet_events_pending",
         "Events still in flight (batcher stack + open CEBP).",
         &s,
-        l.pending as f64,
+        pending as f64,
     );
     reg.gauge_set(
         "fet_events_buffered",
         "Events parked in the collector's durable spill buffer.",
         &s,
-        l.buffered as f64,
+        buffered as f64,
     );
     reg.counter_add(
         "fet_events_lost_to_crash_total",
         "Events lost to hard kills (bounded by the fsync window).",
         &s,
-        l.lost_to_crash,
+        lost_to_crash,
     );
     reg.counter_add(
         "fet_events_corrupted_total",
         "Events whose report failed CRC on every transmission attempt.",
         &s,
-        l.corrupted,
+        corrupted,
     );
     reg.counter_add(
         "fet_events_malformed_total",
         "Wire-claimed records the collector could not decode.",
         &s,
-        l.malformed,
+        malformed,
     );
 }
 
@@ -501,6 +517,43 @@ mod tests {
                 + get("fet_events_malformed_total"),
             "the scraped identity must balance"
         );
+    }
+
+    #[test]
+    fn every_ledger_term_is_rendered() {
+        // 12 distinct non-zero terms: a dropped or crossed term shows up.
+        let l = DeliveryLedger {
+            generated: 1,
+            delivered: 2,
+            shed_stack: 3,
+            shed_pcie: 4,
+            shed_cpu_overload: 5,
+            shed_false_positive: 6,
+            shed_transport: 7,
+            pending: 8,
+            buffered: 9,
+            lost_to_crash: 10,
+            corrupted: 11,
+            malformed: 12,
+        };
+        let mut reg = MetricRegistry::default();
+        scrape_ledger(&mut reg, "fleet", &l);
+        let doc = parse_exposition(&render_prometheus(&reg)).unwrap();
+        let get = |n: &str| doc.value(n, &[("scope", "fleet")]);
+        let shed =
+            |r: &str| doc.value("fet_events_shed_total", &[("scope", "fleet"), ("reason", r)]);
+        assert_eq!(get("fet_events_generated_total"), Some(1.0));
+        assert_eq!(get("fet_events_delivered_total"), Some(2.0));
+        assert_eq!(shed("stack"), Some(3.0));
+        assert_eq!(shed("pcie"), Some(4.0));
+        assert_eq!(shed("cpu_overload"), Some(5.0));
+        assert_eq!(shed("false_positive"), Some(6.0));
+        assert_eq!(shed("transport"), Some(7.0));
+        assert_eq!(get("fet_events_pending"), Some(8.0));
+        assert_eq!(get("fet_events_buffered"), Some(9.0));
+        assert_eq!(get("fet_events_lost_to_crash_total"), Some(10.0));
+        assert_eq!(get("fet_events_corrupted_total"), Some(11.0));
+        assert_eq!(get("fet_events_malformed_total"), Some(12.0));
     }
 
     #[test]

@@ -294,6 +294,46 @@ mod tests {
     }
 
     #[test]
+    fn lpm_matches_naive_longest_prefix_scan() {
+        // Random route sets (re-inserted prefixes overwrite) probed with
+        // random addresses, route addresses, and one-bit neighbours of
+        // route addresses. For one address the longest matching length
+        // fixes the masked prefix, so the winning action is unique.
+        let naive_mask = |a: u32, l: u8| u32::MAX.checked_shl(32 - u32::from(l)).unwrap_or(0) & a;
+        let mut rng = fet_netsim::rng::Pcg32::new(0x1F3_7AB1E, 1);
+        for _ in 0..200 {
+            let mut t: LpmTable<u32> = LpmTable::new();
+            let mut routes: Vec<(u32, u8, u32)> = Vec::new();
+            let mut addrs: Vec<u32> = Vec::new();
+            for action in 0..rng.next_below(40) {
+                let addr = 0x0a00_0000 | (rng.next_u32() >> 8);
+                let len = rng.next_below(33) as u8;
+                t.insert(Ipv4Addr::from_u32(addr), len, action);
+                let prefix = naive_mask(addr, len);
+                routes.retain(|&(p, l, _)| (p, l) != (prefix, len));
+                routes.push((prefix, len, action));
+                addrs.push(addr);
+            }
+            for _ in 0..50 {
+                let probe = match (rng.next_below(3), addrs.is_empty()) {
+                    (0, _) | (_, true) => rng.next_u32(),
+                    (1, false) => addrs[rng.next_below(addrs.len() as u32) as usize],
+                    _ => {
+                        addrs[rng.next_below(addrs.len() as u32) as usize]
+                            ^ (1 << rng.next_below(32))
+                    }
+                };
+                let want = routes
+                    .iter()
+                    .filter(|&&(p, l, _)| naive_mask(probe, l) == p)
+                    .max_by_key(|&&(_, l, _)| l)
+                    .map(|&(_, _, a)| a);
+                assert_eq!(t.lookup(Ipv4Addr::from_u32(probe)).copied(), want, "probe {probe:#x}");
+            }
+        }
+    }
+
+    #[test]
     fn lpm_remove_creates_blackhole() {
         let mut t: LpmTable<&str> = LpmTable::new();
         t.insert(ip(10, 0, 0, 0), 8, "r");

@@ -9,7 +9,8 @@
 //! * the **collector's receive time is authoritative** — a header export
 //!   time is accepted as the datagram's event time only when it is
 //!   plausible (not in the future beyond [`FUTURE_SLACK_SECS`], not
-//!   running backwards against the same stream's previous claim);
+//!   running backwards against the same stream's previous claim), and
+//!   even a plausible claim never stamps later than the receive time;
 //! * an implausible claim is a **soft** defect, never fatal: the datagram
 //!   still decodes, its event time is clamped to the receive time, and the
 //!   lie is counted under exactly one [`ClockLie`] bucket;
@@ -77,7 +78,8 @@ impl core::fmt::Display for ClockLie {
 }
 
 /// Export times this far ahead of the collector clock are still plausible
-/// (clock granularity is whole seconds, so one second of skew is noise).
+/// (clock granularity is whole seconds, so one second of skew is noise):
+/// not booked as a lie, but stamped at the receive time.
 pub const FUTURE_SLACK_SECS: u64 = 1;
 
 /// Consecutive identical nonzero sysuptimes before the stream's tick
@@ -114,7 +116,8 @@ pub struct ClockState {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClockVerdict {
     /// The authoritative event time for the datagram's records, ns: the
-    /// exporter's export time when plausible, else the receive time.
+    /// exporter's export time when plausible (capped at the receive time),
+    /// else the receive time.
     pub event_time_ns: u64,
     /// Lies found, by [`ClockLie::index`].
     pub lies: [u64; CLOCK_LIE_COUNT],
@@ -139,7 +142,11 @@ impl ClockState {
                 v.lies[ClockLie::BackwardsExport.index()] += 1;
                 v.clamped = 1;
             } else {
-                v.event_time_ns = export_ns;
+                // An in-slack claim is honest-enough granularity, not a
+                // lie, but it must never stamp events ahead of the receive
+                // clock: a future stamp would jump the event-time
+                // watermark and late-shed everything after it.
+                v.event_time_ns = export_ns.min(now_ns);
             }
             // The stream's history advances even past a lie: a backwards
             // step is booked once, not once per subsequent datagram.
@@ -233,6 +240,17 @@ mod tests {
         // now = 100s; exporter claims 99s — fine.
         let v = st.vet(99, 0, 100_000_000_000);
         assert_eq!(v.event_time_ns, 99_000_000_000);
+        assert_eq!(v.clamped, 0);
+    }
+
+    #[test]
+    fn in_slack_future_export_is_capped_at_receive_time() {
+        let mut st = ClockState::default();
+        // now = 5 ms; the exporter claims 1 s — inside the slack, so no
+        // lie, but the stamp may not run ahead of the receive clock.
+        let v = st.vet(1, 0, 5_000_000);
+        assert_eq!(v.event_time_ns, 5_000_000);
+        assert_eq!(v.lies, [0; CLOCK_LIE_COUNT]);
         assert_eq!(v.clamped, 0);
     }
 

@@ -6,8 +6,8 @@
 //!
 //! The contract under test: every generated event is delivered, shed at a
 //! named choke point, still pending, or counted as corrupted-beyond-
-//! retransmit. Nothing disappears silently, and the same seed reproduces
-//! the same run bit-for-bit.
+//! retransmit; the drill prints every ledger term. Nothing disappears
+//! silently, and the same seed reproduces the same run bit-for-bit.
 //!
 //! Run with: `cargo run --release --example chaos_drill`
 
@@ -17,7 +17,7 @@ use netseer_repro::fet_netsim::time::{MICROS, MILLIS};
 use netseer_repro::fet_netsim::topology::{build_fat_tree, FatTreeParams};
 use netseer_repro::fet_netsim::Simulator;
 use netseer_repro::fet_packet::FlowKey;
-use netseer_repro::netseer::deploy::{deploy, monitor_of, DeployOptions};
+use netseer_repro::netseer::deploy::{deploy, fleet_ledger, fleet_stats, monitors, DeployOptions};
 use netseer_repro::netseer::faults::OverloadWindow;
 use netseer_repro::netseer::{
     CorruptionSpec, DeliveryLedger, FaultPlan, LossProcess, NetSeerConfig, Window,
@@ -86,57 +86,53 @@ fn run(seed: u64) -> DeliveryLedger {
     sim.run_until(30 * MILLIS);
 
     // Audit: sum the per-device ledgers; each must balance on its own.
-    let mut total = DeliveryLedger::default();
-    let mut retransmissions = 0u64;
-    let mut notif_dropped = 0u64;
-    let mut crc_failures = 0u64;
-    let mut notif_rejected = 0u64;
-    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
-    for id in ids {
-        let m = monitor_of(&sim, id);
-        let l = m.ledger();
-        l.assert_balanced();
-        total.generated += l.generated;
-        total.delivered += l.delivered;
-        total.shed_stack += l.shed_stack;
-        total.shed_pcie += l.shed_pcie;
-        total.shed_cpu_overload += l.shed_cpu_overload;
-        total.shed_false_positive += l.shed_false_positive;
-        total.shed_transport += l.shed_transport;
-        total.pending += l.pending;
-        total.buffered += l.buffered;
-        total.corrupted += l.corrupted;
-        retransmissions += m.transport.retransmissions;
-        notif_dropped += m.notification_copies_dropped;
-        crc_failures += m.cebp_crc_failures;
-        notif_rejected += m.notifications_crc_rejected;
-    }
+    let total = fleet_ledger(&sim);
+    let stats = fleet_stats(&sim);
+    let notif_rejected: u64 = monitors(&sim).map(|m| m.notifications_crc_rejected).sum();
+    // Exhaustive: a new ledger term fails to compile here until the drill
+    // prints and checks it.
+    let DeliveryLedger {
+        generated,
+        delivered,
+        shed_stack,
+        shed_pcie,
+        shed_cpu_overload,
+        shed_false_positive,
+        shed_transport,
+        pending,
+        buffered,
+        lost_to_crash,
+        corrupted,
+        malformed,
+    } = total;
     println!("seed {seed:#x}:");
-    println!("  events generated        {}", total.generated);
-    println!("  delivered to backend    {}", total.delivered);
-    println!("  shed (stack overflow)   {}", total.shed_stack);
-    println!("  shed (PCIe)             {}", total.shed_pcie);
-    println!("  shed (CPU overload)     {}", total.shed_cpu_overload);
-    println!("  shed (false positive)   {}", total.shed_false_positive);
-    println!("  shed (transport)        {}", total.shed_transport);
-    println!("  pending in pipeline     {}", total.pending);
-    println!("  buffered in spill       {}", total.buffered);
-    println!("  corrupted past retries  {}", total.corrupted);
-    println!("  transport retransmits   {retransmissions}");
-    println!("  notification copies eaten {notif_dropped}");
-    println!("  CEBP CRC failures (implicit NACKs) {crc_failures}");
+    println!("  events generated        {generated}");
+    println!("  delivered to backend    {delivered}");
+    println!("  shed (stack overflow)   {shed_stack}");
+    println!("  shed (PCIe)             {shed_pcie}");
+    println!("  shed (CPU overload)     {shed_cpu_overload}");
+    println!("  shed (false positive)   {shed_false_positive}");
+    println!("  shed (transport)        {shed_transport}");
+    println!("  pending in pipeline     {pending}");
+    println!("  buffered in spill       {buffered}");
+    println!("  lost to crashes         {lost_to_crash}");
+    println!("  corrupted past retries  {corrupted}");
+    println!("  malformed wire records  {malformed}");
+    println!("  transport retransmits   {}", stats.retransmissions);
+    println!("  notification copies eaten {}", stats.notification_copies_dropped);
+    println!("  CEBP CRC failures (implicit NACKs) {}", stats.crc_failures);
     println!("  notification copies CRC-rejected   {notif_rejected}");
     println!(
-        "  => identity: {} generated == {} delivered + {} shed + {} pending \
-         + {} buffered + {} corrupted (silently lost: {})",
-        total.generated,
-        total.delivered,
+        "  => identity: {generated} generated == {delivered} delivered + {} shed \
+         + {pending} pending + {buffered} buffered + {lost_to_crash} lost-to-crash \
+         + {corrupted} corrupted + {malformed} malformed (silently lost: {})",
         total.shed_total(),
-        total.pending,
-        total.buffered,
-        total.corrupted,
         total.missing()
     );
+    total.assert_balanced();
+    // This drill kills no switch CPU and ingests no wire records.
+    assert_eq!(lost_to_crash, 0, "no crash is scheduled");
+    assert_eq!(malformed, 0, "simulator-born events are never malformed");
     total
 }
 

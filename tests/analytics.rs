@@ -1,17 +1,20 @@
 //! Integration tests for the streaming analytics engine against a real
 //! simulated fleet: localization accuracy, top-k recall versus a naive
-//! recomputation, window-total parity, and the extended ledger identity.
+//! recomputation, window-total parity, and the extended ledger identity —
+//! plus seeded random streams (ledger identity under tiny caps, shard-count
+//! invariance) and the wire-clock watermark regression.
 
 use fet_analytics::{
-    harvest_gap_reports, link_map_from_sim, AnalyticsConfig, AnalyticsEngine, LinkId,
+    harvest_gap_reports, link_map_from_sim, AnalyticsConfig, AnalyticsEngine, LinkId, LinkMap,
 };
 use fet_netsim::host::FlowSpec;
+use fet_netsim::rng::Pcg32;
 use fet_netsim::routing::install_ecmp_routes;
 use fet_netsim::time::MILLIS;
 use fet_netsim::topology::{build_fat_tree, FatTree, FatTreeParams};
 use fet_netsim::Simulator;
-use fet_packet::event::{EventDetail, EventType};
-use fet_packet::FlowKey;
+use fet_packet::event::{DropCode, EventDetail, EventRecord, EventType};
+use fet_packet::{FlowKey, Ipv4Addr};
 use netseer::deploy::{delivered_history, deploy, DeployOptions};
 use netseer::{Collector, FaultPlan, NetSeerConfig, StoredEvent};
 use std::collections::HashMap;
@@ -211,4 +214,136 @@ fn sla_breaches_appear_only_under_loss() {
     let clean_drop_breaches: Vec<_> =
         clean_engine.finish_breaches().into_iter().filter(|b| b.drops > 0).collect();
     assert!(clean_drop_breaches.is_empty(), "no loss, no drop breaches: {clean_drop_breaches:?}");
+}
+
+/// A seeded random stream over 6 devices, 48 flows, every event type,
+/// and counters 0..5 (drop classes carry a drop detail).
+fn random_stream(rng: &mut Pcg32, max_len: u32) -> Vec<StoredEvent> {
+    (0..rng.next_below(max_len))
+        .map(|_| {
+            let time_ns = u64::from(rng.next_below(1_000_000));
+            let ty = EventType::from_code(1 + rng.next_below(6) as u8).unwrap();
+            let fl = rng.next_below(48);
+            let detail = if ty.is_drop() {
+                let code =
+                    if fl.is_multiple_of(2) { DropCode::TableMiss } else { DropCode::LinkLoss };
+                EventDetail::Drop { ingress_port: 0, egress_port: 1, code }
+            } else {
+                EventDetail::Pause { egress_port: 0, queue: 0 }
+            };
+            let flow = FlowKey::tcp(
+                Ipv4Addr::from_u32(0x0a00_0000 | fl),
+                fl as u16,
+                Ipv4Addr::from_octets([10, 200, 0, 1]),
+                80,
+            );
+            StoredEvent {
+                time_ns,
+                device: rng.next_below(6),
+                epoch: 0,
+                seq: time_ns,
+                record: EventRecord {
+                    ty,
+                    flow,
+                    detail,
+                    counter: rng.next_below(5) as u16,
+                    hash: fl,
+                },
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn ledger_identity_holds_under_random_tiny_caps() {
+    // Whatever the budgets, every event takes exactly one disposition,
+    // and only boring events (neither drop nor congestion) may shed:
+    // the sketch always takes the interesting ones.
+    let mut rng = Pcg32::new(0xA7A1_CA95, 1);
+    for _ in 0..150 {
+        let events = random_stream(&mut rng, 300);
+        let cfg = AnalyticsConfig {
+            shards: 1 + rng.next_below(4) as usize,
+            max_agg_keys: 1 + rng.next_below(5) as usize,
+            topk_k: 1 + rng.next_below(5) as usize,
+            ..AnalyticsConfig::default()
+        };
+        let mut eng = AnalyticsEngine::new(cfg, LinkMap::default());
+        eng.ingest_slice(&events);
+        let ledger = eng.ledger();
+        ledger.assert_balanced();
+        assert_eq!(ledger.ingested, events.len() as u64);
+        let boring = events
+            .iter()
+            .filter(|e| !e.record.ty.is_drop() && e.record.ty != EventType::Congestion)
+            .count() as u64;
+        assert!(ledger.shed_analytics <= boring, "an interesting event was shed: {ledger:?}");
+    }
+}
+
+#[test]
+fn totals_and_ledger_are_shard_count_invariant() {
+    let mut rng = Pcg32::new(0x0054_A2D5, 1);
+    for _ in 0..60 {
+        let events = random_stream(&mut rng, 250);
+        let run = |shards: usize| {
+            let cfg = AnalyticsConfig { shards, ..AnalyticsConfig::default() };
+            let mut eng = AnalyticsEngine::new(cfg, LinkMap::default());
+            eng.ingest_slice(&events);
+            (eng.totals(), eng.ledger())
+        };
+        let serial = run(1);
+        for shards in [2, 3, 5] {
+            assert_eq!(run(shards), serial, "diverged at {shards} shards");
+        }
+    }
+}
+
+#[test]
+fn in_slack_future_wire_stamp_does_not_late_shed_honest_traffic() {
+    use fet_wire::builder::{v5_datagram, v5_datagram_with_times};
+    use fet_wire::FlowSample;
+    use netseer::{WireConfig, WireIngest};
+
+    let sample = |sport: u16| FlowSample {
+        flow: FlowKey::tcp(
+            Ipv4Addr::from_octets([10, 0, 0, 1]),
+            sport,
+            Ipv4Addr::from_octets([10, 0, 0, 2]),
+            80,
+        ),
+        in_port: 1,
+        out_port: 2,
+        packets: 1,
+        bytes: 100,
+        tcp_flags: 0,
+        forwarding_status: None,
+        first_ms: 0,
+        last_ms: 0,
+    };
+    let cfg = AnalyticsConfig {
+        shards: 1,
+        lateness_bound_ns: 1_000_000,
+        reorder_cap: 64,
+        ..AnalyticsConfig::default()
+    };
+    let mut c = Collector::new();
+    let mut eng = AnalyticsEngine::new(cfg, LinkMap::default());
+    eng.attach(&mut c);
+    let mut wire = WireIngest::new(WireConfig::default());
+    // A bit-flipped export time of 1 s at 5 ms of receive time: inside
+    // the 1 s future slack, so trusted, but never stamped past now.
+    let lie = v5_datagram_with_times(0, 0, 1, &[sample(1)], 1, 0, 1);
+    wire.ingest_datagram(&mut c, &lie, 5_000_000);
+    // Honest traffic after it carries no export time: receive-stamped.
+    for i in 1..40u32 {
+        let dg = v5_datagram(i, 0, 1, &[sample(1 + i as u16)]);
+        wire.ingest_datagram(&mut c, &dg, 5_000_000 + u64::from(i) * 100_000);
+    }
+    eng.poll(&mut c);
+    eng.flush();
+    let ledger = eng.ledger();
+    ledger.assert_balanced();
+    assert_eq!(ledger.ingested, 40);
+    assert_eq!(ledger.late_shed, 0, "an in-slack stamp must not jump the watermark");
 }

@@ -20,13 +20,14 @@ use fet_netsim::Simulator;
 use fet_packet::event::EventType;
 use fet_packet::FlowKey;
 use netseer::deploy::{
-    collect_events, delivered_history, deploy, monitor_of, monitor_of_mut, DeployOptions,
+    collect_events, delivered_history, deploy, fleet_ledger, fleet_stats, monitor_of,
+    monitor_of_mut, monitors, DeployOptions,
 };
 use netseer::faults::{seeded_device_crashes, streams, OverloadWindow};
 use netseer::{
     schedule_device_crashes, schedule_watchdog, schedule_wedge, Collector, CollectorConfig,
-    CorruptionGen, CorruptionSpec, CrashKind, DeliveryLedger, FaultPlan, LossProcess,
-    NetSeerConfig, WatchdogConfig, Window,
+    CorruptionGen, CorruptionSpec, CrashKind, FaultPlan, LossProcess, NetSeerConfig,
+    WatchdogConfig, Window,
 };
 
 /// Seed diversification for the CI matrix: when `CHAOS_SEED` is set, every
@@ -76,37 +77,6 @@ fn drive_lossy_fabric(sim: &mut Simulator, ft: &FatTree, drop_prob: f64) {
     }
 }
 
-/// Sum every device's ledger after asserting each one balances on its own.
-fn fleet_ledger(sim: &Simulator) -> DeliveryLedger {
-    let mut total = DeliveryLedger::default();
-    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
-    for id in ids {
-        let l = monitor_of(sim, id).ledger();
-        l.assert_balanced();
-        total.generated += l.generated;
-        total.delivered += l.delivered;
-        total.shed_stack += l.shed_stack;
-        total.shed_pcie += l.shed_pcie;
-        total.shed_cpu_overload += l.shed_cpu_overload;
-        total.shed_false_positive += l.shed_false_positive;
-        total.shed_transport += l.shed_transport;
-        total.pending += l.pending;
-        total.buffered += l.buffered;
-        total.lost_to_crash += l.lost_to_crash;
-        total.corrupted += l.corrupted;
-    }
-    total
-}
-
-fn fleet_retransmissions(sim: &Simulator) -> u64 {
-    sim.switch_ids().into_iter().map(|id| monitor_of(sim, id).transport.retransmissions).sum()
-}
-
-fn fleet_notification_drops(sim: &Simulator) -> u64 {
-    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
-    ids.into_iter().map(|id| monitor_of(sim, id).notification_copies_dropped).sum()
-}
-
 /// Scenario 1 — bursty (Gilbert–Elliott) loss on the management network.
 /// The adaptive-RTO transport retransmits through the bursts; everything
 /// still arrives and the ledger stays balanced.
@@ -130,7 +100,7 @@ fn burst_loss_on_mgmt_network_is_absorbed() {
     assert!(ledger.generated > 0, "workload must generate events");
     assert!(ledger.delivered > 0, "bursty loss must not stop delivery");
     assert_eq!(ledger.missing(), 0, "zero silent loss");
-    assert!(fleet_retransmissions(&sim) > 0, "GE loss must force retransmissions");
+    assert!(fleet_stats(&sim).retransmissions > 0, "GE loss must force retransmissions");
 }
 
 /// Scenario 2 — a hard partition of the management network that heals.
@@ -163,7 +133,7 @@ fn mgmt_partition_heals_and_reports_resume() {
         drained.iter().any(|e| e.time_ns >= partition.end_ns),
         "reports must resume after the partition heals"
     );
-    assert!(fleet_retransmissions(&sim) > 0, "sends during the partition must have retried");
+    assert!(fleet_stats(&sim).retransmissions > 0, "sends during the partition must have retried");
 }
 
 /// Scenario 3 — each of the three redundant loss-notification copies can
@@ -191,7 +161,10 @@ fn notification_copy_loss_survived_by_redundancy() {
     }
     sim.run_until(100 * MILLIS);
 
-    assert!(fleet_notification_drops(&sim) > 0, "the loss process must actually eat copies");
+    assert!(
+        fleet_stats(&sim).notification_copies_dropped > 0,
+        "the loss process must actually eat copies"
+    );
     let gt = sim.gt.flow_events(EventType::InterSwitchDrop);
     assert!(!gt.is_empty(), "bursts must produce inter-switch drops");
     let store = collect_events(&mut sim);
@@ -275,8 +248,8 @@ fn same_seed_reproduces_the_same_chaos() {
         drive_lossy_fabric(&mut sim, &ft, 0.02);
         sim.run_until(20 * MILLIS);
         let ledger = fleet_ledger(&sim);
-        let retx = fleet_retransmissions(&sim);
-        let notif = fleet_notification_drops(&sim);
+        let retx = fleet_stats(&sim).retransmissions;
+        let notif = fleet_stats(&sim).notification_copies_dropped;
         let store = collect_events(&mut sim);
         (ledger, retx, notif, store.len(), sim.mgmt.total_bytes())
     };
@@ -368,8 +341,7 @@ fn restart_discontinuity_is_not_counted_as_loss() {
     sim.run_until(30 * MILLIS);
 
     assert!(!log.is_empty());
-    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
-    let gaps: u64 = ids.iter().map(|&id| monitor_of(&sim, id).gaps_detected()).sum();
+    let gaps: u64 = monitors(&sim).map(|m| m.gaps_detected()).sum();
     assert_eq!(gaps, 0, "restart discontinuities must not be charged as loss bursts");
     assert_eq!(fleet_ledger(&sim).missing(), 0);
 }
@@ -506,9 +478,10 @@ fn bit_flip_storm_is_detected_and_accounted() {
 
     let mutated: u64 = (0..2).map(|p| sim.link_direction_mut(tor, p).unwrap().frames_mutated).sum();
     assert!(mutated > 0, "the storm must actually damage delivered frames");
-    let crc_failures: u64 =
-        sim.switch_ids().into_iter().map(|id| monitor_of(&sim, id).cebp_crc_failures).sum();
-    assert!(crc_failures > 0, "CEBP CRC trailers must catch damage (implicit NACKs)");
+    assert!(
+        fleet_stats(&sim).crc_failures > 0,
+        "CEBP CRC trailers must catch damage (implicit NACKs)"
+    );
     let ledger = fleet_ledger(&sim);
     assert!(ledger.generated > 0 && ledger.delivered > 0, "delivery must survive the storm");
     assert_eq!(ledger.missing(), 0, "corruption must be counted, never silent: {ledger:?}");
@@ -778,11 +751,9 @@ fn backpressure_widens_flush_intervals_deterministically() {
             monitor_of_mut(&mut sim, id).set_backpressure(level);
         }
         sim.run_until(30 * MILLIS);
-        let skipped: u64 =
-            sim.switch_ids().iter().map(|&id| monitor_of(&sim, id).batcher.flushes_skipped).sum();
         let batches: u64 =
             sim.switch_ids().iter().map(|&id| monitor_of(&sim, id).batcher.delivered_batches).sum();
-        (fleet_ledger(&sim), skipped, batches)
+        (fleet_ledger(&sim), fleet_stats(&sim).flushes_skipped, batches)
     };
 
     let (quiet, skipped_quiet, batches_quiet) = run(0);
@@ -1053,9 +1024,10 @@ fn clock_storm_converges_within_watermark_bounds() {
     assert_eq!(stats.accepted + stats.rejected, stats.datagrams);
     assert!(wire.clock_lies().iter().sum::<u64>() > 0, "clock lies must be booked");
     assert!(wire.clamped_stamps() > 0, "implausible stamps must clamp");
-    // No stored stamp may outrun the collector's clock: lies were clamped.
+    // No stored stamp may outrun the collector's clock: lies were clamped
+    // and in-slack claims capped at the receive time.
     let newest = collector.store().events().iter().map(|e| e.time_ns).max().unwrap_or(0);
-    assert!(newest <= last_now + 2_000_000_000, "stored stamps must stay near receive time");
+    assert!(newest <= last_now, "stored stamps must not outrun the receive time");
     wire.ledger(&collector).assert_balanced();
 }
 

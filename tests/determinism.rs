@@ -24,7 +24,8 @@ use fet_netsim::tracer::GtEvent;
 use fet_netsim::Simulator;
 use fet_packet::FlowKey;
 use netseer::deploy::{
-    delivered_history, deploy, fleet_ledger, monitor_of, monitor_of_mut, DeployOptions,
+    delivered_history, deploy, fleet_ledger, fleet_stats, monitor_of_mut, monitors, DeployOptions,
+    FleetStats,
 };
 use netseer::faults::{seeded_device_crashes, streams, OverloadWindow};
 use netseer::{
@@ -57,17 +58,13 @@ struct Fingerprint {
     ledger: DeliveryLedger,
     gt: Vec<GtEvent>,
     mgmt_bytes: u64,
-    retransmissions: u64,
-    notification_drops: u64,
+    /// Fleet-wide reliability counters: retransmissions, dropped
+    /// notification copies, CEBP CRC failures (implicit NACKs), WAL
+    /// records rejected by torn-tail replay, partial flushes the widened
+    /// stride held back (always 0 at stride 1), and restarts.
+    fleet: FleetStats,
     crash_reports: Vec<CrashReport>,
     host_rx_pkts: u64,
-    /// Data-integrity observables: CEBP CRC failures (implicit NACKs) and
-    /// WAL records rejected by torn-tail replay, fleet-wide.
-    crc_failures: u64,
-    wal_rejected: u64,
-    /// Backpressure observable: partial flushes the widened stride held
-    /// back, fleet-wide (always 0 at stride 1).
-    flushes_skipped: u64,
     /// Spill observables from the post-processing collector: peak spill
     /// occupancy, records re-read after a crash rewound the read cursor,
     /// and records destroyed by a torn tail. All 0 when the drill is off.
@@ -305,27 +302,12 @@ fn run_scenario_with(
     let wire = run_wire_storm(fault_seed ^ 0x3117, &mut reg);
     let export = RenderedSnapshot::render(&reg, 0, HORIZON);
 
-    let ids: Vec<u32> = sim.switch_ids().into_iter().chain(sim.host_ids()).collect();
     Fingerprint {
         ledger: fleet_ledger(&sim),
         gt: sim.gt.events().to_vec(),
         mgmt_bytes: sim.mgmt.total_bytes(),
-        retransmissions: sim
-            .switch_ids()
-            .into_iter()
-            .map(|id| monitor_of(&sim, id).transport.retransmissions)
-            .sum(),
-        notification_drops: ids
-            .iter()
-            .map(|&id| monitor_of(&sim, id).notification_copies_dropped)
-            .sum(),
+        fleet: fleet_stats(&sim),
         crash_reports: log.map(|l| l.reports()).unwrap_or_default(),
-        crc_failures: ids.iter().map(|&id| monitor_of(&sim, id).cebp_crc_failures).sum(),
-        wal_rejected: ids
-            .iter()
-            .map(|&id| monitor_of(&sim, id).recovery.wal_records_rejected)
-            .sum(),
-        flushes_skipped: ids.iter().map(|&id| monitor_of(&sim, id).batcher.flushes_skipped).sum(),
         buffered,
         spill_replayed: collector.spill_replayed(),
         spill_torn: collector.spill().torn_records,
@@ -334,10 +316,7 @@ fn run_scenario_with(
             .into_iter()
             .map(|h| sim.host(h).rx_flows.values().map(|r| r.pkts).sum::<u64>())
             .sum(),
-        clock_fingerprints: ids
-            .iter()
-            .map(|&id| monitor_of(&sim, id).clock().fingerprint())
-            .collect(),
+        clock_fingerprints: monitors(&sim).map(|m| m.clock().fingerprint()).collect(),
         analytics,
         wire,
         export,
@@ -685,7 +664,7 @@ fn det_16_backpressure_widening() {
         },
         SpillDrill::Off,
     );
-    assert!(fp.flushes_skipped > 0, "the widened stride must hold partial flushes back");
+    assert!(fp.fleet.flushes_skipped > 0, "the widened stride must hold partial flushes back");
     assert_eq!(fp.ledger.missing(), 0, "widened batching must not lose accounting");
 }
 
