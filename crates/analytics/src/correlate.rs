@@ -199,19 +199,6 @@ impl Correlator {
         self.downstream.clear();
         self.unmapped = 0;
     }
-
-    /// Fold another correlator's counts into this one (per-shard merge).
-    pub fn merge_from(&mut self, other: &Correlator) {
-        for (&k, &(r, w)) in &other.upstream {
-            let e = self.upstream.entry(k).or_default();
-            e.0 += r;
-            e.1 += w;
-        }
-        for (&k, &g) in &other.downstream {
-            *self.downstream.entry(k).or_default() += g;
-        }
-        self.unmapped += other.unmapped;
-    }
 }
 
 #[cfg(test)]

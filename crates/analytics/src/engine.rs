@@ -31,6 +31,12 @@ use netseer::recovery::Collector;
 use netseer::StoredEvent;
 use std::collections::BTreeMap;
 
+/// Sliding view: retained windows per shard.
+pub const SLIDING_BUCKETS: usize = 8;
+
+/// Max retained SLA breach windows.
+pub const MAX_BREACHES: usize = 1024;
+
 /// Engine geometry and budgets. Every bound is hard: the engine's memory
 /// is fixed at construction time whatever the stream does.
 #[derive(Debug, Clone, Copy)]
@@ -39,16 +45,12 @@ pub struct AnalyticsConfig {
     pub shards: usize,
     /// Tumbling window width, ns.
     pub window_ns: u64,
-    /// Sliding view: retained windows per shard.
-    pub sliding_buckets: usize,
     /// Space-Saving capacity per shard.
     pub topk_k: usize,
     /// Max (device, type, reason) keys per shard aggregator.
     pub max_agg_keys: usize,
     /// SLA budget per device window.
     pub sla: SlaPolicy,
-    /// Max retained SLA breach windows.
-    pub max_breaches: usize,
     /// Event-time watermark lag per shard, ns. With `reorder_cap` both
     /// zero (the default) the engine runs the exact arrival-order path —
     /// bit-identical to the pre-event-time engine.
@@ -62,11 +64,9 @@ impl Default for AnalyticsConfig {
         AnalyticsConfig {
             shards: 4,
             window_ns: 1_000_000,
-            sliding_buckets: 8,
             topk_k: 32,
             max_agg_keys: 4096,
             sla: SlaPolicy::default(),
-            max_breaches: 1024,
             lateness_bound_ns: 0,
             reorder_cap: 0,
         }
@@ -133,7 +133,7 @@ impl AnalyticsEngine {
     pub fn new(cfg: AnalyticsConfig, links: LinkMap) -> Self {
         let shards = (0..cfg.shards.max(1))
             .map(|_| {
-                ShardWorker::new(cfg.window_ns, cfg.sliding_buckets, cfg.max_agg_keys, cfg.topk_k)
+                ShardWorker::new(cfg.window_ns, SLIDING_BUCKETS, cfg.max_agg_keys, cfg.topk_k)
                     .with_event_time(cfg.lateness_bound_ns, cfg.reorder_cap)
             })
             .collect();
@@ -141,7 +141,7 @@ impl AnalyticsEngine {
             cfg,
             shards,
             correlator: Correlator::new(links),
-            sla: SlaEvaluator::new(cfg.sla, cfg.max_breaches),
+            sla: SlaEvaluator::new(cfg.sla, MAX_BREACHES),
             subscription: None,
             checkpoint: None,
             upstream: BTreeMap::new(),
@@ -272,11 +272,6 @@ impl AnalyticsEngine {
             total.absorb(&s.ledger);
         }
         total
-    }
-
-    /// Per-shard ledgers (observability / tests).
-    pub fn shard_ledgers(&self) -> Vec<AnalyticsLedger> {
-        self.shards.iter().map(|s| s.ledger).collect()
     }
 
     /// The heaviest victim flows across all shards: disjoint union of the

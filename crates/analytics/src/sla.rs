@@ -183,11 +183,6 @@ impl SlaEvaluator {
         out.sort_by_key(|b| (b.device, b.from_ns));
         out
     }
-
-    /// Breach windows finalized so far (not yet flushed ones).
-    pub fn breach_count(&self) -> usize {
-        self.breaches.len()
-    }
 }
 
 #[cfg(test)]

@@ -119,12 +119,6 @@ impl SpaceSaving {
         self.table.values().map(|&(c, _)| c).min().unwrap_or(0)
     }
 
-    /// The guarantee threshold: any flow with true weight above
-    /// `total_weight / k` is certainly in the table.
-    pub fn guarantee_threshold(&self) -> u64 {
-        self.total_weight / self.k as u64
-    }
-
     /// Estimated (count, error) for a flow, if monitored.
     pub fn estimate(&self, flow: &FlowKey) -> Option<(u64, u64)> {
         self.table.get(flow).copied()

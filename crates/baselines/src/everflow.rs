@@ -198,7 +198,15 @@ mod tests {
     }
 
     fn ectx<'a>(meta: &'a PacketMeta) -> EgressCtx<'a> {
-        EgressCtx { now_ns: 10, node: 0, port: 0, queue: 0, peer_tagged: false, meta }
+        EgressCtx {
+            now_ns: 10,
+            node: 0,
+            port: 0,
+            queue: 0,
+            peer_tagged: false,
+            congested: false,
+            meta,
+        }
     }
 
     #[test]

@@ -109,8 +109,15 @@ mod tests {
         let mut meta = PacketMeta::arriving(0, 100, 64);
         meta.flow = Some(flow());
         meta.egress_ts_ns = 150;
-        let ctx =
-            EgressCtx { now_ns: 150, node: 1, port: 2, queue: 0, peer_tagged: false, meta: &meta };
+        let ctx = EgressCtx {
+            now_ns: 150,
+            node: 1,
+            port: 2,
+            queue: 0,
+            peer_tagged: false,
+            congested: false,
+            meta: &meta,
+        };
         let mut out = Actions::new();
         let mut f = vec![0u8; 64];
         m.on_egress(&ctx, &mut f, &mut out);
@@ -136,8 +143,15 @@ mod tests {
     fn non_ip_frames_not_mirrored() {
         let mut m = NetSightMonitor::new();
         let meta = PacketMeta::arriving(0, 100, 64);
-        let ctx =
-            EgressCtx { now_ns: 150, node: 1, port: 2, queue: 0, peer_tagged: false, meta: &meta };
+        let ctx = EgressCtx {
+            now_ns: 150,
+            node: 1,
+            port: 2,
+            queue: 0,
+            peer_tagged: false,
+            congested: false,
+            meta: &meta,
+        };
         let mut out = Actions::new();
         let mut f = vec![0u8; 64];
         m.on_egress(&ctx, &mut f, &mut out);

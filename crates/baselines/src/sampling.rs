@@ -73,8 +73,15 @@ mod tests {
             Ipv4Addr::from_octets([10, 0, 0, 2]),
             2,
         ));
-        let ctx =
-            EgressCtx { now_ns: 1, node: 0, port: 0, queue: 0, peer_tagged: false, meta: &meta };
+        let ctx = EgressCtx {
+            now_ns: 1,
+            node: 0,
+            port: 0,
+            queue: 0,
+            peer_tagged: false,
+            congested: false,
+            meta: &meta,
+        };
         let mut out = Actions::new();
         let mut f = vec![0u8; 64];
         for _ in 0..100 {
@@ -94,8 +101,15 @@ mod tests {
             Ipv4Addr::from_octets([10, 0, 0, 2]),
             2,
         ));
-        let ctx =
-            EgressCtx { now_ns: 1, node: 0, port: 0, queue: 0, peer_tagged: false, meta: &meta };
+        let ctx = EgressCtx {
+            now_ns: 1,
+            node: 0,
+            port: 0,
+            queue: 0,
+            peer_tagged: false,
+            congested: false,
+            meta: &meta,
+        };
         let mut out = Actions::new();
         let mut f = vec![0u8; 64];
         for _ in 0..5 {

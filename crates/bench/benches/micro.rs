@@ -193,6 +193,7 @@ fn bench_full_monitor_path() {
             port: 2,
             queue: 0,
             peer_tagged: true,
+            congested: false,
             meta: &meta,
         };
         m.on_egress(&ectx, &mut f, &mut out);
@@ -213,6 +214,7 @@ fn bench_full_monitor_path() {
             port: 2,
             queue: 0,
             peer_tagged: false,
+            congested: true,
             meta: &meta,
         };
         let mut out = Actions::new();

@@ -24,7 +24,7 @@ fn flow(n: u32) -> FlowKey {
 /// `gap_ns` apart; return per-event latencies (ns).
 fn measure(batch_size: u16, gap_ns: u64, n_events: u32) -> Vec<u64> {
     let cfg = NetSeerConfig { batch_size, ..NetSeerConfig::default() };
-    let timer = cfg.timer_interval_ns;
+    let timer = netseer::monitor::TIMER_INTERVAL_NS;
     let mut m = NetSeerMonitor::new(0, Role::Switch, cfg);
     let mut inject_time: HashMap<FlowKey, u64> = HashMap::new();
     let mut out = Actions::new();

@@ -51,6 +51,7 @@ fn hot_path_bench() -> (f64, f64) {
                 port: 0,
                 queue: 0,
                 peer_tagged: true,
+                congested: false,
                 meta: &meta,
             };
             upstream.on_egress(&ectx, frame, &mut out);

@@ -23,7 +23,15 @@ fn main() {
             80,
         );
         let mut f = build_data_packet(&flow, 100, 0, 0, 64);
-        let ctx = EgressCtx { now_ns: 0, node: 0, port, queue: 0, peer_tagged: true, meta: &meta };
+        let ctx = EgressCtx {
+            now_ns: 0,
+            node: 0,
+            port,
+            queue: 0,
+            peer_tagged: true,
+            congested: false,
+            meta: &meta,
+        };
         let mut out = Actions::new();
         m.on_egress(&ctx, &mut f, &mut out);
     }

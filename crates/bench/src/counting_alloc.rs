@@ -16,7 +16,6 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Forwards to the system allocator, counting every allocation.
 pub struct CountingAlloc;
@@ -25,7 +24,6 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -37,7 +35,6 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // A realloc that moves is an allocation for our purposes: the hot
         // path must not grow buffers either.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,9 +42,4 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Allocations observed so far (monotonic; diff two snapshots).
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
-}
-
-/// Bytes requested so far (monotonic).
-pub fn bytes_allocated() -> u64 {
-    BYTES.load(Ordering::Relaxed)
 }

@@ -9,7 +9,7 @@
 //! The timing model is calibrated to the paper's Figure 12 (≈86 Meps /
 //! 17.7 Gbps at batch 50): each circulation costs
 //! `max(pass_latency, serialize(frame) @ internal port)` and collects up to
-//! `events_per_pass` events (the stack spans several stages, and the CEBP
+//! [`EVENTS_PER_PASS`] events (the stack spans several stages, and the CEBP
 //! pops one event per stage it traverses); each delivery to the CPU costs
 //! one extra pass plus the full-frame serialization.
 
@@ -19,6 +19,10 @@ use fet_packet::cebp::CEBP_HEADER_LEN;
 use fet_packet::ethernet::ETHERNET_HEADER_LEN;
 use fet_packet::event::{EventRecord, EventType, EVENT_RECORD_LEN};
 use std::collections::HashMap;
+
+/// Events collected per CEBP circulation: the stack spans several stages
+/// and the CEBP pops one event per stage it traverses (§3.5).
+pub const EVENTS_PER_PASS: usize = 6;
 
 /// A completed batch ready for the PCIe channel.
 #[derive(Debug, Clone)]
@@ -62,7 +66,6 @@ pub struct CebpBatcher {
     stack: Vec<EventRecord>,
     stack_cap: usize,
     batch_size: usize,
-    events_per_pass: u32,
     pass_latency_ns: u64,
     internal_gbps: f64,
     /// Scheduled recirculation stalls (from the device fault plan).
@@ -100,7 +103,6 @@ impl CebpBatcher {
             stack: Vec::new(),
             stack_cap: cfg.stack_capacity.max(1),
             batch_size: usize::from(cfg.batch_size.max(1)),
-            events_per_pass: cfg.events_per_pass.max(1),
             pass_latency_ns: cfg.pass_latency_ns.max(1),
             internal_gbps: cfg.capacity.internal_port_gbps,
             stalls: cfg.faults.cebp_stalls.clone(),
@@ -186,10 +188,8 @@ impl CebpBatcher {
                 self.next_visit_ns = release;
                 continue;
             }
-            // One circulation: pop up to events_per_pass from the stack.
-            let take = (self.events_per_pass as usize)
-                .min(self.stack.len())
-                .min(self.batch_size - self.open.len());
+            // One circulation: pop up to EVENTS_PER_PASS from the stack.
+            let take = EVENTS_PER_PASS.min(self.stack.len()).min(self.batch_size - self.open.len());
             let drained: Vec<EventRecord> = self.stack.drain(..take).collect();
             self.open.extend(drained);
             self.next_visit_ns += self.pass_time(self.open.len());
@@ -264,7 +264,6 @@ impl CebpBatcher {
 /// calibrated model (regenerates Figure 12 without running a simulation).
 pub fn throughput_model(cfg: &NetSeerConfig, batch_size: usize) -> (f64, f64) {
     let b = batch_size.max(1);
-    let epp = cfg.events_per_pass.max(1) as usize;
     let frame = |events: usize| ETHERNET_HEADER_LEN + CEBP_HEADER_LEN + events * EVENT_RECORD_LEN;
     let pass = |events: usize| -> f64 {
         let ser = (frame(events) as f64 * 8.0) / cfg.capacity.internal_port_gbps / 4.0;
@@ -274,7 +273,7 @@ pub fn throughput_model(cfg: &NetSeerConfig, batch_size: usize) -> (f64, f64) {
     let mut t = 0.0;
     let mut filled = 0usize;
     while filled < b {
-        filled = (filled + epp).min(b);
+        filled = (filled + EVENTS_PER_PASS).min(b);
         t += pass(filled);
     }
     // Delivery pass.

@@ -16,6 +16,9 @@ use fet_packet::event::EventRecord;
 use fet_pdp::RateLimitedChannel;
 use std::collections::HashMap;
 
+/// Switch CPU clock, GHz (§4).
+pub const CPU_GHZ: f64 = 2.5;
+
 /// Cycles per event at ≤1K concurrent flows (fit to 82 Meps @ 5 Gcycles/s).
 pub const BASE_CYCLES: f64 = 61.0;
 
@@ -43,7 +46,7 @@ pub fn cycles_per_event(flows: usize, hash_offload: bool) -> f64 {
 
 /// Analytic CPU capacity in events/second (regenerates Figure 14(b)).
 pub fn cpu_capacity_eps(cap: &CapacityModel, flows: usize, hash_offload: bool) -> f64 {
-    let cycles_per_sec = cap.cpu_ghz * 1e9 * f64::from(cap.cpu_cores);
+    let cycles_per_sec = CPU_GHZ * 1e9 * f64::from(cap.cpu_cores);
     cycles_per_sec / cycles_per_event(flows, hash_offload)
 }
 
@@ -70,11 +73,12 @@ pub struct CpuOutput {
 }
 
 /// The switch CPU: PCIe channel in front, FP-elimination hash map inside.
+/// The data plane always pre-computes the flow hash (§3.6 offload).
 #[derive(Debug)]
 pub struct SwitchCpu {
     pcie: RateLimitedChannel,
-    capacity: CapacityModel,
-    hash_offload: bool,
+    /// Cycles per second across the configured cores.
+    cycles_per_sec: f64,
     fp_window_ns: u64,
     enable_fp: bool,
     /// Last initial-report time per (type code, flow hash).
@@ -112,8 +116,7 @@ impl SwitchCpu {
                 // A few MB of DMA ring is plenty.
                 4 * 1024 * 1024,
             ),
-            capacity: cfg.capacity,
-            hash_offload: cfg.hash_offload,
+            cycles_per_sec: CPU_GHZ * 1e9 * f64::from(cfg.capacity.cpu_cores),
             fp_window_ns: cfg.fp_window_ns,
             enable_fp: cfg.enable_fp_elimination,
             seen: HashMap::new(),
@@ -181,11 +184,10 @@ impl SwitchCpu {
         }
         let mut out = Vec::with_capacity(events.len());
         let mut t = self.cpu_free_ns.max(pcie_done);
-        let cycles_per_sec = self.capacity.cpu_ghz * 1e9 * f64::from(self.capacity.cpu_cores);
         for ev in events {
             self.received += 1;
-            let per_event_ns = (cycles_per_event(self.seen.len().max(1), self.hash_offload)
-                / cycles_per_sec
+            let per_event_ns = (cycles_per_event(self.seen.len().max(1), true)
+                / self.cycles_per_sec
                 * 1e9
                 * self.overload_factor(t))
             .max(1.0) as u64;

@@ -118,11 +118,6 @@ impl LossGen {
             }
         }
     }
-
-    /// Currently in the bad (bursty-loss) state?
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad
-    }
 }
 
 /// How a component dies.
@@ -290,11 +285,6 @@ impl FaultPlan {
     /// Is the management network partitioned at `t`?
     pub fn mgmt_partitioned(&self, t: u64) -> bool {
         in_any_window(&self.mgmt_partitions, t)
-    }
-
-    /// End of the partition containing `t`, if any.
-    pub fn mgmt_partition_release(&self, t: u64) -> Option<u64> {
-        stall_release(&self.mgmt_partitions, t)
     }
 }
 

@@ -14,7 +14,7 @@ use crate::faults::{streams, CorruptionGen, CrashKind, DeliveryLedger, DeviceClo
 use crate::recovery::{CrashReport, DedupSummary, PoisonFrame, RecoveryLog, Snapshot};
 use crate::storage::StoredEvent;
 use crate::tables::{DedupTable, PortTable};
-use crate::transport::ReliableChannel;
+use crate::transport::{ReliableChannel, DEFAULT_MAX_RETRIES};
 use fet_netsim::counters::PortCounters;
 use fet_netsim::monitor::{Actions, EgressCtx, HookVerdict, IngressCtx, RoutedCtx, SwitchMonitor};
 use fet_packet::builder::{
@@ -172,10 +172,27 @@ pub struct NetSeerMonitor {
     wedged: bool,
 }
 
-/// Default poison-frame quarantine depth (now configurable via
-/// [`NetSeerConfig::max_poison_held`]; this constant documents the
-/// historical hard cap that the config default reproduces).
+/// Poison CEBP frames a monitor holds for collector-side quarantine
+/// before overflow frames are counted-but-dropped.
 pub const MAX_POISON_HELD: usize = 16;
+
+/// Counter report interval C of Algorithm 1 (§3.4).
+pub const DEDUP_C: u32 = 128;
+
+/// Path-change flow table entries.
+const PATH_ENTRIES: usize = 8192;
+
+/// Max pending ring-buffer lookups buffered per port.
+const PENDING_LOOKUP_CAP: usize = 4096;
+
+/// Control-plane tick interval, ns.
+pub const TIMER_INTERVAL_NS: u64 = 100 * fet_netsim::MICROS;
+
+/// Ceiling on the collector-driven batch-flush widening stride: under
+/// backpressure the monitor forces partial batches out only every
+/// `2^level` timer ticks, and this caps the stride so a runaway backlog
+/// signal can never silence the reporting path entirely.
+pub const BACKPRESSURE_MAX_WIDEN: u32 = 8;
 
 impl std::fmt::Debug for NetSeerMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -192,7 +209,7 @@ impl NetSeerMonitor {
     pub fn new(device: u32, role: Role, cfg: NetSeerConfig) -> Self {
         let seed = device.wrapping_mul(0x9e37_79b9).wrapping_add(7);
         let mk = |name: &'static str, salt: u32| {
-            GroupCache::new(name, cfg.dedup_entries, cfg.dedup_c, seed ^ salt)
+            GroupCache::new(name, cfg.dedup_entries, DEDUP_C, seed ^ salt)
         };
         let dedup = DedupTable::build(|ty| match ty {
             EventType::Congestion => mk("dedup-congestion", 1),
@@ -209,9 +226,9 @@ impl NetSeerMonitor {
             gaps: PortTable::new(),
             pending: PortTable::new(),
             pause_tracker: PauseTracker::new(64),
-            path_table: PathTable::new(cfg.path_entries, seed ^ 0xabcd),
+            path_table: PathTable::new(PATH_ENTRIES, seed ^ 0xabcd),
             dedup,
-            acl: AclAggregator::new(u64::from(cfg.dedup_c)),
+            acl: AclAggregator::new(u64::from(DEDUP_C)),
             extractor: Extractor::new(),
             batcher: CebpBatcher::new(&cfg),
             cpu: SwitchCpu::new(&cfg),
@@ -221,7 +238,7 @@ impl NetSeerMonitor {
                 50 * fet_netsim::MICROS,
                 0,
                 cfg.faults.seed ^ u64::from(seed),
-                cfg.transport_max_retries,
+                DEFAULT_MAX_RETRIES,
             ),
             mmu_redirect: RateLimitedChannel::new(
                 "mmu-redirect",
@@ -327,7 +344,7 @@ impl NetSeerMonitor {
     /// Record the collector's backpressure level (piggybacked on transport
     /// ACKs in a real deployment). The next timer tick converts it into a
     /// flush-widening stride of `2^level` ticks, capped by
-    /// [`NetSeerConfig::backpressure_max_widen`]. Level 0 restores
+    /// [`BACKPRESSURE_MAX_WIDEN`]. Level 0 restores
     /// flush-every-tick.
     pub fn set_backpressure(&mut self, level: u32) {
         self.transport.rx_backpressure_hint = level;
@@ -490,7 +507,7 @@ impl NetSeerMonitor {
         // the transport retry budget. With no corruption configured the
         // first attempt always verifies, so this loop runs exactly once.
         let mut send_at = last_done;
-        for _attempt in 0..=self.cfg.transport_max_retries {
+        for _attempt in 0..=DEFAULT_MAX_RETRIES {
             match self.transport.send(send_at, bytes) {
                 Ok(delivery) => {
                     let mut frame = build_cebp_frame(survived.len() as u16, &records)
@@ -523,7 +540,7 @@ impl NetSeerMonitor {
                             // for CPU-side inspection, never parse it into
                             // the store, and retransmit.
                             self.cebp_crc_failures += 1;
-                            if self.poison.len() < self.cfg.max_poison_held {
+                            if self.poison.len() < MAX_POISON_HELD {
                                 self.poison.push(PoisonFrame {
                                     device: self.device,
                                     quarantined_ns: delivery.delivered_ns,
@@ -678,7 +695,7 @@ impl NetSeerMonitor {
         // Queued ring lookups are volatile (no event was generated from
         // them yet, so the ledger is unaffected); telemetry carries.
         for p in self.pending.values_mut() {
-            let mut fresh = PendingLookups::new(self.cfg.pending_lookup_cap);
+            let mut fresh = PendingLookups::new(PENDING_LOOKUP_CAP);
             fresh.overflowed = p.overflowed;
             fresh.copies_received = p.copies_received;
             fresh.duplicate_copies = p.duplicate_copies;
@@ -698,7 +715,7 @@ impl NetSeerMonitor {
         // Learned paths and pause state rebuild from live traffic.
         let seed = self.device.wrapping_mul(0x9e37_79b9).wrapping_add(7);
         let (po, pr) = (self.path_table.offered, self.path_table.reported);
-        self.path_table = PathTable::new(self.cfg.path_entries, seed ^ 0xabcd);
+        self.path_table = PathTable::new(PATH_ENTRIES, seed ^ 0xabcd);
         self.path_table.offered = po;
         self.path_table.reported = pr;
         let (ps, rs) = (self.pause_tracker.pauses_seen, self.pause_tracker.resumes_seen);
@@ -816,27 +833,24 @@ impl SwitchMonitor for NetSeerMonitor {
 
         // Strip the upstream's sequence tag and watch for gaps (Fig. 5
         // steps 2–4).
-        if self.cfg.enable_interswitch {
-            let eth = EthernetFrame::new_unchecked(frame.as_slice());
-            if eth.ethertype() == EtherType::NetSeerSeq {
-                if let Ok(seq) = strip_seqtag_in_place(frame) {
-                    let gap =
-                        self.gaps.get_or_insert_with(ctx.port, GapDetector::default).observe(seq);
-                    if let Some((lo, hi)) = gap {
-                        let copies = self.cfg.notification_copies;
-                        for mut nf in build_notification_frames_with(lo, hi, ctx.port, copies) {
-                            // Injected byte damage per copy: the receiver's
-                            // CRC trailer catches what survives the FCS.
-                            self.notif_corrupt.corrupt(&mut nf);
-                            out.emit(ctx.port, nf, true);
-                        }
+        let eth = EthernetFrame::new_unchecked(frame.as_slice());
+        if eth.ethertype() == EtherType::NetSeerSeq {
+            if let Ok(seq) = strip_seqtag_in_place(frame) {
+                let gap = self.gaps.get_or_insert_with(ctx.port, GapDetector::default).observe(seq);
+                if let Some((lo, hi)) = gap {
+                    let copies = self.cfg.notification_copies;
+                    for mut nf in build_notification_frames_with(lo, hi, ctx.port, copies) {
+                        // Injected byte damage per copy: the receiver's
+                        // CRC trailer catches what survives the FCS.
+                        self.notif_corrupt.corrupt(&mut nf);
+                        out.emit(ctx.port, nf, true);
                     }
                 }
             }
         }
 
         match classify(frame) {
-            FrameKind::LossNotification if self.cfg.enable_interswitch => {
+            FrameKind::LossNotification => {
                 // Injected fault: this notification copy died on the wire.
                 // Redundant copies (paper: three) are each drawn
                 // independently, so survival of any one suffices.
@@ -849,9 +863,10 @@ impl SwitchMonitor for NetSeerMonitor {
                 // a corrupted range can never queue bogus ring lookups.
                 match parse_notification(frame) {
                     Ok((lo, hi, _copy, _port)) => {
-                        let cap = self.cfg.pending_lookup_cap;
                         self.pending
-                            .get_or_insert_with(ctx.port, || PendingLookups::new(cap))
+                            .get_or_insert_with(ctx.port, || {
+                                PendingLookups::new(PENDING_LOOKUP_CAP)
+                            })
                             .push_range(lo, hi);
                     }
                     Err(_) => {
@@ -1005,31 +1020,26 @@ impl SwitchMonitor for NetSeerMonitor {
     }
 
     fn on_egress(&mut self, ctx: &EgressCtx<'_>, frame: &mut Vec<u8>, out: &mut Actions) {
-        // Congestion: queuing delay over threshold (switch role only).
-        if self.role == Role::Switch {
+        // Congestion: the switch's own threshold verdict (switch role only),
+        // so detection and ground truth can never disagree.
+        if self.role == Role::Switch && ctx.congested {
             if let Some(flow) = ctx.meta.flow {
                 let delay = ctx.meta.queuing_delay_ns();
-                if delay > self.cfg.congestion_threshold_ns {
-                    let latency_us = (delay / 1_000).min(u64::from(u16::MAX)) as u16;
-                    self.raise(
-                        ctx.now_ns,
-                        EventType::Congestion,
-                        flow,
-                        EventDetail::Congestion {
-                            egress_port: ctx.port,
-                            queue: ctx.queue,
-                            latency_us,
-                        },
-                        frame.len(),
-                        out,
-                    );
-                }
+                let latency_us = (delay / 1_000).min(u64::from(u16::MAX)) as u16;
+                self.raise(
+                    ctx.now_ns,
+                    EventType::Congestion,
+                    flow,
+                    EventDetail::Congestion { egress_port: ctx.port, queue: ctx.queue, latency_us },
+                    frame.len(),
+                    out,
+                );
             }
         }
         // Inter-switch numbering + ring recording (Fig. 5 step 1), and one
         // pending ring lookup per departing packet (§3.3: subsequent
         // packets trigger the lookups).
-        if self.cfg.enable_interswitch && ctx.peer_tagged {
+        if ctx.peer_tagged {
             let kind = classify(frame);
             let already_tagged =
                 EthernetFrame::new_unchecked(frame.as_slice()).ethertype() == EtherType::NetSeerSeq;
@@ -1070,10 +1080,10 @@ impl SwitchMonitor for NetSeerMonitor {
         self.pump(now_ns, out);
         // Collector backpressure widens the flush interval: a pressured
         // collector means partial batches wait 2^level ticks (bounded by
-        // config) so the fabric sends fewer, fuller CEBPs. Full batches
+        // BACKPRESSURE_MAX_WIDEN) so the fabric sends fewer, fuller CEBPs. Full batches
         // still deliver through pump() above regardless of stride.
         let level = self.transport.rx_backpressure_hint.min(31);
-        let stride = (1u32 << level).min(self.cfg.backpressure_max_widen.max(1));
+        let stride = (1u32 << level).min(BACKPRESSURE_MAX_WIDEN);
         self.batcher.set_flush_stride(stride);
         // Age out partial batches so light traffic still reports promptly.
         if let Some(batch) = self.batcher.flush(now_ns) {
@@ -1089,7 +1099,7 @@ impl SwitchMonitor for NetSeerMonitor {
     }
 
     fn timer_interval_ns(&self) -> Option<u64> {
-        Some(self.cfg.timer_interval_ns)
+        Some(TIMER_INTERVAL_NS)
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -1131,8 +1141,15 @@ mod tests {
         let mut frame = build_data_packet(&flow(1), 100, 0, 0, 64);
         let orig = frame.clone();
         let meta = fet_pdp::PacketMeta::arriving(0, 0, frame.len());
-        let ectx =
-            EgressCtx { now_ns: 0, node: 3, port: 2, queue: 0, peer_tagged: true, meta: &meta };
+        let ectx = EgressCtx {
+            now_ns: 0,
+            node: 3,
+            port: 2,
+            queue: 0,
+            peer_tagged: true,
+            congested: false,
+            meta: &meta,
+        };
         up.on_egress(&ectx, &mut frame, &mut out);
         assert_ne!(frame, orig, "frame should be tagged");
         // Downstream strips.
@@ -1150,8 +1167,15 @@ mod tests {
         let mut arrived = Vec::new();
         for n in 0..5u16 {
             let mut f = build_data_packet(&flow(n), 100, 0, 0, 64);
-            let ectx =
-                EgressCtx { now_ns: 0, node: 3, port: 2, queue: 0, peer_tagged: true, meta: &meta };
+            let ectx = EgressCtx {
+                now_ns: 0,
+                node: 3,
+                port: 2,
+                queue: 0,
+                peer_tagged: true,
+                congested: false,
+                meta: &meta,
+            };
             let mut out = Actions::new();
             up.on_egress(&ectx, &mut f, &mut out);
             if n == 0 || n == 4 {
@@ -1180,6 +1204,7 @@ mod tests {
             port: 2,
             queue: 0,
             peer_tagged: true,
+            congested: false,
             meta: &meta,
         };
         // seq 0 arrives, 1 and 2 lost, 3 arrives.
@@ -1236,6 +1261,7 @@ mod tests {
                 port: 1,
                 queue: 0,
                 peer_tagged: false,
+                congested: true,
                 meta: &meta,
             };
             m.on_egress(&ectx, &mut f, &mut out);
@@ -1263,6 +1289,7 @@ mod tests {
             port: 1,
             queue: 0,
             peer_tagged: false,
+            congested: false,
             meta: &meta,
         };
         m.on_egress(&ectx, &mut f, &mut out);
@@ -1416,6 +1443,7 @@ mod tests {
                 port: 1,
                 queue: 0,
                 peer_tagged: false,
+                congested: true,
                 meta: &meta,
             };
             m.on_egress(&ectx, &mut f, &mut out);
@@ -1446,6 +1474,7 @@ mod tests {
             port: 1,
             queue: 0,
             peer_tagged: false,
+            congested: true,
             meta: &meta,
         };
         m.on_egress(&ectx, &mut f, &mut out);
@@ -1505,8 +1534,15 @@ mod tests {
         let meta = fet_pdp::PacketMeta::arriving(0, 0, 64);
         for port in 0..4u8 {
             let mut f = build_data_packet(&flow(port.into()), 100, 0, 0, 64);
-            let ectx =
-                EgressCtx { now_ns: 0, node: 3, port, queue: 0, peer_tagged: true, meta: &meta };
+            let ectx = EgressCtx {
+                now_ns: 0,
+                node: 3,
+                port,
+                queue: 0,
+                peer_tagged: true,
+                congested: false,
+                meta: &meta,
+            };
             let mut out = Actions::new();
             m.on_egress(&ectx, &mut f, &mut out);
         }

@@ -71,30 +71,66 @@ const WAL_TAG_DEQ: u8 = 3;
 /// Per-record CRC trailer length in the serialized WAL.
 pub const WAL_RECORD_CRC_LEN: usize = 4;
 
+/// Append one `[tag][payload][crc32c over tag+payload]` record — the
+/// on-disk framing of both the recovery WAL and the spill segments, whose
+/// per-record CRC lets replay stop cleanly at the first record a torn
+/// write damaged.
+pub(crate) fn encode_record(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+    let start = out.len();
+    out.push(tag);
+    out.extend_from_slice(payload);
+    let crc = crc32c(&out[start..]);
+    out.extend_from_slice(&crc.to_be_bytes());
+}
+
+/// Check one record at the head of `buf` and hand its tag and payload to
+/// `parse`. `payload_len` sizes the payload per tag (`None` = unknown
+/// tag). Returns the parsed value and the bytes consumed, or `None` on a
+/// truncated tail, an unknown tag, a CRC mismatch, or a payload `parse`
+/// rejects — every way a torn write manifests. Never panics.
+pub(crate) fn decode_record<T>(
+    buf: &[u8],
+    payload_len: impl FnOnce(u8) -> Option<usize>,
+    parse: impl FnOnce(u8, &[u8]) -> Option<T>,
+) -> Option<(T, usize)> {
+    let tag = *buf.first()?;
+    let body_len = 1 + payload_len(tag)?;
+    let crc = buf.get(body_len..body_len + WAL_RECORD_CRC_LEN)?;
+    if crc32c(&buf[..body_len]).to_be_bytes() != crc {
+        return None;
+    }
+    Some((parse(tag, &buf[1..body_len])?, body_len + WAL_RECORD_CRC_LEN))
+}
+
+/// The longest valid record prefix of a (possibly torn) byte stream, one
+/// `decode` call per record: replay stops at the first bad record.
+pub(crate) fn decode_prefix<T>(
+    bytes: &[u8],
+    decode: impl Fn(&[u8]) -> Option<(T, usize)>,
+) -> Vec<T> {
+    let mut out = Vec::new();
+    let mut off = 0;
+    while let Some((v, used)) = decode(&bytes[off..]) {
+        out.push(v);
+        off += used;
+    }
+    out
+}
+
 impl WalOp {
-    /// Serialize one op as `[tag][payload][crc32c over tag+payload]` —
-    /// the on-disk record format whose per-record CRC lets replay stop
-    /// cleanly at the first record a torn write damaged.
+    /// Serialize one op as a `[tag][payload][crc32c]` record.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let start = out.len();
         match *self {
             WalOp::Enq(rec) => {
-                out.push(WAL_TAG_ENQ);
                 let mut b = [0u8; EVENT_RECORD_LEN];
                 rec.write_to(&mut b);
-                out.extend_from_slice(&b);
+                encode_record(out, WAL_TAG_ENQ, &b);
             }
             WalOp::Evict { pending_pos } => {
-                out.push(WAL_TAG_EVICT);
-                out.extend_from_slice(&pending_pos.to_be_bytes());
+                encode_record(out, WAL_TAG_EVICT, &pending_pos.to_be_bytes());
             }
-            WalOp::Deq { count } => {
-                out.push(WAL_TAG_DEQ);
-                out.extend_from_slice(&count.to_be_bytes());
-            }
+            WalOp::Deq { count } => encode_record(out, WAL_TAG_DEQ, &count.to_be_bytes()),
         }
-        let crc = crc32c(&out[start..]);
-        out.extend_from_slice(&crc.to_be_bytes());
     }
 
     /// Decode one record from the head of `buf`. Returns the op and the
@@ -102,33 +138,20 @@ impl WalOp {
     /// CRC mismatch, or a semantically invalid payload — all the ways a
     /// torn write manifests. Never panics on arbitrary bytes.
     pub fn decode_from(buf: &[u8]) -> Option<(WalOp, usize)> {
-        let tag = *buf.first()?;
-        let body_len = match tag {
-            WAL_TAG_ENQ => 1 + EVENT_RECORD_LEN,
-            WAL_TAG_EVICT | WAL_TAG_DEQ => 1 + 4,
-            _ => return None,
+        let len = |tag| match tag {
+            WAL_TAG_ENQ => Some(EVENT_RECORD_LEN),
+            WAL_TAG_EVICT | WAL_TAG_DEQ => Some(4),
+            _ => None,
         };
-        let total = body_len + WAL_RECORD_CRC_LEN;
-        if buf.len() < total {
-            return None;
-        }
-        let want = u32::from_be_bytes([
-            buf[body_len],
-            buf[body_len + 1],
-            buf[body_len + 2],
-            buf[body_len + 3],
-        ]);
-        if crc32c(&buf[..body_len]) != want {
-            return None;
-        }
-        let op = match tag {
-            WAL_TAG_ENQ => WalOp::Enq(EventRecord::parse(&buf[1..body_len]).ok()?),
-            WAL_TAG_EVICT => {
-                WalOp::Evict { pending_pos: u32::from_be_bytes([buf[1], buf[2], buf[3], buf[4]]) }
-            }
-            _ => WalOp::Deq { count: u32::from_be_bytes([buf[1], buf[2], buf[3], buf[4]]) },
-        };
-        Some((op, total))
+        decode_record(buf, len, |tag, p| {
+            Some(match tag {
+                WAL_TAG_ENQ => WalOp::Enq(EventRecord::parse(p).ok()?),
+                WAL_TAG_EVICT => {
+                    WalOp::Evict { pending_pos: u32::from_be_bytes(p.try_into().ok()?) }
+                }
+                _ => WalOp::Deq { count: u32::from_be_bytes(p.try_into().ok()?) },
+            })
+        })
     }
 }
 
@@ -146,13 +169,7 @@ pub fn encode_wal(ops: &[WalOp]) -> Vec<u8> {
 /// it is recovered, everything at and after it is counted as lost — never
 /// deserialized as garbage.
 pub fn decode_wal_prefix(bytes: &[u8]) -> Vec<WalOp> {
-    let mut ops = Vec::new();
-    let mut off = 0;
-    while let Some((op, used)) = WalOp::decode_from(&bytes[off..]) {
-        ops.push(op);
-        off += used;
-    }
-    ops
+    decode_prefix(bytes, WalOp::decode_from)
 }
 
 /// Replay a slice of WAL ops over a checkpointed base state. Pure and
@@ -706,15 +723,15 @@ impl Collector {
         reverted
     }
 
-    /// Default quarantine retention (see
-    /// [`CollectorConfig::max_quarantine`] to change it per collector).
+    /// Quarantined poison frames retained at most this deep; overflow is
+    /// still counted in `poison_seen`.
     pub const MAX_QUARANTINE: usize = 64;
 
     /// Quarantine a poison frame for inspection. Returns `true` when the
     /// frame was retained, `false` when only counted (bound reached).
     pub fn quarantine_poison(&mut self, frame: PoisonFrame) -> bool {
         self.poison_seen += 1;
-        if self.quarantine.len() < self.cfg.max_quarantine {
+        if self.quarantine.len() < Self::MAX_QUARANTINE {
             self.quarantine.push(frame);
             true
         } else {
@@ -778,13 +795,6 @@ impl Collector {
     /// True when nothing is stored.
     pub fn is_empty(&self) -> bool {
         self.store.is_empty()
-    }
-
-    /// The sender suffix the collector still needs from `device`: its
-    /// side of the reconnect handshake. Sequences below the watermark are
-    /// covered; the sender retransmits from here.
-    pub fn needed_from(&self, device: u32, epoch: u32) -> u64 {
-        self.gates.get(&device).map_or(0, |g| g.watermark(epoch))
     }
 
     /// Same-epoch duplicates suppressed across all devices.

@@ -12,11 +12,12 @@
 //!   rotation threshold it is closed — closing fsyncs it — and a fresh
 //!   segment opens. Only the open segment can carry un-fsynced records,
 //!   so a hard kill can tear at most one segment tail.
-//! * **Records**: `[tag][payload][crc32c over tag+payload]`, the PR 5 WAL
-//!   framing with a dedicated tag. The payload is the full
-//!   [`StoredEvent`] — delivery stamp, `(device, epoch, seq)` identity,
-//!   and the 24-byte event record — so replay re-enters the collector's
-//!   exactly-once gates with the original identity intact.
+//! * **Records**: `[tag][payload][crc32c over tag+payload]`, the recovery
+//!   WAL's framing (one shared encoder/decoder) with a dedicated tag. The
+//!   payload is the full [`StoredEvent`] — delivery stamp, `(device,
+//!   epoch, seq)` identity, and the 24-byte event record — so replay
+//!   re-enters the collector's exactly-once gates with the original
+//!   identity intact.
 //! * **Durable read cursor**: draining advances a *volatile* read
 //!   position; [`SpillStore::commit`] (called from the collector's
 //!   checkpoint) first fsyncs the data through the read position, then
@@ -43,9 +44,8 @@ use std::collections::VecDeque;
 
 use crate::config::CollectorConfig;
 use crate::faults::CorruptionGen;
-use crate::recovery::WAL_RECORD_CRC_LEN;
+use crate::recovery::{decode_prefix, decode_record, encode_record, WAL_RECORD_CRC_LEN};
 use crate::storage::StoredEvent;
-use fet_packet::checksum::crc32c;
 use fet_packet::event::{EventRecord, EVENT_RECORD_LEN};
 
 /// Record tag for a spilled [`StoredEvent`] (the recovery WAL owns 1–3).
@@ -61,17 +61,15 @@ pub const SPILL_RECORD_LEN: usize = 1 + SPILL_PAYLOAD_LEN + WAL_RECORD_CRC_LEN;
 
 /// Serialize one spilled event as `[tag][payload][crc32c]`.
 pub fn encode_spill_record(ev: &StoredEvent, out: &mut Vec<u8>) {
-    let start = out.len();
-    out.push(SPILL_RECORD_TAG);
-    out.extend_from_slice(&ev.time_ns.to_be_bytes());
-    out.extend_from_slice(&ev.device.to_be_bytes());
-    out.extend_from_slice(&ev.epoch.to_be_bytes());
-    out.extend_from_slice(&ev.seq.to_be_bytes());
+    let mut p = [0u8; SPILL_PAYLOAD_LEN];
+    p[..8].copy_from_slice(&ev.time_ns.to_be_bytes());
+    p[8..12].copy_from_slice(&ev.device.to_be_bytes());
+    p[12..16].copy_from_slice(&ev.epoch.to_be_bytes());
+    p[16..24].copy_from_slice(&ev.seq.to_be_bytes());
     let mut rec = [0u8; EVENT_RECORD_LEN];
     ev.record.write_to(&mut rec);
-    out.extend_from_slice(&rec);
-    let crc = crc32c(&out[start..]);
-    out.extend_from_slice(&crc.to_be_bytes());
+    p[24..].copy_from_slice(&rec);
+    encode_record(out, SPILL_RECORD_TAG, &p);
 }
 
 /// Decode one spill record from the head of `buf`. Returns the event and
@@ -79,40 +77,22 @@ pub fn encode_spill_record(ev: &StoredEvent, out: &mut Vec<u8>) {
 /// mismatch, or an unparseable event record — every way a torn write
 /// manifests. Never panics on arbitrary bytes.
 pub fn decode_spill_record(buf: &[u8]) -> Option<(StoredEvent, usize)> {
-    if *buf.first()? != SPILL_RECORD_TAG {
-        return None;
-    }
-    let body_len = 1 + SPILL_PAYLOAD_LEN;
-    if buf.len() < SPILL_RECORD_LEN {
-        return None;
-    }
-    let want = u32::from_be_bytes([
-        buf[body_len],
-        buf[body_len + 1],
-        buf[body_len + 2],
-        buf[body_len + 3],
-    ]);
-    if crc32c(&buf[..body_len]) != want {
-        return None;
-    }
-    let time_ns = u64::from_be_bytes(buf[1..9].try_into().ok()?);
-    let device = u32::from_be_bytes(buf[9..13].try_into().ok()?);
-    let epoch = u32::from_be_bytes(buf[13..17].try_into().ok()?);
-    let seq = u64::from_be_bytes(buf[17..25].try_into().ok()?);
-    let record = EventRecord::parse(&buf[25..body_len]).ok()?;
-    Some((StoredEvent { time_ns, device, epoch, seq, record }, SPILL_RECORD_LEN))
+    let len = |tag| (tag == SPILL_RECORD_TAG).then_some(SPILL_PAYLOAD_LEN);
+    decode_record(buf, len, |_, p| {
+        Some(StoredEvent {
+            time_ns: u64::from_be_bytes(p[..8].try_into().ok()?),
+            device: u32::from_be_bytes(p[8..12].try_into().ok()?),
+            epoch: u32::from_be_bytes(p[12..16].try_into().ok()?),
+            seq: u64::from_be_bytes(p[16..24].try_into().ok()?),
+            record: EventRecord::parse(&p[24..]).ok()?,
+        })
+    })
 }
 
 /// Decode the longest valid record prefix of a (possibly torn) segment
 /// byte stream. Replay stops cleanly at the first bad record.
 pub fn decode_spill_prefix(bytes: &[u8]) -> Vec<StoredEvent> {
-    let mut out = Vec::new();
-    let mut off = 0;
-    while let Some((ev, used)) = decode_spill_record(&bytes[off..]) {
-        out.push(ev);
-        off += used;
-    }
-    out
+    decode_prefix(bytes, decode_spill_record)
 }
 
 /// One segment file: its decoded records plus the fsync watermark

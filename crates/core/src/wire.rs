@@ -18,7 +18,7 @@
 //! * undecodable records land in the new `malformed` term;
 //! * datagram-fatal rejects are quarantined verbatim via
 //!   [`Collector::quarantine_poison`] and counted per
-//!   [`RejectReason`].
+//!   [`RejectReason`](fet_wire::RejectReason).
 //!
 //! The extended identity `generated == delivered + shed + pending +
 //! buffered + lost_to_crash + corrupted + malformed` holds exactly for
@@ -33,14 +33,15 @@ use fet_wire::{
 };
 use std::collections::BTreeMap;
 
+/// Device ids assigned to wire exporters start here, keeping them disjoint
+/// from simulator device ids.
+pub const DEVICE_BASE: u32 = 1 << 16;
+
 /// Wire-ingest configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct WireConfig {
     /// Parser/session bounds (template cache, datagram size, stream cap).
     pub session: WireSessionConfig,
-    /// Device ids assigned to wire exporters start here, keeping them
-    /// disjoint from simulator device ids.
-    pub device_base: u32,
     /// Distinct exporter streams mapped to their own device id; streams
     /// beyond the cap share the last id (bounded, deterministic).
     pub max_devices: u32,
@@ -54,7 +55,6 @@ impl Default for WireConfig {
     fn default() -> Self {
         WireConfig {
             session: WireSessionConfig::default(),
-            device_base: 1 << 16,
             max_devices: 1024,
             quarantine_prefix: 256,
         }
@@ -125,8 +125,7 @@ impl WireIngest {
     fn device_for(&mut self, version: u16, domain: u32) -> u32 {
         let cap = self.cfg.max_devices.max(1);
         let next = self.devices.len() as u32;
-        let base = self.cfg.device_base;
-        *self.devices.entry((version, domain)).or_insert_with(|| base + next.min(cap - 1))
+        *self.devices.entry((version, domain)).or_insert_with(|| DEVICE_BASE + next.min(cap - 1))
     }
 
     /// Ingest one datagram through the collector's admission path.
@@ -143,7 +142,7 @@ impl WireIngest {
         if let Some(reason) = report.rejected {
             let keep = datagram.len().min(self.cfg.quarantine_prefix);
             collector.quarantine_poison(PoisonFrame {
-                device: self.cfg.device_base,
+                device: DEVICE_BASE,
                 quarantined_ns: now_ns,
                 frame: datagram[..keep].to_vec(),
                 reason: format!("wire:{}", reason.as_str()),
@@ -187,12 +186,12 @@ impl WireIngest {
         WireAdmission { report, admitted, spilled, refused, device }
     }
 
-    /// Fatal rejects per [`RejectReason::index`].
+    /// Fatal rejects per [`RejectReason::index`](fet_wire::RejectReason::index).
     pub fn rejects_by_reason(&self) -> [u64; REASON_COUNT] {
         self.session.stats().rejects
     }
 
-    /// Soft rejects per [`RejectReason::index`].
+    /// Soft rejects per [`RejectReason::index`](fet_wire::RejectReason::index).
     pub fn soft_rejects_by_reason(&self) -> [u64; REASON_COUNT] {
         self.session.stats().soft
     }
@@ -320,7 +319,7 @@ mod tests {
         // Events are queryable like any simulator event.
         let got = c.store().query(&crate::storage::Query::any().flow(sample(1).flow));
         assert_eq!(got.len(), 1);
-        assert_eq!(got[0].device, WireConfig::default().device_base);
+        assert_eq!(got[0].device, DEVICE_BASE);
     }
 
     #[test]
@@ -369,7 +368,6 @@ mod tests {
             memory_watermark: 4,
             max_spill_bytes: 1024,
             spill_segment_bytes: 512,
-            ..Default::default()
         });
         c.subscribe();
         for i in 0..40 {

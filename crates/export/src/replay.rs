@@ -214,7 +214,6 @@ pub fn run_mixed_replay(cfg: &MixedReplayConfig) -> MixedReplayReport {
         memory_watermark: 128,
         max_spill_bytes: 64 * 1024,
         spill_segment_bytes: 8 * 1024,
-        ..CollectorConfig::default()
     });
     let mut wire = WireIngest::new(WireConfig::default());
     let mut engine = AnalyticsEngine::new(AnalyticsConfig::default(), LinkMap::default());

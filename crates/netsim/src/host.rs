@@ -246,6 +246,7 @@ impl Host {
                 port: 0,
                 queue: 0,
                 peer_tagged: true,
+                congested: false,
                 meta: &meta,
             };
             let mut actions = Actions::new();

@@ -70,6 +70,13 @@ pub struct EgressCtx<'a> {
     pub queue: u8,
     /// True when the downstream neighbor runs telemetry (insert seq tags).
     pub peer_tagged: bool,
+    /// The switch's congestion verdict: a data packet whose queuing delay
+    /// exceeded [`SwitchConfig::congestion_threshold_ns`]. The same
+    /// comparison records ground truth, so a monitor that reads it can
+    /// never disagree with the fabric about what congestion is.
+    ///
+    /// [`SwitchConfig::congestion_threshold_ns`]: crate::switchdev::SwitchConfig::congestion_threshold_ns
+    pub congested: bool,
     /// Packet metadata (timestamps filled in; queuing delay available).
     pub meta: &'a PacketMeta,
 }

@@ -690,7 +690,9 @@ impl SwitchDevice {
 
         // Ground truth: congestion (queuing delay over threshold). Only data
         // traffic counts — monitor-emitted frames carry a zero flow.
-        if meta.flow.is_some() && meta.queuing_delay_ns() > self.config.congestion_threshold_ns {
+        let congested =
+            meta.flow.is_some() && meta.queuing_delay_ns() > self.config.congestion_threshold_ns;
+        if congested {
             gt.record(GtEvent {
                 time_ns: now_ns,
                 device: self.id,
@@ -709,6 +711,7 @@ impl SwitchDevice {
                 port,
                 queue: chosen,
                 peer_tagged: self.tag_ports[usize::from(port)],
+                congested,
                 meta: &meta,
             };
             m.on_egress(&ctx, &mut frame, &mut actions);

@@ -69,11 +69,6 @@ impl GroundTruth {
             .collect()
     }
 
-    /// Distinct flow-level events across all types: (device, type, flow).
-    pub fn all_flow_events(&self) -> BTreeSet<(u32, EventType, FlowKey)> {
-        self.events.iter().filter_map(|e| e.flow.map(|f| (e.device, e.ty, f))).collect()
-    }
-
     /// Events within a time window.
     pub fn in_window(&self, from_ns: u64, to_ns: u64) -> impl Iterator<Item = &GtEvent> {
         self.events.iter().filter(move |e| e.time_ns >= from_ns && e.time_ns < to_ns)

@@ -53,7 +53,6 @@ fn main() {
         memory_watermark: 256,
         max_spill_bytes: 64 * 1024,
         spill_segment_bytes: 8 * 1024,
-        ..CollectorConfig::default()
     });
     let sub = collector.subscribe();
     let mut wire = WireIngest::new(WireConfig::default());

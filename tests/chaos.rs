@@ -734,7 +734,7 @@ fn hard_kill_mid_spill_with_torn_tail_converges_to_reference() {
 
 /// Scenario 16 — sustained collector pressure widens the flush interval:
 /// monitors signalled a backpressure level force partial batches out only
-/// every `2^level` timer ticks (capped by `backpressure_max_widen`), so
+/// every `2^level` timer ticks (capped by `BACKPRESSURE_MAX_WIDEN`), so
 /// the fabric sends fewer partial CEBPs while full batches still flow.
 /// Accounting stays exact, and a runaway level clamps to the same stride
 /// as a moderate one — bit-for-bit.
@@ -804,7 +804,6 @@ fn hostile_exporter_storm_stays_bounded_and_accounted() {
         memory_watermark: 32,
         max_spill_bytes: 8 * 1024,
         spill_segment_bytes: 1024,
-        ..CollectorConfig::default()
     });
     // A subscriber that never drains: the watermark binds, the storm
     // spills, and the small byte budget forces real shed.

@@ -127,7 +127,6 @@ fn run_wire_storm(storm_seed: u64, reg: &mut MetricRegistry) -> WireState {
         memory_watermark: 32,
         max_spill_bytes: 8 * 1024,
         spill_segment_bytes: 1024,
-        ..CollectorConfig::default()
     });
     collector.subscribe(); // never drains: watermark binds, spill fills, shed engages
     let mut wire = WireIngest::new(WireConfig::default());

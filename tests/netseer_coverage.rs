@@ -151,15 +151,13 @@ fn acl_drop_aggregated_by_rule() {
 fn incast_congestion_and_mmu_coverage() {
     let mut params = FatTreeParams::default();
     params.switch_config.mmu.total_bytes = 64 * 1024;
+    // The switch is the only place the threshold is set: NetSeer takes the
+    // switch's congestion verdict, so it must cover every 5 us event.
     params.switch_config.congestion_threshold_ns = 5 * fet_netsim::MICROS;
-    let cfg = netseer::NetSeerConfig {
-        congestion_threshold_ns: 5 * fet_netsim::MICROS,
-        ..netseer::NetSeerConfig::default()
-    };
     let mut sim = Simulator::new();
     let ft = build_fat_tree(&mut sim, &params);
     install_ecmp_routes(&mut sim);
-    deploy(&mut sim, &DeployOptions { cfg, on_nics: true });
+    deploy(&mut sim, &DeployOptions { cfg: netseer::NetSeerConfig::default(), on_nics: true });
     for s in 1..8 {
         add_flow(&mut sim, &ft, s, 0, 3000 + s as u16, 1_000_000, 25.0);
     }
