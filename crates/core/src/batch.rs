@@ -246,6 +246,14 @@ impl CebpBatcher {
         Some(Batch { ready_ns: deliver_at, events })
     }
 
+    /// Restart in place: drop the stack, the open CEBP and the circulation
+    /// clock (volatile pipeline state); counters and the flush stride stay.
+    pub(crate) fn reset(&mut self) {
+        self.stack.clear();
+        self.open.clear();
+        self.next_visit_ns = 0;
+    }
+
     /// Events currently waiting (stack + open CEBP).
     pub fn backlog(&self) -> usize {
         self.stack.len() + self.open.len()

@@ -96,8 +96,6 @@ pub struct SwitchCpu {
     pub received: u64,
     /// Initial reports eliminated as false positives.
     pub fp_eliminated: u64,
-    /// Batches rejected by PCIe overflow.
-    pub pcie_rejected: u64,
     /// Events inside PCIe-rejected batches (for delivery accounting).
     pub pcie_rejected_events: u64,
     /// Events shed by the overload controller.
@@ -126,26 +124,19 @@ impl SwitchCpu {
             overload: cfg.faults.cpu_overload.clone(),
             received: 0,
             fp_eliminated: 0,
-            pcie_rejected: 0,
             pcie_rejected_events: 0,
             shed_overload: 0,
             busy_ns: 0,
         }
     }
 
-    /// Carry the cumulative measurement counters from a pre-crash instance
-    /// onto this freshly constructed one. Used by the monitor's restart
-    /// path: the counters are telemetry about the whole device lifetime and
-    /// must survive restarts (the ledger depends on them), while everything
-    /// volatile — the FP-elimination window (`seen`), the DMA ring, the
-    /// CPU-backlog clock — starts empty, exactly as on real hardware.
-    pub fn carry_counters_from(&mut self, old: &SwitchCpu) {
-        self.received = old.received;
-        self.fp_eliminated = old.fp_eliminated;
-        self.pcie_rejected = old.pcie_rejected;
-        self.pcie_rejected_events = old.pcie_rejected_events;
-        self.shed_overload = old.shed_overload;
-        self.busy_ns = old.busy_ns;
+    /// Restart in place: the FP-elimination window (`seen`), the DMA ring
+    /// and the CPU-backlog clock start empty, as on real hardware; the
+    /// cumulative counters (which the ledger reads) stay.
+    pub(crate) fn reset(&mut self) {
+        self.seen.clear();
+        self.cpu_free_ns = 0;
+        self.pcie.reset();
     }
 
     /// Per-event cost multiplier at `t` from the overload schedule.
@@ -171,7 +162,6 @@ impl SwitchCpu {
         // A scheduled PCIe stall delays DMA admission to the window's end.
         let arrive_ns = stall_release(&self.pcie_stalls, ready_ns).unwrap_or(ready_ns);
         let Some(pcie_done) = self.pcie.offer(arrive_ns, wire_bytes) else {
-            self.pcie_rejected += 1;
             self.pcie_rejected_events += events.len() as u64;
             return Vec::new();
         };

@@ -128,11 +128,10 @@ impl GroupCache {
         1.0 - (self.reports as f64 / self.offered as f64)
     }
 
-    /// Reset all entries (e.g. between experiment phases).
-    pub fn clear(&mut self) {
+    /// Restart in place: forget every entry (control-plane table clear);
+    /// the `offered`/`reports` telemetry stays.
+    pub(crate) fn reset(&mut self) {
         self.table.clear();
-        self.offered = 0;
-        self.reports = 0;
     }
 
     /// Charge this table to a resource ledger.
@@ -241,11 +240,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_state() {
+    fn reset_forgets_table_and_keeps_counters() {
         let mut gc = GroupCache::new("t", 16, 10, 1);
         gc.offer(flow(1));
-        gc.clear();
-        assert_eq!(gc.offered, 0);
+        gc.offer(flow(1));
+        gc.reset();
+        assert_eq!((gc.offered, gc.reports), (2, 1));
         assert_eq!(gc.offer(flow(1)), DedupOutcome::NewFlow);
     }
 

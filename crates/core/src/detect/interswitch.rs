@@ -95,12 +95,12 @@ impl PortTagger {
         self.next_seq
     }
 
-    /// Restore the numbering head from a checkpoint so the post-restart
-    /// sequence continues where the pre-crash one left off (downstream
-    /// gap detectors see a continuation, not a reset-to-zero burst). The
-    /// ring contents themselves are volatile and stay lost: a missed
-    /// lookup on old traffic is counted as a miss, never misreported.
-    pub fn restore_head(&mut self, head: u32) {
+    /// Restart in place: clear the (volatile) ring and resume numbering at
+    /// the checkpointed `head`, so downstream gap detectors see a
+    /// continuation, not a reset-to-zero burst. A lookup on pre-crash
+    /// traffic is counted as a miss, never misreported; counters stay.
+    pub(crate) fn reset(&mut self, head: u32) {
+        self.ring.clear();
         self.next_seq = head;
     }
 
@@ -254,6 +254,13 @@ impl PendingLookups {
     pub fn is_empty(&self) -> bool {
         self.queue.is_empty()
     }
+
+    /// Restart in place: forget queued lookups and recent ranges (no event
+    /// was generated from them yet); counters stay.
+    pub(crate) fn reset(&mut self) {
+        self.queue.clear();
+        self.recent.clear();
+    }
 }
 
 #[cfg(test)]
@@ -287,13 +294,13 @@ mod tests {
         }
         let head = t.head();
         assert_eq!(head, 5);
-        // A restart builds a fresh tagger and restores the checkpointed
-        // head: numbering continues, the (volatile) ring starts empty.
-        let mut fresh = PortTagger::new(8);
-        fresh.restore_head(head);
-        assert_eq!(fresh.next(flow(9)), 5, "sequence continues, no reset to 0");
-        assert_eq!(fresh.lookup(2), None, "pre-crash ring contents are gone: counted miss");
-        assert_eq!(fresh.lookup_misses, 1);
+        // A restart resets the tagger in place to the checkpointed head:
+        // numbering continues, the (volatile) ring starts empty, and the
+        // counters carry on.
+        t.reset(head);
+        assert_eq!(t.next(flow(9)), 5, "sequence continues, no reset to 0");
+        assert_eq!(t.lookup(2), None, "pre-crash ring contents are gone: counted miss");
+        assert_eq!((t.tagged, t.lookup_misses), (6, 1));
     }
 
     #[test]

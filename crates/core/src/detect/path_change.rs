@@ -84,6 +84,11 @@ impl PathTable {
         kind
     }
 
+    /// Restart in place: forget every learned path; counters stay.
+    pub(crate) fn reset(&mut self) {
+        self.table.clear();
+    }
+
     /// Charge to a resource ledger.
     pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
         self.table.account(ledger, module);

@@ -60,6 +60,11 @@ impl PauseTracker {
         self.bits[w] & m != 0
     }
 
+    /// Restart in place: every queue reads as unpaused; counters stay.
+    pub(crate) fn reset(&mut self) {
+        self.bits.fill(0);
+    }
+
     /// Charge the status bits to the ledger (SRAM, one stateful ALU).
     pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
         ledger.charge(module, ResourceKind::SramBits, (self.ports * PRIOS) as u64);

@@ -28,7 +28,6 @@ use fet_packet::pfc::{PfcFrame, PFC_CLASSES};
 use fet_packet::{FlowKey, IpProtocol};
 use fet_pdp::{RateLimitedChannel, ResourceKind, ResourceLedger};
 use std::any::Any;
-use std::collections::HashMap;
 
 /// Where this monitor instance runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,8 +124,6 @@ pub struct NetSeerMonitor {
     pub events_generated: u64,
     /// Events shed because the transport exhausted its retry budget.
     pub transport_failed_events: u64,
-    /// Reports (batches) the transport gave up on.
-    pub transport_failed_reports: u64,
     /// Notification copies eaten by the injected loss process.
     pub notification_copies_dropped: u64,
     /// CEBP report attempts whose CRC trailer failed at the collector.
@@ -156,10 +153,6 @@ pub struct NetSeerMonitor {
     /// loop is healthy; the watchdog declares the monitor suspect when it
     /// stops (see [`crate::watchdog`]).
     pub heartbeat: u64,
-    /// The device's *local* clock reading at the last heartbeat tick.
-    /// Purely observational: the watchdog samples it to measure clock
-    /// skew but never bases liveness on it (the counter is drift-immune).
-    pub heartbeat_local_ns: u64,
     /// This device's virtual clock (identity unless
     /// [`FaultPlan::clock`](crate::faults::FaultPlan::clock) is active).
     /// Rewrites recorded stamps only — event times, snapshot stamps,
@@ -271,7 +264,6 @@ impl NetSeerMonitor {
             ),
             events_generated: 0,
             transport_failed_events: 0,
-            transport_failed_reports: 0,
             notification_copies_dropped: 0,
             cebp_crc_failures: 0,
             corrupted_batches: 0,
@@ -290,7 +282,6 @@ impl NetSeerMonitor {
             next_delivery_seq: 0,
             records_scratch: Vec::with_capacity(4),
             heartbeat: 0,
-            heartbeat_local_ns: 0,
             clock: DeviceClock::new(&cfg.faults.clock, cfg.faults.seed, device),
             wedged: false,
             cfg,
@@ -556,7 +547,6 @@ impl NetSeerMonitor {
                     // Retry budget exhausted (e.g. a partition outlasting
                     // the backoff schedule): shed-and-count, never silent.
                     self.transport_failed_events += survived.len() as u64;
-                    self.transport_failed_reports += 1;
                     return;
                 }
             }
@@ -640,94 +630,49 @@ impl NetSeerMonitor {
         self.recovery.record_kill(kind, now_ns, self.batcher.backlog() as u64);
     }
 
-    /// Recover from the durable state: replay snapshot + WAL into a
-    /// rebuilt pipeline, reconnect the transport under a new epoch, and
-    /// account exactly what the kill destroyed.
+    /// Recover from the durable state: reset the pipeline in place, replay
+    /// snapshot + WAL into it, reconnect the transport under a new epoch,
+    /// and account exactly what the kill destroyed.
     ///
-    /// Counters are the measurement apparatus, so every rebuilt subsystem
-    /// carries its cumulative counters forward; only genuinely volatile
-    /// state (the CPU's FP window, dedup tables, ring contents, learned
-    /// paths, pause state, queued ring lookups) starts empty. Replayed
+    /// Counters are the measurement apparatus, so they never move: each
+    /// subsystem's `reset` clears only its genuinely volatile state (the
+    /// CPU's FP window, dedup tables, ring contents, learned paths, pause
+    /// state, queued ring lookups, channel backlogs). Replayed
     /// events re-enter the batcher without touching `events_generated` —
     /// they were counted when first generated — and a replayed set larger
-    /// than the fresh stack re-sheds by priority, counted as usual.
+    /// than the stack re-sheds by priority, counted as usual.
     pub fn restart(&mut self, now_ns: u64) -> CrashReport {
         // A restart always un-wedges: the fresh process has a live loop.
         self.wedged = false;
         let replayed = self.recovery.replay();
 
-        // Batcher: fresh circulation state, carried counters.
-        let mut batcher = CebpBatcher::new(&self.cfg);
-        batcher.accepted = self.batcher.accepted;
-        batcher.dropped = self.batcher.dropped;
-        batcher.shed_by_type = std::mem::take(&mut self.batcher.shed_by_type);
-        batcher.delivered_batches = self.batcher.delivered_batches;
-        batcher.delivered_events = self.batcher.delivered_events;
-        batcher.set_flush_stride(self.batcher.flush_stride());
-        batcher.flush_calls = self.batcher.flush_calls;
-        batcher.flushes_skipped = self.batcher.flushes_skipped;
-        self.batcher = batcher;
-
-        // CPU: fresh FP window and DMA engine, carried counters.
-        let mut cpu = SwitchCpu::new(&self.cfg);
-        cpu.carry_counters_from(&self.cpu);
-        self.cpu = cpu;
-
-        // Taggers: heads restored from the checkpoint. Ring contents are
-        // lost — lookups in the gap window count misses, never misreport.
-        let heads: HashMap<u8, u32> =
-            self.recovery.snapshot().tagger_heads.iter().copied().collect();
+        // Each subsystem clears its volatile state in place; counters stay.
+        self.batcher.reset();
+        self.cpu.reset();
+        // Ring contents are lost — lookups in the gap window count misses,
+        // never misreport — but numbering resumes at the checkpointed head.
+        let heads = &self.recovery.snapshot().tagger_heads;
         for (port, tagger) in self.taggers.iter_mut() {
-            let mut fresh = PortTagger::new(self.cfg.ring_slots);
-            fresh.restore_head(heads.get(&port).copied().unwrap_or(0));
-            fresh.tagged = tagger.tagged;
-            fresh.lookup_hits = tagger.lookup_hits;
-            fresh.lookup_misses = tagger.lookup_misses;
-            *tagger = fresh;
+            tagger.reset(heads.iter().find(|&&(p, _)| p == port).map_or(0, |&(_, head)| head));
         }
-
-        // Gap detectors keep their counters but re-base: the first frame
-        // after downtime re-syncs instead of charging a loss burst.
+        // Gap detectors re-base: the first frame after downtime re-syncs
+        // instead of charging a loss burst.
         for g in self.gaps.values_mut() {
             g.rebase();
         }
-
-        // Queued ring lookups are volatile (no event was generated from
-        // them yet, so the ledger is unaffected); telemetry carries.
+        // Queued ring lookups generated no event yet: the ledger is unaffected.
         for p in self.pending.values_mut() {
-            let mut fresh = PendingLookups::new(PENDING_LOOKUP_CAP);
-            fresh.overflowed = p.overflowed;
-            fresh.copies_received = p.copies_received;
-            fresh.duplicate_copies = p.duplicate_copies;
-            fresh.ranges_accepted = p.ranges_accepted;
-            fresh.corrupted_ranges = p.corrupted_ranges;
-            *p = fresh;
+            p.reset();
         }
-
-        // Group caches: tables are volatile, suppression telemetry is not.
         for cache in self.dedup.values_mut() {
-            let (offered, reports) = (cache.offered, cache.reports);
-            cache.clear();
-            cache.offered = offered;
-            cache.reports = reports;
+            cache.reset();
         }
-
-        // Learned paths and pause state rebuild from live traffic.
-        let seed = self.device.wrapping_mul(0x9e37_79b9).wrapping_add(7);
-        let (po, pr) = (self.path_table.offered, self.path_table.reported);
-        self.path_table = PathTable::new(PATH_ENTRIES, seed ^ 0xabcd);
-        self.path_table.offered = po;
-        self.path_table.reported = pr;
-        let (ps, rs) = (self.pause_tracker.pauses_seen, self.pause_tracker.resumes_seen);
-        self.pause_tracker = PauseTracker::new(64);
-        self.pause_tracker.pauses_seen = ps;
-        self.pause_tracker.resumes_seen = rs;
-
-        // Internal channels restart idle.
-        self.mmu_redirect =
-            RateLimitedChannel::new("mmu-redirect", self.cfg.capacity.mmu_redirect_gbps, 1 << 20);
-        self.internal_port =
-            RateLimitedChannel::new("internal-port", self.cfg.capacity.internal_port_gbps, 4 << 20);
+        // Learned paths and pause state rebuild from live traffic; the
+        // internal channels restart idle.
+        self.path_table.reset();
+        self.pause_tracker.reset();
+        self.mmu_redirect.reset();
+        self.internal_port.reset();
 
         // Reconnect under a new epoch: the collector rejects retransmits
         // from the dead epoch, and the `(device, epoch, seq)` key turns
@@ -1067,7 +1012,6 @@ impl SwitchMonitor for NetSeerMonitor {
             return;
         }
         self.heartbeat += 1;
-        self.heartbeat_local_ns = self.clock.local_time(now_ns);
         // CPU-assisted backstop: drain pending lookups even on quiet ports.
         for p in 0..=255u8 {
             if self.pending.get(p).is_some() {
@@ -1564,5 +1508,157 @@ mod tests {
         for want in ["switch.p4", "event-detection", "inter-switch", "dedup", "batching"] {
             assert!(mods.contains(&want), "missing module {want}");
         }
+    }
+
+    /// One egress pass on `port` for `flow(n)` at `now`; returns the frame
+    /// as it leaves (tagged when `peer_tagged`).
+    fn egress(
+        m: &mut NetSeerMonitor,
+        now: u64,
+        port: u8,
+        peer_tagged: bool,
+        congested: bool,
+        n: u16,
+        out: &mut Actions,
+    ) -> Vec<u8> {
+        let mut meta = fet_pdp::PacketMeta::arriving(0, 0, 64);
+        meta.flow = Some(flow(n));
+        meta.egress_ts_ns = now;
+        let mut frame = build_data_packet(&flow(n), 100, 0, 0, 64);
+        let ectx =
+            EgressCtx { now_ns: now, node: 3, port, queue: 0, peer_tagged, congested, meta: &meta };
+        m.on_egress(&ectx, &mut frame, out);
+        frame
+    }
+
+    fn routed(m: &mut NetSeerMonitor, now: u64, n: u16, egress_port: u8, out: &mut Actions) {
+        let rctx = RoutedCtx {
+            now_ns: now,
+            node: 3,
+            ingress_port: 1,
+            egress_port,
+            queue: 0,
+            queue_paused: false,
+            flow: flow(n),
+        };
+        m.on_routed(&rctx, &build_data_packet(&flow(n), 100, 0, 0, 64), out);
+    }
+
+    /// Every cumulative counter a restart must carry forward untouched.
+    fn carried_counters(m: &NetSeerMonitor) -> Vec<(&'static str, u64)> {
+        let (b, c) = (&m.batcher, &m.cpu);
+        let mut v = vec![
+            ("events_generated", m.events_generated),
+            ("event_packets", m.stats.event_packets),
+            ("final_reports", m.stats.final_reports),
+            ("batcher.dropped", b.dropped),
+            ("batcher.delivered_batches", b.delivered_batches),
+            ("batcher.delivered_events", b.delivered_events),
+            ("batcher.flush_calls", b.flush_calls),
+            ("batcher.flushes_skipped", b.flushes_skipped),
+            ("batcher.flush_stride", u64::from(b.flush_stride())),
+            ("cpu.received", c.received),
+            ("cpu.fp_eliminated", c.fp_eliminated),
+            ("cpu.pcie_rejected_events", c.pcie_rejected_events),
+            ("cpu.shed_overload", c.shed_overload),
+            ("cpu.busy_ns", c.busy_ns),
+            ("path.offered", m.path_table.offered),
+            ("path.reported", m.path_table.reported),
+            ("pause.pauses_seen", m.pause_tracker.pauses_seen),
+            ("pause.resumes_seen", m.pause_tracker.resumes_seen),
+            ("mmu_redirect_missed", m.mmu_redirect_missed),
+            ("internal_port_missed", m.internal_port_missed),
+        ];
+        for t in m.taggers.values() {
+            v.push(("tagger.tagged", t.tagged));
+            v.push(("tagger.lookup_hits", t.lookup_hits));
+            v.push(("tagger.lookup_misses", t.lookup_misses));
+        }
+        for p in m.pending.values() {
+            v.push(("pending.overflowed", p.overflowed));
+            v.push(("pending.copies_received", p.copies_received));
+            v.push(("pending.duplicate_copies", p.duplicate_copies));
+            v.push(("pending.ranges_accepted", p.ranges_accepted));
+            v.push(("pending.corrupted_ranges", p.corrupted_ranges));
+        }
+        for g in m.gaps.values() {
+            v.push(("gap.packets_seen", g.packets_seen));
+            v.push(("gap.gaps_detected", g.gaps_detected));
+            v.push(("gap.packets_missing", g.packets_missing));
+        }
+        for cache in m.dedup.values() {
+            v.push(("dedup.offered", cache.offered));
+            v.push(("dedup.reports", cache.reports));
+        }
+        v
+    }
+
+    #[test]
+    fn restart_resets_volatile_state_and_carries_counters() {
+        let mut m = mon();
+        let mut out = Actions::new();
+        // Tag five frames on port 2; loop seq 0 and 3 back in on port 5 so
+        // its gap detector counts a two-packet gap.
+        let tagged: Vec<Vec<u8>> =
+            (0..5).map(|n| egress(&mut m, 0, 2, true, false, n, &mut out)).collect();
+        for i in [0, 3] {
+            m.on_ingress(&ictx(5, 10), &mut tagged[i].clone(), &mut out);
+        }
+        assert_eq!(m.gaps_detected(), 1);
+        // Dedup: one heavy congested flow plus twenty light ones.
+        for _ in 0..10 {
+            egress(&mut m, 100, 1, false, true, 1, &mut out);
+        }
+        for n in 10..30 {
+            egress(&mut m, 100, 1, false, true, n, &mut out);
+        }
+        // A path change, and a pause event toward a PFC-paused queue.
+        routed(&mut m, 200, 9, 2, &mut out);
+        m.on_pause_state(200, 7, 0, true);
+        routed(&mut m, 200, 2, 7, &mut out);
+        // The timer flushes everything so far through the CPU.
+        m.on_timer(1_000_000, &[], &mut out);
+        assert!(m.stats.final_reports > 0 && m.cpu.working_set() > 0);
+        // A partial CEBP, then queued ring lookups on port 2.
+        for n in 40..46 {
+            egress(&mut m, 1_000_100, 1, false, true, n, &mut out);
+        }
+        for mut f in build_notification_frames_with(0, 99, 2, 3) {
+            m.on_ingress(&ictx(2, 1_000_200), &mut f, &mut out);
+        }
+        assert_eq!(m.pending.get(2).map(|p| p.len()), Some(100));
+        m.checkpoint(1_000_300);
+        // Enqueues after the checkpoint: what a hard kill may destroy.
+        for n in 50..56 {
+            egress(&mut m, 1_000_400, 1, false, true, n, &mut out);
+        }
+        assert!(m.batcher.backlog() > 0, "a partial CEBP is in flight at the kill");
+        assert!(m.pause_tracker.is_paused(7, 0));
+
+        let before = carried_counters(&m);
+        let accepted = m.batcher.accepted;
+        let shed_by_type = m.batcher.shed_by_type.clone();
+        m.crash(CrashKind::Hard, 1_000_500);
+        let report = m.restart(1_000_600);
+
+        // Counters never move; replay re-enters the batcher as accepts.
+        assert_eq!(carried_counters(&m), before);
+        assert_eq!(m.batcher.accepted, accepted + report.replayed);
+        assert_eq!(m.batcher.shed_by_type, shed_by_type);
+        assert_eq!(m.batcher.backlog() as u64, report.replayed);
+        assert!(m.ledger().balanced(), "{:?}", m.ledger());
+        // Volatile state starts empty.
+        assert!(m.pending.get(2).is_some_and(|p| p.is_empty()));
+        assert!(!m.pause_tracker.is_paused(7, 0));
+        assert_eq!(m.cpu.working_set(), 0);
+        // The same flows are new again to dedup and to the path table.
+        assert_eq!(m.dedup.get_mut(EventType::Congestion).offer(flow(1)), DedupOutcome::NewFlow);
+        let reported = m.path_table.reported;
+        routed(&mut m, 1_000_700, 9, 2, &mut out);
+        assert_eq!(m.path_table.reported, reported + 1);
+        // Tagger numbering continues from the checkpointed head.
+        let mut f = egress(&mut m, 1_000_700, 2, true, false, 7, &mut out);
+        assert_eq!(strip_seqtag_in_place(&mut f).ok(), Some(5));
+        assert!(m.ledger().balanced(), "{:?}", m.ledger());
     }
 }

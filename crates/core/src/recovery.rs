@@ -315,10 +315,6 @@ pub struct RecoveryLog {
     torn_wal: Option<CorruptionGen>,
     /// Checkpoints taken.
     pub checkpoints: u64,
-    /// WAL ops appended.
-    pub wal_appends: u64,
-    /// Explicit fsyncs (removal ops + checkpoints + clean stops).
-    pub wal_fsyncs: u64,
     /// Completed crash/restart cycles.
     pub restarts: u64,
     /// Events destroyed across all hard kills (the ledger's
@@ -339,7 +335,6 @@ impl RecoveryLog {
     /// kill can destroy.
     pub fn log_enq(&mut self, rec: EventRecord) {
         self.wal.append(WalOp::Enq(rec));
-        self.wal_appends += 1;
     }
 
     /// Mirror a priority eviction. Fsynced eagerly: the victim is counted
@@ -348,8 +343,7 @@ impl RecoveryLog {
     /// event and double-count it).
     pub fn log_evict(&mut self, pending_pos: usize) {
         self.wal.append(WalOp::Evict { pending_pos: pending_pos as u32 });
-        self.wal_appends += 1;
-        self.fsync();
+        self.wal.fsync();
     }
 
     /// Mirror a batch departure. Fsynced eagerly for the same reason:
@@ -357,13 +351,7 @@ impl RecoveryLog {
     /// downstream, and replay must not bring them back.
     pub fn log_deq(&mut self, count: usize) {
         self.wal.append(WalOp::Deq { count: count as u32 });
-        self.wal_appends += 1;
-        self.fsync();
-    }
-
-    fn fsync(&mut self) {
         self.wal.fsync();
-        self.wal_fsyncs += 1;
     }
 
     /// Is a checkpoint due at `now_ns`?
@@ -378,7 +366,7 @@ impl RecoveryLog {
         self.snapshot = snapshot;
         self.snapshot.taken_ns = now_ns;
         self.wal.clear();
-        self.fsync();
+        self.wal.fsync();
         self.last_checkpoint_ns = now_ns;
         self.checkpoints += 1;
     }
@@ -400,7 +388,7 @@ impl RecoveryLog {
     pub fn record_kill(&mut self, kind: CrashKind, at_ns: u64, pending_at_kill: u64) {
         let ops_lost = match kind {
             CrashKind::Clean => {
-                self.fsync();
+                self.wal.fsync();
                 0
             }
             CrashKind::Hard => match &mut self.torn_wal {
@@ -493,9 +481,6 @@ pub struct Collector {
     spill: SpillStore,
     /// Crash/restart cycles survived.
     pub restarts: u64,
-    /// Events rolled back by hard kills (recovered later by
-    /// reconciliation; this counts the repair work, not a final loss).
-    pub reverted_by_crash: u64,
     /// Poison frames offered to quarantine, including any dropped after
     /// the retention bound was reached.
     pub poison_seen: u64,
@@ -559,7 +544,6 @@ impl Collector {
             next_subscriber: 0,
             quarantine: Vec::new(),
             restarts: 0,
-            reverted_by_crash: 0,
             poison_seen: 0,
             spilled: 0,
             overflow_refused: 0,
@@ -718,7 +702,6 @@ impl Collector {
         }
         self.spill.crash();
         let reverted = (before - self.store.len()) as u64;
-        self.reverted_by_crash += reverted;
         self.restarts += 1;
         reverted
     }
