@@ -145,7 +145,8 @@ fn main() {
     report.metric("storm_datagrams_per_s", storm_dps);
     let ledger = wire.ledger(&collector);
     ledger.assert_balanced();
-    assert!(ledger.malformed > 0 && wire.rejected_datagrams() > 0, "the storm must bite");
+    let rejected = wire.session().stats().rejected;
+    assert!(ledger.malformed > 0 && rejected > 0, "the storm must bite");
     println!(
         "(c) hostile storm: {:>9.0} datagrams/s  ({:.1} ms, {} delivered, {} malformed, \
          {} rejected)",
@@ -153,7 +154,7 @@ fn main() {
         storm_dt.as_secs_f64() * 1e3,
         ledger.delivered,
         ledger.malformed,
-        wire.rejected_datagrams()
+        rejected
     );
 
     assert!(v5_rps >= 100_000.0, "v5 decode {v5_rps:.0} records/s below the 100k bar");

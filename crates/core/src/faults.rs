@@ -216,10 +216,6 @@ pub struct FaultPlan {
     pub pcie_stalls: Vec<Window>,
     /// Switch-CPU overload windows.
     pub cpu_overload: Vec<OverloadWindow>,
-    /// Scheduled switch-CPU crash/restart events.
-    pub device_crashes: Vec<DeviceCrash>,
-    /// Scheduled collector (backend) crashes.
-    pub collector_crashes: Vec<CollectorCrash>,
     /// Byte damage applied to each CEBP report frame on its way to the
     /// collector (drawn on [`streams::CEBP_CORRUPT`]). The CRC-32C trailer
     /// detects it; the transport treats the failure as an implicit NACK and
@@ -268,11 +264,6 @@ pub mod streams {
 }
 
 impl FaultPlan {
-    /// A plan that injects nothing (the happy path).
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
     /// CPU cost multiplier at time `t` (1.0 = no overload).
     pub fn cpu_factor(&self, t: u64) -> f64 {
         self.cpu_overload
@@ -281,29 +272,6 @@ impl FaultPlan {
             .map(|o| o.factor.max(1.0))
             .fold(1.0, f64::max)
     }
-
-    /// Is the management network partitioned at `t`?
-    pub fn mgmt_partitioned(&self, t: u64) -> bool {
-        in_any_window(&self.mgmt_partitions, t)
-    }
-}
-
-/// Why an event was shed. Every category is a *named, bounded* choke point;
-/// the shed order under pressure is priority-aware (drops survive longest —
-/// see [`event_priority`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShedCause {
-    /// In-pipeline event stack overflow (lowest-priority victim evicted).
-    StackOverflow,
-    /// PCIe channel rejected the batch (DMA ring full / stalled too long).
-    Pcie,
-    /// Switch-CPU overload controller dropped the batch instead of
-    /// queueing unboundedly.
-    CpuOverload,
-    /// CPU false-positive elimination (deliberate, §3.6).
-    FalsePositive,
-    /// Reliable transport exhausted its retry budget (prolonged partition).
-    Transport,
 }
 
 /// Reporting priority of an event type under shedding pressure: higher is
@@ -470,10 +438,10 @@ mod tests {
 
     #[test]
     fn default_plan_injects_nothing() {
-        let p = FaultPlan::none();
+        let p = FaultPlan::default();
         let mut g = LossGen::new(p.mgmt_loss, 1, streams::MGMT);
         assert!((0..1000).all(|_| !g.lose()));
-        assert!(!p.mgmt_partitioned(0));
+        assert!(!in_any_window(&p.mgmt_partitions, 0));
         assert_eq!(p.cpu_factor(12345), 1.0);
     }
 
@@ -617,7 +585,7 @@ mod tests {
 
     #[test]
     fn corruption_plan_defaults_inactive() {
-        let p = FaultPlan::none();
+        let p = FaultPlan::default();
         assert!(!p.cebp_corruption.is_active());
         assert!(!p.notification_corruption.is_active());
         assert!(!p.torn_wal.is_active());

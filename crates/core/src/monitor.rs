@@ -1000,10 +1000,6 @@ impl SwitchMonitor for NetSeerMonitor {
         self.pump(ctx.now_ns, out);
     }
 
-    fn on_pause_state(&mut self, _now_ns: u64, port: u8, prio: u8, paused: bool) {
-        self.pause_tracker.set(port, prio, paused);
-    }
-
     fn on_timer(&mut self, now_ns: u64, _counters: &[PortCounters], out: &mut Actions) {
         // A wedged control loop does nothing: the heartbeat freezes (the
         // watchdog's suspicion signal), batches pile up and shed by
@@ -1058,7 +1054,7 @@ impl SwitchMonitor for NetSeerMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fet_packet::builder::build_data_packet;
+    use fet_packet::builder::{build_data_packet, build_pfc_frame};
 
     fn flow(n: u16) -> FlowKey {
         FlowKey::tcp(
@@ -1244,7 +1240,8 @@ mod tests {
     fn pause_event_on_paused_queue() {
         let mut m = mon();
         let mut out = Actions::new();
-        m.on_pause_state(0, 7, 0, true);
+        // The PAUSE arrives on port 7, which the detector parses in ingress.
+        m.on_ingress(&ictx(7, 0), &mut build_pfc_frame(0, 0xffff), &mut out);
         let rctx = RoutedCtx {
             now_ns: 10,
             node: 3,
@@ -1614,7 +1611,7 @@ mod tests {
         }
         // A path change, and a pause event toward a PFC-paused queue.
         routed(&mut m, 200, 9, 2, &mut out);
-        m.on_pause_state(200, 7, 0, true);
+        m.on_ingress(&ictx(7, 200), &mut build_pfc_frame(0, 0xffff), &mut out);
         routed(&mut m, 200, 2, 7, &mut out);
         // The timer flushes everything so far through the CPU.
         m.on_timer(1_000_000, &[], &mut out);

@@ -28,10 +28,11 @@
 //!    accounting, and pre-restart retransmits are rejected by epoch.
 //!
 //! 4. **Restart drivers** ([`schedule_device_crashes`],
-//!    [`run_collector_crash_drill`]): turn a [`FaultPlan`]'s seeded crash
-//!    schedule into scripted kill/restart actions inside the simulator.
+//!    [`run_collector_crash_drill`]): turn a crash schedule — typically
+//!    drawn by [`seeded_device_crashes`] — into scripted kill/restart
+//!    actions inside the simulator.
 //!
-//! [`FaultPlan`]: crate::faults::FaultPlan
+//! [`seeded_device_crashes`]: crate::faults::seeded_device_crashes
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -821,7 +822,8 @@ impl CrashLog {
     }
 }
 
-/// Script a [`FaultPlan`](crate::faults::FaultPlan)'s device crashes into
+/// Script device crashes (e.g. from
+/// [`seeded_device_crashes`](crate::faults::seeded_device_crashes)) into
 /// the simulator: at `at_ns` the device's monitor is detached (the switch
 /// CPU dies; the data plane keeps forwarding unobserved), and at
 /// `restart_ns` it recovers from its checkpoint + WAL, reconnects its

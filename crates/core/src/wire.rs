@@ -28,9 +28,7 @@
 use crate::recovery::{Collector, PoisonFrame};
 use crate::storage::StoredEvent;
 use crate::DeliveryLedger;
-use fet_wire::{
-    translate, IngestReport, UpstreamLossReport, WireSession, WireSessionConfig, REASON_COUNT,
-};
+use fet_wire::{translate, IngestReport, UpstreamLossReport, WireSession, WireSessionConfig};
 use std::collections::BTreeMap;
 
 /// Device ids assigned to wire exporters start here, keeping them disjoint
@@ -186,21 +184,6 @@ impl WireIngest {
         WireAdmission { report, admitted, spilled, refused, device }
     }
 
-    /// Fatal rejects per [`RejectReason::index`](fet_wire::RejectReason::index).
-    pub fn rejects_by_reason(&self) -> [u64; REASON_COUNT] {
-        self.session.stats().rejects
-    }
-
-    /// Soft rejects per [`RejectReason::index`](fet_wire::RejectReason::index).
-    pub fn soft_rejects_by_reason(&self) -> [u64; REASON_COUNT] {
-        self.session.stats().soft
-    }
-
-    /// Total datagrams rejected outright.
-    pub fn rejected_datagrams(&self) -> u64 {
-        self.session.stats().rejected
-    }
-
     /// The wire-scope delivery ledger for a collector dedicated to this
     /// ingest (the example / chaos topology): spill occupancy re-buckets
     /// from `delivered` into `buffered`, so the extended identity holds
@@ -236,16 +219,6 @@ impl WireIngest {
     pub fn generated(&self) -> u64 {
         self.generated
     }
-
-    /// Clock lies booked per [`fet_wire::ClockLie::index`].
-    pub fn clock_lies(&self) -> [u64; fet_wire::CLOCK_LIE_COUNT] {
-        self.session.stats().clock_lies
-    }
-
-    /// Event-time stamps clamped to the receive clock so far.
-    pub fn clamped_stamps(&self) -> u64 {
-        self.session.stats().clamped_stamps
-    }
 }
 
 impl Default for WireIngest {
@@ -253,9 +226,6 @@ impl Default for WireIngest {
         WireIngest::new(WireConfig::default())
     }
 }
-
-/// Re-exported so callers can name reasons without importing `fet-wire`.
-pub use fet_wire::ALL_REASONS;
 
 #[cfg(test)]
 mod tests {
@@ -300,8 +270,8 @@ mod tests {
         let got = c.store().query(&crate::storage::Query::any());
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].time_ns, now_ns, "future claim must clamp to receive time");
-        assert!(w.clock_lies()[ClockLie::FutureExport.index()] > 0);
-        assert!(w.clamped_stamps() > 0);
+        assert!(w.session().stats().clock_lies[ClockLie::FutureExport.index()] > 0);
+        assert!(w.session().stats().clamped_stamps > 0);
         w.ledger(&c).assert_balanced();
     }
 
@@ -344,8 +314,8 @@ mod tests {
         assert_eq!(adm.report.rejected, Some(RejectReason::BadVersion));
         assert_eq!(c.quarantine().len(), 1);
         assert_eq!(c.quarantine()[0].reason, "wire:bad-version");
-        assert_eq!(w.rejected_datagrams(), 1);
-        assert_eq!(w.rejects_by_reason()[RejectReason::BadVersion.index()], 1);
+        assert_eq!(w.session().stats().rejected, 1);
+        assert_eq!(w.session().stats().rejects[RejectReason::BadVersion.index()], 1);
         // Rejected datagrams contribute nothing to generated.
         w.ledger(&c).assert_balanced();
         assert_eq!(w.generated(), 0);

@@ -20,8 +20,8 @@ fn push32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
-/// Encode a NetFlow v5 datagram; at most [`V5_MAX_RECORDS`] samples are
-/// taken.
+/// Encode a NetFlow v5 datagram; at most 30 samples (the protocol
+/// maximum) are taken.
 pub fn v5_datagram(
     flow_sequence: u32,
     engine_type: u8,

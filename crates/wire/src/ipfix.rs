@@ -7,48 +7,13 @@
 //! field id), and data records may contain variable-length fields.
 
 use crate::reason::{RejectReason, REASON_COUNT};
-use crate::sets::{decode_data_set, MAX_PAD};
+use crate::sets::{be16, be32, check_header, walk_sets, Datagram, MAX_PAD};
 use crate::template::{InstallOutcome, Template, TemplateCache, TemplateField};
-use crate::translate::FlowSample;
 
 /// Fixed IPFIX message header length.
-pub const IPFIX_HEADER_LEN: usize = 16;
-/// Template set id.
-pub const IPFIX_SET_TEMPLATE: u16 = 2;
-/// Options-template set id.
-pub const IPFIX_SET_OPTIONS: u16 = 3;
-/// Smallest data set id.
-pub const IPFIX_SET_DATA_MIN: u16 = 256;
-
-/// A decoded IPFIX message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IpfixDatagram {
-    /// Observation domain id.
-    pub domain: u32,
-    /// Count of data records the exporter sent before this message.
-    pub sequence: u32,
-    /// Export timestamp (seconds).
-    pub export_time: u32,
-    /// Data records actually walked (flow + option records; templates are
-    /// not data records in IPFIX).
-    pub data_records: u64,
-    /// Decoded flow records.
-    pub samples: Vec<FlowSample>,
-    /// Truncated or uncountable (unknown-template) records.
-    pub malformed: u64,
-    /// Soft reject counters by [`RejectReason::index`].
-    pub soft: [u64; REASON_COUNT],
-    /// Templates accepted (installed or refreshed) from this message.
-    pub templates_installed: u64,
-}
-
-fn be16(buf: &[u8], off: usize) -> u16 {
-    u16::from_be_bytes([buf[off], buf[off + 1]])
-}
-
-fn be32(buf: &[u8], off: usize) -> u32 {
-    u32::from_be_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
-}
+pub(crate) const IPFIX_HEADER_LEN: usize = 16;
+/// Template set id; the options-template set id (3) follows it.
+pub(crate) const IPFIX_SET_TEMPLATE: u16 = 2;
 
 /// Read one field spec (with optional enterprise number) at `off`; returns
 /// the field and the new offset, or `None` if truncated.
@@ -80,14 +45,14 @@ fn parse_template_set(
     domain: u32,
     now_ns: u64,
     soft: &mut [u64; REASON_COUNT],
-    installed: &mut u64,
-) {
+) -> u64 {
     let header = if options { 6 } else { 4 };
+    let mut records = 0;
     let mut off = 0usize;
     while body.len() - off > MAX_PAD {
         if body.len() - off < header {
             soft[RejectReason::BadTemplate.index()] += 1;
-            return;
+            return records;
         }
         let tid = be16(body, off);
         let field_count = be16(body, off + 2) as usize;
@@ -95,7 +60,7 @@ fn parse_template_set(
         off += header;
         if field_count == 0 || scope_count > field_count {
             soft[RejectReason::BadTemplate.index()] += 1;
-            return;
+            return records;
         }
         let mut fields = Vec::with_capacity(field_count);
         for _ in 0..field_count {
@@ -106,33 +71,27 @@ fn parse_template_set(
                 }
                 None => {
                     soft[RejectReason::BadTemplate.index()] += 1;
-                    return;
+                    return records;
                 }
             }
         }
-        match cache.install(domain, Template::new(tid, fields, scope_count as u16), now_ns) {
-            InstallOutcome::Rejected => soft[RejectReason::BadTemplate.index()] += 1,
-            _ => *installed += 1,
+        records += 1;
+        let tpl = Template::new(tid, fields, scope_count as u16);
+        if cache.install(domain, tpl, now_ns) == InstallOutcome::Rejected {
+            soft[RejectReason::BadTemplate.index()] += 1;
         }
     }
+    records
 }
 
 /// Parse an IPFIX message against (and updating) the session template
 /// cache.
-pub fn parse(
+pub(crate) fn parse(
     buf: &[u8],
     cache: &mut TemplateCache,
     now_ns: u64,
-) -> Result<IpfixDatagram, RejectReason> {
-    if buf.len() < 2 {
-        return Err(RejectReason::TruncatedHeader);
-    }
-    if be16(buf, 0) != 10 {
-        return Err(RejectReason::BadVersion);
-    }
-    if buf.len() < IPFIX_HEADER_LEN {
-        return Err(RejectReason::TruncatedHeader);
-    }
+) -> Result<Datagram, RejectReason> {
+    check_header(buf, 10, IPFIX_HEADER_LEN)?;
     let msg_len = be16(buf, 2) as usize;
     // The header claims its own length; a claim shorter than the header or
     // longer than the buffer is a framing lie.
@@ -140,67 +99,21 @@ pub fn parse(
         return Err(RejectReason::LengthLie);
     }
     let buf = &buf[..msg_len];
-    let export_time = be32(buf, 4);
-    let sequence = be32(buf, 8);
-    let domain = be32(buf, 12);
-
-    let mut dg = IpfixDatagram {
-        domain,
-        sequence,
-        export_time,
-        data_records: 0,
-        samples: Vec::new(),
-        malformed: 0,
-        soft: [0; REASON_COUNT],
-        templates_installed: 0,
+    let mut dg = Datagram {
+        domain: be32(buf, 12),
+        sequence: be32(buf, 8),
+        export_secs: be32(buf, 4),
+        ..Datagram::default()
     };
-
-    let mut off = IPFIX_HEADER_LEN;
-    while off < buf.len() {
-        if buf.len() - off <= MAX_PAD {
-            break; // trailing alignment padding
-        }
-        if buf.len() - off < 4 {
-            dg.soft[RejectReason::TruncatedRecord.index()] += 1;
-            break;
-        }
-        let set_id = be16(buf, off);
-        let set_len = be16(buf, off + 2) as usize;
-        if set_len < 4 || off + set_len > buf.len() {
-            return Err(RejectReason::LengthLie);
-        }
-        let body = &buf[off + 4..off + set_len];
-        match set_id {
-            IPFIX_SET_TEMPLATE | IPFIX_SET_OPTIONS => parse_template_set(
-                body,
-                set_id == IPFIX_SET_OPTIONS,
-                cache,
-                domain,
-                now_ns,
-                &mut dg.soft,
-                &mut dg.templates_installed,
-            ),
-            id if id < IPFIX_SET_DATA_MIN => {
-                dg.soft[RejectReason::ReservedSet.index()] += 1;
-            }
-            tid => match cache.get(domain, tid, now_ns) {
-                Some(tpl) => {
-                    let tpl = tpl.clone();
-                    let o = decode_data_set(&tpl, body, &mut dg.samples, &mut dg.soft);
-                    dg.data_records += o.records;
-                    dg.malformed += o.malformed;
-                }
-                None => {
-                    // IPFIX has no per-message record count to reconcile
-                    // against, so an unknown-template set is booked as (at
-                    // least) one malformed record — a conservative floor.
-                    dg.soft[RejectReason::MissingTemplate.index()] += 1;
-                    dg.malformed += 1;
-                }
-            },
-        }
-        off += set_len;
-    }
+    let sets = &buf[IPFIX_HEADER_LEN..];
+    let walk = walk_sets(sets, IPFIX_SET_TEMPLATE, parse_template_set, cache, now_ns, &mut dg)?;
+    // IPFIX has no per-message record count to reconcile against, so an
+    // unknown-template set is booked as (at least) one malformed record —
+    // a conservative floor.
+    dg.malformed += walk.unknown_template_sets;
+    // The sequence counts data records; advance by our best estimate of
+    // this message's record count.
+    dg.seq_advance = (walk.data + dg.malformed).min(u32::MAX as u64) as u32;
     Ok(dg)
 }
 
@@ -225,9 +138,10 @@ mod tests {
             .build();
         let got = parse(&dg, &mut c, 0).expect("parses");
         assert_eq!(got.samples, vec![sample(1), sample(2)]);
-        assert_eq!(got.data_records, 2);
+        assert_eq!(got.seq_advance, 2, "IPFIX sequences count data records");
         assert_eq!(got.malformed, 0);
         assert_eq!(got.domain, 9);
+        assert_eq!(c.stats().installed, 1);
     }
 
     #[test]
@@ -285,7 +199,7 @@ mod tests {
         ];
         let dg = IpfixBuilder::new(9, 0).template(256, &fields).data(256, &rows).build();
         let got = parse(&dg, &mut c, 0).expect("parses");
-        assert_eq!(got.data_records, 2);
+        assert_eq!(got.seq_advance, 2);
         assert_eq!(got.samples[0].packets, 1);
         assert_eq!(got.samples[1].packets, 2);
     }
@@ -298,6 +212,7 @@ mod tests {
         assert!(got.samples.is_empty());
         assert_eq!(got.soft[RejectReason::MissingTemplate.index()], 1);
         assert_eq!(got.malformed, 1);
+        assert_eq!(got.seq_advance, 1, "the floor advances the sequence too");
     }
 
     #[test]
@@ -305,7 +220,7 @@ mod tests {
         let mut c = cache();
         // options template: tid=300, field_count=1, scope_count=2 (> count)
         let body = [1, 44, 0, 1, 0, 2, 0, 1, 0, 4];
-        let dg = IpfixBuilder::new(9, 0).raw_set(IPFIX_SET_OPTIONS, &body).build();
+        let dg = IpfixBuilder::new(9, 0).raw_set(IPFIX_SET_TEMPLATE + 1, &body).build();
         let got = parse(&dg, &mut c, 0).expect("parses");
         assert_eq!(got.soft[RejectReason::BadTemplate.index()], 1);
         assert_eq!(c.total_len(), 0);
@@ -322,7 +237,7 @@ mod tests {
             .build();
         let got = parse(&dg, &mut c, 0).expect("parses");
         assert!(got.samples.is_empty());
-        assert_eq!(got.data_records, 1);
+        assert_eq!(got.seq_advance, 1, "option records are data records");
     }
 
     #[test]

@@ -37,15 +37,17 @@
 pub mod builder;
 pub mod clock;
 pub mod fields;
-pub mod ipfix;
 pub mod reason;
-mod sets;
 pub mod template;
 pub mod translate;
-pub mod v5;
-pub mod v9;
 
+// The three dialects each decode into one `sets::Datagram`; the session is
+// their only caller.
+mod ipfix;
 mod session;
+mod sets;
+mod v5;
+mod v9;
 
 pub use clock::{uptime_delta_ms, ClockLie, ALL_CLOCK_LIES, CLOCK_LIE_COUNT};
 pub use reason::{RejectReason, ALL_REASONS, REASON_COUNT};

@@ -4,12 +4,11 @@
 //! plus honest counters".
 
 use crate::clock::{ClockState, ClockVerdict, CLOCK_LIE_COUNT};
-use crate::ipfix;
 use crate::reason::{RejectReason, REASON_COUNT};
+use crate::sets::be16;
 use crate::template::{TemplateCache, TemplateCacheConfig};
 use crate::translate::FlowSample;
-use crate::v5;
-use crate::v9;
+use crate::{ipfix, v5, v9};
 use std::collections::BTreeMap;
 
 /// Which export protocol a datagram spoke.
@@ -203,7 +202,7 @@ struct SeqState {
 pub struct WireSession {
     cfg: WireSessionConfig,
     cache: TemplateCache,
-    seq: BTreeMap<(u16, u32), SeqState>,
+    seq: BTreeMap<(WireProtocol, u32), SeqState>,
     seq_tick: u64,
     stats: WireSessionStats,
 }
@@ -240,12 +239,8 @@ impl WireSession {
         self.seq
             .iter()
             .filter(|(_, s)| s.gaps > 0)
-            .map(|(&(ver, domain), s)| UpstreamLossReport {
-                protocol: match ver {
-                    5 => WireProtocol::V5,
-                    9 => WireProtocol::V9,
-                    _ => WireProtocol::Ipfix,
-                },
+            .map(|(&(protocol, domain), s)| UpstreamLossReport {
+                protocol,
                 domain,
                 lost: s.lost,
                 gaps: s.gaps,
@@ -260,17 +255,25 @@ impl WireSession {
     /// is indistinguishable from an exporter restart (sequence collapsing
     /// through the u32 wraparound) and re-bases silently — the cap keeps a
     /// restart from being booked as hundreds of millions of lost records.
-    fn track_sequence(&mut self, ver: u16, domain: u32, seq: u32, advance: u32) -> (u64, u64) {
+    fn track_sequence(
+        &mut self,
+        protocol: WireProtocol,
+        domain: u32,
+        seq: u32,
+        advance: u32,
+    ) -> (u64, u64) {
         self.seq_tick += 1;
         let tick = self.seq_tick;
-        if !self.seq.contains_key(&(ver, domain)) && self.seq.len() >= self.cfg.max_streams.max(1) {
+        if !self.seq.contains_key(&(protocol, domain))
+            && self.seq.len() >= self.cfg.max_streams.max(1)
+        {
             // Forget the least recently seen stream; its loss totals were
             // already folded into the session stats as they accrued.
             if let Some((&victim, _)) = self.seq.iter().min_by_key(|(k, s)| (s.touch, **k)) {
                 self.seq.remove(&victim);
             }
         }
-        let entry = self.seq.entry((ver, domain)).or_insert(SeqState {
+        let entry = self.seq.entry((protocol, domain)).or_insert(SeqState {
             expected: seq,
             lost: 0,
             gaps: 0,
@@ -297,7 +300,7 @@ impl WireSession {
     /// fresh history still produces a sound (if lenient) verdict.
     fn vet_clock(
         &mut self,
-        ver: u16,
+        protocol: WireProtocol,
         domain: u32,
         export_secs: u32,
         sysuptime_ms: u32,
@@ -305,7 +308,7 @@ impl WireSession {
         now_ns: u64,
     ) -> ClockVerdict {
         let mut fresh = ClockState::default();
-        let clock = match self.seq.get_mut(&(ver, domain)) {
+        let clock = match self.seq.get_mut(&(protocol, domain)) {
             Some(s) => &mut s.clock,
             None => &mut fresh,
         };
@@ -319,7 +322,7 @@ impl WireSession {
     /// Ingest one datagram. Never panics on any input.
     pub fn ingest(&mut self, datagram: &[u8], now_ns: u64) -> IngestReport {
         self.stats.datagrams += 1;
-        let mut report = self.ingest_inner(datagram, now_ns);
+        let report = self.ingest_inner(datagram, now_ns);
         if let Some(reason) = report.rejected {
             self.stats.rejected += 1;
             self.stats.rejects[reason.index()] += 1;
@@ -333,7 +336,6 @@ impl WireSession {
             self.stats.clock_lies[i] += report.clock_lies[i];
         }
         self.stats.clamped_stamps += report.clamped_stamps;
-        report.decoded = report.samples.len() as u64;
         self.stats.decoded += report.decoded;
         self.stats.malformed += report.malformed;
         self.stats.lost_upstream += report.lost_upstream;
@@ -348,90 +350,38 @@ impl WireSession {
         if datagram.len() < 2 {
             return IngestReport::rejected(RejectReason::TruncatedHeader, None);
         }
-        let version = u16::from_be_bytes([datagram[0], datagram[1]]);
-        match version {
-            5 => match v5::parse(datagram) {
-                Err(r) => IngestReport::rejected(r, Some(WireProtocol::V5)),
-                Ok(dg) => {
-                    let domain = ((dg.engine_type as u32) << 8) | dg.engine_id as u32;
-                    // v5 flow_sequence counts records exported so far.
-                    let (lost, gaps) =
-                        self.track_sequence(5, domain, dg.flow_sequence, dg.count as u32);
-                    let verdict =
-                        self.vet_clock(5, domain, dg.unix_secs, dg.sys_uptime, &dg.samples, now_ns);
-                    IngestReport {
-                        protocol: Some(WireProtocol::V5),
-                        domain,
-                        decoded: dg.samples.len() as u64,
-                        samples: dg.samples,
-                        malformed: dg.malformed,
-                        rejected: None,
-                        soft: dg.soft,
-                        lost_upstream: lost,
-                        gap_events: gaps,
-                        event_time_ns: verdict.event_time_ns,
-                        clock_lies: verdict.lies,
-                        clamped_stamps: verdict.clamped,
-                    }
-                }
-            },
-            9 => match v9::parse(datagram, &mut self.cache, now_ns) {
-                Err(r) => IngestReport::rejected(r, Some(WireProtocol::V9)),
-                Ok(dg) => {
-                    // v9 sequence counts datagrams, not records.
-                    let (lost, gaps) = self.track_sequence(9, dg.source_id, dg.sequence, 1);
-                    let verdict = self.vet_clock(
-                        9,
-                        dg.source_id,
-                        dg.unix_secs,
-                        dg.sys_uptime,
-                        &dg.samples,
-                        now_ns,
-                    );
-                    IngestReport {
-                        protocol: Some(WireProtocol::V9),
-                        domain: dg.source_id,
-                        decoded: dg.samples.len() as u64,
-                        samples: dg.samples,
-                        malformed: dg.malformed,
-                        rejected: None,
-                        soft: dg.soft,
-                        lost_upstream: lost,
-                        gap_events: gaps,
-                        event_time_ns: verdict.event_time_ns,
-                        clock_lies: verdict.lies,
-                        clamped_stamps: verdict.clamped,
-                    }
-                }
-            },
-            10 => match ipfix::parse(datagram, &mut self.cache, now_ns) {
-                Err(r) => IngestReport::rejected(r, Some(WireProtocol::Ipfix)),
-                Ok(dg) => {
-                    // IPFIX sequence counts data records; advance by our
-                    // best estimate of this message's record count.
-                    let advance = (dg.data_records + dg.malformed).min(u32::MAX as u64) as u32;
-                    let (lost, gaps) = self.track_sequence(10, dg.domain, dg.sequence, advance);
-                    // IPFIX has no sysuptime; only the export time is
-                    // vetted at the header level.
-                    let verdict =
-                        self.vet_clock(10, dg.domain, dg.export_time, 0, &dg.samples, now_ns);
-                    IngestReport {
-                        protocol: Some(WireProtocol::Ipfix),
-                        domain: dg.domain,
-                        decoded: dg.samples.len() as u64,
-                        samples: dg.samples,
-                        malformed: dg.malformed,
-                        rejected: None,
-                        soft: dg.soft,
-                        lost_upstream: lost,
-                        gap_events: gaps,
-                        event_time_ns: verdict.event_time_ns,
-                        clock_lies: verdict.lies,
-                        clamped_stamps: verdict.clamped,
-                    }
-                }
-            },
-            _ => IngestReport::rejected(RejectReason::BadVersion, None),
+        let (protocol, parsed) = match be16(datagram, 0) {
+            5 => (WireProtocol::V5, v5::parse(datagram)),
+            9 => (WireProtocol::V9, v9::parse(datagram, &mut self.cache, now_ns)),
+            10 => (WireProtocol::Ipfix, ipfix::parse(datagram, &mut self.cache, now_ns)),
+            _ => return IngestReport::rejected(RejectReason::BadVersion, None),
+        };
+        let dg = match parsed {
+            Ok(dg) => dg,
+            Err(r) => return IngestReport::rejected(r, Some(protocol)),
+        };
+        let (lost, gaps) = self.track_sequence(protocol, dg.domain, dg.sequence, dg.seq_advance);
+        let verdict = self.vet_clock(
+            protocol,
+            dg.domain,
+            dg.export_secs,
+            dg.sysuptime_ms,
+            &dg.samples,
+            now_ns,
+        );
+        IngestReport {
+            protocol: Some(protocol),
+            domain: dg.domain,
+            decoded: dg.samples.len() as u64,
+            samples: dg.samples,
+            malformed: dg.malformed,
+            rejected: None,
+            soft: dg.soft,
+            lost_upstream: lost,
+            gap_events: gaps,
+            event_time_ns: verdict.event_time_ns,
+            clock_lies: verdict.lies,
+            clamped_stamps: verdict.clamped,
         }
     }
 }

@@ -7,48 +7,17 @@
 //! into `malformed`.
 
 use crate::reason::{RejectReason, REASON_COUNT};
+use crate::sets::{be16, be32, check_header, Datagram};
 use crate::translate::FlowSample;
 use fet_packet::flow::{FlowKey, IpProtocol};
 use fet_packet::Ipv4Addr;
 
 /// Fixed v5 header length.
-pub const V5_HEADER_LEN: usize = 24;
+pub(crate) const V5_HEADER_LEN: usize = 24;
 /// Fixed v5 record length.
-pub const V5_RECORD_LEN: usize = 48;
+pub(crate) const V5_RECORD_LEN: usize = 48;
 /// Protocol maximum records per datagram.
-pub const V5_MAX_RECORDS: usize = 30;
-
-/// A decoded v5 datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct V5Datagram {
-    /// Exporter uptime at export, ms (u32: wraps every ~49.7 days); 0 =
-    /// not set.
-    pub sys_uptime: u32,
-    /// Exporter wall-clock at export, unix seconds; 0 = not set.
-    pub unix_secs: u32,
-    /// Total flows the exporter claims to have sent before this datagram.
-    pub flow_sequence: u32,
-    /// Exporter engine type (slot).
-    pub engine_type: u8,
-    /// Exporter engine id.
-    pub engine_id: u8,
-    /// The header's record count (already validated ≤ 30).
-    pub count: u16,
-    /// Successfully decoded records.
-    pub samples: Vec<FlowSample>,
-    /// Records the header claimed but the buffer did not contain.
-    pub malformed: u64,
-    /// Soft reject counters by [`RejectReason::index`].
-    pub soft: [u64; REASON_COUNT],
-}
-
-fn be16(buf: &[u8], off: usize) -> u16 {
-    u16::from_be_bytes([buf[off], buf[off + 1]])
-}
-
-fn be32(buf: &[u8], off: usize) -> u32 {
-    u32::from_be_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
-}
+pub(crate) const V5_MAX_RECORDS: usize = 30;
 
 fn record(buf: &[u8]) -> FlowSample {
     FlowSample {
@@ -72,43 +41,29 @@ fn record(buf: &[u8]) -> FlowSample {
 
 /// Parse a v5 datagram. Never panics; a datagram-fatal defect returns the
 /// reason, local defects are counted inside the returned datagram.
-pub fn parse(buf: &[u8]) -> Result<V5Datagram, RejectReason> {
-    if buf.len() < 2 {
-        return Err(RejectReason::TruncatedHeader);
-    }
-    if be16(buf, 0) != 5 {
-        return Err(RejectReason::BadVersion);
-    }
-    if buf.len() < V5_HEADER_LEN {
-        return Err(RejectReason::TruncatedHeader);
-    }
+pub(crate) fn parse(buf: &[u8]) -> Result<Datagram, RejectReason> {
+    check_header(buf, 5, V5_HEADER_LEN)?;
     let count = be16(buf, 2);
     if count == 0 || count as usize > V5_MAX_RECORDS {
         return Err(RejectReason::CountLie);
     }
-    let sys_uptime = be32(buf, 4);
-    let unix_secs = be32(buf, 8);
-    let flow_sequence = be32(buf, 16);
-    let engine_type = buf[20];
-    let engine_id = buf[21];
-
     let available = (buf.len() - V5_HEADER_LEN) / V5_RECORD_LEN;
     let decoded = (count as usize).min(available);
-    let mut samples = Vec::with_capacity(decoded);
-    for i in 0..decoded {
-        let off = V5_HEADER_LEN + i * V5_RECORD_LEN;
-        samples.push(record(&buf[off..off + V5_RECORD_LEN]));
-    }
+    let samples = (0..decoded)
+        .map(|i| record(&buf[V5_HEADER_LEN + i * V5_RECORD_LEN..][..V5_RECORD_LEN]))
+        .collect();
+    // Records the header claimed but the buffer did not contain.
     let malformed = (count as usize - decoded) as u64;
     let mut soft = [0u64; REASON_COUNT];
     soft[RejectReason::TruncatedRecord.index()] = malformed;
-    Ok(V5Datagram {
-        sys_uptime,
-        unix_secs,
-        flow_sequence,
-        engine_type,
-        engine_id,
-        count,
+    Ok(Datagram {
+        // engine_type << 8 | engine_id.
+        domain: (u32::from(buf[20]) << 8) | u32::from(buf[21]),
+        sequence: be32(buf, 16),
+        // flow_sequence counts records exported so far.
+        seq_advance: u32::from(count),
+        export_secs: be32(buf, 8),
+        sysuptime_ms: be32(buf, 4),
         samples,
         malformed,
         soft,
@@ -147,8 +102,9 @@ mod tests {
         let dg = builder::v5_datagram(100, 1, 7, &want);
         let got = parse(&dg).expect("parses");
         assert_eq!(got.samples, want);
-        assert_eq!(got.flow_sequence, 100);
-        assert_eq!(got.engine_id, 7);
+        assert_eq!(got.sequence, 100);
+        assert_eq!(got.seq_advance, 5, "v5 sequences count records");
+        assert_eq!(got.domain, 1 << 8 | 7, "engine_type << 8 | engine_id");
         assert_eq!(got.malformed, 0);
     }
 

@@ -9,150 +9,71 @@
 //! as `malformed`.
 
 use crate::reason::{RejectReason, REASON_COUNT};
-use crate::sets::{decode_data_set, MAX_PAD};
+use crate::sets::{be16, be32, check_header, walk_sets, Datagram, MAX_PAD};
 use crate::template::{InstallOutcome, Template, TemplateCache, TemplateField};
-use crate::translate::FlowSample;
 
 /// Fixed v9 header length.
-pub const V9_HEADER_LEN: usize = 20;
-/// Template flowset id.
-pub const V9_SET_TEMPLATE: u16 = 0;
-/// Options-template flowset id.
-pub const V9_SET_OPTIONS: u16 = 1;
-/// Smallest data flowset id.
-pub const V9_SET_DATA_MIN: u16 = 256;
+pub(crate) const V9_HEADER_LEN: usize = 20;
+/// Template flowset id; the options-template flowset id (1) follows it.
+pub(crate) const V9_SET_TEMPLATE: u16 = 0;
 
-/// A decoded v9 datagram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct V9Datagram {
-    /// Observation domain (`source_id`).
-    pub source_id: u32,
-    /// Datagram sequence number (increments per datagram, per source).
-    pub sequence: u32,
-    /// Exporter uptime at export, ms (u32: wraps every ~49.7 days); 0 =
-    /// not set.
-    pub sys_uptime: u32,
-    /// Exporter wall-clock at export, unix seconds; 0 = not set.
-    pub unix_secs: u32,
-    /// The header's claimed record count.
-    pub count: u16,
-    /// Records of any kind actually walked (flow + option + template).
-    pub records_seen: u64,
-    /// Decoded flow records.
-    pub samples: Vec<FlowSample>,
-    /// Claimed-but-absent or truncated records.
-    pub malformed: u64,
-    /// Soft reject counters by [`RejectReason::index`].
-    pub soft: [u64; REASON_COUNT],
-    /// Templates accepted (installed or refreshed) from this datagram.
-    pub templates_installed: u64,
-}
-
-fn be16(buf: &[u8], off: usize) -> u16 {
-    u16::from_be_bytes([buf[off], buf[off + 1]])
-}
-
-fn be32(buf: &[u8], off: usize) -> u32 {
-    u32::from_be_bytes([buf[off], buf[off + 1], buf[off + 2], buf[off + 3]])
-}
-
-/// Walk a v9 template flowset body: `(tid, field_count, field_count × 4B)`
-/// records back to back.
+/// Walk a v9 template flowset body — `(tid, field_count, field_count × 4B)`
+/// records back to back — or, with `options`, an options-template body:
+/// `(tid, scope_len_bytes, option_len_bytes, specs…)`.
 fn parse_template_set(
     body: &[u8],
+    options: bool,
     cache: &mut TemplateCache,
     domain: u32,
     now_ns: u64,
     soft: &mut [u64; REASON_COUNT],
-    records: &mut u64,
-    installed: &mut u64,
-) {
+) -> u64 {
+    let header = if options { 6 } else { 4 };
+    let mut records = 0;
     let mut off = 0usize;
     while body.len() - off > MAX_PAD {
-        if body.len() - off < 4 {
+        if body.len() - off < header {
             soft[RejectReason::BadTemplate.index()] += 1;
-            return;
+            return records;
         }
         let tid = be16(body, off);
-        let field_count = be16(body, off + 2) as usize;
-        off += 4;
-        if field_count == 0 || body.len() - off < field_count * 4 {
-            soft[RejectReason::BadTemplate.index()] += 1;
-            return;
-        }
-        let mut fields = Vec::with_capacity(field_count);
-        for i in 0..field_count {
-            fields.push(TemplateField::std(be16(body, off + i * 4), be16(body, off + i * 4 + 2)));
-        }
-        off += field_count * 4;
-        *records += 1;
-        match cache.install(domain, Template::new(tid, fields, 0), now_ns) {
-            InstallOutcome::Rejected => soft[RejectReason::BadTemplate.index()] += 1,
-            _ => *installed += 1,
-        }
-    }
-}
-
-/// Walk a v9 options-template flowset body:
-/// `(tid, scope_len_bytes, option_len_bytes, specs…)`.
-fn parse_options_set(
-    body: &[u8],
-    cache: &mut TemplateCache,
-    domain: u32,
-    now_ns: u64,
-    soft: &mut [u64; REASON_COUNT],
-    records: &mut u64,
-    installed: &mut u64,
-) {
-    let mut off = 0usize;
-    while body.len() - off > MAX_PAD {
-        if body.len() - off < 6 {
-            soft[RejectReason::BadTemplate.index()] += 1;
-            return;
-        }
-        let tid = be16(body, off);
-        let scope_len = be16(body, off + 2) as usize;
-        let option_len = be16(body, off + 4) as usize;
-        off += 6;
-        let spec_len = scope_len + option_len;
-        if !scope_len.is_multiple_of(4)
-            || !option_len.is_multiple_of(4)
+        // Options: (scope bytes, scope + option bytes); templates: (0,
+        // field_count × 4).
+        let (scope_len, spec_len) = if options {
+            let scope = be16(body, off + 2);
+            (scope, usize::from(scope) + usize::from(be16(body, off + 4)))
+        } else {
+            (0, usize::from(be16(body, off + 2)) * 4)
+        };
+        off += header;
+        if !spec_len.is_multiple_of(4)
+            || !scope_len.is_multiple_of(4)
             || spec_len == 0
             || body.len() - off < spec_len
         {
             soft[RejectReason::BadTemplate.index()] += 1;
-            return;
+            return records;
         }
-        let field_count = spec_len / 4;
-        let mut fields = Vec::with_capacity(field_count);
-        for i in 0..field_count {
-            fields.push(TemplateField::std(be16(body, off + i * 4), be16(body, off + i * 4 + 2)));
-        }
+        let fields = (0..spec_len / 4)
+            .map(|i| TemplateField::std(be16(body, off + i * 4), be16(body, off + i * 4 + 2)))
+            .collect();
         off += spec_len;
-        *records += 1;
-        let tpl = Template::new(tid, fields, (scope_len / 4) as u16);
-        match cache.install(domain, tpl, now_ns) {
-            InstallOutcome::Rejected => soft[RejectReason::BadTemplate.index()] += 1,
-            _ => *installed += 1,
+        records += 1;
+        let tpl = Template::new(tid, fields, scope_len / 4);
+        if cache.install(domain, tpl, now_ns) == InstallOutcome::Rejected {
+            soft[RejectReason::BadTemplate.index()] += 1;
         }
     }
+    records
 }
 
 /// Parse a v9 datagram against (and updating) the session template cache.
-pub fn parse(
+pub(crate) fn parse(
     buf: &[u8],
     cache: &mut TemplateCache,
     now_ns: u64,
-) -> Result<V9Datagram, RejectReason> {
-    if buf.len() < 2 {
-        return Err(RejectReason::TruncatedHeader);
-    }
-    if be16(buf, 0) != 9 {
-        return Err(RejectReason::BadVersion);
-    }
-    if buf.len() < V9_HEADER_LEN {
-        return Err(RejectReason::TruncatedHeader);
-    }
+) -> Result<Datagram, RejectReason> {
+    check_header(buf, 9, V9_HEADER_LEN)?;
     let count = be16(buf, 2);
     // A record needs at least 1 byte; a count beyond the datagram's byte
     // length is physically impossible and would let a hostile exporter
@@ -160,83 +81,22 @@ pub fn parse(
     if count as usize > buf.len() {
         return Err(RejectReason::CountLie);
     }
-    let sequence = be32(buf, 12);
-    let source_id = be32(buf, 16);
-
-    let mut dg = V9Datagram {
-        source_id,
-        sequence,
-        sys_uptime: be32(buf, 4),
-        unix_secs: be32(buf, 8),
-        count,
-        records_seen: 0,
-        samples: Vec::new(),
-        malformed: 0,
-        soft: [0; REASON_COUNT],
-        templates_installed: 0,
+    let mut dg = Datagram {
+        domain: be32(buf, 16),
+        sequence: be32(buf, 12),
+        // v9 sequence counts datagrams, not records.
+        seq_advance: 1,
+        export_secs: be32(buf, 8),
+        sysuptime_ms: be32(buf, 4),
+        ..Datagram::default()
     };
-
-    let mut off = V9_HEADER_LEN;
-    while off < buf.len() {
-        if buf.len() - off <= MAX_PAD {
-            break; // trailing alignment padding
-        }
-        if buf.len() - off < 4 {
-            dg.soft[RejectReason::TruncatedRecord.index()] += 1;
-            break;
-        }
-        let set_id = be16(buf, off);
-        let set_len = be16(buf, off + 2) as usize;
-        if set_len < 4 || off + set_len > buf.len() {
-            // The framing itself lies; nothing past this point is
-            // trustworthy.
-            return Err(RejectReason::LengthLie);
-        }
-        let body = &buf[off + 4..off + set_len];
-        match set_id {
-            V9_SET_TEMPLATE => parse_template_set(
-                body,
-                cache,
-                source_id,
-                now_ns,
-                &mut dg.soft,
-                &mut dg.records_seen,
-                &mut dg.templates_installed,
-            ),
-            V9_SET_OPTIONS => parse_options_set(
-                body,
-                cache,
-                source_id,
-                now_ns,
-                &mut dg.soft,
-                &mut dg.records_seen,
-                &mut dg.templates_installed,
-            ),
-            id if id < V9_SET_DATA_MIN => {
-                dg.soft[RejectReason::ReservedSet.index()] += 1;
-            }
-            tid => match cache.get(source_id, tid, now_ns) {
-                Some(tpl) => {
-                    let tpl = tpl.clone();
-                    let o = decode_data_set(&tpl, body, &mut dg.samples, &mut dg.soft);
-                    dg.records_seen += o.records;
-                    dg.malformed += o.malformed;
-                }
-                None => {
-                    // Records under an unknown template can't even be
-                    // counted directly; the count reconciliation below
-                    // books them as malformed.
-                    dg.soft[RejectReason::MissingTemplate.index()] += 1;
-                }
-            },
-        }
-        off += set_len;
-    }
-
+    let sets = &buf[V9_HEADER_LEN..];
+    let walk = walk_sets(sets, V9_SET_TEMPLATE, parse_template_set, cache, now_ns, &mut dg)?;
     // Reconcile the claimed count: records the exporter claimed but we
     // never walked (count lies, unknown-template sets, truncated sets)
     // are malformed. An *under*-claiming exporter is not penalized.
-    dg.malformed += (dg.count as u64).saturating_sub(dg.records_seen + dg.malformed);
+    let walked = walk.templates + walk.data + dg.malformed;
+    dg.malformed += u64::from(count).saturating_sub(walked);
     Ok(dg)
 }
 
@@ -255,16 +115,21 @@ mod tests {
     #[test]
     fn template_then_data_decodes() {
         let mut c = cache();
-        let dg = V9Builder::new(7, 1)
-            .template(256, &base_flow_fields())
-            .data_samples(256, &[sample(1), sample(2)])
-            .build();
-        let got = parse(&dg, &mut c, 0).expect("parses");
+        let dg = |count| {
+            V9Builder::new(7, 1)
+                .template(256, &base_flow_fields())
+                .data_samples(256, &[sample(1), sample(2)])
+                .build_with_count(count)
+        };
+        // 1 template + 2 data records walked: a count of 3 is honest.
+        let got = parse(&dg(3), &mut c, 0).expect("parses");
         assert_eq!(got.samples, vec![sample(1), sample(2)]);
-        assert_eq!(got.records_seen, 3, "1 template + 2 data");
         assert_eq!(got.malformed, 0);
-        assert_eq!(got.templates_installed, 1);
+        assert_eq!((got.domain, got.sequence, got.seq_advance), (7, 1, 1));
+        assert_eq!(c.stats().installed, 1);
         assert_eq!(c.domain_len(7), 1);
+        // A count of 4 leaves one claimed record malformed.
+        assert_eq!(parse(&dg(4), &mut c, 0).expect("parses").malformed, 1);
     }
 
     #[test]
@@ -349,8 +214,14 @@ mod tests {
             .build();
         let got = parse(&dg, &mut c, 0).expect("parses");
         assert!(got.samples.is_empty());
-        assert_eq!(got.records_seen, 2, "1 options template + 1 option record");
         assert_eq!(got.malformed, 0);
+        assert_eq!(c.stats().installed, 1);
+        // 1 options template + 1 option record walked.
+        let over = V9Builder::new(7, 2)
+            .options_template(300, &scope, &opts)
+            .data(300, &[vec![0, 0, 0, 1, 0, 5]])
+            .build_with_count(3);
+        assert_eq!(parse(&over, &mut c, 0).expect("parses").malformed, 1);
     }
 
     #[test]

@@ -100,13 +100,13 @@ fn main() {
 
     println!("\n--- quarantine (fatal rejects, by reason) ---");
     for reason in ALL_REASONS {
-        let n = wire.rejects_by_reason()[reason.index()];
+        let n = stats.rejects[reason.index()];
         if n > 0 {
             println!("  {:<18} {n}", reason.as_str());
         }
     }
     println!("  frames retained:       {}", collector.quarantine().len());
-    assert_eq!(collector.poison_seen, wire.rejected_datagrams());
+    assert_eq!(collector.poison_seen, stats.rejected);
 
     let cache = wire.session().cache();
     println!("\n--- template cache (flood-proof) ---");

@@ -139,15 +139,16 @@ fn run_wire_storm(storm_seed: u64, reg: &mut MetricRegistry) -> WireState {
     ledger.assert_balanced();
     scrape_wire(reg, &wire);
     scrape_ledger(reg, "wire", &ledger);
+    let stats = wire.session().stats();
     WireState {
         ledger,
         quarantined: collector.poison_seen,
-        rejects: wire.rejects_by_reason().to_vec(),
-        soft_rejects: wire.soft_rejects_by_reason().to_vec(),
+        rejects: stats.rejects.to_vec(),
+        soft_rejects: stats.soft.to_vec(),
         upstream_lost: wire.upstream_losses().iter().map(|l| l.lost).sum(),
         store: collector.store().events().to_vec(),
-        clock_lies: wire.clock_lies().to_vec(),
-        clamped_stamps: wire.clamped_stamps(),
+        clock_lies: stats.clock_lies.to_vec(),
+        clamped_stamps: stats.clamped_stamps,
     }
 }
 
