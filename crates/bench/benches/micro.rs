@@ -9,6 +9,7 @@ use fet_packet::builder::{build_data_packet, extract_flow, insert_seqtag, strip_
 use fet_packet::event::{EventDetail, EventRecord, EventType};
 use fet_packet::ipv4::Ipv4Addr;
 use fet_packet::FlowKey;
+use fet_pdp::table::LpmTable;
 use fet_pdp::HashUnit;
 use netseer::batch::CebpBatcher;
 use netseer::cpu::SwitchCpu;
@@ -151,6 +152,29 @@ fn bench_packets() {
     });
 }
 
+/// The two per-hop pipeline lookups of a switch pass: LPM route match and
+/// one seeded hash over a serialized flow key.
+fn bench_pdp() {
+    // One /32 route per host, as `install_ecmp_routes` builds on the
+    // 64-host fat-tree of `fleet_sharded` (host ip 10.pod.edge.slot+1).
+    let hosts: Vec<Ipv4Addr> =
+        (0..64u8).map(|h| Ipv4Addr::from_octets([10, h / 16, h / 4 % 4, h % 4 + 1])).collect();
+    let mut routes: LpmTable<Vec<u8>> = LpmTable::new();
+    for &ip in &hosts {
+        routes.insert(ip, 32, vec![0, 1]);
+    }
+    let mut n = 0usize;
+    bench("pdp", "lpm_lookup_64_routes", 1, || {
+        n = (n + 1) % hosts.len();
+        black_box(routes.lookup(black_box(hosts[n])));
+    });
+    let h = HashUnit::new("bench", 7, 32);
+    let key = [0x5au8; 17];
+    bench("pdp", "hash_bytes_17B", 1, || {
+        black_box(h.hash_bytes(black_box(&key)));
+    });
+}
+
 fn bench_path_table() {
     let mut t = PathTable::new(8192, 1);
     let mut n = 0u32;
@@ -230,6 +254,7 @@ fn main() {
     bench_batching();
     bench_cpu();
     bench_packets();
+    bench_pdp();
     bench_path_table();
     bench_full_monitor_path();
 }

@@ -214,7 +214,9 @@ pub struct Simulator {
     /// All devices.
     pub nodes: Vec<Node>,
     pub(crate) links: Vec<Link>,
-    pub(crate) port_map: HashMap<(NodeId, u8), Peer>,
+    /// The wiring, dense: `ports[node][port]` is the far end of that port
+    /// (`None` = unwired). Read on every transmit.
+    pub(crate) ports: Vec<Vec<Option<Peer>>>,
     /// Ground-truth oracle.
     pub gt: GroundTruth,
     /// Monitoring traffic accounting.
@@ -246,7 +248,7 @@ impl Simulator {
             lane_seqs: vec![0],
             nodes: Vec::new(),
             links: Vec::new(),
-            port_map: HashMap::new(),
+            ports: Vec::new(),
             gt: GroundTruth::new(),
             mgmt: MgmtAccounting::default(),
             controls: Vec::new(),
@@ -303,21 +305,49 @@ impl Simulator {
     pub fn connect(&mut self, a: NodeId, pa: u8, b: NodeId, pb: u8, link: Link) -> usize {
         let idx = self.links.len();
         self.links.push(link);
-        self.port_map.insert((a, pa), Peer { node: b, port: pb, link: idx, a_to_b: true });
-        self.port_map.insert((b, pb), Peer { node: a, port: pa, link: idx, a_to_b: false });
+        self.wire(a, pa, Peer { node: b, port: pb, link: idx, a_to_b: true });
+        self.wire(b, pb, Peer { node: a, port: pa, link: idx, a_to_b: false });
         idx
+    }
+
+    /// Record `peer` as the far end of `(node, port)`, growing the table.
+    fn wire(&mut self, node: NodeId, port: u8, peer: Peer) {
+        let (n, p) = (node as usize, usize::from(port));
+        if self.ports.len() <= n {
+            self.ports.resize_with(n + 1, Vec::new);
+        }
+        let row = &mut self.ports[n];
+        if row.len() <= p {
+            row.resize(p + 1, None);
+        }
+        row[p] = Some(peer);
+    }
+
+    /// The far end of `(node, port)`, if wired.
+    #[inline]
+    fn peer(&self, node: NodeId, port: u8) -> Option<Peer> {
+        *self.ports.get(node as usize)?.get(usize::from(port))?
+    }
+
+    /// Every wired `(node, port, peer)`, ascending by `(node, port)`.
+    pub(crate) fn wired(&self) -> impl Iterator<Item = (NodeId, u8, Peer)> + '_ {
+        self.ports.iter().enumerate().flat_map(|(node, row)| {
+            row.iter()
+                .enumerate()
+                .filter_map(move |(port, peer)| Some((node as NodeId, port as u8, (*peer)?)))
+        })
     }
 
     /// Fault-injection access: the direction of `link` leaving `(node, port)`.
     pub fn link_direction_mut(&mut self, node: NodeId, port: u8) -> Option<&mut LinkDirection> {
-        let peer = *self.port_map.get(&(node, port))?;
+        let peer = self.peer(node, port)?;
         let l = &mut self.links[peer.link];
         Some(if peer.a_to_b { &mut l.ab } else { &mut l.ba })
     }
 
     /// Peer of a port: (node, port).
     pub fn peer_of(&self, node: NodeId, port: u8) -> Option<(NodeId, u8)> {
-        self.port_map.get(&(node, port)).map(|p| (p.node, p.port))
+        self.peer(node, port).map(|p| (p.node, p.port))
     }
 
     /// Borrow a switch.
@@ -556,10 +586,7 @@ impl Simulator {
         for (port, pfc) in fx.pfc_frames {
             self.transmit(node, port, pfc);
         }
-        let mut kicked: Vec<u8> = fx.kick_ports;
-        kicked.sort_unstable();
-        kicked.dedup();
-        for p in kicked {
+        for p in fx.kick_ports.iter() {
             self.kick_port(node, p);
         }
     }
@@ -646,7 +673,7 @@ impl Simulator {
     /// inter-switch losses.
     fn transmit(&mut self, node: NodeId, port: u8, frame: Vec<u8>) -> u64 {
         let now = self.now;
-        let Some(peer) = self.port_map.get(&(node, port)).copied() else {
+        let Some(peer) = self.peer(node, port) else {
             // Unconnected port: the frame evaporates (like a dark fiber).
             return now + 1;
         };
@@ -781,14 +808,12 @@ impl Simulator {
         })
     }
 
-    /// Adjacency of the whole network: node → [(local port, peer node)].
+    /// Adjacency of the whole network: node → [(local port, peer node)],
+    /// each list ascending by port.
     pub fn adjacency(&self) -> HashMap<NodeId, Vec<(u8, NodeId)>> {
         let mut adj: HashMap<NodeId, Vec<(u8, NodeId)>> = HashMap::new();
-        for (&(node, port), peer) in &self.port_map {
+        for (node, port, peer) in self.wired() {
             adj.entry(node).or_default().push((port, peer.node));
-        }
-        for v in adj.values_mut() {
-            v.sort_unstable();
         }
         adj
     }
@@ -796,13 +821,7 @@ impl Simulator {
     /// Every directed attachment: `(node, port, peer, peer_port)`, sorted.
     /// The wiring truth used to build the analytics layer's link map.
     pub fn link_endpoints(&self) -> Vec<(NodeId, u8, NodeId, u8)> {
-        let mut v: Vec<(NodeId, u8, NodeId, u8)> = self
-            .port_map
-            .iter()
-            .map(|(&(node, port), peer)| (node, port, peer.node, peer.port))
-            .collect();
-        v.sort_unstable();
-        v
+        self.wired().map(|(node, port, peer)| (node, port, peer.node, peer.port)).collect()
     }
 
     /// Total data bytes transmitted by all hosts (the "original traffic"
@@ -1088,7 +1107,7 @@ mod engine_unit_tests {
         sim.schedule_control(0, move |s| {
             let Node::Switch(sw) = &mut s.nodes[id as usize] else { unreachable!() };
             let fx = sw.handle_arrival(0, 0, frame.clone(), false, &mut s.gt);
-            assert_eq!(fx.kick_ports, vec![5]);
+            assert_eq!(fx.kick_ports.iter().collect::<Vec<_>>(), vec![5]);
         });
         sim.run_until(1_000);
         // Frame is queued on port 5 but never transmitted (no kick); the

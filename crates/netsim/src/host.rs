@@ -6,6 +6,7 @@
 //! same [`SwitchMonitor`] implementation on its single NIC port.
 
 use crate::counters::PortCounters;
+use crate::fxhash::FxHashMap;
 use crate::monitor::{Actions, EgressCtx, HookVerdict, IngressCtx, MgmtReport, SwitchMonitor};
 use fet_packet::builder::{build_data_packet_in, classify, extract_flow, FrameKind};
 use fet_packet::ipv4::Ipv4Addr;
@@ -112,8 +113,9 @@ pub struct Host {
     pub flows: Vec<(FlowSpec, FlowProgress)>,
     /// NIC counters.
     pub counters: PortCounters,
-    /// Per-flow receive stats.
-    pub rx_flows: HashMap<FlowKey, RxStats>,
+    /// Per-flow receive stats. Fx-hashed: iteration order is arbitrary,
+    /// so fold over it or look flows up; never list it in order.
+    pub rx_flows: FxHashMap<FlowKey, RxStats>,
     /// Probe RTT samples (Pingmesh substrate).
     pub probe_samples: Vec<ProbeSample>,
     /// Probes sent but not yet answered: probe id → sent time.
@@ -153,7 +155,7 @@ impl Host {
             config,
             flows: Vec::new(),
             counters: PortCounters::default(),
-            rx_flows: HashMap::new(),
+            rx_flows: FxHashMap::default(),
             probe_samples: Vec::new(),
             outstanding_probes: HashMap::new(),
             next_probe_id: 20_000,

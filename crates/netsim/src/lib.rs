@@ -16,7 +16,9 @@
 //! * [`tracer`] — the ground-truth oracle used to score event coverage;
 //! * [`clockfault`] — seeded per-device virtual clocks (offset/drift/step/
 //!   freeze) for the time-fault domain;
-//! * [`topology`] / [`routing`] — fat-tree construction and ECMP routes.
+//! * [`topology`] / [`routing`] — fat-tree construction and ECMP routes;
+//! * [`fxhash`] — the non-SipHash hasher for simulator-internal per-flow
+//!   maps.
 
 #![warn(missing_docs)]
 
@@ -25,6 +27,7 @@ pub mod corrupt;
 pub mod counters;
 pub mod engine;
 pub mod exporter;
+pub mod fxhash;
 pub mod host;
 pub mod link;
 pub mod mmu;

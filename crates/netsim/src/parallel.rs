@@ -198,7 +198,7 @@ fn run_segment(
     // after their sender's clock. None when no link crosses shards — then
     // the whole segment is one round.
     let mut min_prop: Option<u64> = None;
-    for (&(node, _), peer) in &sim.port_map {
+    for (node, _, peer) in sim.wired() {
         if node % shards_u != peer.node % shards_u {
             let p = sim.links[peer.link].prop_ns;
             min_prop = Some(min_prop.map_or(p, |d| d.min(p)));
@@ -236,7 +236,7 @@ fn run_segment(
             lane_seqs: sim.lane_seqs.clone(),
             nodes,
             links: sim.links.clone(),
-            port_map: sim.port_map.clone(),
+            ports: sim.ports.clone(),
             gt: GroundTruth::new(),
             mgmt: MgmtAccounting::default(),
             controls: Vec::new(),
@@ -274,8 +274,9 @@ fn run_segment(
                 sim.lane_seqs[id + 1] = w.lane_seqs[id + 1];
             }
         }
-        // Link directions leaving this shard's ports are authoritative here.
-        for (&(node, _), peer) in &sim.port_map {
+        // Link directions leaving this shard's ports are authoritative here
+        // (the worker's port table is a copy of the fleet's).
+        for (node, _, peer) in w.wired() {
             if node % shards_u == s as u32 {
                 let src = &w.links[peer.link];
                 let dst = &mut sim.links[peer.link];

@@ -60,18 +60,60 @@ pub fn verify_internet_checksum(data: &[u8]) -> bool {
     internet_checksum(data) == 0
 }
 
+/// Reflected CRC-32 (IEEE 802.3) polynomial.
+const CRC32_POLY: u32 = 0xedb8_8320;
+
+/// Byte-at-a-time lookup table for CRC-32, built at compile time.
+static CRC32_TABLE: [u32; 256] = build_crc32_table();
+
+const fn build_crc32_table() -> [u32; 256] {
+    let mut t = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            bit += 1;
+        }
+        t[i] = crc;
+        i += 1;
+    }
+    t
+}
+
 /// CRC-32 (IEEE 802.3) over a buffer, as used by the Ethernet FCS.
 ///
-/// Implemented bitwise with the reflected polynomial 0xEDB88320; the
-/// simulator uses this both for FCS validation of corrupted frames and as
-/// one of the PDP hash units.
+/// The simulator uses this both for FCS validation of corrupted frames and
+/// as the PDP hash units (ECMP, path table, dedup indexes), so it runs
+/// several times per switch hop. Table-driven; bit-identical to the
+/// one-bit-at-a-time [`crc32_reference`].
 pub fn crc32(data: &[u8]) -> u32 {
+    !crc32_update(0xffff_ffff, data)
+}
+
+/// Advance a running CRC-32 register over `data`, one table lookup per
+/// byte. Start from `0xffff_ffff` and complement the result to finish:
+/// `!crc32_update(crc32_update(0xffff_ffff, a), b) == crc32(a ++ b)`.
+/// Lets a caller hash a message in pieces without concatenating them.
+pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
+    for &b in data {
+        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
+    }
+    crc
+}
+
+/// One-bit-at-a-time CRC-32 with the reflected polynomial 0xEDB88320 —
+/// the original implementation, kept as the oracle the table kernel is
+/// tested against (the PDP hash units' golden values depend on it).
+pub fn crc32_reference(data: &[u8]) -> u32 {
     let mut crc: u32 = 0xffff_ffff;
     for &b in data {
         crc ^= u32::from(b);
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            crc = (crc >> 1) ^ (CRC32_POLY & mask);
         }
     }
     !crc
@@ -247,6 +289,8 @@ mod tests {
     fn crc32_known_vector() {
         // "123456789" is the canonical CRC check string.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32_reference(b"123456789"), 0xcbf4_3926);
+        assert_eq!(crc32(b""), 0);
     }
 
     #[test]

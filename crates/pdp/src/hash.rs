@@ -8,7 +8,7 @@
 //! independently.
 
 use crate::resources::{ResourceKind, ResourceLedger};
-use fet_packet::checksum::crc32;
+use fet_packet::checksum::crc32_update;
 use fet_packet::flow::{FlowKey, FLOW_KEY_LEN};
 
 /// A single hash engine with a fixed seed and output width.
@@ -26,12 +26,11 @@ impl HashUnit {
         HashUnit { name, seed, output_bits }
     }
 
-    /// Hash arbitrary bytes.
+    /// Hash arbitrary bytes: CRC-32 over the big-endian seed followed by
+    /// `data`, streamed through one register (no concatenated copy).
     pub fn hash_bytes(&self, data: &[u8]) -> u32 {
-        let mut seeded = Vec::with_capacity(data.len() + 4);
-        seeded.extend_from_slice(&self.seed.to_be_bytes());
-        seeded.extend_from_slice(data);
-        let h = crc32(&seeded);
+        let seeded = crc32_update(0xffff_ffff, &self.seed.to_be_bytes());
+        let h = !crc32_update(seeded, data);
         if self.output_bits == 32 {
             h
         } else {
@@ -124,6 +123,64 @@ mod tests {
         }
         let used = hit.iter().filter(|&&b| b).count();
         assert!(used > 100, "only {used}/128 slots used — bad dispersion");
+    }
+
+    /// ECMP choices, path-table slots and dedup indexes all derive from
+    /// `hash_flow`; these values were computed with the original
+    /// concatenate-then-bitwise-CRC implementation and must never move.
+    #[test]
+    fn hash_flow_golden_values() {
+        let flows = [
+            FlowKey::tcp(
+                Ipv4Addr::from_octets([10, 0, 0, 1]),
+                1000,
+                Ipv4Addr::from_octets([10, 1, 0, 1]),
+                80,
+            ),
+            FlowKey::udp(
+                Ipv4Addr::from_octets([10, 2, 1, 3]),
+                53,
+                Ipv4Addr::from_octets([10, 3, 0, 2]),
+                4791,
+            ),
+            FlowKey::tcp(
+                Ipv4Addr::from_octets([192, 168, 7, 9]),
+                65535,
+                Ipv4Addr::from_octets([172, 16, 0, 1]),
+                443,
+            ),
+        ];
+        let golden: [(u32, [u32; 3]); 3] = [
+            (1, [0x1416_af10, 0xe737_c7c7, 0xac55_b2a2]),
+            (0x9e37_79b9, [0x9fdc_c026, 0x6cfd_a8f1, 0x279f_dd94]),
+            (0xffff_ffff, [0xbf09_4024, 0x4c28_28f3, 0x074a_5d96]),
+        ];
+        for (seed, want) in golden {
+            let h = HashUnit::new("golden", seed, 32);
+            for (f, w) in flows.iter().zip(want) {
+                assert_eq!(h.hash_flow(f), w, "seed {seed:#x}, flow {f:?}");
+            }
+        }
+    }
+
+    /// The table CRC-32 (and its streaming form) against the bitwise
+    /// reference, over seeded random buffers of every length 0..=64.
+    #[test]
+    fn table_crc32_matches_bitwise_reference() {
+        use fet_packet::checksum::{crc32, crc32_reference};
+        let mut rng = fet_netsim::rng::Pcg32::new(0xC3C3_2C32, 7);
+        for len in 0..=64usize {
+            for _ in 0..8 {
+                let buf: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+                let want = crc32_reference(&buf);
+                assert_eq!(crc32(&buf), want, "len {len}");
+                let seed = rng.next_u32();
+                let mut seeded = seed.to_be_bytes().to_vec();
+                seeded.extend_from_slice(&buf);
+                let h = HashUnit::new("ref", seed, 32);
+                assert_eq!(h.hash_bytes(&buf), crc32_reference(&seeded), "seeded, len {len}");
+            }
+        }
     }
 
     #[test]

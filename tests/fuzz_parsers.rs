@@ -597,15 +597,20 @@ fn clocky_sample(rng: &mut Pcg32) -> FlowSample {
 
 /// One well-framed datagram whose clock fields lie in every way the wire
 /// protocols allow: v5 header sysuptime/unix pairs, v9 `times()`, IPFIX
-/// `export_time()`, plus per-record FIRST/LAST_SWITCHED claims.
-fn clock_lying_datagram(rng: &mut Pcg32, seq: u32) -> Vec<u8> {
+/// `export_time()`, plus per-record FIRST/LAST_SWITCHED claims. `now_ns`
+/// is the collector's receive clock for this datagram.
+fn clock_lying_datagram(rng: &mut Pcg32, seq: u32, now_ns: u64) -> Vec<u8> {
     let rows: Vec<FlowSample> = (0..1 + rng.next_below(8)).map(|_| clocky_sample(rng)).collect();
-    let (sys_ms, unix_s) = match rng.next_below(5) {
+    let now_s = u32::try_from(now_ns / 1_000_000_000).expect("receive clock fits u32 seconds");
+    let (sys_ms, unix_s) = match rng.next_below(6) {
         0 => (0, 0),                                                    // absent
-        1 => (rng.next_u32() % 10_000, 1_700_000_000),                  // plausible
+        1 => (rng.next_u32() % 10_000, 1_700_000_000),                  // wall clock
         2 => (u32::MAX - rng.next_below(5_000), 1_700_000_000),         // sysuptime near the wrap
         3 => (0x00BE_EF00, 2_000_000_000 + rng.next_u32() % 1_000_000), // frozen + far future
-        _ => (rng.next_u32(), rng.next_u32()),                          // raw noise
+        // Inside the receive-clock window but up to 30 s stale: once the
+        // same stream has claimed a later time, this steps backwards.
+        4 => (1 + rng.next_u32() % 10_000, now_s - rng.next_below(30)),
+        _ => (rng.next_u32(), rng.next_u32()), // raw noise
     };
     let tid = 256 + rng.next_below(8) as u16;
     let mut timed = base_flow_fields();
@@ -633,7 +638,7 @@ fn wire_clock_lies_stay_accounted_and_clamped() {
     let mut now_ns: u64 = 50_000_000_000;
     for i in 0..iters() {
         now_ns += u64::from(rng.next_below(1_000_000));
-        let buf = clock_lying_datagram(&mut rng, i);
+        let buf = clock_lying_datagram(&mut rng, i, now_ns);
         let r = s.ingest(&buf, now_ns);
         // Exactly one disposition per datagram, checked after every input.
         let st = s.stats();
@@ -659,6 +664,10 @@ fn wire_clock_lies_stay_accounted_and_clamped() {
     let st = s.stats();
     assert!(st.accepted > u64::from(iters()) / 2, "clock lies must not cause rejection");
     assert!(st.clock_lies.iter().filter(|&&c| c > 0).count() >= 3, "≥3 lie kinds observed");
+    assert!(
+        st.clock_lies[fet_wire::ClockLie::BackwardsExport.index()] > 0,
+        "in-window stale export times must book backwards-export"
+    );
     assert!(st.clamped_stamps > 0, "implausible stamps get clamped to the receive clock");
 }
 
