@@ -115,7 +115,7 @@ impl SwitchMonitor for EverFlowMonitor {
             kind: ObsKind::Forwarded,
         });
         self.mirrors += 1;
-        out.report(MIRROR_BYTES, "everflow-mirror");
+        out.report(MIRROR_BYTES);
     }
 
     fn on_pipeline_drop(
@@ -144,7 +144,7 @@ impl SwitchMonitor for EverFlowMonitor {
             kind: ObsKind::Dropped(fet_packet::EventType::PipelineDrop),
         });
         self.mirrors += 1;
-        out.report(MIRROR_BYTES, "everflow-mirror");
+        out.report(MIRROR_BYTES);
     }
 
     fn on_mmu_drop(&mut self, ctx: &RoutedCtx, _frame: &[u8], out: &mut Actions) {
@@ -160,7 +160,7 @@ impl SwitchMonitor for EverFlowMonitor {
             kind: ObsKind::Dropped(fet_packet::EventType::MmuDrop),
         });
         self.mirrors += 1;
-        out.report(MIRROR_BYTES, "everflow-mirror");
+        out.report(MIRROR_BYTES);
     }
 
     fn on_timer(&mut self, _now_ns: u64, _counters: &[PortCounters], _out: &mut Actions) {

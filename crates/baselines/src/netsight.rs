@@ -40,7 +40,7 @@ impl SwitchMonitor for NetSightMonitor {
             kind: ObsKind::Forwarded,
         });
         self.postcards += 1;
-        out.report(POSTCARD_BYTES, "netsight-postcard");
+        out.report(POSTCARD_BYTES);
     }
 
     fn on_pipeline_drop(
@@ -63,7 +63,7 @@ impl SwitchMonitor for NetSightMonitor {
             kind: ObsKind::Dropped(fet_packet::EventType::PipelineDrop),
         });
         self.postcards += 1;
-        out.report(POSTCARD_BYTES, "netsight-postcard");
+        out.report(POSTCARD_BYTES);
     }
 
     fn on_mmu_drop(&mut self, ctx: &RoutedCtx, _frame: &[u8], out: &mut Actions) {
@@ -76,7 +76,7 @@ impl SwitchMonitor for NetSightMonitor {
             kind: ObsKind::Dropped(fet_packet::EventType::MmuDrop),
         });
         self.postcards += 1;
-        out.report(POSTCARD_BYTES, "netsight-postcard");
+        out.report(POSTCARD_BYTES);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -123,8 +123,7 @@ mod tests {
         m.on_egress(&ctx, &mut f, &mut out);
         m.on_egress(&ctx, &mut f, &mut out);
         assert_eq!(m.postcards, 2);
-        assert_eq!(out.reports.len(), 2);
-        assert_eq!(out.reports[0].bytes, POSTCARD_BYTES);
+        assert_eq!(out.report_bytes, 2 * POSTCARD_BYTES as u64);
         assert_eq!(m.log.obs[0].t_ingress, 100);
         assert_eq!(m.log.obs[0].t_egress, 150);
     }

@@ -44,7 +44,7 @@ impl SwitchMonitor for SamplingMonitor {
             kind: ObsKind::Forwarded,
         });
         self.samples += 1;
-        out.report(SAMPLE_BYTES, "sample");
+        out.report(SAMPLE_BYTES);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -88,7 +88,7 @@ mod tests {
             m.on_egress(&ctx, &mut f, &mut out);
         }
         assert_eq!(m.samples, 10);
-        assert_eq!(out.reports.len(), 10);
+        assert_eq!(out.report_bytes, 10 * SAMPLE_BYTES as u64);
     }
 
     #[test]

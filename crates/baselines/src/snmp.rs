@@ -56,7 +56,7 @@ impl SnmpMonitor {
 impl SwitchMonitor for SnmpMonitor {
     fn on_timer(&mut self, now_ns: u64, counters: &[PortCounters], out: &mut Actions) {
         self.polls.push(CounterPoll { time_ns: now_ns, counters: counters.to_vec() });
-        out.report(POLL_BYTES_PER_PORT * counters.len(), "snmp-poll");
+        out.report(POLL_BYTES_PER_PORT * counters.len());
     }
 
     fn timer_interval_ns(&self) -> Option<u64> {
@@ -83,7 +83,7 @@ mod tests {
         let mut out = Actions::new();
         m.on_timer(0, &counters, &mut out);
         assert_eq!(m.polls.len(), 1);
-        assert_eq!(out.reports[0].bytes, 4 * POLL_BYTES_PER_PORT);
+        assert_eq!(out.report_bytes, 4 * POLL_BYTES_PER_PORT as u64);
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn hot_path_bench() -> (f64, f64) {
             let ictx = IngressCtx { now_ns: now, node: 2, port: 0, peer_tagged: true };
             downstream.on_ingress(&ictx, frame, &mut out);
             out.emit.clear();
-            out.reports.clear();
+            out.report_bytes = 0;
         }
     };
     // Warm-up: first-touch allocations (port tables, ring buffers, the

@@ -11,7 +11,7 @@ use crate::dedup::{DedupOutcome, GroupCache};
 use crate::detect::{GapDetector, PathTable, PauseTracker, PendingLookups, PortTagger};
 use crate::extract::Extractor;
 use crate::faults::{streams, CorruptionGen, CrashKind, DeliveryLedger, DeviceClock, LossGen};
-use crate::recovery::{CrashReport, DedupSummary, PoisonFrame, RecoveryLog, Snapshot};
+use crate::recovery::{CrashReport, PoisonFrame, RecoveryLog, Snapshot};
 use crate::storage::StoredEvent;
 use crate::tables::{DedupTable, PortTable};
 use crate::transport::{ReliableChannel, DEFAULT_MAX_RETRIES};
@@ -448,7 +448,7 @@ impl NetSeerMonitor {
                 self.next_delivery_seq += 1;
                 self.stats.final_reports += 1;
                 self.stats.final_bytes += EVENT_RECORD_LEN as u64;
-                out.report(EVENT_RECORD_LEN, "nic-events");
+                out.report(EVENT_RECORD_LEN);
             }
         }
     }
@@ -523,7 +523,7 @@ impl NetSeerMonitor {
                             }
                             self.stats.final_reports += survived.len() as u64;
                             self.stats.final_bytes += bytes as u64;
-                            out.report(bytes, "netseer-events");
+                            out.report(bytes);
                             return;
                         }
                         Err(e) => {
@@ -581,34 +581,14 @@ impl NetSeerMonitor {
         }
     }
 
-    fn take_snapshot(&self) -> Snapshot {
-        // PortTable iterates ports ascending and DedupTable iterates types
-        // in wire-code order, so both lists come out pre-sorted exactly as
-        // the HashMap-era snapshot sorted them: serialization is stable.
-        let tagger_heads: Vec<(u8, u32)> =
-            self.taggers.iter().map(|(p, t)| (p, t.head())).collect();
-        let dedup: Vec<DedupSummary> = self
-            .dedup
-            .iter()
-            .map(|(ty, c)| DedupSummary { ty, offered: c.offered, reports: c.reports })
-            .collect();
-        Snapshot {
-            taken_ns: 0,
-            taken_local_ns: 0,
-            pending: self.batcher.pending_events(),
-            tagger_heads,
-            dedup,
-            ledger: self.ledger(),
-        }
-    }
-
-    /// Take a checkpoint now: materialize the pending set, tagger heads,
-    /// group-cache summaries, and the ledger; the WAL truncates behind it.
-    /// The snapshot carries both stamps: global time drives the cadence,
-    /// the local-clock reading is what a real process would have written.
+    /// Take a checkpoint now: materialize the pending set and the tagger
+    /// heads (ascending by port, as the port table iterates); the WAL
+    /// truncates behind it. Global time drives the cadence.
     pub fn checkpoint(&mut self, now_ns: u64) {
-        let mut snap = self.take_snapshot();
-        snap.taken_local_ns = self.clock.local_time(now_ns);
+        let snap = Snapshot {
+            pending: self.batcher.pending_events(),
+            tagger_heads: self.taggers.iter().map(|(p, t)| (p, t.head())).collect(),
+        };
         self.recovery.checkpoint(now_ns, snap);
     }
 

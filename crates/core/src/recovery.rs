@@ -45,7 +45,7 @@ use crate::storage::{EventStore, StoredEvent};
 use crate::transport::{EpochReceiver, RxVerdict};
 use fet_netsim::engine::Simulator;
 use fet_packet::checksum::crc32c;
-use fet_packet::event::{EventRecord, EventType, EVENT_RECORD_LEN};
+use fet_packet::event::{EventRecord, EVENT_RECORD_LEN};
 
 /// One mirrored mutation of the monitor's pending set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,40 +227,15 @@ impl Wal {
     }
 }
 
-/// Per-event-type group-cache summary captured in a checkpoint. The cache
-/// tables themselves are volatile (rebuilt empty after a restart); the
-/// summary preserves the cumulative suppression telemetry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DedupSummary {
-    /// Event type this cache serves.
-    pub ty: EventType,
-    /// Events offered to the cache so far.
-    pub offered: u64,
-    /// Reports the cache let through.
-    pub reports: u64,
-}
-
 /// A materialized checkpoint: everything needed to rebuild the durable
 /// part of the monitor's state without the WAL.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
-    /// When it was taken, global simulator ns (set by
-    /// [`RecoveryLog::checkpoint`]; drives the cadence).
-    pub taken_ns: u64,
-    /// The device's *local* clock reading at checkpoint time — the stamp
-    /// a real process would have written to disk. Equal to `taken_ns`
-    /// unless clock faults are active; never used for control flow.
-    pub taken_local_ns: u64,
     /// The pending set (open CEBP cargo first, then stack, oldest first).
     pub pending: Vec<EventRecord>,
     /// Per-port tagger numbering heads (the notification ring-buffer
     /// heads): `(port, next_seq)`.
     pub tagger_heads: Vec<(u8, u32)>,
-    /// Group-cache summaries per event type.
-    pub dedup: Vec<DedupSummary>,
-    /// The delivery ledger at checkpoint time (observability: lets an
-    /// operator bound what a subsequent hard kill can have cost).
-    pub ledger: DeliveryLedger,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -365,7 +340,6 @@ impl RecoveryLog {
     /// durable again.
     pub fn checkpoint(&mut self, now_ns: u64, snapshot: Snapshot) {
         self.snapshot = snapshot;
-        self.snapshot.taken_ns = now_ns;
         self.wal.clear();
         self.wal.fsync();
         self.last_checkpoint_ns = now_ns;

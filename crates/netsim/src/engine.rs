@@ -3,9 +3,9 @@
 
 use crate::host::Host;
 use crate::link::{Link, LinkDirection, LinkOutcome};
-use crate::monitor::{MgmtReport, SwitchMonitor};
+use crate::monitor::SwitchMonitor;
 use crate::ring::SpscRing;
-use crate::switchdev::{ArrivalEffects, SwitchDevice};
+use crate::switchdev::{Effects, SwitchDevice};
 use crate::time::tx_time_ns;
 use crate::tracer::{GroundTruth, GtEvent};
 use crate::wheel::EventWheel;
@@ -32,6 +32,35 @@ pub enum Node {
     /// parallel run (see [`Simulator::run_until_parallel`]). Never visible
     /// to user code outside a parallel segment.
     Vacant,
+}
+
+impl Node {
+    /// The serializer-busy flag of `port` (a host has only port 0).
+    fn port_busy(&mut self, port: u8) -> &mut bool {
+        match self {
+            Node::Switch(sw) => &mut sw.port_busy[usize::from(port)],
+            Node::Host(h) => &mut h.port_busy,
+            Node::Vacant => panic!("port state of a vacant node"),
+        }
+    }
+
+    /// True if `port` could transmit right now.
+    fn has_transmittable(&self, now_ns: u64, port: u8) -> bool {
+        match self {
+            Node::Switch(sw) => sw.has_transmittable(now_ns, port),
+            Node::Host(h) => h.has_transmittable(now_ns),
+            Node::Vacant => panic!("port state of a vacant node"),
+        }
+    }
+
+    /// When a PFC pause holding back queued frames on `port` expires.
+    fn earliest_pause_expiry(&self, now_ns: u64, port: u8) -> Option<u64> {
+        match self {
+            Node::Switch(sw) => sw.earliest_pause_expiry(now_ns, port),
+            Node::Host(h) => h.earliest_pause_expiry(now_ns),
+            Node::Vacant => panic!("port state of a vacant node"),
+        }
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -157,49 +186,22 @@ impl SyncStats {
     }
 }
 
-/// Management-plane (monitoring traffic) accounting.
+/// Management-plane (monitoring traffic) accounting: the bytes every
+/// monitor reported, the numerator of the paper's overhead ratio.
 #[derive(Debug, Default)]
 pub struct MgmtAccounting {
-    /// Per report kind: (messages, bytes).
-    pub per_kind: HashMap<&'static str, (u64, u64)>,
-    /// Per device: bytes.
-    pub per_node: HashMap<NodeId, u64>,
+    bytes: u64,
 }
 
 impl MgmtAccounting {
-    fn add(&mut self, node: NodeId, r: &MgmtReport) {
-        let e = self.per_kind.entry(r.kind).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += r.bytes as u64;
-        *self.per_node.entry(node).or_insert(0) += r.bytes as u64;
-    }
-
-    /// Fold another accounting into this one (shard merge; all counters are
-    /// commutative sums, so merge order does not matter).
+    /// Fold another accounting into this one (shard merge).
     pub(crate) fn merge(&mut self, other: &MgmtAccounting) {
-        for (kind, (m, b)) in &other.per_kind {
-            let e = self.per_kind.entry(kind).or_insert((0, 0));
-            e.0 += m;
-            e.1 += b;
-        }
-        for (node, b) in &other.per_node {
-            *self.per_node.entry(*node).or_insert(0) += b;
-        }
+        self.bytes += other.bytes;
     }
 
-    /// Total management bytes across all kinds.
+    /// Total management bytes.
     pub fn total_bytes(&self) -> u64 {
-        self.per_kind.values().map(|(_, b)| *b).sum()
-    }
-
-    /// Total messages across all kinds.
-    pub fn total_msgs(&self) -> u64 {
-        self.per_kind.values().map(|(m, _)| *m).sum()
-    }
-
-    /// Bytes for one kind.
-    pub fn bytes_of(&self, kind: &str) -> u64 {
-        self.per_kind.get(kind).map(|(_, b)| *b).unwrap_or(0)
+        self.bytes
     }
 }
 
@@ -560,28 +562,16 @@ impl Simulator {
 
     fn handle_arrive(&mut self, node: NodeId, port: u8, frame: Vec<u8>, fcs_error: bool) {
         let now = self.now;
-        match &mut self.nodes[node as usize] {
-            Node::Switch(sw) => {
-                let fx = sw.handle_arrival(now, port, frame, fcs_error, &mut self.gt);
-                self.apply_switch_effects(node, fx);
-            }
-            Node::Host(h) => {
-                let fx = h.handle_arrival(now, frame, fcs_error);
-                for r in &fx.reports {
-                    self.mgmt.add(node, r);
-                }
-                if fx.kick {
-                    self.kick_port(node, 0);
-                }
-            }
+        let fx = match &mut self.nodes[node as usize] {
+            Node::Switch(sw) => sw.handle_arrival(now, port, frame, fcs_error, &mut self.gt),
+            Node::Host(h) => h.handle_arrival(now, frame, fcs_error),
             Node::Vacant => panic!("arrival routed to a vacant node {node}"),
-        }
+        };
+        self.apply_effects(node, fx);
     }
 
-    fn apply_switch_effects(&mut self, node: NodeId, fx: ArrivalEffects) {
-        for r in &fx.reports {
-            self.mgmt.add(node, r);
-        }
+    fn apply_effects(&mut self, node: NodeId, fx: Effects) {
+        self.mgmt.bytes += fx.report_bytes;
         // PFC frames bypass queues: serialize immediately on the wire.
         for (port, pfc) in fx.pfc_frames {
             self.transmit(node, port, pfc);
@@ -595,73 +585,35 @@ impl Simulator {
     /// the serializer is idle and something is transmittable).
     fn kick_port(&mut self, node: NodeId, port: u8) {
         let now = self.now;
-        match &mut self.nodes[node as usize] {
-            Node::Switch(sw) => {
-                let p = usize::from(port);
-                if sw.port_busy[p] {
-                    return;
-                }
-                if sw.has_transmittable(now, port) {
-                    sw.port_busy[p] = true;
-                    self.push_node(node, now, SimEvent::Dequeue { node, port });
-                } else if let Some(t) = sw.earliest_pause_expiry(now, port) {
-                    self.push_node(node, t, SimEvent::RetryPort { node, port });
-                }
-            }
-            Node::Host(h) => {
-                if h.port_busy {
-                    return;
-                }
-                if h.has_transmittable(now) {
-                    h.port_busy = true;
-                    self.push_node(node, now, SimEvent::Dequeue { node, port: 0 });
-                } else if h.paused_until > now && h.txq_depth_bytes() > 0 {
-                    let t = h.paused_until;
-                    self.push_node(node, t, SimEvent::RetryPort { node, port: 0 });
-                }
-            }
-            Node::Vacant => panic!("kick routed to a vacant node {node}"),
+        let n = &mut self.nodes[node as usize];
+        if *n.port_busy(port) {
+            return;
+        }
+        if n.has_transmittable(now, port) {
+            *n.port_busy(port) = true;
+            self.push_node(node, now, SimEvent::Dequeue { node, port });
+        } else if let Some(t) = n.earliest_pause_expiry(now, port) {
+            self.push_node(node, t, SimEvent::RetryPort { node, port });
         }
     }
 
     fn handle_dequeue(&mut self, node: NodeId, port: u8) {
         let now = self.now;
-        // Phase 1: dequeue from the device, collecting what to do next.
-        enum Out {
-            Frame(Vec<u8>, ArrivalEffects),
-            Idle(Option<u64>),
-        }
-        let out = match &mut self.nodes[node as usize] {
-            Node::Switch(sw) => match sw.dequeue(now, port, &mut self.gt) {
-                Some(res) => Out::Frame(res.frame, res.effects),
-                None => {
-                    sw.port_busy[usize::from(port)] = false;
-                    Out::Idle(sw.earliest_pause_expiry(now, port))
-                }
-            },
-            Node::Host(h) => match h.dequeue_tx(now) {
-                Some((frame, reports)) => {
-                    let fx = ArrivalEffects { reports, ..Default::default() };
-                    Out::Frame(frame, fx)
-                }
-                None => {
-                    h.port_busy = false;
-                    let retry =
-                        (h.paused_until > now && h.txq_depth_bytes() > 0).then_some(h.paused_until);
-                    Out::Idle(retry)
-                }
-            },
+        let res = match &mut self.nodes[node as usize] {
+            Node::Switch(sw) => sw.dequeue(now, port, &mut self.gt),
+            Node::Host(h) => h.dequeue_tx(now),
             Node::Vacant => panic!("dequeue routed to a vacant node {node}"),
         };
-        // Phase 2: act on it with full access to the engine.
-        match out {
-            Out::Frame(frame, fx) => {
-                let tx_done = self.transmit(node, port, frame);
-                self.apply_switch_effects(node, fx);
+        match res {
+            Some(res) => {
+                let tx_done = self.transmit(node, port, res.frame);
+                self.apply_effects(node, res.effects);
                 self.push_node(node, tx_done, SimEvent::Dequeue { node, port });
             }
-            Out::Idle(retry) => {
-                if let Some(t) = retry {
+            None => {
+                let n = &mut self.nodes[node as usize];
+                *n.port_busy(port) = false;
+                if let Some(t) = n.earliest_pause_expiry(now, port) {
                     self.push_node(node, t, SimEvent::RetryPort { node, port });
                 }
             }
@@ -766,37 +718,12 @@ impl Simulator {
 
     fn handle_monitor_timer(&mut self, node: NodeId, interval_ns: u64) {
         let now = self.now;
-        match &mut self.nodes[node as usize] {
-            Node::Switch(sw) => {
-                if let Some(mut m) = sw.monitor.take() {
-                    let mut actions = crate::monitor::Actions::new();
-                    m.on_timer(now, &sw.counters, &mut actions);
-                    sw.monitor = Some(m);
-                    let mut fx = ArrivalEffects::default();
-                    sw.apply_external_actions(now, actions, &mut self.gt, &mut fx);
-                    self.apply_switch_effects(node, fx);
-                }
-            }
-            Node::Host(h) => {
-                if let Some(mut m) = h.monitor.take() {
-                    let mut actions = crate::monitor::Actions::new();
-                    let counters = [h.counters];
-                    m.on_timer(now, &counters, &mut actions);
-                    h.monitor = Some(m);
-                    for r in &actions.reports {
-                        self.mgmt.add(node, r);
-                    }
-                    let mut kick = false;
-                    for e in actions.emit {
-                        kick |= self.host_mut(node).enqueue_tx(e.frame);
-                    }
-                    if kick {
-                        self.kick_port(node, 0);
-                    }
-                }
-            }
+        let fx = match &mut self.nodes[node as usize] {
+            Node::Switch(sw) => sw.on_timer(now, &mut self.gt),
+            Node::Host(h) => h.on_timer(now),
             Node::Vacant => panic!("monitor timer routed to a vacant node {node}"),
-        }
+        };
+        self.apply_effects(node, fx);
         self.push_node(node, now + interval_ns, SimEvent::MonitorTimer { node, interval_ns });
     }
 
@@ -1025,14 +952,17 @@ mod tests {
 #[cfg(test)]
 mod engine_unit_tests {
     use super::*;
+    use crate::host::HostConfig;
     use crate::monitor::{Actions, SwitchMonitor};
     use crate::switchdev::{SwitchConfig, SwitchDevice};
     use std::any::Any;
 
-    /// A monitor that reports a fixed number of bytes per timer tick.
+    /// A monitor that reports a fixed number of bytes per timer tick and,
+    /// when `emit` is set, also sends one frame per tick on port 0.
     struct TickReporter {
         interval: u64,
         ticks: u32,
+        emit: bool,
     }
     impl SwitchMonitor for TickReporter {
         fn on_timer(
@@ -1042,7 +972,10 @@ mod engine_unit_tests {
             out: &mut Actions,
         ) {
             self.ticks += 1;
-            out.report(100, "tick");
+            out.report(100);
+            if self.emit {
+                out.emit(0, vec![0; 64], false);
+            }
         }
         fn timer_interval_ns(&self) -> Option<u64> {
             Some(self.interval)
@@ -1059,15 +992,31 @@ mod engine_unit_tests {
     fn monitor_timers_fire_on_interval_and_meter_reports() {
         let mut sim = Simulator::new();
         let mut sw = SwitchDevice::new(0, "s", SwitchConfig::default());
-        sw.set_monitor(Box::new(TickReporter { interval: 1_000, ticks: 0 }));
+        sw.set_monitor(Box::new(TickReporter { interval: 1_000, ticks: 0, emit: false }));
         let id = sim.add_switch(sw);
         sim.run_until(10_500);
         let m = sim.switch(id).monitor.as_ref().unwrap();
         let t = m.as_any().downcast_ref::<TickReporter>().unwrap();
         assert_eq!(t.ticks, 10, "ticks at 1us intervals over 10.5us");
-        assert_eq!(sim.mgmt.bytes_of("tick"), 1_000);
-        assert_eq!(sim.mgmt.total_msgs(), 10);
-        assert_eq!(sim.mgmt.per_node[&id], 1_000);
+        assert_eq!(sim.mgmt.total_bytes(), 1_000);
+    }
+
+    #[test]
+    fn host_monitor_timer_meters_reports_and_transmits_emits() {
+        let mut sim = Simulator::new();
+        let mut h = Host::new(0, HostConfig::default());
+        h.monitor = Some(Box::new(TickReporter { interval: 1_000, ticks: 0, emit: true }));
+        let id = sim.add_host(h);
+        sim.run_until(10_500);
+        let h = sim.host(id);
+        let t = h.monitor.as_ref().unwrap().as_any().downcast_ref::<TickReporter>().unwrap();
+        assert_eq!(t.ticks, 10, "ticks at 1us intervals over 10.5us");
+        assert_eq!(sim.mgmt.total_bytes(), 1_000);
+        // Every emitted frame was queued, kicked and put on the (unwired)
+        // NIC port; the serializer went idle again after each.
+        assert_eq!(h.counters.tx_pkts, 10);
+        assert_eq!(h.txq_depth_bytes(), 0);
+        assert!(!h.port_busy);
     }
 
     #[test]
@@ -1113,19 +1062,5 @@ mod engine_unit_tests {
         // Frame is queued on port 5 but never transmitted (no kick); the
         // simulation simply drains without panicking.
         assert_eq!(sim.switch(id).queue_len(5, 0), 1);
-    }
-
-    #[test]
-    fn mgmt_accounting_aggregates_kinds() {
-        let mut acc = MgmtAccounting::default();
-        acc.add(1, &MgmtReport { bytes: 10, kind: "a" });
-        acc.add(1, &MgmtReport { bytes: 20, kind: "a" });
-        acc.add(2, &MgmtReport { bytes: 5, kind: "b" });
-        assert_eq!(acc.total_bytes(), 35);
-        assert_eq!(acc.total_msgs(), 3);
-        assert_eq!(acc.bytes_of("a"), 30);
-        assert_eq!(acc.bytes_of("b"), 5);
-        assert_eq!(acc.bytes_of("c"), 0);
-        assert_eq!(acc.per_node[&1], 30);
     }
 }

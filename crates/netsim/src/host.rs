@@ -7,7 +7,8 @@
 
 use crate::counters::PortCounters;
 use crate::fxhash::FxHashMap;
-use crate::monitor::{Actions, EgressCtx, HookVerdict, IngressCtx, MgmtReport, SwitchMonitor};
+use crate::monitor::{Actions, EgressCtx, HookVerdict, IngressCtx, SwitchMonitor};
+use crate::switchdev::{DequeueResult, Effects};
 use fet_packet::builder::{build_data_packet_in, classify, extract_flow, FrameKind};
 use fet_packet::ipv4::Ipv4Addr;
 use fet_packet::tcp::flags;
@@ -92,15 +93,6 @@ pub struct ProbeSample {
     pub rtt_ns: u64,
     /// Probe target.
     pub target: Ipv4Addr,
-}
-
-/// Effects of host packet processing, for the engine.
-#[derive(Debug, Default)]
-pub struct HostEffects {
-    /// True when the NIC TX queue gained frames and may need a kick.
-    pub kick: bool,
-    /// Management-plane reports from the NIC monitor.
-    pub reports: Vec<MgmtReport>,
 }
 
 /// A simulated server.
@@ -231,13 +223,13 @@ impl Host {
 
     /// Dequeue the next frame for transmission, honoring PFC pause and
     /// running the NIC egress telemetry hook.
-    pub fn dequeue_tx(&mut self, now_ns: u64) -> Option<(Vec<u8>, Vec<MgmtReport>)> {
+    pub fn dequeue_tx(&mut self, now_ns: u64) -> Option<DequeueResult> {
         if now_ns < self.paused_until {
             return None;
         }
         let mut frame = self.txq.pop_front()?;
         self.txq_bytes -= frame.len() as u64;
-        let mut reports = Vec::new();
+        let mut effects = Effects::default();
         if let Some(m) = self.monitor.as_mut() {
             let mut meta = PacketMeta::arriving(0, now_ns, frame.len());
             meta.egress_ts_ns = now_ns;
@@ -253,14 +245,34 @@ impl Host {
             };
             let mut actions = Actions::new();
             m.on_egress(&ctx, &mut frame, &mut actions);
-            reports = actions.reports;
-            for e in actions.emit {
-                self.enqueue_tx(e.frame);
-            }
+            self.apply_actions(actions, &mut effects);
         }
         self.counters.tx_pkts += 1;
         self.counters.tx_bytes += frame.len() as u64;
-        Some((frame, reports))
+        Some(DequeueResult { frame, effects })
+    }
+
+    /// Periodic control-plane tick: run the NIC monitor's timer hook (if a
+    /// monitor is attached) and queue what it emits.
+    pub(crate) fn on_timer(&mut self, now_ns: u64) -> Effects {
+        let mut fx = Effects::default();
+        if let Some(m) = self.monitor.as_mut() {
+            let mut actions = Actions::new();
+            m.on_timer(now_ns, std::slice::from_ref(&self.counters), &mut actions);
+            self.apply_actions(actions, &mut fx);
+        }
+        fx
+    }
+
+    /// Apply NIC monitor actions: queue emitted frames on the single port
+    /// (kicking it when one was accepted) and forward report bytes.
+    fn apply_actions(&mut self, actions: Actions, fx: &mut Effects) {
+        fx.report_bytes += actions.report_bytes;
+        for e in actions.emit {
+            if self.enqueue_tx(e.frame) {
+                fx.kick_ports.insert(0);
+            }
+        }
     }
 
     /// True when the TX queue holds frames and is not paused.
@@ -268,9 +280,15 @@ impl Host {
         !self.txq.is_empty() && now_ns >= self.paused_until
     }
 
+    /// When a PFC pause holding back queued frames expires (the engine
+    /// schedules a retry then); `None` when not paused or nothing waits.
+    pub(crate) fn earliest_pause_expiry(&self, now_ns: u64) -> Option<u64> {
+        (self.paused_until > now_ns && self.txq_bytes > 0).then_some(self.paused_until)
+    }
+
     /// Handle an arriving frame.
-    pub fn handle_arrival(&mut self, now_ns: u64, frame: Vec<u8>, fcs_error: bool) -> HostEffects {
-        let mut fx = HostEffects::default();
+    pub fn handle_arrival(&mut self, now_ns: u64, frame: Vec<u8>, fcs_error: bool) -> Effects {
+        let mut fx = Effects::default();
         self.counters.rx_pkts += 1;
         self.counters.rx_bytes += frame.len() as u64;
         if fcs_error {
@@ -283,10 +301,7 @@ impl Host {
             let ctx = IngressCtx { now_ns, node: self.id, port: 0, peer_tagged: true };
             let mut actions = Actions::new();
             let verdict = m.on_ingress(&ctx, &mut frame, &mut actions);
-            fx.reports.extend(actions.reports);
-            for e in actions.emit {
-                fx.kick |= self.enqueue_tx(e.frame);
-            }
+            self.apply_actions(actions, &mut fx);
             if verdict == HookVerdict::Consume {
                 return fx;
             }
@@ -307,7 +322,7 @@ impl Host {
                             self.paused_until = self.paused_until.max(now_ns + dur);
                         } else if pfc.resumes(prio) {
                             self.paused_until = 0;
-                            fx.kick = true;
+                            fx.kick_ports.insert(0);
                         }
                     }
                 }
@@ -325,12 +340,14 @@ impl Host {
         fx
     }
 
-    fn receive_data(&mut self, now_ns: u64, frame: &[u8], flow: FlowKey, fx: &mut HostEffects) {
+    fn receive_data(&mut self, now_ns: u64, frame: &[u8], flow: FlowKey, fx: &mut Effects) {
         // Probe responder: echo UDP packets aimed at the echo port.
         if flow.proto == IpProtocol::Udp && flow.dport == PROBE_ECHO_PORT {
             let reply_key = flow.reversed();
             let reply = build_data_packet_in(&mut self.arena, &reply_key, 8, 0, 46 << 2 >> 2, 64);
-            fx.kick |= self.enqueue_tx(reply);
+            if self.enqueue_tx(reply) {
+                fx.kick_ports.insert(0);
+            }
             return;
         }
         // Probe reply: match an outstanding probe by id (our sport).
@@ -440,8 +457,8 @@ mod tests {
         let idx = h.add_flow(spec(2_000, 1_000));
         let _ = h.emit_flow_packet(idx, 0);
         let _ = h.emit_flow_packet(idx, 0);
-        let (first, _) = h.dequeue_tx(0).unwrap();
-        let (last, _) = h.dequeue_tx(0).unwrap();
+        let first = h.dequeue_tx(0).unwrap().frame;
+        let last = h.dequeue_tx(0).unwrap().frame;
         let t = |f: &Vec<u8>| {
             fet_packet::tcp::TcpSegment::new_checked(
                 &f[fet_packet::ETHERNET_HEADER_LEN + fet_packet::IPV4_HEADER_LEN..],
@@ -477,11 +494,11 @@ mod tests {
             HostConfig { ip: Ipv4Addr::from_octets([10, 0, 1, 9]), ..HostConfig::default() },
         );
         assert!(a.send_probe(1_000, b.config.ip));
-        let (probe, _) = a.dequeue_tx(1_000).unwrap();
+        let probe = a.dequeue_tx(1_000).unwrap().frame;
         // b echoes.
         let fx = b.handle_arrival(2_000, probe, false);
-        assert!(fx.kick);
-        let (reply, _) = b.dequeue_tx(2_000).unwrap();
+        assert_eq!(fx.kick_ports.iter().collect::<Vec<_>>(), vec![0]);
+        let reply = b.dequeue_tx(2_000).unwrap().frame;
         // a measures RTT.
         let _ = a.handle_arrival(3_500, reply, false);
         assert_eq!(a.probe_samples.len(), 1);
@@ -515,9 +532,11 @@ mod tests {
         assert!(h.paused_until > 0);
         assert!(h.dequeue_tx(1).is_none());
         assert!(!h.has_transmittable(1));
+        assert_eq!(h.earliest_pause_expiry(1), Some(h.paused_until));
         let resume = fet_packet::builder::build_pfc_frame(0, 0);
         let fx = h.handle_arrival(2, resume, false);
-        assert!(fx.kick);
+        assert_eq!(fx.kick_ports.iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(h.earliest_pause_expiry(3), None);
         assert!(h.dequeue_tx(3).is_some());
     }
 

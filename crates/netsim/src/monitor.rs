@@ -15,8 +15,8 @@
 //! | `on_timer`         | periodic control-plane tick (CPU pacing, expiry) |
 //!
 //! Hooks communicate back through [`Actions`]: frames to transmit (e.g.
-//! loss notifications on a high-priority queue) and management-plane
-//! reports whose bytes are metered for the overhead figures.
+//! loss notifications on a high-priority queue) and the bytes of
+//! management-plane reports, metered for the overhead figures.
 
 use crate::counters::PortCounters;
 use fet_packet::event::DropCode;
@@ -102,23 +102,14 @@ pub struct EmitFrame {
     pub high_priority: bool,
 }
 
-/// A management-plane report (metered for overhead accounting; contents
-/// stay inside the monitor's own state).
-#[derive(Debug, Clone)]
-pub struct MgmtReport {
-    /// Report size on the management network, bytes.
-    pub bytes: usize,
-    /// What kind of report (for per-step breakdowns).
-    pub kind: &'static str,
-}
-
 /// Out-parameters for all hooks.
 #[derive(Debug, Default)]
 pub struct Actions {
     /// Frames to transmit.
     pub emit: Vec<EmitFrame>,
-    /// Management-plane reports.
-    pub reports: Vec<MgmtReport>,
+    /// Bytes of management-plane reports (their contents stay inside the
+    /// monitor's own state; only the volume reaches the overhead figures).
+    pub report_bytes: u64,
 }
 
 impl Actions {
@@ -132,14 +123,14 @@ impl Actions {
         self.emit.push(EmitFrame { out_port, frame, high_priority });
     }
 
-    /// Meter a management-plane report.
-    pub fn report(&mut self, bytes: usize, kind: &'static str) {
-        self.reports.push(MgmtReport { bytes, kind });
+    /// Meter a management-plane report of `bytes`.
+    pub fn report(&mut self, bytes: usize) {
+        self.report_bytes += bytes as u64;
     }
 
     /// True when nothing was produced.
     pub fn is_empty(&self) -> bool {
-        self.emit.is_empty() && self.reports.is_empty()
+        self.emit.is_empty() && self.report_bytes == 0
     }
 }
 
@@ -226,11 +217,12 @@ mod tests {
     fn actions_collect() {
         let mut a = Actions::new();
         a.emit(3, vec![1, 2, 3], true);
-        a.report(128, "postcard");
+        a.report(128);
+        a.report(64);
         assert_eq!(a.emit.len(), 1);
         assert_eq!(a.emit[0].out_port, 3);
         assert!(a.emit[0].high_priority);
-        assert_eq!(a.reports[0].bytes, 128);
+        assert_eq!(a.report_bytes, 192);
         assert!(!a.is_empty());
     }
 

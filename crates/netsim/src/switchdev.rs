@@ -5,9 +5,7 @@
 use crate::counters::PortCounters;
 use crate::fxhash::FxHashMap;
 use crate::mmu::{Mmu, MmuConfig, MmuVerdict};
-use crate::monitor::{
-    Actions, EgressCtx, HookVerdict, IngressCtx, MgmtReport, RoutedCtx, SwitchMonitor,
-};
+use crate::monitor::{Actions, EgressCtx, HookVerdict, IngressCtx, RoutedCtx, SwitchMonitor};
 use crate::tracer::{GroundTruth, GtEvent};
 use fet_packet::builder::{classify, extract_flow, FrameKind};
 use fet_packet::ethernet::ETHERNET_HEADER_LEN;
@@ -17,8 +15,7 @@ use fet_packet::pfc::{quanta_to_ns, PfcFrame, PFC_CLASSES};
 use fet_packet::FlowKey;
 use fet_pdp::table::{AclAction, AclTable, LpmTable};
 use fet_pdp::{HashUnit, PacketMeta};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Number of egress priority queues per port.
 pub const QUEUES: u8 = 8;
@@ -105,15 +102,17 @@ impl PortSet {
     }
 }
 
-/// Effects an arrival produced, for the engine to act on.
+/// What a device asks of the engine after an arrival, a dequeue or a
+/// monitor tick. Switches and hosts return the same type, so the engine
+/// acts on every device through one path.
 #[derive(Debug, Default)]
-pub struct ArrivalEffects {
+pub struct Effects {
     /// Ports that enqueued traffic and may need a dequeue scheduled.
     pub kick_ports: PortSet,
     /// PFC frames to transmit immediately (bypass queues, MAC control).
     pub pfc_frames: Vec<(u8, Vec<u8>)>,
-    /// Management-plane reports from the monitor.
-    pub reports: Vec<MgmtReport>,
+    /// Bytes the monitor reported on the management network.
+    pub report_bytes: u64,
 }
 
 /// Result of dequeuing one frame for transmission.
@@ -122,7 +121,7 @@ pub struct DequeueResult {
     /// The (possibly monitor-rewritten) frame to put on the wire.
     pub frame: Vec<u8>,
     /// Extra effects (PFC resumes, monitor actions).
-    pub effects: ArrivalEffects,
+    pub effects: Effects,
 }
 
 /// One simulated switch.
@@ -151,8 +150,9 @@ pub struct SwitchDevice {
     paused_until: Vec<u64>,
     /// For each (egress port, prio) crossing XOFF: the ingress ports we
     /// paused, with the time their pause expires (PAUSE is refreshed while
-    /// the queue stays above XOFF; XON resumes exactly these ports).
-    paused_upstreams: HashMap<(u8, u8), HashMap<u8, u64>>,
+    /// the queue stays above XOFF; XON resumes exactly these ports, in
+    /// ascending port order).
+    paused_upstreams: HashMap<(u8, u8), BTreeMap<u8, u64>>,
     ecmp_hash: HashUnit,
     /// Middlebox processing serializer (None for plain switches).
     processor: Option<fet_pdp::RateLimitedChannel>,
@@ -263,8 +263,8 @@ impl SwitchDevice {
         mut frame: Vec<u8>,
         fcs_error: bool,
         gt: &mut GroundTruth,
-    ) -> ArrivalEffects {
-        let mut fx = ArrivalEffects::default();
+    ) -> Effects {
+        let mut fx = Effects::default();
         let p = usize::from(port);
         self.counters[p].rx_pkts += 1;
         self.counters[p].rx_bytes += frame.len() as u64;
@@ -331,7 +331,7 @@ impl SwitchDevice {
         }
     }
 
-    fn handle_pfc(&mut self, now_ns: u64, port: u8, frame: &[u8], fx: &mut ArrivalEffects) {
+    fn handle_pfc(&mut self, now_ns: u64, port: u8, frame: &[u8], fx: &mut Effects) {
         self.counters[usize::from(port)].pfc_rx += 1;
         let Ok(pfc) = PfcFrame::new_checked(&frame[ETHERNET_HEADER_LEN..]) else {
             return;
@@ -361,7 +361,7 @@ impl SwitchDevice {
         frame: Vec<u8>,
         meta: PacketMeta,
         gt: &mut GroundTruth,
-        fx: &mut ArrivalEffects,
+        fx: &mut Effects,
     ) {
         let ictx = IngressCtx {
             now_ns,
@@ -549,7 +549,7 @@ impl SwitchDevice {
         meta: PacketMeta,
         rctx: RoutedCtx,
         gt: &mut GroundTruth,
-        fx: &mut ArrivalEffects,
+        fx: &mut Effects,
     ) {
         let eport = rctx.egress_port;
         let queue = rctx.queue;
@@ -614,7 +614,7 @@ impl SwitchDevice {
         egress_port: Option<u8>,
         acl_rule: u32,
         gt: &mut GroundTruth,
-        fx: &mut ArrivalEffects,
+        fx: &mut Effects,
     ) {
         self.counters[usize::from(ictx.port)].pipeline_drops += 1;
         self.record_drop(
@@ -632,26 +632,27 @@ impl SwitchDevice {
         self.apply_actions(now_ns, actions, gt, fx);
     }
 
-    /// Apply actions produced outside the packet path (timer hooks).
-    pub fn apply_external_actions(
-        &mut self,
-        now_ns: u64,
-        actions: Actions,
-        gt: &mut GroundTruth,
-        fx: &mut ArrivalEffects,
-    ) {
-        self.apply_actions(now_ns, actions, gt, fx);
+    /// Periodic control-plane tick: run the monitor's timer hook (if a
+    /// monitor is attached) and enqueue what it emits.
+    pub(crate) fn on_timer(&mut self, now_ns: u64, gt: &mut GroundTruth) -> Effects {
+        let mut fx = Effects::default();
+        let mut actions = Actions::new();
+        if let Some(m) = self.monitor.as_mut() {
+            m.on_timer(now_ns, &self.counters, &mut actions);
+        }
+        self.apply_actions(now_ns, actions, gt, &mut fx);
+        fx
     }
 
-    /// Apply monitor actions: enqueue emitted frames, forward reports.
+    /// Apply monitor actions: enqueue emitted frames, forward report bytes.
     fn apply_actions(
         &mut self,
         now_ns: u64,
         actions: Actions,
         gt: &mut GroundTruth,
-        fx: &mut ArrivalEffects,
+        fx: &mut Effects,
     ) {
-        fx.reports.extend(actions.reports);
+        fx.report_bytes += actions.report_bytes;
         for e in actions.emit {
             if usize::from(e.out_port) >= usize::from(self.config.ports)
                 || !self.port_up[usize::from(e.out_port)]
@@ -700,7 +701,7 @@ impl SwitchDevice {
         port: u8,
         gt: &mut GroundTruth,
     ) -> Option<DequeueResult> {
-        let mut fx = ArrivalEffects::default();
+        let mut fx = Effects::default();
         let chosen = (0..QUEUES).rev().find(|&q| {
             !self.queues[self.qidx(port, q)].is_empty() && !self.tx_paused(now_ns, port, q)
         })?;
@@ -1004,6 +1005,34 @@ mod tests {
             }
         }
         assert!(resumed, "XON crossing should emit resume");
+    }
+
+    #[test]
+    #[allow(clippy::field_reassign_with_default)]
+    fn xon_resumes_paused_upstreams_in_port_order() {
+        // Every fresh switch is a fresh map; a hash-ordered map would come
+        // out ascending for all of them only by a 1-in-6^16 chance.
+        for _ in 0..16 {
+            let mut cfg = SwitchConfig::default();
+            cfg.pfc_priorities = 0x01;
+            cfg.mmu.pfc_xoff_bytes = 300;
+            cfg.mmu.pfc_xon_bytes = 100;
+            let mut s = SwitchDevice::new(0, "s", cfg);
+            s.routes.insert(ip(10, 0, 1, 0), 24, vec![2]);
+            let mut gt = GroundTruth::new();
+            for port in [5, 1, 3, 5, 1, 3] {
+                let pkt = build_data_packet(&flow(), 100, 0, 0, 64);
+                let _ = s.handle_arrival(0, port, pkt, false, &mut gt);
+            }
+            assert!([1, 3, 5].iter().all(|&p| s.counters[p].pfc_tx >= 1), "all three paused");
+            let mut resumed = Vec::new();
+            for t in 0..6 {
+                if let Some(r) = s.dequeue(t, 2, &mut gt) {
+                    resumed.extend(r.effects.pfc_frames.into_iter().map(|(p, _)| p));
+                }
+            }
+            assert_eq!(resumed, vec![1, 3, 5], "XON frames leave in port order");
+        }
     }
 
     #[test]

@@ -11,17 +11,16 @@
 //!   fault clears);
 //! * the same seed reproduces the same run bit-for-bit.
 
-use fet_netsim::host::FlowSpec;
+mod common;
+
+use common::{add_flow, drive_lossy_fabric, seed, setup};
 use fet_netsim::link::BurstDrop;
-use fet_netsim::routing::install_ecmp_routes;
 use fet_netsim::time::{MICROS, MILLIS};
-use fet_netsim::topology::{build_fat_tree, FatTree, FatTreeParams};
 use fet_netsim::Simulator;
 use fet_packet::event::EventType;
-use fet_packet::FlowKey;
 use netseer::deploy::{
-    collect_events, delivered_history, deploy, fleet_ledger, fleet_stats, monitor_of,
-    monitor_of_mut, monitors, DeployOptions,
+    collect_events, delivered_history, fleet_ledger, fleet_stats, monitor_of, monitor_of_mut,
+    monitors,
 };
 use netseer::faults::{seeded_device_crashes, streams, OverloadWindow};
 use netseer::{
@@ -29,53 +28,6 @@ use netseer::{
     CorruptionGen, CorruptionSpec, CrashKind, FaultPlan, LossProcess, NetSeerConfig,
     WatchdogConfig, Window,
 };
-
-/// Seed diversification for the CI matrix: when `CHAOS_SEED` is set, every
-/// scenario's base seed is mixed with it so each matrix leg sweeps a
-/// genuinely different (but still fully deterministic) run.
-fn seed(base: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => base ^ s.trim().parse::<u64>().unwrap_or(0).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        Err(_) => base,
-    }
-}
-
-fn setup(cfg: NetSeerConfig) -> (Simulator, FatTree) {
-    let mut sim = Simulator::new();
-    let ft = build_fat_tree(&mut sim, &FatTreeParams::default());
-    install_ecmp_routes(&mut sim);
-    deploy(&mut sim, &DeployOptions { cfg, on_nics: true });
-    (sim, ft)
-}
-
-fn add_flow(sim: &mut Simulator, ft: &FatTree, src: usize, dst: usize, sport: u16, bytes: u64) {
-    let key = FlowKey::tcp(ft.host_ips[src], sport, ft.host_ips[dst], 80);
-    let h = ft.hosts[src];
-    let idx = sim.host_mut(h).add_flow(FlowSpec {
-        key,
-        total_bytes: bytes,
-        pkt_payload: 1000,
-        rate_gbps: 5.0,
-        start_ns: 0,
-        dscp: 0,
-    });
-    sim.schedule_flow(h, idx);
-}
-
-/// Cross-traffic plus lossy uplinks: a workload that reliably generates
-/// path-change and inter-switch-drop events on every pod, and that lasts
-/// several milliseconds so faults scheduled mid-run hit live traffic.
-fn drive_lossy_fabric(sim: &mut Simulator, ft: &FatTree, drop_prob: f64) {
-    for s in 0..8 {
-        add_flow(sim, ft, s, 7 - s, 2000 + s as u16, 4_000_000);
-    }
-    for pod in 0..2 {
-        let tor = ft.edges[pod][0];
-        for port in 0..2 {
-            sim.link_direction_mut(tor, port).unwrap().faults.drop_prob = drop_prob;
-        }
-    }
-}
 
 /// Scenario 1 — bursty (Gilbert–Elliott) loss on the management network.
 /// The adaptive-RTO transport retransmits through the bursts; everything

@@ -7,25 +7,25 @@
 //! This is the whole point of the canonical-event-key design (see
 //! `DESIGN.md` §11): sharding is an execution strategy, never an
 //! observable. The scenarios reuse the chaos fault plans (including the
-//! `CHAOS_SEED` CI matrix mixing), so each matrix leg verifies the
-//! contract over a genuinely different run.
+//! `CHAOS_SEED` CI matrix mixing) and the chaos workload helpers in
+//! `tests/common`, so each matrix leg verifies the contract over a
+//! genuinely different run of exactly the chaos workloads.
 
 use fet_analytics::{link_map_from_sim, AnalyticsConfig, AnalyticsEngine};
 use fet_export::{
     parse_exposition, scrape_analytics, scrape_breaches, scrape_collector, scrape_fleet,
     scrape_ledger, scrape_wire, validate_json, MetricRegistry, RenderedSnapshot,
 };
-use fet_netsim::host::FlowSpec;
+mod common;
+
+use common::{add_flow, drive_lossy_fabric, seed, setup};
 use fet_netsim::link::BurstDrop;
-use fet_netsim::routing::install_ecmp_routes;
 use fet_netsim::time::{MICROS, MILLIS};
-use fet_netsim::topology::{build_fat_tree, FatTree, FatTreeParams};
+use fet_netsim::topology::FatTree;
 use fet_netsim::tracer::GtEvent;
 use fet_netsim::Simulator;
-use fet_packet::FlowKey;
 use netseer::deploy::{
-    delivered_history, deploy, fleet_ledger, fleet_stats, monitor_of_mut, monitors, DeployOptions,
-    FleetStats,
+    delivered_history, fleet_ledger, fleet_stats, monitor_of_mut, monitors, FleetStats,
 };
 use netseer::faults::{seeded_device_crashes, streams, OverloadWindow};
 use netseer::{
@@ -33,14 +33,6 @@ use netseer::{
     CorruptionGen, CorruptionSpec, CrashKind, CrashReport, DeliveryLedger, FaultPlan, LossProcess,
     NetSeerConfig, StoredEvent, WatchdogConfig, Window,
 };
-
-/// Same CI-matrix seed mixing as `tests/chaos.rs`.
-fn seed(base: u64) -> u64 {
-    match std::env::var("CHAOS_SEED") {
-        Ok(s) => base ^ s.trim().parse::<u64>().unwrap_or(0).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-        Err(_) => base,
-    }
-}
 
 /// Shard counts required by the determinism contract. `1` exercises the
 /// serial-delegation path; the rest are genuinely parallel.
@@ -171,40 +163,6 @@ struct AnalyticsState {
     processed: u64,
     top_flows: Vec<fet_analytics::TopKEntry>,
     totals: Vec<(fet_analytics::AggKey, fet_analytics::WindowStats)>,
-}
-
-fn setup(cfg: NetSeerConfig) -> (Simulator, FatTree) {
-    let mut sim = Simulator::new();
-    let ft = build_fat_tree(&mut sim, &FatTreeParams::default());
-    install_ecmp_routes(&mut sim);
-    deploy(&mut sim, &DeployOptions { cfg, on_nics: true });
-    (sim, ft)
-}
-
-fn add_flow(sim: &mut Simulator, ft: &FatTree, src: usize, dst: usize, sport: u16, bytes: u64) {
-    let key = FlowKey::tcp(ft.host_ips[src], sport, ft.host_ips[dst], 80);
-    let h = ft.hosts[src];
-    let idx = sim.host_mut(h).add_flow(FlowSpec {
-        key,
-        total_bytes: bytes,
-        pkt_payload: 1000,
-        rate_gbps: 5.0,
-        start_ns: 0,
-        dscp: 0,
-    });
-    sim.schedule_flow(h, idx);
-}
-
-fn drive_lossy_fabric(sim: &mut Simulator, ft: &FatTree, drop_prob: f64) {
-    for s in 0..8 {
-        add_flow(sim, ft, s, 7 - s, 2000 + s as u16, 4_000_000);
-    }
-    for pod in 0..2 {
-        let tor = ft.edges[pod][0];
-        for port in 0..2 {
-            sim.link_direction_mut(tor, port).unwrap().faults.drop_prob = drop_prob;
-        }
-    }
 }
 
 /// Run one scenario to `HORIZON` and capture every observable.
