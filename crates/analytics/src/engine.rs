@@ -267,11 +267,7 @@ impl AnalyticsEngine {
     /// `ingested == aggregated + sketch_absorbed + shed_analytics` holds
     /// per shard and therefore for the sum.
     pub fn ledger(&self) -> AnalyticsLedger {
-        let mut total = AnalyticsLedger::default();
-        for s in &self.shards {
-            total.absorb(&s.ledger);
-        }
-        total
+        self.shards.iter().map(|s| s.ledger).sum()
     }
 
     /// The heaviest victim flows across all shards: disjoint union of the

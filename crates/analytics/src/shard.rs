@@ -86,16 +86,35 @@ impl AnalyticsLedger {
             self.missing()
         );
     }
+}
 
-    /// Sum another ledger into this one.
-    pub fn absorb(&mut self, other: &AnalyticsLedger) {
-        self.ingested += other.ingested;
-        self.aggregated += other.aggregated;
-        self.sketch_absorbed += other.sketch_absorbed;
-        self.shed_analytics += other.shed_analytics;
-        self.late_admitted += other.late_admitted;
-        self.late_shed += other.late_shed;
-        self.pending_reorder += other.pending_reorder;
+impl std::ops::AddAssign for AnalyticsLedger {
+    fn add_assign(&mut self, rhs: Self) {
+        let AnalyticsLedger {
+            ingested,
+            aggregated,
+            sketch_absorbed,
+            shed_analytics,
+            late_admitted,
+            late_shed,
+            pending_reorder,
+        } = rhs;
+        self.ingested += ingested;
+        self.aggregated += aggregated;
+        self.sketch_absorbed += sketch_absorbed;
+        self.shed_analytics += shed_analytics;
+        self.late_admitted += late_admitted;
+        self.late_shed += late_shed;
+        self.pending_reorder += pending_reorder;
+    }
+}
+
+impl std::iter::Sum for AnalyticsLedger {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |mut acc, l| {
+            acc += l;
+            acc
+        })
     }
 }
 
@@ -442,7 +461,7 @@ mod tests {
     }
 
     #[test]
-    fn ledger_absorb_sums_shards() {
+    fn ledger_add_assign_sums_shards() {
         let mut a = AnalyticsLedger {
             ingested: 3,
             aggregated: 2,
@@ -451,7 +470,7 @@ mod tests {
         };
         let b =
             AnalyticsLedger { ingested: 2, aggregated: 1, shed_analytics: 1, ..Default::default() };
-        a.absorb(&b);
+        a += b;
         assert_eq!(a.ingested, 5);
         a.assert_balanced();
     }

@@ -218,20 +218,21 @@ impl CebpBatcher {
     }
 
     /// Force a partial batch out (the control-plane timer prevents events
-    /// from aging in a half-full CEBP when traffic is light). Under
+    /// from aging in a half-full CEBP when traffic is light), handing it
+    /// out after the full batches circulation completed by `now_ns`. Under
     /// backpressure ([`set_flush_stride`](Self::set_flush_stride) > 1)
-    /// skipped calls return `None` without touching circulation: events
+    /// skipped calls return nothing without touching circulation: events
     /// keep accumulating toward fuller batches instead of being forced
     /// out every tick.
-    pub fn flush(&mut self, now_ns: u64) -> Option<Batch> {
+    pub fn flush(&mut self, now_ns: u64) -> Vec<Batch> {
         self.flush_calls += 1;
         if !self.flush_calls.is_multiple_of(u64::from(self.flush_stride)) {
             self.flushes_skipped += 1;
-            return None;
+            return Vec::new();
         }
-        let _ = self.poll(now_ns);
+        let mut out = self.poll(now_ns);
         if self.open.is_empty() && self.stack.is_empty() {
-            return None;
+            return out;
         }
         self.open.append(&mut self.stack);
         let mut start = self.next_visit_ns.max(now_ns);
@@ -243,7 +244,8 @@ impl CebpBatcher {
         let events = std::mem::take(&mut self.open);
         self.delivered_batches += 1;
         self.delivered_events += events.len() as u64;
-        Some(Batch { ready_ns: deliver_at, events })
+        out.push(Batch { ready_ns: deliver_at, events });
+        out
     }
 
     /// Restart in place: drop the stack, the open CEBP and the circulation
@@ -339,11 +341,29 @@ mod tests {
         for n in 0..7 {
             b.push(0, ev(n));
         }
-        let batch = b.flush(10_000).expect("partial batch");
-        assert_eq!(batch.events.len(), 7);
-        assert!(batch.ready_ns >= 10_000);
+        let batches = b.flush(10_000);
+        assert_eq!(batches.len(), 1, "one partial batch");
+        assert_eq!(batches[0].events.len(), 7);
+        assert!(batches[0].ready_ns >= 10_000);
         assert_eq!(b.backlog(), 0);
-        assert!(b.flush(20_000).is_none());
+        assert!(b.flush(20_000).is_empty());
+    }
+
+    #[test]
+    fn flush_hands_out_the_batches_its_poll_completes() {
+        let mut b = CebpBatcher::new(&cfg(10));
+        for n in 0..25 {
+            b.push(0, ev(n));
+        }
+        // No prior poll: circulation completes two full batches by now,
+        // and the remaining five go out as the forced partial.
+        let batches = b.flush(1_000_000);
+        let sizes: Vec<usize> = batches.iter().map(|x| x.events.len()).collect();
+        assert_eq!(sizes, vec![10, 10, 5]);
+        assert_eq!(b.backlog(), 0);
+        let handed_out: Vec<EventRecord> = batches.into_iter().flat_map(|x| x.events).collect();
+        assert_eq!(handed_out, (0..25).map(ev).collect::<Vec<_>>(), "in order, none lost");
+        assert_eq!(b.delivered_events, 25, "booked exactly what was handed out");
     }
 
     #[test]
@@ -353,7 +373,7 @@ mod tests {
         let mut flushed = 0;
         for tick in 1..=8u64 {
             b.push(tick * 1_000, ev(tick as u16));
-            if b.flush(tick * 1_000).is_some() {
+            if !b.flush(tick * 1_000).is_empty() {
                 flushed += 1;
             }
         }
@@ -364,7 +384,7 @@ mod tests {
         // Stride 1 restores flush-every-call.
         b.set_flush_stride(1);
         b.push(9_000, ev(9));
-        assert!(b.flush(9_000).is_some());
+        assert!(!b.flush(9_000).is_empty());
         // Stride 0 is clamped, never a division by zero.
         b.set_flush_stride(0);
         assert_eq!(b.flush_stride(), 1);

@@ -72,8 +72,8 @@ fn netseer_on(node: &Node) -> Option<&NetSeerMonitor> {
 }
 
 /// The one place a node's monitor is downcast to NetSeer (mutable form).
-/// `None` when the node has no monitor attached (never deployed, or
-/// detached by a crash) or runs a different monitor.
+/// `None` when the node has no monitor attached or runs a different
+/// monitor; a crashed one stays attached ([`NetSeerMonitor::is_down`]).
 pub(crate) fn netseer_mut(sim: &mut Simulator, id: NodeId) -> Option<&mut NetSeerMonitor> {
     let m = match &mut sim.nodes[id as usize] {
         Node::Switch(s) => s.monitor.as_mut(),
@@ -83,9 +83,9 @@ pub(crate) fn netseer_mut(sim: &mut Simulator, id: NodeId) -> Option<&mut NetSee
     m?.as_any_mut().downcast_mut::<NetSeerMonitor>()
 }
 
-/// Every attached NetSeer monitor, switches and NICs alike, in node-id
-/// order. The one way to walk the fleet; every fleet-wide view below is a
-/// fold over it.
+/// Every attached NetSeer monitor — switches and NICs, down ones included
+/// — in node-id order. The one way to walk the fleet; every fleet-wide
+/// view below is a fold over it.
 pub fn monitors(sim: &Simulator) -> impl Iterator<Item = &NetSeerMonitor> {
     sim.nodes.iter().filter_map(netseer_on)
 }

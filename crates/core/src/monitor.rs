@@ -322,6 +322,12 @@ impl NetSeerMonitor {
         self.wedged
     }
 
+    /// Is the switch-CPU process down — crashed and not yet restarted?
+    /// Every hook is a no-op meanwhile.
+    pub fn is_down(&self) -> bool {
+        self.recovery.killed_at().is_some()
+    }
+
     /// Poison CEBP frames held for quarantine (bounded, oldest first).
     pub fn poison_frames(&self) -> &[PoisonFrame] {
         &self.poison
@@ -598,12 +604,15 @@ impl NetSeerMonitor {
         &self.clock
     }
 
-    /// The switch-CPU process dies at `now_ns`. Detach the monitor from
-    /// the device until [`restart`](Self::restart) — the data plane keeps
-    /// forwarding unobserved meanwhile. A clean stop checkpoints
-    /// everything on the way down (lossless); a hard kill loses the
-    /// un-fsynced WAL tail.
+    /// The switch-CPU process dies at `now_ns`: the monitor stays on its
+    /// device, [down](Self::is_down), until [`restart`](Self::restart) —
+    /// the data plane forwards unobserved meanwhile. A clean stop
+    /// checkpoints on the way down (lossless); a hard kill loses the
+    /// un-fsynced WAL tail. Crashing a down monitor does nothing.
     pub fn crash(&mut self, kind: CrashKind, now_ns: u64) {
+        if self.is_down() {
+            return;
+        }
         if kind == CrashKind::Clean {
             self.checkpoint(now_ns);
         }
@@ -752,6 +761,9 @@ impl SwitchMonitor for NetSeerMonitor {
         frame: &mut Vec<u8>,
         out: &mut Actions,
     ) -> HookVerdict {
+        if self.is_down() {
+            return HookVerdict::Continue;
+        }
         self.device = ctx.node;
         self.stats.packets_seen += 1;
         self.stats.packets_bytes += frame.len() as u64;
@@ -822,7 +834,7 @@ impl SwitchMonitor for NetSeerMonitor {
     }
 
     fn on_routed(&mut self, ctx: &RoutedCtx, frame: &[u8], out: &mut Actions) {
-        if self.role == Role::Nic {
+        if self.role == Role::Nic || self.is_down() {
             return;
         }
         // Pause event: the packet heads to a queue our tracker says is
@@ -866,7 +878,7 @@ impl SwitchMonitor for NetSeerMonitor {
         acl_rule: u32,
         out: &mut Actions,
     ) {
-        if self.role == Role::Nic {
+        if self.role == Role::Nic || self.is_down() {
             return;
         }
         if code == DropCode::AclDeny {
@@ -918,7 +930,7 @@ impl SwitchMonitor for NetSeerMonitor {
     }
 
     fn on_mmu_drop(&mut self, ctx: &RoutedCtx, frame: &[u8], out: &mut Actions) {
-        if self.role == Role::Nic {
+        if self.role == Role::Nic || self.is_down() {
             return;
         }
         // The MMU redirects the doomed packet to an internal port (≤40 Gbps,
@@ -945,6 +957,9 @@ impl SwitchMonitor for NetSeerMonitor {
     }
 
     fn on_egress(&mut self, ctx: &EgressCtx<'_>, frame: &mut Vec<u8>, out: &mut Actions) {
+        if self.is_down() {
+            return;
+        }
         // Congestion: the switch's own threshold verdict (switch role only),
         // so detection and ground truth can never disagree.
         if self.role == Role::Switch && ctx.congested {
@@ -983,8 +998,9 @@ impl SwitchMonitor for NetSeerMonitor {
     fn on_timer(&mut self, now_ns: u64, _counters: &[PortCounters], out: &mut Actions) {
         // A wedged control loop does nothing: the heartbeat freezes (the
         // watchdog's suspicion signal), batches pile up and shed by
-        // priority, and no checkpoints are taken.
-        if self.wedged {
+        // priority, and no checkpoints are taken. A dead one does nothing
+        // either.
+        if self.wedged || self.is_down() {
             return;
         }
         self.heartbeat += 1;
@@ -994,9 +1010,6 @@ impl SwitchMonitor for NetSeerMonitor {
                 self.drain_pending(now_ns, p, 64, out);
             }
         }
-        // Deliver batches that completed on their own BEFORE flushing:
-        // flush() polls internally and discards the ready batches it
-        // finds, so they must go through deliver_batch first.
         self.pump(now_ns, out);
         // Collector backpressure widens the flush interval: a pressured
         // collector means partial batches wait 2^level ticks (bounded by
@@ -1006,7 +1019,7 @@ impl SwitchMonitor for NetSeerMonitor {
         let stride = (1u32 << level).min(BACKPRESSURE_MAX_WIDEN);
         self.batcher.set_flush_stride(stride);
         // Age out partial batches so light traffic still reports promptly.
-        if let Some(batch) = self.batcher.flush(now_ns) {
+        for batch in self.batcher.flush(now_ns) {
             self.deliver_batch(batch, out);
         }
         self.cpu.expire(now_ns);

@@ -30,7 +30,8 @@
 //! 4. **Restart drivers** ([`schedule_device_crashes`],
 //!    [`run_collector_crash_drill`]): turn a crash schedule — typically
 //!    drawn by [`seeded_device_crashes`] — into scripted kill/restart
-//!    actions inside the simulator.
+//!    actions inside the simulator. A crashed monitor stays on its node,
+//!    down, until it restarts in place.
 //!
 //! [`seeded_device_crashes`]: crate::faults::seeded_device_crashes
 
@@ -397,6 +398,11 @@ impl RecoveryLog {
     /// tail, as before.
     pub fn set_torn_wal(&mut self, gen: CorruptionGen) {
         self.torn_wal = Some(gen);
+    }
+
+    /// When the component died, while it is down (until `complete_restart`).
+    pub(crate) fn killed_at(&self) -> Option<u64> {
+        self.kill.map(|k| k.at_ns)
     }
 
     /// Reconstruct the pending set from the durable state (snapshot + the
@@ -798,37 +804,26 @@ impl CrashLog {
 
 /// Script device crashes (e.g. from
 /// [`seeded_device_crashes`](crate::faults::seeded_device_crashes)) into
-/// the simulator: at `at_ns` the device's monitor is detached (the switch
-/// CPU dies; the data plane keeps forwarding unobserved), and at
-/// `restart_ns` it recovers from its checkpoint + WAL, reconnects its
-/// transport under a new epoch, and is reattached. Neighboring switches
-/// re-base their gap detectors for the restarted peer's ports so the
-/// post-restart sequence discontinuity is not mistaken for a loss burst.
+/// the simulator: at `at_ns` the device's switch CPU dies and its monitor
+/// goes down in place (the data plane keeps forwarding unobserved); at
+/// `restart_ns` it restarts in place from its checkpoint + WAL under a new
+/// transport epoch, and its neighbours re-base their gap detectors. A
+/// crash that lands on a device already down is a no-op, and so is its
+/// restart.
 ///
 /// Call after [`deploy`](crate::deploy::deploy) and before `run_until`.
 pub fn schedule_device_crashes(sim: &mut Simulator, crashes: &[DeviceCrash]) -> CrashLog {
     let log = CrashLog::default();
     for c in crashes.iter().copied() {
         assert!(c.restart_ns > c.at_ns, "restart must follow the kill: {c:?}");
-        let stash: Arc<Mutex<Option<Box<dyn fet_netsim::monitor::SwitchMonitor>>>> =
-            Arc::new(Mutex::new(None));
-
-        let kill_stash = Arc::clone(&stash);
         sim.schedule_control(c.at_ns, move |s| {
             if let Some(ns) = netseer_mut(s, c.device) {
                 ns.crash(c.kind, c.at_ns);
             }
-            // Detaching the monitor is the fault being modelled.
-            *kill_stash.lock().unwrap() = s.take_node_monitor(c.device);
         });
-
-        let restart_stash = Arc::clone(&stash);
         let reports = Arc::clone(&log.reports);
         sim.schedule_control(c.restart_ns, move |s| {
-            let Some(bm) = restart_stash.lock().unwrap().take() else {
-                return;
-            };
-            if let Some(report) = restart_detached(s, c.device, bm, c.restart_ns) {
+            if let Some(report) = restart_in_place(s, c.device, c.at_ns, c.restart_ns) {
                 reports.lock().unwrap().push(report);
             }
         });
@@ -837,31 +832,29 @@ pub fn schedule_device_crashes(sim: &mut Simulator, crashes: &[DeviceCrash]) -> 
 }
 
 /// The one restart path, shared by scripted crashes and the watchdog's
-/// supervised restarts: reattach a detached monitor to `device`, recover
-/// it from its checkpoint + WAL at `now_ns`, and re-base every
-/// neighbour's gap detector on the restarted tagger so the sequence
-/// discontinuity is not charged as inter-switch loss. Neighbours are
-/// switches AND host NICs (edge ports are tagged when NIC deployment is
-/// on); a neighbour currently crashed itself is skipped, since its own
-/// restart re-bases all its detectors. Returns the crash report, or
-/// `None` when the monitor is not NetSeer.
-pub(crate) fn restart_detached(
+/// supervised restarts: if `device`'s monitor is down from the kill at
+/// `killed_ns`, recover it in place at `now_ns` and re-base every
+/// neighbour's gap detector (switches and NICs) on the restarted tagger,
+/// so the sequence discontinuity is not charged as inter-switch loss. A
+/// neighbour that is down itself is skipped: its own restart re-bases it.
+/// `None` when the monitor is not NetSeer or not down from that kill.
+pub(crate) fn restart_in_place(
     s: &mut Simulator,
     device: u32,
-    monitor: Box<dyn fet_netsim::monitor::SwitchMonitor>,
+    killed_ns: u64,
     now_ns: u64,
 ) -> Option<CrashReport> {
-    s.install_node_monitor(device, monitor);
-    let report = netseer_mut(s, device).map(|ns| ns.restart(now_ns));
+    let ns = netseer_mut(s, device).filter(|ns| ns.recovery.killed_at() == Some(killed_ns))?;
+    let report = ns.restart(now_ns);
     let ports: Vec<u8> =
         s.adjacency().get(&device).into_iter().flatten().map(|&(port, _)| port).collect();
     for port in ports {
         let Some((nb, nb_port)) = s.peer_of(device, port) else { continue };
-        if let Some(ns) = netseer_mut(s, nb) {
+        if let Some(ns) = netseer_mut(s, nb).filter(|ns| !ns.is_down()) {
             ns.rebase_ingress(nb_port);
         }
     }
-    report
+    Some(report)
 }
 
 /// Drive a collector through a crash schedule against a time-ordered

@@ -34,7 +34,7 @@
 
 use crate::deploy::{monitor_of, netseer_mut};
 use crate::faults::CrashKind;
-use crate::recovery::{restart_detached, CrashReport};
+use crate::recovery::{restart_in_place, CrashReport};
 use fet_netsim::engine::Simulator;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -170,25 +170,23 @@ pub fn schedule_watchdog(
     assert!(cfg.missed_beats > 0, "a zero-tolerance watchdog would kill healthy monitors");
     let log = WatchdogLog::default();
     let tracked: Arc<Mutex<HashMap<u32, Tracked>>> = Arc::new(Mutex::new(HashMap::new()));
-    // Suspect monitors wait here, detached, between the kill and restart.
-    let stash: Arc<Mutex<HashMap<u32, Box<dyn fet_netsim::monitor::SwitchMonitor>>>> =
-        Arc::new(Mutex::new(HashMap::new()));
 
     let interval = cfg.check_interval_ns.max(1);
     let devices: Arc<Vec<u32>> = Arc::new(devices.to_vec());
     let mut check_at = interval;
     while check_at <= until_ns {
         let tracked = Arc::clone(&tracked);
-        let stash = Arc::clone(&stash);
         let devices = Arc::clone(&devices);
         let incidents = Arc::clone(&log.incidents);
         let restarts = Arc::clone(&log.restarts);
         let skew_stats = Arc::clone(&log.skew);
         sim.schedule_control(check_at, move |s| {
             for &device in devices.iter() {
-                // A detached monitor (crashed, or already suspect) has no
+                // A down monitor (crashed, or already suspect) has no
                 // heartbeat to sample; its restart resets the tracker.
-                let Some(ns) = netseer_mut(s, device) else { continue };
+                let Some(ns) = netseer_mut(s, device).filter(|ns| !ns.is_down()) else {
+                    continue;
+                };
                 let beat = ns.heartbeat;
                 // Observability only: record how far the monitor's local
                 // clock has wandered from the supervisor's. Liveness below
@@ -213,9 +211,8 @@ pub fn schedule_watchdog(
                         continue;
                     }
                 }
-                // Suspect: hard-kill now (a hung process flushes nothing),
-                // detach and stash the monitor, and schedule the
-                // supervised restart.
+                // Suspect: hard-kill now (a hung process flushes nothing)
+                // and schedule the supervised restart.
                 let restart_ns = check_at + cfg.restart_delay_ns.max(1);
                 ns.crash(CrashKind::Hard, check_at);
                 incidents.lock().unwrap().push(Incident {
@@ -224,18 +221,11 @@ pub fn schedule_watchdog(
                     stuck_heartbeat: beat,
                     restart_ns,
                 });
-                if let Some(bm) = s.take_node_monitor(device) {
-                    stash.lock().unwrap().insert(device, bm);
-                }
 
                 let tracked = Arc::clone(&tracked);
-                let stash = Arc::clone(&stash);
                 let restarts = Arc::clone(&restarts);
                 s.schedule_control(restart_ns, move |s| {
-                    let Some(bm) = stash.lock().unwrap().remove(&device) else {
-                        return;
-                    };
-                    if let Some(report) = restart_detached(s, device, bm, restart_ns) {
+                    if let Some(report) = restart_in_place(s, device, check_at, restart_ns) {
                         restarts.lock().unwrap().push(report);
                         // Fresh baseline: supervision resumes from the
                         // restarted process's first heartbeat.

@@ -384,21 +384,21 @@ impl Simulator {
         }
     }
 
-    /// Detach the monitor of any node (switch or host) — the crash half of
-    /// a device restart. The data plane keeps forwarding; the node's
-    /// monitor timer keeps firing and finding nothing, so a later
-    /// [`install_node_monitor`](Simulator::install_node_monitor) resumes
-    /// ticks without re-arming.
+    /// Remove the monitor of any node (switch or host), e.g. to wrap it
+    /// and reinstall it with
+    /// [`install_node_monitor`](Simulator::install_node_monitor). The
+    /// node's monitor timer keeps firing and finding nothing meanwhile, so
+    /// reinstalling resumes ticks without re-arming.
     pub fn take_node_monitor(&mut self, id: NodeId) -> Option<Box<dyn SwitchMonitor>> {
         match &mut self.nodes[id as usize] {
-            Node::Switch(s) => s.take_monitor(),
+            Node::Switch(s) => s.monitor.take(),
             Node::Host(h) => h.monitor.take(),
             Node::Vacant => None,
         }
     }
 
-    /// Reattach a monitor to any node — the restart half of a device
-    /// restart.
+    /// Attach a monitor to any node (switch or host), replacing any
+    /// monitor already there.
     pub fn install_node_monitor(&mut self, id: NodeId, m: Box<dyn SwitchMonitor>) {
         match &mut self.nodes[id as usize] {
             Node::Switch(s) => s.set_monitor(m),

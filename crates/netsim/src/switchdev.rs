@@ -206,17 +206,6 @@ impl SwitchDevice {
         self.monitor = Some(m);
     }
 
-    /// Detach the telemetry monitor (a switch-CPU crash). Frames keep
-    /// forwarding while the monitor is away — the data plane does not stop
-    /// when the CPU dies — but nothing is observed, tagged, or reported
-    /// until a monitor is reattached via
-    /// [`set_monitor`](SwitchDevice::set_monitor). The periodic monitor
-    /// timer keeps firing (and finding no monitor), so reattachment needs
-    /// no re-arming.
-    pub fn take_monitor(&mut self) -> Option<Box<dyn SwitchMonitor>> {
-        self.monitor.take()
-    }
-
     fn qidx(&self, port: u8, queue: u8) -> usize {
         usize::from(port) * usize::from(QUEUES) + usize::from(queue)
     }
@@ -276,30 +265,21 @@ impl SwitchDevice {
             return fx;
         }
 
-        let mut meta = PacketMeta::arriving(port, now_ns, frame.len());
-
-        // Monitor ingress hook (strip sequence tags, consume notifications).
-        let mut actions = Actions::new();
+        // Monitor ingress hook (reads sequence tags, consumes notifications).
         if let Some(m) = self.monitor.as_mut() {
             let ctx = IngressCtx { now_ns, node: self.id, port, peer_tagged: self.tag_ports[p] };
+            let mut actions = Actions::new();
             let verdict = m.on_ingress(&ctx, &mut frame, &mut actions);
             self.apply_actions(now_ns, actions, gt, &mut fx);
             if verdict == HookVerdict::Consume {
                 return fx;
             }
-            meta.frame_len = frame.len();
-        } else {
-            // Hop-local sequence tags are parsed out by the ASIC data plane;
-            // that happens whether or not a switch CPU (monitor) is attached.
-            // A crashed/detached monitor must therefore never leak a tag to
-            // the next hop — only the *observation* stops during downtime.
-            use fet_packet::ethernet::{EtherType, EthernetFrame};
-            if EthernetFrame::new_unchecked(&frame).ethertype() == EtherType::NetSeerSeq
-                && fet_packet::builder::strip_seqtag_in_place(&mut frame).is_ok()
-            {
-                meta.frame_len = frame.len();
-            }
         }
+        // Hop-local sequence tags are parsed out by the ASIC data plane,
+        // whatever the monitor did: a missing, crashed or tag-blind monitor
+        // never leaks a tag to the next hop.
+        let _ = fet_packet::builder::strip_seqtag_in_place(&mut frame);
+        let meta = PacketMeta::arriving(port, now_ns, frame.len());
 
         match classify(&frame) {
             FrameKind::Pfc => {
@@ -311,8 +291,8 @@ impl SwitchDevice {
                 fx
             }
             FrameKind::LossNotification => {
-                // A notification not consumed by a monitor (none attached):
-                // nothing useful to do — count it as handled.
+                // A notification no monitor consumed (none attached, or it
+                // is down): nothing useful to do — count it as handled.
                 fx
             }
             FrameKind::Cebp | FrameKind::Other => {
@@ -1032,6 +1012,34 @@ mod tests {
                 }
             }
             assert_eq!(resumed, vec![1, 3, 5], "XON frames leave in port order");
+        }
+    }
+
+    /// A monitor that lets every frame through untouched.
+    struct Passive;
+    impl SwitchMonitor for Passive {
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    #[test]
+    fn seq_tag_never_leaks_to_the_next_hop() {
+        for monitor in [None, Some(Box::new(Passive) as Box<dyn SwitchMonitor>)] {
+            let mut s = sw();
+            s.monitor = monitor;
+            let mut gt = GroundTruth::new();
+            let pkt = build_data_packet(&flow(), 100, 0, 0, 64);
+            let mut tagged = pkt.clone();
+            fet_packet::builder::insert_seqtag_in_place(&mut tagged, 7).unwrap();
+            let _ = s.handle_arrival(0, 1, tagged, false, &mut gt);
+            let out = s.dequeue(0, 2, &mut gt).unwrap();
+            let eth = fet_packet::ethernet::EthernetFrame::new_unchecked(&out.frame[..]);
+            assert_eq!(eth.ethertype(), fet_packet::ethernet::EtherType::Ipv4, "tag stripped");
+            assert_eq!(out.frame.len(), pkt.len());
         }
     }
 

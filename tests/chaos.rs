@@ -25,7 +25,7 @@ use netseer::deploy::{
 use netseer::faults::{seeded_device_crashes, streams, OverloadWindow};
 use netseer::{
     schedule_device_crashes, schedule_watchdog, schedule_wedge, Collector, CollectorConfig,
-    CorruptionGen, CorruptionSpec, CrashKind, FaultPlan, LossProcess, NetSeerConfig,
+    CorruptionGen, CorruptionSpec, CrashKind, DeviceCrash, FaultPlan, LossProcess, NetSeerConfig,
     WatchdogConfig, Window,
 };
 
@@ -212,7 +212,7 @@ fn same_seed_reproduces_the_same_chaos() {
 
 /// Seeded crash schedule used by the crash-recovery scenarios: every
 /// switch CPU dies once inside [2 ms, 10 ms) and restarts 500 µs later.
-fn crash_schedule(s: u64, sim: &Simulator, kind: CrashKind) -> Vec<netseer::DeviceCrash> {
+fn crash_schedule(s: u64, sim: &Simulator, kind: CrashKind) -> Vec<DeviceCrash> {
     seeded_device_crashes(
         s,
         &sim.switch_ids(),
@@ -1076,4 +1076,67 @@ fn same_seed_reproduces_the_same_crashes() {
     let a = run(seed(7));
     assert_eq!(a, run(seed(7)), "same seed must reproduce crashes bit-for-bit");
     assert!(a != run(seed(8)), "different seeds should move the crash windows");
+}
+
+/// A crashed switch CPU stays in every fleet view. While one ToR is down,
+/// the fleet ledger and the delivered history (the at-least-once replay
+/// source collector reconciliation reads) never go backwards, and the
+/// monitor reports itself down until it restarts in place.
+#[test]
+fn fleet_views_hold_steady_while_a_device_is_down() {
+    let faults = FaultPlan { seed: seed(0xD0A1), ..FaultPlan::default() };
+    let (mut sim, ft) = setup(NetSeerConfig { faults, ..NetSeerConfig::default() });
+    drive_lossy_fabric(&mut sim, &ft, 0.02);
+    let tor = ft.edges[0][0];
+    let crash = DeviceCrash {
+        device: tor,
+        at_ns: 2 * MILLIS,
+        restart_ns: 4 * MILLIS,
+        kind: CrashKind::Clean,
+    };
+    let log = schedule_device_crashes(&mut sim, &[crash]);
+
+    sim.run_until(2 * MILLIS - MICROS);
+    assert!(!monitor_of(&sim, tor).is_down());
+    let before = (fleet_ledger(&sim).generated, delivered_history(&sim).len());
+    assert!(monitor_of(&sim, tor).ledger().generated > 0, "the victim must hold events");
+
+    sim.run_until(3 * MILLIS);
+    assert!(monitor_of(&sim, tor).is_down(), "down between kill and restart");
+    let during = (fleet_ledger(&sim).generated, delivered_history(&sim).len());
+    assert!(during.0 >= before.0, "fleet generated went backwards: {before:?} -> {during:?}");
+    assert!(during.1 >= before.1, "delivered history shrank: {before:?} -> {during:?}");
+
+    sim.run_until(6 * MILLIS);
+    assert!(!monitor_of(&sim, tor).is_down(), "the restart brings it back");
+    assert_eq!(log.len(), 1);
+    assert_eq!(fleet_ledger(&sim).missing(), 0);
+}
+
+/// Crashes that land while a device is already down are no-ops, and so
+/// are their restarts: one device, three overlapping kills, exactly one
+/// restart — the first schedule's — and a balanced ledger.
+#[test]
+fn overlapping_crashes_restart_a_device_once() {
+    let faults = FaultPlan { seed: seed(0x0EA1), ..FaultPlan::default() };
+    let (mut sim, ft) = setup(NetSeerConfig { faults, ..NetSeerConfig::default() });
+    drive_lossy_fabric(&mut sim, &ft, 0.02);
+    let tor = ft.edges[1][0];
+    let crash = |at_ns, restart_ns, kind| DeviceCrash { device: tor, at_ns, restart_ns, kind };
+    let first = crash(2 * MILLIS, 4 * MILLIS, CrashKind::Hard);
+    let nested = crash(2500 * MICROS, 3 * MILLIS, CrashKind::Clean);
+    let trailing = crash(3500 * MICROS, 5 * MILLIS, CrashKind::Clean);
+    let log = schedule_device_crashes(&mut sim, &[first, nested, trailing]);
+    sim.run_until(30 * MILLIS);
+
+    let reports = log.reports();
+    assert_eq!(reports.len(), 1, "one restart: {reports:?}");
+    assert_eq!(
+        (reports[0].kind, reports[0].killed_ns, reports[0].restart_ns),
+        (CrashKind::Hard, first.at_ns, first.restart_ns)
+    );
+    let m = monitor_of(&sim, tor);
+    assert!(!m.is_down());
+    assert_eq!(m.recovery.restarts, 1);
+    assert_eq!(fleet_ledger(&sim).missing(), 0);
 }
