@@ -1005,10 +1005,10 @@ impl SwitchMonitor for NetSeerMonitor {
         }
         self.heartbeat += 1;
         // CPU-assisted backstop: drain pending lookups even on quiet ports.
-        for p in 0..=255u8 {
-            if self.pending.get(p).is_some() {
-                self.drain_pending(now_ns, p, 64, out);
-            }
+        // Draining touches no other port's entry, so the table's ports hold
+        // still while the loop borrows the monitor.
+        for i in 0..self.pending.len() {
+            self.drain_pending(now_ns, self.pending.port_at(i), 64, out);
         }
         self.pump(now_ns, out);
         // Collector backpressure widens the flush interval: a pressured

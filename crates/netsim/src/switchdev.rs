@@ -413,11 +413,14 @@ impl SwitchDevice {
             ip.decrement_ttl();
         }
 
-        // Route: resolve the ECMP member while the route is borrowed.
+        // Route: resolve the ECMP member while the route is borrowed. A
+        // one-member route (every downlink) needs no hash: `h % 1 == 0`.
         let route = self.routes.lookup(flow.dst).filter(|v| !v.is_empty());
         let hash = &self.ecmp_hash;
-        let Some(egress_port) = route.map(|ecmp| ecmp[hash.hash_flow(&flow) as usize % ecmp.len()])
-        else {
+        let Some(egress_port) = route.map(|ecmp| match ecmp[..] {
+            [only] => only,
+            _ => ecmp[hash.hash_flow(&flow) as usize % ecmp.len()],
+        }) else {
             self.pipeline_drop(
                 now_ns,
                 &ictx,
@@ -801,6 +804,41 @@ mod tests {
         // TTL decremented in flight.
         let ipp = Ipv4Packet::new_unchecked(&out.frame[ETHERNET_HEADER_LEN..]);
         assert_eq!(ipp.ttl(), 63);
+    }
+
+    /// The egress port `s` picks for `flow`, read off the kick set.
+    fn egress_of(s: &mut SwitchDevice, flow: &FlowKey) -> u8 {
+        let mut gt = GroundTruth::new();
+        let pkt = build_data_packet(flow, 100, 0, 0, 64);
+        let fx = s.handle_arrival(0, 1, pkt, false, &mut gt);
+        let ports: Vec<u8> = fx.kick_ports.iter().collect();
+        assert_eq!(ports.len(), 1, "one egress per packet");
+        let port = ports[0];
+        s.dequeue(0, port, &mut gt).expect("queued");
+        port
+    }
+
+    #[test]
+    fn ecmp_member_choice() {
+        let flows: Vec<FlowKey> =
+            (0..200u16).map(|sp| FlowKey::tcp(ip(10, 0, 0, 1), sp, ip(10, 0, 1, 1), 80)).collect();
+        // A one-member route forwards every flow to that member.
+        let mut single = sw();
+        for f in &flows {
+            assert_eq!(egress_of(&mut single, f), 2, "{f:?}");
+        }
+        // A two-member route splits exactly as `hash_flow % 2` over the
+        // switch's seeded ECMP unit, 100/100 as it always has.
+        let mut pair = SwitchDevice::new(0, "sw0", SwitchConfig::default());
+        pair.routes.insert(ip(10, 0, 1, 0), 24, vec![2, 5]);
+        let unit = HashUnit::new("ecmp", SwitchConfig::default().ecmp_seed, 32);
+        let mut split = [0usize; 2];
+        for f in &flows {
+            let want = [2, 5][unit.hash_flow(f) as usize % 2];
+            assert_eq!(egress_of(&mut pair, f), want, "{f:?}");
+            split[usize::from(want == 5)] += 1;
+        }
+        assert_eq!(split, [100, 100]);
     }
 
     #[test]

@@ -15,7 +15,9 @@ use fet_packet::flow::{FlowKey, FLOW_KEY_LEN};
 #[derive(Debug, Clone)]
 pub struct HashUnit {
     name: &'static str,
-    seed: u32,
+    /// The CRC register after the big-endian seed bytes: every hash starts
+    /// from here instead of re-feeding the seed.
+    seeded: u32,
     output_bits: u32,
 }
 
@@ -23,14 +25,14 @@ impl HashUnit {
     /// Create a hash unit. `output_bits` ≤ 32; outputs are masked to it.
     pub fn new(name: &'static str, seed: u32, output_bits: u32) -> Self {
         assert!((1..=32).contains(&output_bits), "hash output must be 1..=32 bits");
-        HashUnit { name, seed, output_bits }
+        let seeded = crc32_update(0xffff_ffff, &seed.to_be_bytes());
+        HashUnit { name, seeded, output_bits }
     }
 
     /// Hash arbitrary bytes: CRC-32 over the big-endian seed followed by
     /// `data`, streamed through one register (no concatenated copy).
     pub fn hash_bytes(&self, data: &[u8]) -> u32 {
-        let seeded = crc32_update(0xffff_ffff, &self.seed.to_be_bytes());
-        let h = !crc32_update(seeded, data);
+        let h = !crc32_update(self.seeded, data);
         if self.output_bits == 32 {
             h
         } else {

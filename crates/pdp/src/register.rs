@@ -18,10 +18,17 @@ pub const MAX_CELL_BITS_PER_STAGE: u32 = 128;
 ///
 /// The emulator stores cells as plain Rust values but *accounts* for them as
 /// hardware would: SRAM bits, one stateful ALU per touched stage, and
-/// `stages_spanned()` pipeline stages.
+/// `stages_spanned()` pipeline stages. The ledger always charges the
+/// configured `size`; the host commits the cells only on the first write,
+/// so an array nobody writes costs no heap (an unwritten cell reads as
+/// `V::default()`, exactly as a freshly cleared SRAM would).
 #[derive(Debug, Clone)]
 pub struct RegisterArray<V: Copy + Default> {
     name: &'static str,
+    /// Configured cell count: what hashing indexes into and the ledger
+    /// charges, whether or not `cells` is committed yet.
+    size: usize,
+    /// Empty until the first write, then exactly `size` cells.
     cells: Vec<V>,
     cell_bits: u32,
     /// Total read-modify-write operations performed (for ALU pressure
@@ -30,19 +37,30 @@ pub struct RegisterArray<V: Copy + Default> {
 }
 
 impl<V: Copy + Default> RegisterArray<V> {
-    /// Allocate an array of `size` cells of `cell_bits` logical width.
+    /// An array of `size` cells of `cell_bits` logical width. No cell
+    /// storage is allocated until the first write.
     pub fn new(name: &'static str, size: usize, cell_bits: u32) -> Self {
-        RegisterArray { name, cells: vec![V::default(); size], cell_bits, rmw_ops: 0 }
+        RegisterArray { name, size, cells: Vec::new(), cell_bits, rmw_ops: 0 }
     }
 
-    /// Array length.
+    /// Array length (the configured size).
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.size
     }
 
-    /// True if the array has no cells.
+    /// True if the configured size is zero.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.size == 0
+    }
+
+    /// Commit the cell storage on the first write. Returns `false` for a
+    /// zero-size array, which stays a no-op. Kept out of line so the
+    /// per-packet write path carries only the emptiness test.
+    #[cold]
+    #[inline(never)]
+    fn commit(&mut self) -> bool {
+        self.cells = vec![V::default(); self.size];
+        self.size != 0
     }
 
     /// Logical cell width in bits.
@@ -56,8 +74,8 @@ impl<V: Copy + Default> RegisterArray<V> {
         self.cell_bits.div_ceil(MAX_CELL_BITS_PER_STAGE).max(1)
     }
 
-    /// Read a cell (no ALU charge; reads ride the RMW). Empty arrays return
-    /// the default value.
+    /// Read a cell (no ALU charge; reads ride the RMW). Empty and
+    /// never-written arrays return the default value.
     pub fn read(&self, index: usize) -> V {
         if self.cells.is_empty() {
             return V::default();
@@ -69,7 +87,7 @@ impl<V: Copy + Default> RegisterArray<V> {
     /// returns the *previous* value, mirroring the ALU's "output old value"
     /// mode that NetSeer's eviction logic relies on. A no-op on empty arrays.
     pub fn read_modify_write(&mut self, index: usize, f: impl FnOnce(V) -> V) -> V {
-        if self.cells.is_empty() {
+        if self.cells.is_empty() && !self.commit() {
             return V::default();
         }
         let len = self.cells.len();
@@ -82,18 +100,17 @@ impl<V: Copy + Default> RegisterArray<V> {
 
     /// Overwrite a cell unconditionally (control-plane style write).
     pub fn write(&mut self, index: usize, v: V) {
-        if self.cells.is_empty() {
+        if self.cells.is_empty() && !self.commit() {
             return;
         }
         let len = self.cells.len();
         self.cells[index % len] = v;
     }
 
-    /// Reset every cell to default (control-plane table clear).
+    /// Reset every cell to default (control-plane table clear). The cell
+    /// storage is released; the next write commits it again.
     pub fn clear(&mut self) {
-        for c in &mut self.cells {
-            *c = V::default();
-        }
+        self.cells = Vec::new();
     }
 
     /// Total RMW operations performed so far.
@@ -103,7 +120,7 @@ impl<V: Copy + Default> RegisterArray<V> {
 
     /// SRAM bits this array occupies.
     pub fn sram_bits(&self) -> u64 {
-        u64::from(self.cell_bits) * self.cells.len() as u64
+        u64::from(self.cell_bits) * self.size as u64
     }
 
     /// Charge this array to a resource ledger under `module`.
@@ -162,18 +179,56 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets() {
-        let mut r: RegisterArray<u32> = RegisterArray::new("x", 4, 32);
-        r.write(1, 9);
-        r.clear();
-        assert_eq!(r.read(1), 0);
+    fn untouched_array_reads_default_everywhere() {
+        let r: RegisterArray<u64> = RegisterArray::new("cold", 64, 64);
+        for i in 0..256 {
+            assert_eq!(r.read(i), 0, "index {i}");
+        }
+        assert_eq!(r.rmw_ops(), 0);
     }
 
     #[test]
-    fn default_array_handles_zero_len() {
+    fn configured_size_holds_before_and_after_first_write() {
+        let mut r: RegisterArray<u32> = RegisterArray::new("lazy", 4096, 176);
+        assert_eq!((r.len(), r.sram_bits()), (4096, 4096 * 176));
+        assert!(!r.is_empty());
+        r.write(4097, 5); // wraps to 1 against the configured size
+        assert_eq!((r.len(), r.sram_bits()), (4096, 4096 * 176));
+        assert_eq!(r.read(1), 5);
+        let mut ledger = ResourceLedger::new(TOFINO_32D);
+        r.account(&mut ledger, "dedup");
+        assert_eq!(ledger.used(ResourceKind::SramBits), 4096 * 176);
+        assert_eq!(ledger.used(ResourceKind::StatefulAlu), 2);
+    }
+
+    #[test]
+    fn clear_resets_every_cell_and_keeps_rmw_ops() {
+        let mut r: RegisterArray<u32> = RegisterArray::new("x", 32, 32);
+        for i in 0..32 {
+            r.read_modify_write(i, |v| v + i as u32 + 1);
+        }
+        r.clear();
+        assert_eq!(r.rmw_ops(), 32);
+        assert_eq!(r.len(), 32);
+        for i in 0..32 {
+            assert_eq!(r.read(i), 0, "index {i}");
+        }
+        // The storage comes back on the next write.
+        assert_eq!(r.read_modify_write(3, |v| v + 7), 0);
+        assert_eq!(r.read(3), 7);
+        assert_eq!(r.rmw_ops(), 33);
+    }
+
+    #[test]
+    fn zero_size_array_stays_a_no_op() {
         let mut r: RegisterArray<u32> = RegisterArray::new("z", 0, 32);
         assert!(r.is_empty());
         // Must not panic even with no cells.
-        let _ = r.read_modify_write(0, |v| v);
+        r.write(5, 9);
+        assert_eq!(r.read_modify_write(5, |_| 9), 0);
+        assert_eq!(r.read(5), 0);
+        assert_eq!((r.len(), r.sram_bits(), r.rmw_ops()), (0, 0, 0));
+        r.clear();
+        assert!(r.is_empty());
     }
 }
