@@ -21,7 +21,7 @@
 use crate::correlate::{Correlator, GapReport, LinkMap, LinkVerdict};
 use crate::shard::{AnalyticsLedger, ShardWorker};
 use crate::sla::{BreachWindow, SlaEvaluator, SlaPolicy};
-use crate::topk::{SpaceSaving, TopKEntry};
+use crate::topk::{heaviest, TopKEntry};
 use crate::window::{AggKey, WindowStats};
 use fet_packet::flow::FLOW_KEY_LEN;
 use fet_packet::FlowKey;
@@ -274,11 +274,7 @@ impl AnalyticsEngine {
     /// per-shard sketches (each flow lives in exactly one shard), sorted
     /// heaviest-first.
     pub fn top_flows(&self, n: usize) -> Vec<TopKEntry> {
-        let mut merged = SpaceSaving::new(self.cfg.topk_k * self.shards.len());
-        for s in &self.shards {
-            merged.absorb_entries(&s.topk);
-        }
-        merged.top(n)
+        heaviest(self.shards.iter().flat_map(|s| s.topk.entries()).collect(), n)
     }
 
     /// Total weight absorbed by the sketches (the `W` of the error bound).

@@ -101,14 +101,12 @@ impl SpaceSaving {
     /// The top `n` entries, heaviest first (deterministic tie-break on the
     /// flow key).
     pub fn top(&self, n: usize) -> Vec<TopKEntry> {
-        let mut v: Vec<TopKEntry> = self
-            .table
-            .iter()
-            .map(|(&flow, &(count, error))| TopKEntry { flow, count, error })
-            .collect();
-        v.sort_by(|a, b| b.count.cmp(&a.count).then(a.flow.cmp(&b.flow)));
-        v.truncate(n);
-        v
+        heaviest(self.entries().collect(), n)
+    }
+
+    /// Every monitored entry, in no particular order.
+    pub fn entries(&self) -> impl Iterator<Item = TopKEntry> + '_ {
+        self.table.iter().map(|(&flow, &(count, error))| TopKEntry { flow, count, error })
     }
 
     /// The smallest monitored count (the eviction bar; 0 while not full).
@@ -123,18 +121,18 @@ impl SpaceSaving {
     pub fn estimate(&self, flow: &FlowKey) -> Option<(u64, u64)> {
         self.table.get(flow).copied()
     }
+}
 
-    /// Fold another sketch into this one (used to merge per-shard sketches;
-    /// with flow-hash sharding each flow lives in exactly one shard, so the
-    /// merge is a disjoint union and the per-entry bounds are preserved).
-    pub fn absorb_entries(&mut self, other: &SpaceSaving) {
-        self.offered += other.offered;
-        self.total_weight += other.total_weight;
-        self.evictions += other.evictions;
-        for (&flow, &(count, error)) in &other.table {
-            self.table.insert(flow, (count, error));
-        }
+/// The `n` heaviest of `v`, heaviest first, ties broken on the flow key.
+/// Flows must be distinct, so the order is total and the result exact.
+pub(crate) fn heaviest(mut v: Vec<TopKEntry>, n: usize) -> Vec<TopKEntry> {
+    let order = |a: &TopKEntry, b: &TopKEntry| b.count.cmp(&a.count).then(a.flow.cmp(&b.flow));
+    if n < v.len() {
+        v.select_nth_unstable_by(n, order);
+        v.truncate(n);
     }
+    v.sort_unstable_by(order);
+    v
 }
 
 #[cfg(test)]
@@ -214,16 +212,16 @@ mod tests {
     }
 
     #[test]
-    fn merge_of_disjoint_sketches_is_lossless() {
-        let mut a = SpaceSaving::new(4);
-        let mut b = SpaceSaving::new(4);
-        a.offer(flow(1), 5);
-        b.offer(flow(2), 7);
-        let mut m = SpaceSaving::new(8);
-        m.absorb_entries(&a);
-        m.absorb_entries(&b);
-        assert_eq!(m.estimate(&flow(1)), Some((5, 0)));
-        assert_eq!(m.estimate(&flow(2)), Some((7, 0)));
-        assert_eq!(m.total_weight, 12);
+    fn entries_and_top_agree() {
+        let mut s = SpaceSaving::new(8);
+        for n in 0..6u32 {
+            s.offer(flow(n), u64::from(n % 3) + 1);
+        }
+        let mut all: Vec<TopKEntry> = s.entries().collect();
+        assert_eq!(all.len(), 6);
+        all.sort_by(|a, b| b.count.cmp(&a.count).then(a.flow.cmp(&b.flow)));
+        for n in 0..=7 {
+            assert_eq!(s.top(n), all[..n.min(all.len())], "top({n})");
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! Micro-benchmarks for NetSeer's per-packet primitives — the operations
-//! that must run at line rate in the emulated pipeline.
+//! that must run at line rate in the emulated pipeline — plus one
+//! `/metrics` scrape of the telemetry egress.
 //!
 //! Uses a small std-only timing harness (median of batched runs) instead of
 //! Criterion so the workspace carries no external registry dependencies and
@@ -39,23 +40,28 @@ fn ev(n: u32) -> EventRecord {
     }
 }
 
-/// Time `iters` calls of `f`, repeated over `samples` batches; report the
+/// Time 20,000 calls of `f` per batch, over 11 batches; report the
 /// median per-op latency so outliers (scheduler noise) don't skew results.
-fn bench<F: FnMut()>(group: &str, name: &str, ops_per_iter: u64, mut f: F) {
+fn bench<F: FnMut()>(group: &str, name: &str, ops_per_iter: u64, f: F) {
+    bench_iters(group, name, ops_per_iter, 20_000, f);
+}
+
+/// [`bench`] with `iters` calls per batch, for operations too slow to
+/// repeat 20,000 times.
+fn bench_iters<F: FnMut()>(group: &str, name: &str, ops_per_iter: u64, iters: u64, mut f: F) {
     const SAMPLES: usize = 11;
-    const ITERS: u64 = 20_000;
     // Warm-up.
-    for _ in 0..ITERS / 4 {
+    for _ in 0..iters / 4 {
         f();
     }
     let mut per_op = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
         let start = Instant::now();
-        for _ in 0..ITERS {
+        for _ in 0..iters {
             f();
         }
         let ns = start.elapsed().as_nanos() as f64;
-        per_op.push(ns / (ITERS * ops_per_iter) as f64);
+        per_op.push(ns / (iters * ops_per_iter) as f64);
     }
     per_op.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
     let median = per_op[SAMPLES / 2];
@@ -248,6 +254,15 @@ fn bench_full_monitor_path() {
     });
 }
 
+/// One `/metrics` scrape of a small live system: every adapter into a
+/// fresh registry, then the Prometheus and OTel renders.
+fn bench_export() {
+    let fixture = fet_bench::export_fixture::ScrapeFixture::new();
+    bench_iters("export", "scrape_render", 1, 200, || {
+        black_box(fixture.scrape());
+    });
+}
+
 fn main() {
     bench_dedup();
     bench_interswitch();
@@ -257,4 +272,5 @@ fn main() {
     bench_pdp();
     bench_path_table();
     bench_full_monitor_path();
+    bench_export();
 }

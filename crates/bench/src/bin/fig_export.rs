@@ -28,12 +28,15 @@ const UPDATES: usize = 2_000_000;
 const RENDERS: usize = 20;
 const BOUNDS: [f64; 6] = [1e3, 1e4, 1e5, 1e6, 1e7, 1e8];
 
-fn family_name(f: usize) -> String {
-    match f % 3 {
+/// Family names are `'static` in the registry; the bench builds its 20
+/// once and keeps them for the life of the process.
+fn family_name(f: usize) -> &'static str {
+    let name = match f % 3 {
         0 => format!("fet_bench_counter_{f}_total"),
         1 => format!("fet_bench_gauge_{f}"),
         _ => format!("fet_bench_hist_{f}_ns"),
-    }
+    };
+    name.leak()
 }
 
 fn main() {
@@ -48,7 +51,7 @@ fn main() {
         max_families: FAMILIES + 8, // headroom for the meta families
         max_series_per_family: SERIES_PER_FAMILY,
     });
-    let names: Vec<String> = (0..FAMILIES).map(family_name).collect();
+    let names: Vec<&'static str> = (0..FAMILIES).map(family_name).collect();
     let labels: Vec<String> = (0..SERIES_PER_FAMILY).map(|s| format!("dev{s}")).collect();
 
     // (a) update throughput over a uniformly random series schedule.
@@ -64,7 +67,7 @@ fn main() {
         .collect();
     let t0 = Instant::now();
     for &(f, s, v) in &schedule {
-        let name = &names[f as usize];
+        let name = names[f as usize];
         let lbls = [("device", labels[s as usize].as_str())];
         match f % 3 {
             0 => reg.counter_add(name, "Bench counter.", &lbls, u64::from(v)),

@@ -22,9 +22,10 @@ use std::time::Instant;
 
 const HORIZON: u64 = 6 * MILLIS;
 
-/// A fleet big enough to parallelize: 4 pods (36 switches, 64 hosts) with
-/// long-haul links (5 µs propagation), giving the conservative executor a
-/// wide cross-shard lookahead window per epoch.
+/// A fleet big enough to parallelize: 4 pods (20 switches — 8 edge, 8
+/// aggregation, 4 core — and 64 hosts, 84 devices) with long-haul links
+/// (5 µs propagation), giving the conservative executor a wide
+/// cross-shard lookahead window per epoch.
 fn params() -> FatTreeParams {
     FatTreeParams {
         pods: 4,

@@ -8,6 +8,7 @@
 
 pub mod benchjson;
 pub mod counting_alloc;
+pub mod export_fixture;
 
 pub use benchjson::{host_cores, BenchReport};
 

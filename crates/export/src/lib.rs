@@ -11,8 +11,8 @@
 //!
 //! Design rules, enforced by tests:
 //!
-//! * **Deterministic**: families and series iterate in `BTreeMap` order
-//!   and all timestamps are sim time, so the same system state renders
+//! * **Deterministic**: families and series iterate in name and
+//!   label-set order and all timestamps are sim time, so the same system state renders
 //!   byte-identical output on any machine, shard count, or run.
 //! * **Bounded**: hard caps on family and per-family series counts;
 //!   past the cap the registry *refuses and counts* (`fet_export_*`
@@ -36,7 +36,7 @@ pub mod server;
 
 pub use otel::{render_otel, validate_json};
 pub use prom::{parse_exposition, render_prometheus, Exposition, Sample};
-pub use registry::{labels, MetricKind, MetricRegistry, RegistryConfig, SeriesValue};
+pub use registry::{MetricKind, MetricRegistry, RegistryConfig, SeriesValue};
 pub use replay::{merge_ledgers, run_mixed_replay, Capture, MixedReplayConfig, MixedReplayReport};
 pub use scrape::{
     scrape_analytics, scrape_breaches, scrape_collector, scrape_fleet, scrape_ledger,

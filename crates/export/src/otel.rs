@@ -6,98 +6,138 @@
 //! cumulative `sum`s, gauges become `gauge`s, histograms become
 //! cumulative `histogram`s with `explicitBounds` + `bucketCounts`
 //! (`aggregationTemporality: 2` throughout). All 64-bit integers render
-//! as JSON strings, matching protojson.
+//! as JSON strings, matching protojson. Like the Prometheus encoder, the
+//! document is written into one `String` sized up front.
 //!
 //! Timestamps are **sim time**, never wall clock: callers pass the run's
 //! start and snapshot nanos, so the document is bit-identical across
 //! runs, shard counts, and machines — the same determinism contract the
 //! rest of the repo holds (`startTimeUnixNano`/`timeUnixNano`).
 
-use crate::prom::fmt_f64;
-use crate::registry::{Family, LabelSet, MetricRegistry, SeriesValue};
-use std::fmt::Write;
+use crate::prom::{label_len, push_f64, push_u64};
+use crate::registry::{MetricRegistry, Series, SeriesValue};
 
 /// Render the registry as one OTLP/JSON resource-metrics document with
 /// the given sim-time span.
 pub fn render_otel(reg: &MetricRegistry, start_ns: u64, now_ns: u64) -> String {
-    let mut out = String::new();
+    // Every data point carries the same span: render it once.
+    let mut stamps = String::from("],\"startTimeUnixNano\":\"");
+    push_u64(&mut stamps, start_ns);
+    stamps.push_str("\",\"timeUnixNano\":\"");
+    push_u64(&mut stamps, now_ns);
+    stamps.push_str("\",");
+    let mut doc = Doc { out: String::with_capacity(capacity(reg, &stamps)), stamps };
+    let out = &mut doc.out;
     out.push_str("{\"resourceMetrics\":[{\"resource\":{\"attributes\":[");
     out.push_str("{\"key\":\"service.name\",\"value\":{\"stringValue\":\"netseer\"}}");
     out.push_str("]},\"scopeMetrics\":[{\"scope\":{\"name\":\"fet-export\",");
     out.push_str("\"version\":\"0.1.0\"},\"metrics\":[");
-    let mut first = true;
     for fam in reg.families() {
-        render_metric(&mut out, fam, start_ns, now_ns, &mut first);
+        doc.metric(fam.name, fam.help, fam.bounds, fam.series());
     }
-    for fam in reg.meta_families() {
-        render_metric(&mut out, &fam, start_ns, now_ns, &mut first);
+    for (name, help, _, series) in &reg.meta_series() {
+        doc.metric(name, help, &[], std::slice::from_ref(series));
     }
-    out.push_str("]}]}]}");
-    out
+    // Drop the comma after the last metric (there is always one: the
+    // meta families).
+    doc.out.pop();
+    doc.out.push_str("]}]}]}");
+    doc.out
 }
 
-fn render_metric(out: &mut String, fam: &Family, start_ns: u64, now_ns: u64, first: &mut bool) {
-    if !*first {
-        out.push(',');
-    }
-    *first = false;
-    let _ = write!(
-        out,
-        "{{\"name\":\"{}\",\"description\":\"{}\",",
-        json_escape(&fam.name),
-        json_escape(&fam.help)
-    );
-    match fam.series.values().next() {
-        Some(SeriesValue::Counter(_)) | None => {
-            out.push_str("\"sum\":{\"dataPoints\":[");
-            render_points(out, fam, start_ns, now_ns);
-            out.push_str("],\"aggregationTemporality\":2,\"isMonotonic\":true}}");
-        }
-        Some(SeriesValue::Gauge(_)) => {
-            out.push_str("\"gauge\":{\"dataPoints\":[");
-            render_points(out, fam, start_ns, now_ns);
-            out.push_str("]}}");
-        }
-        Some(SeriesValue::Histogram { .. }) => {
-            out.push_str("\"histogram\":{\"dataPoints\":[");
-            render_points(out, fam, start_ns, now_ns);
-            out.push_str("],\"aggregationTemporality\":2}}");
-        }
-    }
+/// The rendered size, estimated closely enough that the output rarely
+/// regrows and never holds much more than it needs. `stamps` is the
+/// per-point time span every data point repeats.
+fn capacity(reg: &MetricRegistry, stamps: &str) -> usize {
+    let meta = 4 * 300;
+    reg.families().fold(400 + meta, |acc, fam| {
+        let per_point = stamps.len() + 40 + 12 * fam.bounds.len();
+        let points: usize =
+            fam.series().iter().map(|s| per_point + 36 * s.labels.len() + label_len(s)).sum();
+        acc + fam.name.len() + fam.help.len() + 96 + points
+    })
 }
 
-fn render_points(out: &mut String, fam: &Family, start_ns: u64, now_ns: u64) {
-    let mut first = true;
-    for (ls, value) in &fam.series {
-        if !first {
-            out.push(',');
+/// The document being written and its data points' rendered sim-time
+/// span (which also closes the attribute list).
+struct Doc {
+    out: String,
+    stamps: String,
+}
+
+impl Doc {
+    /// One metric object and a trailing comma. The data kind follows the
+    /// first series' value; an empty family renders as an empty `sum`.
+    fn metric(&mut self, name: &str, help: &str, bounds: &[f64], series: &[Series]) {
+        self.out.push_str("{\"name\":\"");
+        push_json_escaped(&mut self.out, name);
+        self.out.push_str("\",\"description\":\"");
+        push_json_escaped(&mut self.out, help);
+        self.out.push_str("\",");
+        let (open, close) = match series.first().map(|s| &s.value) {
+            Some(SeriesValue::Counter(_)) | None => (
+                "\"sum\":{\"dataPoints\":[",
+                "],\"aggregationTemporality\":2,\"isMonotonic\":true}},",
+            ),
+            Some(SeriesValue::Gauge(_)) => ("\"gauge\":{\"dataPoints\":[", "]}},"),
+            Some(SeriesValue::Histogram { .. }) => {
+                ("\"histogram\":{\"dataPoints\":[", "],\"aggregationTemporality\":2}},")
+            }
+        };
+        self.out.push_str(open);
+        for (i, s) in series.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            self.point(bounds, s);
         }
-        first = false;
-        out.push('{');
-        render_attributes(out, ls);
-        let _ = write!(out, "\"startTimeUnixNano\":\"{start_ns}\",\"timeUnixNano\":\"{now_ns}\",");
-        match value {
+        self.out.push_str(close);
+    }
+
+    fn point(&mut self, bounds: &[f64], s: &Series) {
+        let out = &mut self.out;
+        out.push_str("{\"attributes\":[");
+        for (i, (k, v)) in s.labels.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("{\"key\":\"");
+            push_json_escaped(out, k);
+            out.push_str("\",\"value\":{\"stringValue\":\"");
+            push_json_escaped(out, v);
+            out.push_str("\"}}");
+        }
+        out.push_str(&self.stamps);
+        match &s.value {
             SeriesValue::Counter(v) => {
-                let _ = write!(out, "\"asInt\":\"{v}\"");
+                out.push_str("\"asInt\":\"");
+                push_u64(out, *v);
+                out.push('"');
             }
             SeriesValue::Gauge(v) => {
-                let _ = write!(out, "\"asDouble\":{}", json_number(*v));
+                out.push_str("\"asDouble\":");
+                push_json_number(out, *v);
             }
             SeriesValue::Histogram { buckets, sum, count } => {
-                let _ = write!(out, "\"count\":\"{count}\",\"sum\":{},", json_number(*sum));
-                out.push_str("\"bucketCounts\":[");
+                out.push_str("\"count\":\"");
+                push_u64(out, *count);
+                out.push_str("\",\"sum\":");
+                push_json_number(out, *sum);
+                out.push_str(",\"bucketCounts\":[");
                 for (i, b) in buckets.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "\"{b}\"");
+                    out.push('"');
+                    push_u64(out, *b);
+                    out.push('"');
                 }
                 out.push_str("],\"explicitBounds\":[");
-                for (i, b) in fam.bounds.iter().enumerate() {
+                for (i, b) in bounds.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push_str(&json_number(*b));
+                    push_json_number(out, *b);
                 }
                 out.push(']');
             }
@@ -106,51 +146,49 @@ fn render_points(out: &mut String, fam: &Family, start_ns: u64, now_ns: u64) {
     }
 }
 
-fn render_attributes(out: &mut String, ls: &LabelSet) {
-    out.push_str("\"attributes\":[");
-    for (i, (k, v)) in ls.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"key\":\"{}\",\"value\":{{\"stringValue\":\"{}\"}}}}",
-            json_escape(k),
-            json_escape(v)
-        );
+/// Append `s` with JSON string escaping (the mandatory quote and
+/// backslash, and every control character). A string (or run) without an
+/// escape is copied whole.
+fn push_json_escaped(out: &mut String, s: &str) {
+    // A branch-free scan (it vectorizes) clears the common case.
+    let dirty = s.bytes().fold(false, |d, b| d | (b < 0x20) | (b == b'"') | (b == b'\\'));
+    if !dirty {
+        out.push_str(s);
+        return;
     }
-    out.push_str("],");
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let (esc, hex) = match b {
+            b'"' => ("\\\"", false),
+            b'\\' => ("\\\\", false),
+            b'\n' => ("\\n", false),
+            b'\r' => ("\\r", false),
+            b'\t' => ("\\t", false),
+            0..=0x1f => ("\\u00", true),
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        out.push_str(esc);
+        if hex {
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
 }
 
-/// JSON string escaping (the control-character subset our label values
-/// can contain, plus the mandatory quote/backslash).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
+const HEX: &[u8; 16] = b"0123456789abcdef";
 
 /// JSON numbers must be finite; infinities clamp to protojson's string
 /// forms are not valid for asDouble, so we saturate like collectors do.
-fn json_number(v: f64) -> String {
+fn push_json_number(out: &mut String, v: f64) {
     if v.is_finite() {
-        fmt_f64(v)
+        push_f64(out, v);
     } else if v > 0.0 {
-        "1.7976931348623157e308".to_string()
+        out.push_str("1.7976931348623157e308");
     } else {
-        "-1.7976931348623157e308".to_string()
+        out.push_str("-1.7976931348623157e308");
     }
 }
 

@@ -12,112 +12,183 @@
 //! Histograms render the cumulative `_bucket{le="..."}` ladder (the
 //! `+Inf` bucket always equals `_count`), then `_sum` and `_count`.
 //! Escaping follows the spec exactly: `\\`, `\n` in HELP; `\\`, `\"`,
-//! `\n` in label values. Families come out of the registry's `BTreeMap`s,
-//! so the byte stream is deterministic.
+//! `\n` in label values. Families come out of the registry in name
+//! order, so the byte stream is deterministic. The whole document is
+//! written into one `String` sized up front; nothing else is allocated.
 //!
 //! [`parse_exposition`] is the inverse used by the tests and the mixed
 //! sim/real replay oracle: the conservation identity is asserted over the
 //! *scraped* values, so the exporter itself is under test.
 
-use crate::registry::{Family, LabelSet, MetricRegistry, SeriesValue};
+use crate::registry::{MetricKind, MetricRegistry, Series, SeriesValue};
 use std::collections::BTreeMap;
 use std::fmt::Write;
+
+/// A sorted, owned label set, as [`parse_exposition`] reads it back.
+pub type LabelSet = Vec<(String, String)>;
 
 /// Render the whole registry (real families, then the registry's own
 /// meta families) as one exposition document.
 pub fn render_prometheus(reg: &MetricRegistry) -> String {
-    let mut out = String::new();
+    let mut out = String::with_capacity(capacity(reg));
     for fam in reg.families() {
-        render_family(&mut out, fam);
+        render_family(&mut out, fam.name, fam.help, fam.kind, fam.bounds, fam.series());
     }
-    for fam in reg.meta_families() {
-        render_family(&mut out, &fam);
+    for (name, help, kind, series) in &reg.meta_series() {
+        render_family(&mut out, name, help, *kind, &[], std::slice::from_ref(series));
     }
     out
 }
 
-fn render_family(out: &mut String, fam: &Family) {
-    let _ = writeln!(out, "# HELP {} {}", fam.name, escape_help(&fam.help));
-    let _ = writeln!(out, "# TYPE {} {}", fam.name, fam.kind.as_str());
-    for (ls, value) in &fam.series {
-        match value {
+/// The rendered size, estimated closely enough that the output rarely
+/// regrows and never holds much more than it needs.
+fn capacity(reg: &MetricRegistry) -> usize {
+    let meta = 4 * 180;
+    reg.families().fold(meta, |acc, fam| {
+        let (lines, per_line) = match fam.kind {
+            MetricKind::Histogram => (fam.bounds.len() + 3, fam.name.len() + 32),
+            _ => (1, fam.name.len() + 16),
+        };
+        let series: usize = fam.series().iter().map(|s| lines * (per_line + label_len(s))).sum();
+        acc + 2 * fam.name.len() + fam.help.len() + 32 + series
+    })
+}
+
+/// Bytes a series' labels take unescaped, plus quoting and separators.
+pub(crate) fn label_len(s: &Series) -> usize {
+    s.labels.iter().map(|(k, v)| k.len() + v.len() + 4).sum()
+}
+
+fn render_family(
+    out: &mut String,
+    name: &str,
+    help: &str,
+    kind: MetricKind,
+    bounds: &[f64],
+    series: &[Series],
+) {
+    out.push_str("# HELP ");
+    out.push_str(name);
+    out.push(' ');
+    push_escaped(out, help, false);
+    out.push_str("\n# TYPE ");
+    out.push_str(name);
+    out.push(' ');
+    out.push_str(kind.as_str());
+    out.push('\n');
+    for s in series {
+        match &s.value {
             SeriesValue::Counter(v) => {
-                let _ = writeln!(out, "{}{} {}", fam.name, render_labels(ls, None), v);
+                push_series(out, name, "", s, None);
+                push_u64(out, *v);
             }
             SeriesValue::Gauge(v) => {
-                let _ = writeln!(out, "{}{} {}", fam.name, render_labels(ls, None), fmt_f64(*v));
+                push_series(out, name, "", s, None);
+                push_f64(out, *v);
             }
             SeriesValue::Histogram { buckets, sum, count } => {
                 let mut cum = 0u64;
                 for (i, b) in buckets.iter().enumerate() {
                     cum += b;
-                    let le = match fam.bounds.get(i) {
-                        Some(bound) => fmt_f64(*bound),
-                        None => "+Inf".to_string(),
-                    };
-                    let _ = writeln!(
-                        out,
-                        "{}_bucket{} {}",
-                        fam.name,
-                        render_labels(ls, Some(&le)),
-                        cum
-                    );
+                    let le = bounds.get(i).copied().unwrap_or(f64::INFINITY);
+                    push_series(out, name, "_bucket", s, Some(le));
+                    push_u64(out, cum);
+                    out.push('\n');
                 }
-                let _ =
-                    writeln!(out, "{}_sum{} {}", fam.name, render_labels(ls, None), fmt_f64(*sum));
-                let _ = writeln!(out, "{}_count{} {}", fam.name, render_labels(ls, None), count);
+                push_series(out, name, "_sum", s, None);
+                push_f64(out, *sum);
+                out.push('\n');
+                push_series(out, name, "_count", s, None);
+                push_u64(out, *count);
             }
         }
+        out.push('\n');
     }
 }
 
-/// `{k="v",...}` with spec escaping; empty label sets render as nothing.
-/// `le` (when given) is appended last, matching common client output.
-fn render_labels(ls: &LabelSet, le: Option<&str>) -> String {
-    if ls.is_empty() && le.is_none() {
-        return String::new();
-    }
-    let mut out = String::from("{");
-    let mut first = true;
-    for (k, v) in ls {
-        if !first {
-            out.push(',');
+/// A sample line up to its value: `name` and `suffix`, the
+/// `{k="v",...}` label block with spec escaping (none for an empty label
+/// set), then the separating space. `le` (when given) is appended last,
+/// matching common client output.
+fn push_series(out: &mut String, name: &str, suffix: &str, s: &Series, le: Option<f64>) {
+    out.push_str(name);
+    out.push_str(suffix);
+    if !s.labels.is_empty() || le.is_some() {
+        let mut sep = '{';
+        for (k, v) in &s.labels {
+            out.push(sep);
+            sep = ',';
+            out.push_str(k);
+            out.push_str("=\"");
+            push_escaped(out, v, true);
+            out.push('"');
         }
-        first = false;
-        let _ = write!(out, "{}=\"{}\"", k, escape_label_value(v));
-    }
-    if let Some(le) = le {
-        if !first {
-            out.push(',');
+        if let Some(le) = le {
+            out.push(sep);
+            out.push_str("le=\"");
+            push_f64(out, le);
+            out.push('"');
         }
-        let _ = write!(out, "le=\"{le}\"");
+        out.push('}');
     }
-    out.push('}');
-    out
+    out.push(' ');
 }
 
-/// HELP escaping: backslash and newline.
-pub fn escape_help(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('\n', "\\n")
+/// Append `s` with Prometheus escaping: backslash and newline, plus the
+/// double quote inside label values. A string (or run) without an escape
+/// is copied whole.
+fn push_escaped(out: &mut String, s: &str, label_value: bool) {
+    // A branch-free scan (it vectorizes) clears the common case.
+    let dirty =
+        s.bytes().fold(false, |d, b| d | (b == b'\\') | (b == b'\n') | (label_value & (b == b'"')));
+    if !dirty {
+        out.push_str(s);
+        return;
+    }
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let esc = match b {
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'"' if label_value => "\\\"",
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        out.push_str(esc);
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
 }
 
-/// Label-value escaping: backslash, double-quote, newline.
-pub fn escape_label_value(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+/// Append the decimal digits of `v`.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
 }
 
 /// Deterministic float formatting: integral finite values print without
-/// a fraction (`42`), everything else uses Rust's shortest-roundtrip
-/// `Display` (deterministic across platforms).
-pub fn fmt_f64(v: f64) -> String {
+/// a fraction (`42`), infinities as `+Inf`/`-Inf`, everything else with
+/// Rust's shortest-roundtrip `Display` (deterministic across platforms).
+pub(crate) fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() && v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else if v.is_infinite() && v > 0.0 {
-        "+Inf".to_string()
+        let i = v as i64;
+        if i < 0 {
+            out.push('-');
+        }
+        push_u64(out, i.unsigned_abs());
     } else if v.is_infinite() {
-        "-Inf".to_string()
+        out.push_str(if v > 0.0 { "+Inf" } else { "-Inf" });
     } else {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -266,6 +337,12 @@ fn parse_labels(body: &str) -> Option<LabelSet> {
 mod tests {
     use super::*;
     use crate::registry::RegistryConfig;
+
+    fn fmt_f64(v: f64) -> String {
+        let mut s = String::new();
+        push_f64(&mut s, v);
+        s
+    }
 
     fn demo_registry() -> MetricRegistry {
         let mut r = MetricRegistry::new(RegistryConfig::default());

@@ -3,10 +3,11 @@
 //! Three constraints shape this module, in priority order:
 //!
 //! 1. **Determinism.** Snapshots must be bit-identical across runs, shard
-//!    counts, and platforms. Families and series live in `BTreeMap`s, so
-//!    iteration order is the lexicographic order of names and label sets
-//!    — never insertion or hash order. Values are `u64` counters, `f64`
-//!    gauges, and fixed-bound histograms; nothing reads a clock.
+//!    counts, and platforms. Families and series live in vectors kept
+//!    sorted by name and label set, so iteration order is the
+//!    lexicographic order of names and label sets — never insertion or
+//!    hash order. Values are `u64` counters, `f64` gauges, and
+//!    fixed-bound histograms; nothing reads a clock.
 //!
 //! 2. **Hard cardinality caps.** A hostile workload (wire exporters
 //!    minting observation domains, floods of distinct flows) must not be
@@ -14,30 +15,33 @@
 //!    [`RegistryConfig::max_series_per_family`] and families beyond
 //!    [`RegistryConfig::max_families`] are *refused and counted*, never
 //!    admitted; the refusal counters are themselves exported (see
-//!    [`MetricRegistry::meta_families`]), so silent truncation is
+//!    [`MetricRegistry::meta_series`]), so silent truncation is
 //!    impossible.
 //!
 //! 3. **Bounded allocation.** Memory is bounded by the caps times the
 //!    label-set size; scrape adapters rebuild the registry per snapshot,
-//!    so there is no unbounded retained state between scrapes.
+//!    so there is no unbounded retained state between scrapes. Family
+//!    names, help texts, bucket bounds and label names are `'static`
+//!    (every call site passes literals or constants), so a family costs
+//!    no copy; a series owns its label values once, made when it is
+//!    admitted. An update is one binary search for the family and one
+//!    for the series, and does not touch the heap once its series
+//!    exists.
 //!
 //! Metric naming follows the repo-wide `fet_*` scheme (DESIGN.md §15):
 //! `fet_<subsystem>_<what>[_total]`, with `_total` reserved for
 //! monotonic counters.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 
-/// A sorted, owned label set. Keys are sorted at construction so two
-/// call sites naming the same labels in different orders hit the same
-/// series.
-pub type LabelSet = Vec<(String, String)>;
+/// Unsorted label sets up to this size are sorted on the stack; longer
+/// ones (no adapter uses more than two labels) in a scratch `Vec`.
+const INLINE_LABELS: usize = 4;
 
-/// Build a [`LabelSet`] from borrowed pairs (sorted by key).
-pub fn labels(pairs: &[(&str, &str)]) -> LabelSet {
-    let mut out: LabelSet = pairs.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect();
-    out.sort();
-    out
-}
+/// Families a registry makes room for up front (bounded by the family
+/// cap): a full scrape publishes about 75, so the family table never
+/// regrows mid-scrape.
+const FAMILY_CAPACITY: usize = 128;
 
 /// What a metric family measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,21 +84,64 @@ pub enum SeriesValue {
     },
 }
 
+impl SeriesValue {
+    /// The zero value a fresh series of `kind` starts from.
+    fn zero(kind: MetricKind, bounds: &[f64]) -> Self {
+        match kind {
+            MetricKind::Counter => SeriesValue::Counter(0),
+            MetricKind::Gauge => SeriesValue::Gauge(0.0),
+            MetricKind::Histogram => {
+                SeriesValue::Histogram { buckets: vec![0; bounds.len() + 1], sum: 0.0, count: 0 }
+            }
+        }
+    }
+}
+
+/// One series: its label set and value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Series {
+    /// Label pairs sorted by (name, value), so two call sites naming the
+    /// same labels in different orders hit the same series.
+    pub labels: Vec<(&'static str, String)>,
+    /// The series' value.
+    pub value: SeriesValue,
+}
+
+impl Series {
+    /// An unlabelled series (no heap: an empty `Vec` does not allocate).
+    fn single(value: SeriesValue) -> Self {
+        Series { labels: Vec::new(), value }
+    }
+}
+
 /// One metric family: a name, help text, kind, and its series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Family {
     /// Metric name (`fet_*`).
-    pub name: String,
+    pub name: &'static str,
     /// Help text (escaped by the encoders).
-    pub help: String,
+    pub help: &'static str,
     /// Family kind; every series in the family shares it.
     pub kind: MetricKind,
     /// Histogram bucket upper bounds (ascending, `+Inf` implicit).
     /// Empty for counters and gauges.
-    pub bounds: Vec<f64>,
-    /// Series by sorted label set — BTreeMap, so iteration (and thus
-    /// every rendered snapshot) is deterministic.
-    pub series: BTreeMap<LabelSet, SeriesValue>,
+    pub bounds: &'static [f64],
+    /// Sorted by label set, so iteration (and thus every rendered
+    /// snapshot) is deterministic.
+    series: Vec<Series>,
+}
+
+impl Family {
+    /// Every series, in label-set order.
+    pub fn series(&self) -> &[Series] {
+        &self.series
+    }
+}
+
+/// Order a stored label set against a sorted borrowed one, exactly as
+/// the two would compare as `Vec<(String, String)>`.
+fn cmp_labels(stored: &[(&'static str, String)], probe: &[(&str, &str)]) -> Ordering {
+    stored.iter().map(|(k, v)| (*k, v.as_str())).cmp(probe.iter().copied())
 }
 
 /// Hard bounds a hostile workload cannot grow past.
@@ -116,13 +163,15 @@ impl Default for RegistryConfig {
 #[derive(Debug, Clone)]
 pub struct MetricRegistry {
     cfg: RegistryConfig,
-    families: BTreeMap<String, Family>,
+    /// Sorted by name.
+    families: Vec<Family>,
     /// Series refused by the per-family cardinality cap.
     pub series_rejected: u64,
     /// Families refused by the family cap.
     pub families_rejected: u64,
     /// Updates refused because the family already exists with a
-    /// different kind (a programming error, but counted, not ignored).
+    /// different kind or bounds (a programming error, but counted, not
+    /// ignored).
     pub kind_conflicts: u64,
 }
 
@@ -131,7 +180,7 @@ impl MetricRegistry {
     pub fn new(cfg: RegistryConfig) -> Self {
         MetricRegistry {
             cfg,
-            families: BTreeMap::new(),
+            families: Vec::with_capacity(cfg.max_families.min(FAMILY_CAPACITY)),
             series_rejected: 0,
             families_rejected: 0,
             kind_conflicts: 0,
@@ -145,12 +194,12 @@ impl MetricRegistry {
 
     /// All families in name order.
     pub fn families(&self) -> impl Iterator<Item = &Family> {
-        self.families.values()
+        self.families.iter()
     }
 
     /// A family by name.
     pub fn family(&self, name: &str) -> Option<&Family> {
-        self.families.get(name)
+        self.families.binary_search_by(|f| f.name.cmp(name)).ok().map(|i| &self.families[i])
     }
 
     /// Number of families (meta families excluded).
@@ -160,87 +209,91 @@ impl MetricRegistry {
 
     /// Total live series across all families (meta excluded).
     pub fn series_count(&self) -> usize {
-        self.families.values().map(|f| f.series.len()).sum()
+        self.families.iter().map(|f| f.series.len()).sum()
     }
 
-    /// Look up or admit the family, enforcing the family cap and kind
-    /// consistency. Returns `None` when refused (and counts why).
-    fn admit_family(
+    /// The value slot for one update: look up or admit the family
+    /// (family cap, kind and bounds consistency), then look up or admit
+    /// the series (per-family cap). Returns `None` when refused, and
+    /// counts why.
+    fn slot(
         &mut self,
-        name: &str,
-        help: &str,
+        name: &'static str,
+        help: &'static str,
         kind: MetricKind,
-        bounds: &[f64],
-    ) -> Option<&mut Family> {
+        bounds: &'static [f64],
+        lbls: &[(&'static str, &str)],
+    ) -> Option<&mut SeriesValue> {
         debug_assert!(valid_metric_name(name), "invalid metric name {name:?}");
-        if !self.families.contains_key(name) {
-            if self.families.len() >= self.cfg.max_families {
-                self.families_rejected += 1;
-                return None;
+        let fi = match self.families.binary_search_by(|f| f.name.cmp(name)) {
+            Ok(i) => i,
+            Err(i) => {
+                if self.families.len() >= self.cfg.max_families {
+                    self.families_rejected += 1;
+                    return None;
+                }
+                self.families.insert(i, Family { name, help, kind, bounds, series: Vec::new() });
+                i
             }
-            self.families.insert(
-                name.to_string(),
-                Family {
-                    name: name.to_string(),
-                    help: help.to_string(),
-                    kind,
-                    bounds: bounds.to_vec(),
-                    series: BTreeMap::new(),
-                },
-            );
-        }
-        let fam = self.families.get_mut(name).expect("just admitted");
-        if fam.kind != kind {
+        };
+        let fam = &mut self.families[fi];
+        if fam.kind != kind || fam.bounds != bounds {
             self.kind_conflicts += 1;
             return None;
         }
-        Some(fam)
-    }
-
-    /// Look up or admit a series slot, enforcing the per-family cap.
-    fn admit_series<'a>(
-        fam: &'a mut Family,
-        ls: LabelSet,
-        cap: usize,
-        rejected: &mut u64,
-        default: SeriesValue,
-    ) -> Option<&'a mut SeriesValue> {
-        if !fam.series.contains_key(&ls) {
-            if fam.series.len() >= cap {
-                *rejected += 1;
-                return None;
+        let (mut inline, mut spilled) = ([("", ""); INLINE_LABELS], Vec::new());
+        let sorted: &[(&'static str, &str)] = if lbls.is_sorted() {
+            lbls
+        } else if lbls.len() <= INLINE_LABELS {
+            let buf = &mut inline[..lbls.len()];
+            buf.copy_from_slice(lbls);
+            buf.sort_unstable();
+            buf
+        } else {
+            spilled.extend_from_slice(lbls);
+            spilled.sort_unstable();
+            &spilled
+        };
+        let si = match fam.series.binary_search_by(|s| cmp_labels(&s.labels, sorted)) {
+            Ok(i) => i,
+            Err(i) => {
+                if fam.series.len() >= self.cfg.max_series_per_family {
+                    self.series_rejected += 1;
+                    return None;
+                }
+                let labels = sorted.iter().map(|&(k, v)| (k, v.to_owned())).collect();
+                fam.series.insert(i, Series { labels, value: SeriesValue::zero(kind, bounds) });
+                i
             }
-            fam.series.insert(ls.clone(), default);
-        }
-        fam.series.get_mut(&ls)
+        };
+        Some(&mut fam.series[si].value)
     }
 
     /// Add to a counter series (creating family/series as needed).
-    pub fn counter_add(&mut self, name: &str, help: &str, lbls: &[(&str, &str)], v: u64) {
-        let cap = self.cfg.max_series_per_family;
-        let mut rejected = 0u64;
-        if let Some(fam) = self.admit_family(name, help, MetricKind::Counter, &[]) {
-            if let Some(SeriesValue::Counter(c)) =
-                Self::admit_series(fam, labels(lbls), cap, &mut rejected, SeriesValue::Counter(0))
-            {
-                *c += v;
-            }
+    pub fn counter_add(
+        &mut self,
+        name: &'static str,
+        help: &'static str,
+        lbls: &[(&'static str, &str)],
+        v: u64,
+    ) {
+        if let Some(SeriesValue::Counter(c)) = self.slot(name, help, MetricKind::Counter, &[], lbls)
+        {
+            *c += v;
         }
-        self.series_rejected += rejected;
     }
 
     /// Set a gauge series (creating family/series as needed).
-    pub fn gauge_set(&mut self, name: &str, help: &str, lbls: &[(&str, &str)], v: f64) {
-        let cap = self.cfg.max_series_per_family;
-        let mut rejected = 0u64;
-        if let Some(fam) = self.admit_family(name, help, MetricKind::Gauge, &[]) {
-            if let Some(SeriesValue::Gauge(g)) =
-                Self::admit_series(fam, labels(lbls), cap, &mut rejected, SeriesValue::Gauge(0.0))
-            {
-                *g = v;
-            }
+    pub fn gauge_set(
+        &mut self,
+        name: &'static str,
+        help: &'static str,
+        lbls: &[(&'static str, &str)],
+        v: f64,
+    ) {
+        if let Some(SeriesValue::Gauge(g)) = self.slot(name, help, MetricKind::Gauge, &[], lbls) {
+            *g = v;
         }
-        self.series_rejected += rejected;
     }
 
     /// Observe a value into a histogram series. `bounds` fixes the
@@ -248,77 +301,53 @@ impl MetricRegistry {
     /// must pass the same bounds (mismatches are a kind conflict).
     pub fn histogram_observe(
         &mut self,
-        name: &str,
-        help: &str,
-        bounds: &[f64],
-        lbls: &[(&str, &str)],
+        name: &'static str,
+        help: &'static str,
+        bounds: &'static [f64],
+        lbls: &[(&'static str, &str)],
         v: f64,
     ) {
-        let cap = self.cfg.max_series_per_family;
-        let mut rejected = 0u64;
-        let mut conflict = false;
-        if let Some(fam) = self.admit_family(name, help, MetricKind::Histogram, bounds) {
-            if fam.bounds != bounds {
-                conflict = true;
-            } else {
-                let fresh = SeriesValue::Histogram {
-                    buckets: vec![0; bounds.len() + 1],
-                    sum: 0.0,
-                    count: 0,
-                };
-                if let Some(SeriesValue::Histogram { buckets, sum, count }) =
-                    Self::admit_series(fam, labels(lbls), cap, &mut rejected, fresh)
-                {
-                    // `bounds == fam.bounds` was checked above, so
-                    // indexing off the argument avoids aliasing `fam`.
-                    let idx = bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len());
-                    buckets[idx] += 1;
-                    *sum += v;
-                    *count += 1;
-                }
-            }
-        }
-        self.series_rejected += rejected;
-        if conflict {
-            self.kind_conflicts += 1;
+        if let Some(SeriesValue::Histogram { buckets, sum, count }) =
+            self.slot(name, help, MetricKind::Histogram, bounds, lbls)
+        {
+            let idx = bounds.iter().position(|&b| v <= b).unwrap_or(bounds.len());
+            buckets[idx] += 1;
+            *sum += v;
+            *count += 1;
         }
     }
 
-    /// Self-observability: synthetic families describing the registry's
-    /// own refusal counters and live cardinality, appended after the real
-    /// families by both encoders so capped output is never silent.
-    pub fn meta_families(&self) -> Vec<Family> {
-        let single = |name: &str, help: &str, kind: MetricKind, v: SeriesValue| Family {
-            name: name.to_string(),
-            help: help.to_string(),
-            kind,
-            bounds: Vec::new(),
-            series: BTreeMap::from([(LabelSet::new(), v)]),
-        };
-        vec![
-            single(
+    /// Self-observability: the registry's own live cardinality and
+    /// refusal counters as `(name, help, kind, series)`, rendered after
+    /// the real families by both encoders so capped output is never
+    /// silent. Built on the stack, without touching the heap.
+    pub fn meta_series(&self) -> [(&'static str, &'static str, MetricKind, Series); 4] {
+        use MetricKind::{Counter, Gauge};
+        let counter = |v| Series::single(SeriesValue::Counter(v));
+        [
+            (
                 "fet_export_series",
                 "Live series in the registry (cardinality-capped).",
-                MetricKind::Gauge,
-                SeriesValue::Gauge(self.series_count() as f64),
+                Gauge,
+                Series::single(SeriesValue::Gauge(self.series_count() as f64)),
             ),
-            single(
+            (
                 "fet_export_series_rejected_total",
                 "Series refused by the per-family cardinality cap.",
-                MetricKind::Counter,
-                SeriesValue::Counter(self.series_rejected),
+                Counter,
+                counter(self.series_rejected),
             ),
-            single(
+            (
                 "fet_export_families_rejected_total",
                 "Families refused by the family cap.",
-                MetricKind::Counter,
-                SeriesValue::Counter(self.families_rejected),
+                Counter,
+                counter(self.families_rejected),
             ),
-            single(
+            (
                 "fet_export_kind_conflicts_total",
                 "Updates refused because a family was re-declared with a different kind or bounds.",
-                MetricKind::Counter,
-                SeriesValue::Counter(self.kind_conflicts),
+                Counter,
+                counter(self.kind_conflicts),
             ),
         ]
     }
@@ -362,9 +391,9 @@ mod tests {
         r.gauge_set("fet_g", "g", &[], 7.0);
         r.gauge_set("fet_g", "g", &[], 4.5);
         let fam = r.family("fet_x_total").unwrap();
-        assert_eq!(fam.series.values().next(), Some(&SeriesValue::Counter(5)));
+        assert_eq!(fam.series()[0].value, SeriesValue::Counter(5));
         let fam = r.family("fet_g").unwrap();
-        assert_eq!(fam.series.values().next(), Some(&SeriesValue::Gauge(4.5)));
+        assert_eq!(fam.series()[0].value, SeriesValue::Gauge(4.5));
     }
 
     #[test]
@@ -372,7 +401,9 @@ mod tests {
         let mut r = MetricRegistry::default();
         r.counter_add("fet_x_total", "x", &[("b", "2"), ("a", "1")], 1);
         r.counter_add("fet_x_total", "x", &[("a", "1"), ("b", "2")], 1);
-        assert_eq!(r.family("fet_x_total").unwrap().series.len(), 1, "same series either order");
+        let fam = r.family("fet_x_total").unwrap();
+        assert_eq!(fam.series().len(), 1, "same series either order");
+        assert_eq!(fam.series()[0].labels, [("a", "1".to_string()), ("b", "2".to_string())]);
     }
 
     #[test]
@@ -384,7 +415,7 @@ mod tests {
         for i in 0..10 {
             r.counter_add("fet_x_total", "x", &[("i", &i.to_string())], 1);
         }
-        assert_eq!(r.family("fet_x_total").unwrap().series.len(), 3);
+        assert_eq!(r.family("fet_x_total").unwrap().series().len(), 3);
         assert_eq!(r.series_rejected, 7);
         // Existing series keep updating after the cap binds.
         r.counter_add("fet_x_total", "x", &[("i", "0")], 1);
@@ -408,6 +439,16 @@ mod tests {
         // tiny caps. Families and series are never evicted, so a refused
         // attempt stays refused: every attempt either lands on a stored
         // series or is counted as exactly one refusal.
+        const NAMES: [&str; 8] = [
+            "fet_f0_total",
+            "fet_f1_total",
+            "fet_f2_total",
+            "fet_f3_total",
+            "fet_f4_total",
+            "fet_f5_total",
+            "fet_f6_total",
+            "fet_f7_total",
+        ];
         let mut rng = fet_netsim::rng::Pcg32::new(0xCA95_0001, 1);
         for _ in 0..300 {
             let cfg = RegistryConfig {
@@ -419,15 +460,15 @@ mod tests {
                 .map(|_| (rng.next_below(8), rng.next_below(32)))
                 .collect();
             for &(f, sr) in &attempts {
-                r.counter_add(&format!("fet_f{f}_total"), "Prop.", &[("s", &sr.to_string())], 1);
+                r.counter_add(NAMES[f as usize], "Prop.", &[("s", &sr.to_string())], 1);
             }
             assert!(r.family_count() <= cfg.max_families, "family cap violated");
-            assert!(r.families().all(|fam| fam.series.len() <= cfg.max_series_per_family));
+            assert!(r.families().all(|fam| fam.series().len() <= cfg.max_series_per_family));
             let stored = attempts
                 .iter()
                 .filter(|&&(f, sr)| {
-                    r.family(&format!("fet_f{f}_total")).is_some_and(|fam| {
-                        fam.series.contains_key(&labels(&[("s", &sr.to_string())]))
+                    r.family(NAMES[f as usize]).is_some_and(|fam| {
+                        fam.series().iter().any(|s| s.labels == [("s", sr.to_string())])
                     })
                 })
                 .count() as u64;
@@ -439,9 +480,9 @@ mod tests {
             // The stored counters hold exactly the stored attempts.
             let total: u64 = r
                 .families()
-                .flat_map(|fam| fam.series.values())
-                .map(|v| match v {
-                    SeriesValue::Counter(c) => *c,
+                .flat_map(|fam| fam.series())
+                .map(|s| match s.value {
+                    SeriesValue::Counter(c) => c,
                     _ => unreachable!("only counters were added"),
                 })
                 .sum();
@@ -461,12 +502,11 @@ mod tests {
     #[test]
     fn histogram_buckets_fill_in_order() {
         let mut r = MetricRegistry::default();
-        let bounds = [1.0, 10.0];
         for v in [0.5, 5.0, 50.0, 0.2] {
-            r.histogram_observe("fet_h", "h", &bounds, &[], v);
+            r.histogram_observe("fet_h", "h", &[1.0, 10.0], &[], v);
         }
         let fam = r.family("fet_h").unwrap();
-        match fam.series.values().next().unwrap() {
+        match &fam.series()[0].value {
             SeriesValue::Histogram { buckets, sum, count } => {
                 assert_eq!(buckets, &vec![2, 1, 1]);
                 assert_eq!(*count, 4);

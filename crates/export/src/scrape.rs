@@ -18,6 +18,7 @@ use netseer::deploy::{fleet_ledger, fleet_stats};
 use netseer::recovery::Collector;
 use netseer::watchdog::WatchdogLog;
 use netseer::{DeliveryLedger, WireIngest};
+use std::fmt::Write;
 
 /// SLA breach-window duration buckets, ns (windows are ~1 ms wide and
 /// merge while contiguous).
@@ -228,8 +229,12 @@ pub fn scrape_analytics(reg: &mut MetricRegistry, e: &AnalyticsEngine, top_n: us
         &[],
         e.restarts,
     );
+    // One scratch buffer per label value, reused across series: the
+    // registry copies a value only when it admits a new series.
+    let mut flow = String::new();
     for entry in e.top_flows(top_n) {
-        let flow = entry.flow.to_string();
+        flow.clear();
+        let _ = write!(flow, "{}", entry.flow);
         reg.gauge_set(
             "fet_analytics_top_flow_events",
             "Estimated event weight of a top-k victim flow (overestimate).",
@@ -243,9 +248,12 @@ pub fn scrape_analytics(reg: &mut MetricRegistry, e: &AnalyticsEngine, top_n: us
             entry.error as f64,
         );
     }
+    let (mut domain, mut proto) = (String::new(), String::new());
     for r in e.upstream_losses() {
-        let proto = r.protocol.version().to_string();
-        let domain = r.domain.to_string();
+        domain.clear();
+        let _ = write!(domain, "{}", r.domain);
+        proto.clear();
+        let _ = write!(proto, "{}", r.protocol.version());
         let lbls = [("domain", domain.as_str()), ("protocol", proto.as_str())];
         reg.counter_add(
             "fet_wire_upstream_lost_total",
@@ -265,8 +273,10 @@ pub fn scrape_analytics(reg: &mut MetricRegistry, e: &AnalyticsEngine, top_n: us
 /// Publish finished SLA breach windows: per-device counts/drop weight
 /// plus a duration histogram.
 pub fn scrape_breaches(reg: &mut MetricRegistry, breaches: &[BreachWindow]) {
+    let mut device = String::new();
     for b in breaches {
-        let device = b.device.to_string();
+        device.clear();
+        let _ = write!(device, "{}", b.device);
         let lbls = [("device", device.as_str())];
         reg.counter_add(
             "fet_sla_breach_windows_total",
