@@ -122,13 +122,13 @@ pub fn monitor_of_mut(sim: &mut Simulator, id: NodeId) -> &mut NetSeerMonitor {
 /// Each per-monitor ledger is asserted balanced on the way, so the sum
 /// is too — the fleet-wide conservation identity the exporters publish.
 pub fn fleet_ledger(sim: &Simulator) -> crate::DeliveryLedger {
-    monitors(sim)
-        .map(|m| {
-            let l = m.ledger();
-            l.assert_balanced();
-            l
-        })
-        .sum()
+    monitors(sim).map(balanced_ledger).sum()
+}
+
+fn balanced_ledger(m: &NetSeerMonitor) -> crate::DeliveryLedger {
+    let l = m.ledger();
+    l.assert_balanced();
+    l
 }
 
 /// Fleet-wide reliability counters aggregated across every monitor —
@@ -151,18 +151,34 @@ pub struct FleetStats {
     pub restarts: u64,
 }
 
+impl FleetStats {
+    fn add(&mut self, m: &NetSeerMonitor) {
+        self.crc_failures += m.cebp_crc_failures;
+        self.wal_records_rejected += m.recovery.wal_records_rejected;
+        self.flushes_skipped += m.batcher.flushes_skipped;
+        self.retransmissions += m.transport.retransmissions;
+        self.notification_copies_dropped += m.notification_copies_dropped;
+        self.restarts += m.recovery.restarts;
+    }
+}
+
 /// Aggregate [`FleetStats`] across every attached monitor.
 pub fn fleet_stats(sim: &Simulator) -> FleetStats {
     let mut total = FleetStats::default();
-    for m in monitors(sim) {
-        total.crc_failures += m.cebp_crc_failures;
-        total.wal_records_rejected += m.recovery.wal_records_rejected;
-        total.flushes_skipped += m.batcher.flushes_skipped;
-        total.retransmissions += m.transport.retransmissions;
-        total.notification_copies_dropped += m.notification_copies_dropped;
-        total.restarts += m.recovery.restarts;
-    }
+    monitors(sim).for_each(|m| total.add(m));
     total
+}
+
+/// [`fleet_ledger`] and [`fleet_stats`] together, from one walk over the
+/// monitors — what a scrape publishes.
+pub fn fleet_summary(sim: &Simulator) -> (crate::DeliveryLedger, FleetStats) {
+    let mut ledger = crate::DeliveryLedger::default();
+    let mut stats = FleetStats::default();
+    for m in monitors(sim) {
+        ledger += balanced_ledger(m);
+        stats.add(m);
+    }
+    (ledger, stats)
 }
 
 /// Aggregate per-step stats across all switch monitors (for Figure 13).

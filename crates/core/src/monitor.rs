@@ -986,8 +986,9 @@ impl SwitchMonitor for NetSeerMonitor {
             if kind != FrameKind::Pfc && !already_tagged {
                 let flow = extract_flow(frame).unwrap_or(acl_rule_flow(0));
                 let seq = self.tagger(ctx.port).next(flow);
-                // In place: the buffer's spare capacity absorbs the 6-byte
-                // tag after the first hop, so steady state never allocates.
+                // In place: data and notification frames are built with
+                // room for the 6-byte tag, so tagging never reallocates,
+                // the first hop included.
                 let _ = insert_seqtag_in_place(frame, seq);
             }
             self.drain_pending(ctx.now_ns, ctx.port, 1, out);

@@ -14,7 +14,7 @@ use crate::registry::MetricRegistry;
 use fet_analytics::{AnalyticsEngine, BreachWindow};
 use fet_netsim::engine::Simulator;
 use fet_wire::{ALL_CLOCK_LIES, ALL_REASONS};
-use netseer::deploy::{fleet_ledger, fleet_stats};
+use netseer::deploy::fleet_summary;
 use netseer::recovery::Collector;
 use netseer::watchdog::WatchdogLog;
 use netseer::{DeliveryLedger, WireIngest};
@@ -415,8 +415,8 @@ pub fn scrape_watchdog(reg: &mut MetricRegistry, log: &WatchdogLog) {
 /// Publish the fleet-wide monitor surfaces: the summed delivery ledger
 /// (scope `fleet`) and the reliability counters.
 pub fn scrape_fleet(reg: &mut MetricRegistry, sim: &Simulator) {
-    scrape_ledger(reg, "fleet", &fleet_ledger(sim));
-    let fs = fleet_stats(sim);
+    let (ledger, fs) = fleet_summary(sim);
+    scrape_ledger(reg, "fleet", &ledger);
     for (name, help, v) in [
         (
             "fet_fleet_crc_failures_total",

@@ -9,7 +9,9 @@ use crate::counters::PortCounters;
 use crate::fxhash::FxHashMap;
 use crate::monitor::{Actions, EgressCtx, HookVerdict, IngressCtx, SwitchMonitor};
 use crate::switchdev::{DequeueResult, Effects};
-use fet_packet::builder::{build_data_packet_in, classify, extract_flow, FrameKind};
+use fet_packet::builder::{
+    build_data_packet_in, classify, data_packet_len, extract_flow, FrameKind,
+};
 use fet_packet::ipv4::Ipv4Addr;
 use fet_packet::tcp::flags;
 use fet_packet::FrameArena;
@@ -95,6 +97,30 @@ pub struct ProbeSample {
     pub target: Ipv4Addr,
 }
 
+/// TTL of every data packet a host sends.
+const HOST_TTL: u8 = 64;
+
+/// One entry of the NIC transmit queue.
+enum Queued {
+    /// A data packet (flow traffic, probes, probe replies), held as what
+    /// its frame is built from: the frame is a pure function of these
+    /// fields, so it is built in [`Host::dequeue_tx`] just before it
+    /// leaves, like a NIC fetching a descriptor's bytes at transmit time.
+    Packet { flow: FlowKey, payload_len: usize, tcp_flags: u8, dscp: u8 },
+    /// Frame bytes the NIC monitor emitted.
+    Frame(Vec<u8>),
+}
+
+impl Queued {
+    /// On-wire length of the frame this entry transmits.
+    fn wire_len(&self) -> u64 {
+        match self {
+            Queued::Packet { flow, payload_len, .. } => data_packet_len(flow, *payload_len) as u64,
+            Queued::Frame(f) => f.len() as u64,
+        }
+    }
+}
+
 /// A simulated server.
 pub struct Host {
     /// Device id.
@@ -117,7 +143,8 @@ pub struct Host {
     pub probes_lost: u64,
     /// Optional NIC telemetry (NetSeer-on-SmartNIC).
     pub monitor: Option<Box<dyn SwitchMonitor>>,
-    txq: VecDeque<Vec<u8>>,
+    txq: VecDeque<Queued>,
+    /// On-wire bytes of everything in `txq`.
     txq_bytes: u64,
     /// TX serializer busy flag (engine-managed).
     pub port_busy: bool,
@@ -125,8 +152,9 @@ pub struct Host {
     pub paused_until: u64,
     /// Frames dropped because the TX queue overflowed.
     pub txq_drops: u64,
-    /// Recycled frame buffers: emissions draw from here, consumed
-    /// arrivals retire into it — steady-state sources never allocate.
+    /// Recycled frame buffers: departing data packets draw from here,
+    /// consumed arrivals retire into it — steady-state sources never
+    /// allocate.
     arena: FrameArena,
 }
 
@@ -193,16 +221,16 @@ impl Host {
             }
             _ => 0,
         };
-        let frame =
-            build_data_packet_in(&mut self.arena, &spec.key, payload, tcp_flags, spec.dscp, 64);
         prog.sent_bytes += payload as u64;
         prog.pkts_sent += 1;
         if is_last {
             prog.done = true;
         }
-        let gap = crate::time::tx_time_ns(frame.len(), spec.rate_gbps);
+        let gap = crate::time::tx_time_ns(data_packet_len(&spec.key, payload), spec.rate_gbps);
         let done = prog.done;
-        self.enqueue_tx(frame);
+        let packet =
+            Queued::Packet { flow: spec.key, payload_len: payload, tcp_flags, dscp: spec.dscp };
+        self.enqueue(packet);
         if done {
             None
         } else {
@@ -212,12 +240,17 @@ impl Host {
 
     /// Push a frame into the NIC TX queue (drops on overflow).
     pub fn enqueue_tx(&mut self, frame: Vec<u8>) -> bool {
-        if self.txq_bytes + frame.len() as u64 > self.config.txq_cap_bytes {
+        self.enqueue(Queued::Frame(frame))
+    }
+
+    fn enqueue(&mut self, entry: Queued) -> bool {
+        let len = entry.wire_len();
+        if self.txq_bytes + len > self.config.txq_cap_bytes {
             self.txq_drops += 1;
             return false;
         }
-        self.txq_bytes += frame.len() as u64;
-        self.txq.push_back(frame);
+        self.txq_bytes += len;
+        self.txq.push_back(entry);
         true
     }
 
@@ -227,7 +260,12 @@ impl Host {
         if now_ns < self.paused_until {
             return None;
         }
-        let mut frame = self.txq.pop_front()?;
+        let mut frame = match self.txq.pop_front()? {
+            Queued::Packet { flow, payload_len, tcp_flags, dscp } => {
+                build_data_packet_in(&mut self.arena, &flow, payload_len, tcp_flags, dscp, HOST_TTL)
+            }
+            Queued::Frame(frame) => frame,
+        };
         self.txq_bytes -= frame.len() as u64;
         let mut effects = Effects::default();
         if let Some(m) = self.monitor.as_mut() {
@@ -343,9 +381,9 @@ impl Host {
     fn receive_data(&mut self, now_ns: u64, frame: &[u8], flow: FlowKey, fx: &mut Effects) {
         // Probe responder: echo UDP packets aimed at the echo port.
         if flow.proto == IpProtocol::Udp && flow.dport == PROBE_ECHO_PORT {
-            let reply_key = flow.reversed();
-            let reply = build_data_packet_in(&mut self.arena, &reply_key, 8, 0, 46 << 2 >> 2, 64);
-            if self.enqueue_tx(reply) {
+            let reply =
+                Queued::Packet { flow: flow.reversed(), payload_len: 8, tcp_flags: 0, dscp: 46 };
+            if self.enqueue(reply) {
                 fx.kick_ports.insert(0);
             }
             return;
@@ -384,10 +422,9 @@ impl Host {
     pub fn send_probe(&mut self, now_ns: u64, target: Ipv4Addr) -> bool {
         let id = self.next_probe_id;
         self.next_probe_id = self.next_probe_id.wrapping_add(1).max(20_000);
-        let key = FlowKey::udp(self.config.ip, id, target, PROBE_ECHO_PORT);
-        let frame = build_data_packet_in(&mut self.arena, &key, 8, 0, 0, 64);
+        let flow = FlowKey::udp(self.config.ip, id, target, PROBE_ECHO_PORT);
         self.outstanding_probes.insert(id, (now_ns, target));
-        self.enqueue_tx(frame)
+        self.enqueue(Queued::Packet { flow, payload_len: 8, tcp_flags: 0, dscp: 0 })
     }
 
     /// Expire probes older than `timeout_ns` (counted as lost).
@@ -469,6 +506,32 @@ mod tests {
         assert!(t(&first) & flags::SYN != 0);
         assert!(t(&first) & flags::FIN == 0);
         assert!(t(&last) & flags::FIN != 0);
+    }
+
+    #[test]
+    fn dequeued_frames_match_the_builder() {
+        let mut h = host();
+        let s = spec(2_500, 1_000);
+        let key = s.key;
+        let idx = h.add_flow(s);
+        while h.emit_flow_packet(idx, 0).is_some() {}
+        for (payload, tcp_flags) in
+            [(1_000, flags::ACK | flags::SYN), (1_000, flags::ACK), (500, flags::ACK | flags::FIN)]
+        {
+            let frame = h.dequeue_tx(0).unwrap().frame;
+            assert_eq!(frame, build_data_packet(&key, payload, tcp_flags, 0, 64));
+        }
+        // A probe, and the reply its target queues.
+        let target = Ipv4Addr::from_octets([10, 0, 1, 9]);
+        let mut b = Host::new(8, HostConfig { ip: target, ..HostConfig::default() });
+        assert!(h.send_probe(0, target));
+        let probe = h.dequeue_tx(0).unwrap().frame;
+        let probe_key = FlowKey::udp(h.config.ip, 20_000, target, PROBE_ECHO_PORT);
+        assert_eq!(probe, build_data_packet(&probe_key, 8, 0, 0, 64));
+        let _ = b.handle_arrival(0, probe, false);
+        let reply = b.dequeue_tx(0).unwrap().frame;
+        assert_eq!(reply, build_data_packet(&probe_key.reversed(), 8, 0, 46, 64));
+        assert_eq!((h.txq_depth_bytes(), b.txq_depth_bytes()), (0, 0));
     }
 
     #[test]

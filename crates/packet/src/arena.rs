@@ -4,13 +4,31 @@
 //! per packet from scratch is a heap allocation per packet. A
 //! [`FrameArena`] recycles retired frame buffers so a steady-state
 //! traffic source allocates nothing: `get` hands back a zeroed buffer of
-//! the requested length (reusing a retired buffer's capacity when one is
-//! available) and `put` retires a buffer into the pool.
+//! the requested length (reusing a retired buffer when one is large
+//! enough) and `put` retires a buffer into the pool.
+//!
+//! Every buffer `get` returns has room for the frame plus one sequence
+//! tag ([`SEQTAG_LEN`]): every monitored link tags at egress, the first
+//! hop included, so [`insert_seqtag_in_place`] never reallocates and a
+//! frame holds `len + SEQTAG_LEN` bytes for its whole life instead of
+//! the doubled capacity a tag-triggered `Vec` growth would leave.
 //!
 //! The arena is deliberately *not* thread-safe or reference-counted —
 //! each device owns its own pool, matching the simulator's
 //! one-device-per-shard execution model, and buffers are plain `Vec<u8>`
 //! so they flow through the existing packet APIs unchanged.
+//!
+//! [`insert_seqtag_in_place`]: crate::builder::insert_seqtag_in_place
+
+use crate::seqtag::SEQTAG_LEN;
+
+/// A zeroed buffer of `len` bytes with capacity for one sequence tag on
+/// top, so tagging it in place never reallocates.
+pub(crate) fn tag_ready(len: usize) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(len + SEQTAG_LEN);
+    buf.resize(len, 0);
+    buf
+}
 
 /// A recycling pool of frame buffers.
 #[derive(Debug, Default)]
@@ -31,22 +49,22 @@ impl FrameArena {
         Self::default()
     }
 
-    /// A zeroed buffer of exactly `len` bytes, reusing pooled capacity
-    /// when available.
+    /// A zeroed buffer of `len` bytes with capacity for a sequence tag
+    /// on top, reusing a pooled buffer when it is large enough (a smaller
+    /// one is dropped and a fresh buffer allocated).
     pub fn get(&mut self, len: usize) -> Vec<u8> {
         self.gets += 1;
         match self.pool.pop() {
-            Some(mut buf) => {
+            Some(mut buf) if buf.capacity() >= len + SEQTAG_LEN => {
+                // From length 0, `resize` writes every byte: nothing of the
+                // previous packet survives.
                 buf.clear();
                 buf.resize(len, 0);
-                // Zero the whole buffer: resize only zeroes the grown tail,
-                // but the recycled prefix still holds the previous packet.
-                buf.fill(0);
                 buf
             }
-            None => {
+            _ => {
                 self.misses += 1;
-                vec![0u8; len]
+                tag_ready(len)
             }
         }
     }
@@ -105,6 +123,8 @@ mod tests {
         a.put(Vec::with_capacity(8));
         let b = a.get(1500);
         assert_eq!(b.len(), 1500);
+        assert!(b.capacity() >= 1500 + SEQTAG_LEN);
         assert!(b.iter().all(|&x| x == 0));
+        assert_eq!(a.stats(), (1, 1), "a too-small buffer is a miss");
     }
 }

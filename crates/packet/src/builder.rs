@@ -4,6 +4,7 @@
 //! complete Ethernet frame; these helpers build well-formed frames and
 //! extract flow information without callers touching raw offsets.
 
+use crate::arena::tag_ready;
 use crate::cebp;
 use crate::checksum::crc32c;
 use crate::error::{ParseError, Result};
@@ -20,7 +21,8 @@ use crate::{CRC_TRAILER_LEN, MIN_FRAME_LEN};
 
 /// Build a complete Ethernet+IPv4+TCP/UDP frame for `flow` with `payload_len`
 /// bytes of application payload (zero-filled). `tcp_flags` applies to TCP
-/// flows only. Frames are padded to the 64-byte Ethernet minimum.
+/// flows only. Frames are padded to the 64-byte Ethernet minimum and have
+/// capacity for a sequence tag.
 pub fn build_data_packet(
     flow: &FlowKey,
     payload_len: usize,
@@ -28,7 +30,7 @@ pub fn build_data_packet(
     dscp: u8,
     ttl: u8,
 ) -> Vec<u8> {
-    let mut buf = vec![0u8; data_packet_len(flow, payload_len)];
+    let mut buf = tag_ready(data_packet_len(flow, payload_len));
     fill_data_packet(&mut buf, flow, payload_len, tcp_flags, dscp, ttl);
     buf
 }
@@ -139,7 +141,8 @@ pub fn build_notification_frames_with(
         .map(|copy| {
             let payload = build_notification(lo, hi, copy, observer_port);
             let wire = ETHERNET_HEADER_LEN + NOTIFICATION_LEN + CRC_TRAILER_LEN;
-            let mut buf = vec![0u8; wire.max(MIN_FRAME_LEN)];
+            // Switches tag notifications on egress: leave room for it.
+            let mut buf = tag_ready(wire.max(MIN_FRAME_LEN));
             let mut eth = EthernetFrame::new_unchecked(&mut buf[..]);
             eth.set_dst(MacAddr::BROADCAST);
             eth.set_src(MacAddr::BROADCAST);
@@ -237,9 +240,10 @@ pub fn strip_seqtag(frame: &[u8]) -> Result<(u32, Vec<u8>)> {
 }
 
 /// Insert a NetSeer sequence tag **in place**: the frame grows by
-/// [`SEQTAG_LEN`] bytes but keeps its buffer (and, once warm, its
-/// capacity) — the zero-allocation form of [`insert_seqtag`] used on the
-/// per-packet hot path.
+/// [`SEQTAG_LEN`] bytes but keeps its buffer — the zero-allocation form of
+/// [`insert_seqtag`] used on the per-packet hot path. Data and
+/// notification frames from this module and [`crate::FrameArena`] have
+/// the capacity for it, so their buffers never move.
 pub fn insert_seqtag_in_place(frame: &mut Vec<u8>, seq: u32) -> Result<()> {
     let eth = EthernetFrame::new_checked(&frame[..])?;
     if eth.ethertype() == EtherType::NetSeerSeq {
@@ -535,6 +539,29 @@ mod tests {
         assert_eq!(seq, 12345);
         assert_eq!(buf, pkt);
         assert!(strip_seqtag_in_place(&mut buf).is_err());
+    }
+
+    #[test]
+    fn tagging_never_moves_a_frame() {
+        let mut arena = crate::FrameArena::new();
+        let fresh = build_data_packet_in(&mut arena, &flow(), 1000, flags::ACK, 0, 64);
+        let big = build_data_packet_in(&mut arena, &flow(), 1400, 0, 0, 64);
+        // Recycled: a buffer large enough is reused, one smaller than the
+        // request is replaced.
+        arena.put(big);
+        let recycled = build_data_packet_in(&mut arena, &flow(), 500, 0, 0, 64);
+        arena.put(Vec::with_capacity(100));
+        let from_small = build_data_packet_in(&mut arena, &flow(), 1000, 0, 0, 64);
+        let mut frames = vec![fresh, recycled, from_small, build_data_packet(&flow(), 0, 0, 0, 64)];
+        frames.extend(build_notification_frames(1, 9, 3));
+        for (i, mut f) in frames.into_iter().enumerate() {
+            assert!(f.capacity() >= f.len() + SEQTAG_LEN, "frame {i} lacks tag room");
+            let (ptr, cap) = (f.as_ptr(), f.capacity());
+            let untagged = f.clone();
+            insert_seqtag_in_place(&mut f, 7).unwrap();
+            assert_eq!((f.as_ptr(), f.capacity()), (ptr, cap), "frame {i} moved");
+            assert_eq!(f, insert_seqtag(&untagged, 7).unwrap());
+        }
     }
 
     #[test]

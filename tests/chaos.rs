@@ -19,8 +19,8 @@ use fet_netsim::time::{MICROS, MILLIS};
 use fet_netsim::Simulator;
 use fet_packet::event::EventType;
 use netseer::deploy::{
-    collect_events, delivered_history, fleet_ledger, fleet_stats, monitor_of, monitor_of_mut,
-    monitors,
+    collect_events, delivered_history, fleet_ledger, fleet_stats, fleet_summary, monitor_of,
+    monitor_of_mut, monitors,
 };
 use netseer::faults::{seeded_device_crashes, streams, OverloadWindow};
 use netseer::{
@@ -200,8 +200,9 @@ fn same_seed_reproduces_the_same_chaos() {
         drive_lossy_fabric(&mut sim, &ft, 0.02);
         sim.run_until(20 * MILLIS);
         let ledger = fleet_ledger(&sim);
-        let retx = fleet_stats(&sim).retransmissions;
-        let notif = fleet_stats(&sim).notification_copies_dropped;
+        let stats = fleet_stats(&sim);
+        assert_eq!(fleet_summary(&sim), (ledger, stats), "one walk sums what two do");
+        let (retx, notif) = (stats.retransmissions, stats.notification_copies_dropped);
         let store = collect_events(&mut sim);
         (ledger, retx, notif, store.len(), sim.mgmt.total_bytes())
     };
