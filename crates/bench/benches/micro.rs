@@ -181,6 +181,15 @@ fn bench_pdp() {
     });
 }
 
+/// The simulator's event queue: one pop and one push per step (2 ops),
+/// ~500 events queued, at `fleet_faulted`'s horizon mix.
+fn bench_event_queue() {
+    let mut q = fet_netsim::engine::QueueBench::new(512, 1);
+    bench("netsim", "event_push_pop", 2, || {
+        black_box(q.step());
+    });
+}
+
 fn bench_path_table() {
     let mut t = PathTable::new(8192, 1);
     let mut n = 0u32;
@@ -271,6 +280,7 @@ fn main() {
     bench_packets();
     bench_pdp();
     bench_path_table();
+    bench_event_queue();
     bench_full_monitor_path();
     bench_export();
 }

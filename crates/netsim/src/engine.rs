@@ -35,11 +35,33 @@ pub enum Node {
 }
 
 impl Node {
-    /// The serializer-busy flag of `port` (a host has only port 0).
-    fn port_busy(&mut self, port: u8) -> &mut bool {
+    /// The serializer state of `port` (a host has only port 0): its busy
+    /// flag and the key of a recorded idle tx-done.
+    fn port_state(&mut self, port: u8) -> (&mut bool, &mut Option<(u64, u64)>) {
         match self {
-            Node::Switch(sw) => &mut sw.port_busy[usize::from(port)],
-            Node::Host(h) => &mut h.port_busy,
+            Node::Switch(sw) => {
+                let p = usize::from(port);
+                (&mut sw.port_busy[p], &mut sw.idle_tx[p])
+            }
+            Node::Host(h) => (&mut h.port_busy, &mut h.idle_tx),
+            Node::Vacant => panic!("port state of a vacant node"),
+        }
+    }
+
+    /// Number of ports whose serializer state the engine keeps.
+    fn port_count(&self) -> usize {
+        match self {
+            Node::Switch(sw) => sw.port_busy.len(),
+            Node::Host(_) => 1,
+            Node::Vacant => 0,
+        }
+    }
+
+    /// True when every queue of `port` is empty.
+    fn drained(&self, port: u8) -> bool {
+        match self {
+            Node::Switch(sw) => sw.drained(port),
+            Node::Host(h) => h.txq_depth_bytes() == 0,
             Node::Vacant => panic!("port state of a vacant node"),
         }
     }
@@ -210,6 +232,8 @@ type ControlFn = Box<dyn FnOnce(&mut Simulator) + Send>;
 /// The simulator: devices, links, event queue, ground truth, accounting.
 pub struct Simulator {
     pub(crate) now: u64,
+    /// Key of the event being handled (or last handled).
+    pub(crate) cur: EventKey,
     pub(crate) queue: EventWheel,
     /// Per-lane push counters (lane 0 = external, lane d+1 = device d).
     pub(crate) lane_seqs: Vec<u64>,
@@ -246,6 +270,7 @@ impl Simulator {
     pub fn new() -> Self {
         Simulator {
             now: 0,
+            cur: (0, 0, 0),
             queue: EventWheel::new(),
             lane_seqs: vec![0],
             nodes: Vec::new(),
@@ -522,11 +547,42 @@ impl Simulator {
                 break;
             }
             let entry = self.queue.pop().expect("peeked");
-            self.now = entry.time;
-            self.events_processed += 1;
-            self.dispatch(entry.ev);
+            self.step(entry);
         }
+        self.finish_run(until_ns);
+    }
+
+    /// Handle one popped event: move the clock to it and dispatch it.
+    pub(crate) fn step(&mut self, entry: QEntry) {
+        self.now = entry.time;
+        self.cur = entry.key();
+        self.events_processed += 1;
+        self.dispatch(entry.ev);
+    }
+
+    /// End a `run_until*` call at `until_ns`: every recorded tx-done up to
+    /// `until_ns` has happened, and the clock stands where the last event
+    /// left it, one ns on (capped at `until_ns`).
+    pub(crate) fn finish_run(&mut self, until_ns: u64) {
+        self.retire_idle_tx((until_ns.saturating_add(1), 0, 0));
         self.now = self.now.max(until_ns.min(self.now + 1));
+    }
+
+    /// Retire every recorded tx-done keyed below `bound`: its port went
+    /// idle then, and the clock has passed it.
+    fn retire_idle_tx(&mut self, bound: EventKey) {
+        for (id, n) in self.nodes.iter_mut().enumerate() {
+            for port in 0..n.port_count() {
+                let (busy, idle_tx) = n.port_state(port as u8);
+                if let Some((time, seq)) = *idle_tx {
+                    if (time, id as u32 + 1, seq) < bound {
+                        *idle_tx = None;
+                        *busy = false;
+                        self.now = self.now.max(time);
+                    }
+                }
+            }
+        }
     }
 
     /// Run like [`run_until`](Self::run_until), but with the fleet sharded
@@ -553,6 +609,9 @@ impl Simulator {
                 self.handle_monitor_timer(node, interval_ns)
             }
             SimEvent::Control { idx } => {
+                // A control may read any port's state: settle the
+                // tx-dones that precede it first.
+                self.retire_idle_tx(self.cur);
                 if let Some(f) = self.controls[idx].take() {
                     f(self);
                 }
@@ -583,14 +642,28 @@ impl Simulator {
 
     /// Ensure `port` of `node` is actively draining (schedules a dequeue if
     /// the serializer is idle and something is transmittable).
+    ///
+    /// A tx-done that found the port drained was recorded on the port
+    /// instead of scheduled (see [`handle_dequeue`](Self::handle_dequeue)).
+    /// If its key is still ahead of the event being handled, it becomes
+    /// the `Dequeue` it would have been, under that key, so the schedule
+    /// is unchanged. If its key is behind, the port went idle at it.
     fn kick_port(&mut self, node: NodeId, port: u8) {
         let now = self.now;
         let n = &mut self.nodes[node as usize];
-        if *n.port_busy(port) {
-            return;
+        let (busy, idle_tx) = n.port_state(port);
+        match idle_tx.take() {
+            Some((time, seq)) if (time, node + 1, seq) > self.cur => {
+                let ev = SimEvent::Dequeue { node, port };
+                self.queue.push(QEntry { time, lane: node + 1, seq, ev });
+                return;
+            }
+            Some(_) => *busy = false,
+            None if *busy => return,
+            None => {}
         }
         if n.has_transmittable(now, port) {
-            *n.port_busy(port) = true;
+            *n.port_state(port).0 = true;
             self.push_node(node, now, SimEvent::Dequeue { node, port });
         } else if let Some(t) = n.earliest_pause_expiry(now, port) {
             self.push_node(node, t, SimEvent::RetryPort { node, port });
@@ -608,11 +681,22 @@ impl Simulator {
             Some(res) => {
                 let tx_done = self.transmit(node, port, res.frame);
                 self.apply_effects(node, res.effects);
-                self.push_node(node, tx_done, SimEvent::Dequeue { node, port });
+                if self.nodes[node as usize].drained(port) {
+                    // The tx-done would only find the port idle: take its
+                    // seq as `push_node` would, and record it on the port.
+                    let lane = node as usize + 1;
+                    let seq = self.lane_seqs[lane];
+                    self.lane_seqs[lane] = seq + 1;
+                    let idle_tx = self.nodes[node as usize].port_state(port).1;
+                    debug_assert!(idle_tx.is_none(), "a busy port records one tx-done");
+                    *idle_tx = Some((tx_done, seq));
+                } else {
+                    self.push_node(node, tx_done, SimEvent::Dequeue { node, port });
+                }
             }
             None => {
                 let n = &mut self.nodes[node as usize];
-                *n.port_busy(port) = false;
+                *n.port_state(port).0 = false;
                 if let Some(t) = n.earliest_pause_expiry(now, port) {
                     self.push_node(node, t, SimEvent::RetryPort { node, port });
                 }
@@ -772,6 +856,57 @@ impl Simulator {
                 _ => None,
             })
             .sum()
+    }
+}
+
+/// Steady-state driver for the event queue's micro-benchmark: keeps
+/// `depth` events queued, and each [`step`](Self::step) pops the earliest
+/// and pushes one more at the fleet's horizon mix (a quarter at the
+/// current ns, most 80–600 ns ahead, a tail out to ~1 ms). Not part of
+/// the simulator's API.
+#[doc(hidden)]
+pub struct QueueBench {
+    queue: EventWheel,
+    horizons: Vec<u64>,
+    next: usize,
+    seq: u64,
+    now: u64,
+}
+
+impl QueueBench {
+    /// A queue holding `depth` events, with horizons drawn from `seed`.
+    pub fn new(depth: usize, seed: u64) -> Self {
+        let mut rng = crate::rng::Pcg32::new(seed, 0x51);
+        let horizons = (0..4096)
+            .map(|_| match rng.next_below(100) {
+                0..=24 => 0,
+                25..=89 => 80 + u64::from(rng.next_below(520)),
+                90..=97 => 600 + u64::from(rng.next_below(20_000)),
+                _ => 100_000 + u64::from(rng.next_below(900_000)),
+            })
+            .collect();
+        let mut b = QueueBench { queue: EventWheel::new(), horizons, next: 0, seq: 0, now: 0 };
+        for _ in 0..depth {
+            b.push();
+        }
+        b
+    }
+
+    fn push(&mut self) {
+        let dt = self.horizons[self.next];
+        self.next = (self.next + 1) % self.horizons.len();
+        let lane = (self.seq % 97) as u32;
+        let ev = SimEvent::Dequeue { node: lane, port: 0 };
+        self.queue.push(QEntry { time: self.now + dt, lane, seq: self.seq, ev });
+        self.seq += 1;
+    }
+
+    /// Pop the earliest event and push one more; returns the popped time.
+    pub fn step(&mut self) -> u64 {
+        let e = self.queue.pop().expect("the queue never drains");
+        self.now = e.time;
+        self.push();
+        e.time
     }
 }
 
@@ -1017,6 +1152,100 @@ mod engine_unit_tests {
         assert_eq!(h.counters.tx_pkts, 10);
         assert_eq!(h.txq_depth_bytes(), 0);
         assert!(!h.port_busy);
+    }
+
+    /// Records the time of every NIC dequeue.
+    struct EgressLog(Vec<u64>);
+    impl SwitchMonitor for EgressLog {
+        fn on_egress(
+            &mut self,
+            ctx: &crate::monitor::EgressCtx<'_>,
+            _frame: &mut Vec<u8>,
+            _out: &mut Actions,
+        ) {
+            self.0.push(ctx.now_ns);
+        }
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// Host 0 sends one 1000-byte packet at t = 2000 to host 1 over a
+    /// 25 Gbps link; the packet's tx-done (t = 2338) finds the NIC drained.
+    /// A second one-packet flow starts at `second_ns`, and host 1
+    /// optionally starts probing host 0 at `probe_ns` (a probe sent at
+    /// 1000 reaches host 0 at 2338, and host 0 answers it). Returns the
+    /// simulator after `run_until(until)` and host 0's dequeue times.
+    fn idle_port_world(second_ns: u64, probe_ns: Option<u64>, until: u64) -> (Simulator, Vec<u64>) {
+        use crate::host::FlowSpec;
+        use fet_packet::ipv4::Ipv4Addr;
+        let ips = [Ipv4Addr::from_octets([10, 0, 0, 1]), Ipv4Addr::from_octets([10, 0, 0, 2])];
+        let mut sim = Simulator::new();
+        for (id, &ip) in ips.iter().enumerate() {
+            let mut h = Host::new(id as NodeId, HostConfig { ip, ..HostConfig::default() });
+            if id == 0 {
+                h.monitor = Some(Box::new(EgressLog(Vec::new())));
+            }
+            sim.add_host(h);
+        }
+        sim.connect(0, 0, 1, 0, Link::new(25.0, 1_000, 7));
+        for (sport, start_ns) in [(1, 2_000), (2, second_ns)] {
+            let key = fet_packet::FlowKey::tcp(ips[0], sport, ips[1], 80);
+            let spec = FlowSpec {
+                key,
+                total_bytes: 1000,
+                pkt_payload: 1000,
+                rate_gbps: 25.0,
+                start_ns,
+                dscp: 0,
+            };
+            let idx = sim.host_mut(0).add_flow(spec);
+            sim.schedule_flow(0, idx);
+        }
+        if let Some(at) = probe_ns {
+            sim.schedule_probing(1, at, crate::time::SECONDS, crate::time::SECONDS);
+        }
+        sim.run_until(until);
+        let log = sim.host(0).monitor.as_ref().unwrap().as_any().downcast_ref::<EgressLog>();
+        let times = log.unwrap().0.clone();
+        (sim, times)
+    }
+
+    #[test]
+    fn frame_enqueued_before_an_idle_tx_done_leaves_at_it() {
+        let (sim, times) = idle_port_world(2_337, None, 10_000);
+        assert_eq!(times, vec![2_000, 2_338]);
+        assert!(!sim.host(0).port_busy);
+    }
+
+    #[test]
+    fn frame_enqueued_at_an_idle_tx_done_leaves_at_it() {
+        let (sim, times) = idle_port_world(2_338, None, 10_000);
+        assert_eq!(times, vec![2_000, 2_338]);
+        assert!(!sim.host(0).port_busy);
+        // A kick at the tx-done's ns that sorts after it (host 1's lane
+        // follows host 0's) finds the port idle and answers at once.
+        let (sim, times) = idle_port_world(5_000, Some(1_000), 10_000);
+        assert_eq!(times, vec![2_000, 2_338, 5_000]);
+        assert!(!sim.host(0).port_busy);
+    }
+
+    #[test]
+    fn frame_enqueued_after_an_idle_tx_done_leaves_on_arrival() {
+        let (sim, times) = idle_port_world(2_339, None, 10_000);
+        assert_eq!(times, vec![2_000, 2_339]);
+        assert!(!sim.host(0).port_busy);
+    }
+
+    #[test]
+    fn run_until_retires_an_idle_tx_done_it_passes() {
+        let (sim, times) = idle_port_world(5_000, None, 2_337);
+        assert_eq!((times, sim.host(0).port_busy, sim.now()), (vec![2_000], true, 2_001));
+        let (sim, times) = idle_port_world(5_000, None, 2_338);
+        assert_eq!((times, sim.host(0).port_busy, sim.now()), (vec![2_000], false, 2_338));
     }
 
     #[test]

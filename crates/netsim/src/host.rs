@@ -148,6 +148,9 @@ pub struct Host {
     txq_bytes: u64,
     /// TX serializer busy flag (engine-managed).
     pub port_busy: bool,
+    /// The `(time, seq)` key of a tx-done that found the NIC drained and
+    /// so was recorded rather than scheduled (see `Simulator::kick_port`).
+    pub(crate) idle_tx: Option<(u64, u64)>,
     /// PFC pause deadline for the NIC (0 = not paused).
     pub paused_until: u64,
     /// Frames dropped because the TX queue overflowed.
@@ -184,6 +187,7 @@ impl Host {
             txq: VecDeque::new(),
             txq_bytes: 0,
             port_busy: false,
+            idle_tx: None,
             paused_until: 0,
             txq_drops: 0,
             arena: FrameArena::new(),

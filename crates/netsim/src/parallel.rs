@@ -44,7 +44,11 @@
 //!   round covers many Δ-windows — epoch advancement is batched into a
 //!   single synchronization, counted in [`SyncStats::epochs_batched`].
 //!   With no cross-shard link at all, `Δ = ∞` and the segment is one
-//!   round.
+//!   round. An idle port's recorded tx-done (see the engine's
+//!   `kick_port`) is in no queue, so no floor includes it. It becomes
+//!   an event only while its shard handles an event at or above the
+//!   floor, and only if its key is later still, so what it sends lands
+//!   at `floor + Δ` or later like any other event of that shard.
 //!
 //! * **Rings.** Cross-shard frames travel through a grid of lock-free
 //!   bounded [`SpscRing`]s (`rings[src][dst]`, written only by `src`,
@@ -176,11 +180,9 @@ pub(crate) fn run(sim: &mut Simulator, until_ns: u64, shards: usize) {
         for Reverse(c) in controls {
             sim.queue.push(c);
         }
-        sim.now = entry.time;
-        sim.events_processed += 1;
-        sim.dispatch(entry.ev);
+        sim.step(entry);
     }
-    sim.now = sim.now.max(until_ns.min(sim.now + 1));
+    sim.finish_run(until_ns);
 }
 
 /// Run one control-free segment up to `seg_bound` across `shards` workers,
@@ -232,6 +234,7 @@ fn run_segment(
         }
         workers.push(Simulator {
             now: sim.now,
+            cur: sim.cur,
             queue,
             lane_seqs: sim.lane_seqs.clone(),
             nodes,
@@ -383,11 +386,9 @@ fn worker_loop(
         // Process phase: everything locally pending below the bound.
         while w.queue.peek_key().is_some_and(|k| k < bound) {
             let entry = w.queue.pop().expect("peeked");
-            w.now = entry.time;
-            w.events_processed += 1;
             let key = entry.key();
             let before = w.gt.events().len();
-            w.dispatch(entry.ev);
+            w.step(entry);
             for i in 0..(w.gt.events().len() - before) {
                 tags.push((key, i as u32));
             }

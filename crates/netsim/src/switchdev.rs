@@ -146,6 +146,9 @@ pub struct SwitchDevice {
     pub monitor: Option<Box<dyn SwitchMonitor>>,
     mmu: Mmu,
     queues: Vec<VecDeque<(Vec<u8>, PacketMeta)>>,
+    /// Per port, bit `q` set while queue `q` holds a frame (`QUEUES` is
+    /// 8, so one byte per port).
+    backlog: Vec<u8>,
     /// TX pause deadline per (port, prio); 0 = not paused.
     paused_until: Vec<u64>,
     /// For each (egress port, prio) crossing XOFF: the ingress ports we
@@ -162,6 +165,10 @@ pub struct SwitchDevice {
     gt_paths: FxHashMap<FlowKey, (u8, u8)>,
     /// Whether each port's serializer is currently busy.
     pub port_busy: Vec<bool>,
+    /// Per port, the `(time, seq)` key of a tx-done that found the port
+    /// drained and so was recorded rather than scheduled (see
+    /// `Simulator::kick_port`).
+    pub(crate) idle_tx: Vec<Option<(u64, u64)>>,
 }
 
 impl std::fmt::Debug for SwitchDevice {
@@ -189,6 +196,7 @@ impl SwitchDevice {
             monitor: None,
             mmu,
             queues: (0..ports * usize::from(QUEUES)).map(|_| VecDeque::new()).collect::<Vec<_>>(),
+            backlog: vec![0; ports],
             paused_until: vec![0; ports * PFC_CLASSES],
             paused_upstreams: HashMap::new(),
             ecmp_hash: HashUnit::new("ecmp", config.ecmp_seed, 32),
@@ -197,6 +205,7 @@ impl SwitchDevice {
                 .map(|p| fet_pdp::RateLimitedChannel::new("processing", p.gbps, p.buffer_bytes)),
             gt_paths: FxHashMap::default(),
             port_busy: vec![false; ports],
+            idle_tx: vec![None; ports],
             config,
         }
     }
@@ -540,6 +549,7 @@ impl SwitchDevice {
             MmuVerdict::Admit => {
                 let qi = self.qidx(eport, queue);
                 self.queues[qi].push_back((frame, meta));
+                self.backlog[usize::from(eport)] |= 1 << queue;
                 fx.kick_ports.insert(eport);
                 // PFC XOFF: pause the contributing ingress port, and keep
                 // refreshing the pause while the queue stays above XOFF
@@ -685,11 +695,16 @@ impl SwitchDevice {
         gt: &mut GroundTruth,
     ) -> Option<DequeueResult> {
         let mut fx = Effects::default();
-        let chosen = (0..QUEUES).rev().find(|&q| {
-            !self.queues[self.qidx(port, q)].is_empty() && !self.tx_paused(now_ns, port, q)
-        })?;
+        let ready = self.transmittable(now_ns, port);
+        if ready == 0 {
+            return None;
+        }
+        let chosen = QUEUES - 1 - ready.leading_zeros() as u8;
         let qi = self.qidx(port, chosen);
         let (mut frame, mut meta) = self.queues[qi].pop_front()?;
+        if self.queues[qi].is_empty() {
+            self.backlog[usize::from(port)] &= !(1 << chosen);
+        }
         self.mmu.release(port, chosen, frame.len() as u64);
 
         // PFC XON: resume upstreams we had paused, now that we drained.
@@ -742,18 +757,37 @@ impl SwitchDevice {
         Some(DequeueResult { frame, effects: fx })
     }
 
+    /// The non-empty queues of `port`, ascending.
+    fn backlogged(&self, port: u8) -> impl Iterator<Item = u8> {
+        let mut mask = self.backlog[usize::from(port)];
+        std::iter::from_fn(move || {
+            let q = (mask != 0).then(|| mask.trailing_zeros() as u8)?;
+            mask &= mask - 1;
+            Some(q)
+        })
+    }
+
+    /// The non-empty, unpaused queues of `port`, one bit per queue.
+    fn transmittable(&self, now_ns: u64, port: u8) -> u8 {
+        self.backlogged(port)
+            .filter(|&q| !self.tx_paused(now_ns, port, q))
+            .fold(0, |m, q| m | 1 << q)
+    }
+
+    /// True when every queue of `port` is empty.
+    pub(crate) fn drained(&self, port: u8) -> bool {
+        self.backlog[usize::from(port)] == 0
+    }
+
     /// True if any queue on `port` could transmit right now.
     pub fn has_transmittable(&self, now_ns: u64, port: u8) -> bool {
-        (0..QUEUES).any(|q| {
-            !self.queues[self.qidx(port, q)].is_empty() && !self.tx_paused(now_ns, port, q)
-        })
+        self.transmittable(now_ns, port) != 0
     }
 
     /// Earliest pause expiry among nonempty paused queues of `port`
     /// (engine schedules a retry then).
     pub fn earliest_pause_expiry(&self, now_ns: u64, port: u8) -> Option<u64> {
-        (0..QUEUES)
-            .filter(|&q| !self.queues[self.qidx(port, q)].is_empty())
+        self.backlogged(port)
             .map(|q| self.paused_until[self.qidx(port, q)])
             .filter(|&t| t > now_ns)
             .min()

@@ -4,6 +4,7 @@
 use crate::resources::{ResourceKind, ResourceLedger};
 use fet_packet::ipv4::Ipv4Addr;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Error returned when an exact table is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,58 +87,92 @@ impl<K: Eq + std::hash::Hash + Clone, A: Clone> ExactTable<K, A> {
 }
 
 /// Longest-prefix-match routing table over IPv4 destinations.
+///
+/// Routes live in one exact map per prefix length, longest length first,
+/// so a lookup probes one map per length in use instead of masking every
+/// route in turn. The fat-trees install only /32s: one probe.
 #[derive(Debug, Clone, Default)]
 pub struct LpmTable<A: Clone> {
-    /// (prefix, prefix_len, action), kept sorted by descending prefix_len so
-    /// the first match wins.
-    entries: Vec<(u32, u8, A)>,
+    /// `(prefix_len, masked prefix → action)` by descending length; no
+    /// map is empty.
+    by_len: Vec<(u8, PrefixMap<A>)>,
 }
+
+/// The routes of one prefix length, by masked prefix.
+type PrefixMap<A> = HashMap<u32, A, BuildHasherDefault<PrefixHasher>>;
 
 impl<A: Clone> LpmTable<A> {
     /// Empty table.
     pub fn new() -> Self {
-        LpmTable { entries: Vec::new() }
+        LpmTable { by_len: Vec::new() }
     }
 
     /// Insert a route `addr/len -> action`. Replaces an identical prefix.
     pub fn insert(&mut self, addr: Ipv4Addr, len: u8, action: A) {
         assert!(len <= 32);
-        let masked = mask(addr.as_u32(), len);
-        if let Some(e) = self.entries.iter_mut().find(|(p, l, _)| *p == masked && *l == len) {
-            e.2 = action;
-            return;
-        }
-        self.entries.push((masked, len, action));
-        self.entries.sort_by_key(|e| std::cmp::Reverse(e.1));
+        let at = match self.by_len.binary_search_by(|(l, _)| len.cmp(l)) {
+            Ok(at) => at,
+            Err(at) => {
+                self.by_len.insert(at, (len, HashMap::default()));
+                at
+            }
+        };
+        self.by_len[at].1.insert(mask(addr.as_u32(), len), action);
     }
 
     /// Remove a route, returning its action.
     pub fn remove(&mut self, addr: Ipv4Addr, len: u8) -> Option<A> {
-        let masked = mask(addr.as_u32(), len);
-        let pos = self.entries.iter().position(|(p, l, _)| *p == masked && *l == len)?;
-        Some(self.entries.remove(pos).2)
+        let at = self.by_len.binary_search_by(|(l, _)| len.cmp(l)).ok()?;
+        let action = self.by_len[at].1.remove(&mask(addr.as_u32(), len))?;
+        if self.by_len[at].1.is_empty() {
+            self.by_len.remove(at);
+        }
+        Some(action)
     }
 
     /// Longest-prefix lookup.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<&A> {
         let a = addr.as_u32();
-        self.entries.iter().find(|(p, l, _)| mask(a, *l) == *p).map(|(_, _, act)| act)
+        self.by_len.iter().find_map(|(len, routes)| routes.get(&mask(a, *len)))
     }
 
     /// Number of routes installed.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.by_len.iter().map(|(_, routes)| routes.len()).sum()
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.by_len.is_empty()
     }
 
     /// Charge TCAM usage (32-bit key + action) to the ledger.
     pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
-        ledger.charge(module, ResourceKind::TcamBits, 64 * self.entries.len() as u64);
+        ledger.charge(module, ResourceKind::TcamBits, 64 * self.len() as u64);
         ledger.charge(module, ResourceKind::TernaryXbar, 32);
+    }
+}
+
+/// Hashes a route prefix with one multiply. Prefixes come from the
+/// control plane, not from traffic, so SipHash's flood resistance buys
+/// nothing here and would cost more than the probe itself.
+#[derive(Debug, Default, Clone, Copy)]
+struct PrefixHasher(u64);
+
+impl Hasher for PrefixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        let h = u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -295,10 +330,11 @@ mod tests {
 
     #[test]
     fn lpm_matches_naive_longest_prefix_scan() {
-        // Random route sets (re-inserted prefixes overwrite) probed with
-        // random addresses, route addresses, and one-bit neighbours of
-        // route addresses. For one address the longest matching length
-        // fixes the masked prefix, so the winning action is unique.
+        // Random route sets (re-inserted prefixes overwrite, some routes
+        // are removed again) probed with random addresses, route
+        // addresses, and one-bit neighbours of route addresses. For one
+        // address the longest matching length fixes the masked prefix, so
+        // the winning action is unique.
         let naive_mask = |a: u32, l: u8| u32::MAX.checked_shl(32 - u32::from(l)).unwrap_or(0) & a;
         let mut rng = fet_netsim::rng::Pcg32::new(0x1F3_7AB1E, 1);
         for _ in 0..200 {
@@ -306,6 +342,13 @@ mod tests {
             let mut routes: Vec<(u32, u8, u32)> = Vec::new();
             let mut addrs: Vec<u32> = Vec::new();
             for action in 0..rng.next_below(40) {
+                if !routes.is_empty() && rng.next_below(4) == 0 {
+                    let i = rng.next_below(routes.len() as u32) as usize;
+                    let (prefix, len, action) = routes.swap_remove(i);
+                    assert_eq!(t.remove(Ipv4Addr::from_u32(prefix), len), Some(action));
+                    assert_eq!(t.remove(Ipv4Addr::from_u32(prefix), len), None);
+                    continue;
+                }
                 let addr = 0x0a00_0000 | (rng.next_u32() >> 8);
                 let len = rng.next_below(33) as u8;
                 t.insert(Ipv4Addr::from_u32(addr), len, action);
@@ -314,6 +357,7 @@ mod tests {
                 routes.push((prefix, len, action));
                 addrs.push(addr);
             }
+            assert_eq!(t.len(), routes.len());
             for _ in 0..50 {
                 let probe = match (rng.next_below(3), addrs.is_empty()) {
                     (0, _) | (_, true) => rng.next_u32(),

@@ -53,7 +53,8 @@ fn main() {
         *c = (*c).max(u32::from(e.record.counter));
     }
     let mut ranked: Vec<_> = per_flow.into_iter().collect();
-    ranked.sort_by_key(|(_, c)| std::cmp::Reverse(*c));
+    // Ties break by flow key: the map's order differs on every run.
+    ranked.sort_by_key(|&(flow, c)| (std::cmp::Reverse(c), flow));
     println!("\ntop flows by dropped packets (the candidates to reschedule):");
     for (flow, count) in ranked.iter().take(8) {
         let is_hog = hogs.contains(flow);
