@@ -151,7 +151,7 @@ fn bench_packets() {
         let bytes = black_box(&rec).to_bytes();
         black_box(EventRecord::read_from(&bytes).unwrap());
     });
-    let h = HashUnit::new("bench", 7, 32);
+    let h = HashUnit::new(7, 32);
     let f = flow(3);
     bench("packet", "crc_hash_flow", 1, || {
         black_box(h.hash_flow(black_box(&f)));
@@ -174,7 +174,7 @@ fn bench_pdp() {
         n = (n + 1) % hosts.len();
         black_box(routes.lookup(black_box(hosts[n])));
     });
-    let h = HashUnit::new("bench", 7, 32);
+    let h = HashUnit::new(7, 32);
     let key = [0x5au8; 17];
     bench("pdp", "hash_bytes_17B", 1, || {
         black_box(h.hash_bytes(black_box(&key)));

@@ -1,40 +1,18 @@
 //! Figure 7 — PDP resource usage: (a) overall usage of the combined
 //! switch.p4 + NetSeer program per resource kind; (b) NetSeer's own usage
-//! split by module (event detection, inter-switch, dedup, batching).
+//! split by module (event detection, inter-switch, dedup, batching); and
+//! the stage placement of the stateful structures the ledger charged.
 
-use fet_netsim::monitor::{Actions, EgressCtx, SwitchMonitor};
-use fet_packet::builder::build_data_packet;
-use fet_packet::ipv4::Ipv4Addr;
-use fet_packet::FlowKey;
+use fet_bench::tag_ports;
 use fet_pdp::resources::ALL_RESOURCE_KINDS;
-use fet_pdp::PacketMeta;
+use fet_pdp::{place, ResourceKind, TOFINO_PIPELINE};
 use netseer::{NetSeerConfig, NetSeerMonitor, Role};
 
 fn main() {
     let mut m = NetSeerMonitor::new(0, Role::Switch, NetSeerConfig::default());
     // Touch the fabric ports a deployed ToR would use, so per-port ring
     // buffers exist (32 tagged ports).
-    let meta = PacketMeta::arriving(0, 0, 64);
-    for port in 0..32u8 {
-        let flow = FlowKey::tcp(
-            Ipv4Addr::from_octets([10, 0, 0, 1]),
-            u16::from(port),
-            Ipv4Addr::from_octets([10, 0, 0, 2]),
-            80,
-        );
-        let mut f = build_data_packet(&flow, 100, 0, 0, 64);
-        let ctx = EgressCtx {
-            now_ns: 0,
-            node: 0,
-            port,
-            queue: 0,
-            peer_tagged: true,
-            congested: false,
-            meta: &meta,
-        };
-        let mut out = Actions::new();
-        m.on_egress(&ctx, &mut f, &mut out);
-    }
+    tag_ports(&mut m, 0..32);
     let ledger = m.resource_usage();
 
     println!("=== Figure 7(a): overall PDP resource usage (switch.p4 + NetSeer) ===");
@@ -57,24 +35,26 @@ fn main() {
         }
         println!();
     }
-    let netseer_alu: f64 = modules
-        .iter()
-        .map(|m| ledger.usage_fraction_by(m, fet_pdp::ResourceKind::StatefulAlu))
-        .sum();
+    let netseer_alu: f64 =
+        modules.iter().map(|m| ledger.usage_fraction_by(m, ResourceKind::StatefulAlu)).sum();
     println!(
         "\n  NetSeer stateful-ALU total: {:.0}% (paper: ~40%, batching+inter-switch ~28%)",
         netseer_alu * 100.0
     );
 
-    // Stage placement: the whole stateful program must fit 12 stages.
-    let layout =
-        fet_pdp::layout::place(fet_pdp::TOFINO_PIPELINE, &fet_pdp::layout::netseer_structures())
-            .expect("NetSeer fits the pipeline");
+    // Stage placement of what the ledger charged: the whole stateful
+    // program must fit the pipeline, and every module's placed structures
+    // must hold exactly the stateful ALUs the ledger charged it.
+    let layout = place(TOFINO_PIPELINE, ledger.placements()).expect("NetSeer fits the pipeline");
+    for module in modules {
+        let charged = ledger.used_by(module, ResourceKind::StatefulAlu);
+        assert_eq!(layout.alus_of(module), charged, "{module}: placed vs charged ALUs");
+    }
     println!(
         "\n  stage placement: {} structures across {} of {} stages (ALUs/stage: {:?})",
         layout.placed.len(),
         layout.depth(),
-        fet_pdp::TOFINO_PIPELINE.stages,
+        TOFINO_PIPELINE.stages,
         layout.alu_usage
     );
 }

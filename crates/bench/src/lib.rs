@@ -17,16 +17,21 @@ use fet_baselines::{
 };
 use fet_netsim::engine::Node;
 use fet_netsim::link::BurstDrop;
+use fet_netsim::monitor::{Actions, EgressCtx, SwitchMonitor};
 use fet_netsim::routing::override_route;
 use fet_netsim::time::{MICROS, MILLIS};
 use fet_netsim::topology::{build_fat_tree, FatTree, FatTreeParams};
 use fet_netsim::tracer::{GroundTruth, GtEvent};
 use fet_netsim::Simulator;
+use fet_packet::builder::build_data_packet;
 use fet_packet::event::EventType;
+use fet_packet::ipv4::Ipv4Addr;
+use fet_packet::FlowKey;
+use fet_pdp::PacketMeta;
 use fet_workloads::distributions::FlowSizeDist;
 use fet_workloads::generator::{generate_incast, generate_traffic, TrafficParams};
 use netseer::deploy::{collect_events, deploy, DeployOptions};
-use netseer::NetSeerConfig;
+use netseer::{NetSeerConfig, NetSeerMonitor};
 
 /// Which monitor a run evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -365,6 +370,28 @@ pub fn run_experiment(
 
     sim.run_until(duration_ns + 20 * MILLIS);
     RunOutcome { sim, ft, fault_at_ns: inject.at_ns }
+}
+
+/// Send one data packet out of each of `ports` toward a tagged peer, so a
+/// switch monitor creates those ports' ring buffers (Figure 7 charges the
+/// rings of the ports in use).
+pub fn tag_ports(m: &mut NetSeerMonitor, ports: std::ops::Range<u8>) {
+    let meta = PacketMeta::arriving(0, 0, 64);
+    for port in ports {
+        let src = Ipv4Addr::from_octets([10, 0, 0, 1]);
+        let flow = FlowKey::tcp(src, u16::from(port), Ipv4Addr::from_octets([10, 0, 0, 2]), 80);
+        let mut frame = build_data_packet(&flow, 100, 0, 0, 64);
+        let ctx = EgressCtx {
+            now_ns: 0,
+            node: 0,
+            port,
+            queue: 0,
+            peer_tagged: true,
+            congested: false,
+            meta: &meta,
+        };
+        m.on_egress(&ctx, &mut frame, &mut Actions::new());
+    }
 }
 
 /// Render a percentage for figure tables.

@@ -109,7 +109,6 @@ impl SwitchCpu {
     pub fn new(cfg: &NetSeerConfig) -> Self {
         SwitchCpu {
             pcie: RateLimitedChannel::new(
-                "pcie",
                 cfg.capacity.pcie_gbps(),
                 // A few MB of DMA ring is plenty.
                 4 * 1024 * 1024,

@@ -66,7 +66,7 @@ impl GroupCache {
         GroupCache {
             // 13B flow + 4B counter + 4B target + valid ≈ 176 bits/entry.
             table: RegisterArray::new(name, entries, 176),
-            hash: HashUnit::new(name, hash_seed, 32),
+            hash: HashUnit::new(hash_seed, 32),
             c: c.max(1),
             offered: 0,
             reports: 0,
@@ -282,9 +282,9 @@ impl BloomDedup {
             bits: vec![0; nbits.div_ceil(64)],
             nbits,
             hashes: [
-                HashUnit::new("bloom-a", seed ^ 0x1111, 32),
-                HashUnit::new("bloom-b", seed ^ 0x2222, 32),
-                HashUnit::new("bloom-c", seed ^ 0x3333, 32),
+                HashUnit::new(seed ^ 0x1111, 32),
+                HashUnit::new(seed ^ 0x2222, 32),
+                HashUnit::new(seed ^ 0x3333, 32),
             ],
             offered: 0,
             reports: 0,

@@ -19,8 +19,12 @@
 use fet_packet::flow::FLOW_KEY_LEN;
 use fet_packet::seqtag::gap_between;
 use fet_packet::FlowKey;
-use fet_pdp::{RegisterArray, ResourceLedger};
+use fet_pdp::RegisterArray;
 use std::collections::VecDeque;
+
+/// Logical width of one ring-buffer slot: valid bit + 32-bit packet ID +
+/// 104-bit flow.
+pub(crate) const RING_SLOT_BITS: u32 = 137;
 
 /// One ring-buffer slot: 4 B packet ID + 13 B flow + valid bit
 /// (the paper's "5-tuple and packet IDs of the recent N packets").
@@ -49,8 +53,7 @@ impl PortTagger {
     pub fn new(slots: usize) -> Self {
         PortTagger {
             next_seq: 0,
-            // 1 + 32 + 104 bits ≈ 137 bits/slot.
-            ring: RegisterArray::new("isw-ring", slots, 137),
+            ring: RegisterArray::new("isw-ring", slots, RING_SLOT_BITS),
             tagged: 0,
             lookup_hits: 0,
             lookup_misses: 0,
@@ -102,11 +105,6 @@ impl PortTagger {
     pub(crate) fn reset(&mut self, head: u32) {
         self.ring.clear();
         self.next_seq = head;
-    }
-
-    /// Charge the ring to a resource ledger.
-    pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
-        self.ring.account(ledger, module);
     }
 }
 

@@ -51,7 +51,7 @@ impl PathTable {
         PathTable {
             // valid + 104b flow + 2x8b ports ≈ 121 bits.
             table: RegisterArray::new("path-table", entries, 121),
-            hash: HashUnit::new("path-hash", hash_seed, 32),
+            hash: HashUnit::new(hash_seed, 32),
             offered: 0,
             reported: 0,
         }

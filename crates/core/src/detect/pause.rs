@@ -3,7 +3,7 @@
 //! paused; every packet routed toward a paused queue is a pause event
 //! packet.
 
-use fet_pdp::{ResourceKind, ResourceLedger};
+use fet_pdp::ResourceLedger;
 
 /// Tracks PFC pause state per (port, priority).
 #[derive(Debug)]
@@ -65,10 +65,10 @@ impl PauseTracker {
         self.bits.fill(0);
     }
 
-    /// Charge the status bits to the ledger (SRAM, one stateful ALU).
+    /// Declare the status bits to the ledger: one bit per (port, prio),
+    /// one stateful ALU.
     pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
-        ledger.charge(module, ResourceKind::SramBits, (self.ports * PRIOS) as u64);
-        ledger.charge(module, ResourceKind::StatefulAlu, 1);
+        ledger.declare(module, "pause-status", (self.ports * PRIOS) as u64, 1, 1);
     }
 }
 

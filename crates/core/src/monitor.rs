@@ -8,6 +8,7 @@ use crate::batch::{CebpBatcher, PushOutcome};
 use crate::config::NetSeerConfig;
 use crate::cpu::SwitchCpu;
 use crate::dedup::{DedupOutcome, GroupCache};
+use crate::detect::interswitch::RING_SLOT_BITS;
 use crate::detect::{GapDetector, PathTable, PauseTracker, PendingLookups, PortTagger};
 use crate::extract::Extractor;
 use crate::faults::{streams, CorruptionGen, CrashKind, DeliveryLedger, DeviceClock, LossGen};
@@ -26,7 +27,8 @@ use fet_packet::event::{DropCode, EventDetail, EventRecord, EventType, EVENT_REC
 use fet_packet::ipv4::Ipv4Addr;
 use fet_packet::pfc::{PfcFrame, PFC_CLASSES};
 use fet_packet::{FlowKey, IpProtocol};
-use fet_pdp::{RateLimitedChannel, ResourceKind, ResourceLedger};
+use fet_pdp::resources::ALL_RESOURCE_KINDS;
+use fet_pdp::{RateLimitedChannel, ResourceKind, ResourceLedger, TOFINO_32D};
 use std::any::Any;
 
 /// Where this monitor instance runs.
@@ -233,16 +235,8 @@ impl NetSeerMonitor {
                 cfg.faults.seed ^ u64::from(seed),
                 DEFAULT_MAX_RETRIES,
             ),
-            mmu_redirect: RateLimitedChannel::new(
-                "mmu-redirect",
-                cfg.capacity.mmu_redirect_gbps,
-                1 << 20,
-            ),
-            internal_port: RateLimitedChannel::new(
-                "internal-port",
-                cfg.capacity.internal_port_gbps,
-                4 << 20,
-            ),
+            mmu_redirect: RateLimitedChannel::new(cfg.capacity.mmu_redirect_gbps, 1 << 20),
+            internal_port: RateLimitedChannel::new(cfg.capacity.internal_port_gbps, 4 << 20),
             mmu_redirect_missed: 0,
             internal_port_missed: 0,
             delivered: Vec::new(),
@@ -699,55 +693,48 @@ impl NetSeerMonitor {
     }
 
     /// Assemble the PDP resource picture of this deployment (Figure 7).
-    /// Charges the real sizes of every stateful structure plus calibrated
+    /// Declares every stateful structure at its real size, in pipeline
+    /// order (the order [`fet_pdp::place`] lays them out), plus calibrated
     /// fixed costs for the match-action logic around them.
     pub fn resource_usage(&self) -> ResourceLedger {
-        let mut ledger = ResourceLedger::new(fet_pdp::TOFINO_32D);
-        // The base forwarding program (switch.p4) NetSeer extends.
-        let base = "switch.p4";
-        let cap = fet_pdp::TOFINO_32D.capacity;
-        let frac = |i: usize, f: f64| (cap[i] as f64 * f) as u64;
-        ledger.charge(base, ResourceKind::ExactXbar, frac(0, 0.30));
-        ledger.charge(base, ResourceKind::TernaryXbar, frac(1, 0.28));
-        ledger.charge(base, ResourceKind::HashBits, frac(2, 0.25));
-        ledger.charge(base, ResourceKind::SramBits, frac(3, 0.35));
-        ledger.charge(base, ResourceKind::TcamBits, frac(4, 0.32));
-        ledger.charge(base, ResourceKind::VliwActions, frac(5, 0.30));
-        ledger.charge(base, ResourceKind::StatefulAlu, frac(6, 0.08));
-        ledger.charge(base, ResourceKind::PhvBits, frac(7, 0.40));
-
-        // Event detection (congestion threshold compare, drop hooks, pause
-        // lookup, path table).
-        self.path_table.account(&mut ledger, "event-detection");
-        self.pause_tracker.account(&mut ledger, "event-detection");
-        ledger.charge("event-detection", ResourceKind::VliwActions, 12);
-        ledger.charge("event-detection", ResourceKind::PhvBits, 160);
-        ledger.charge("event-detection", ResourceKind::ExactXbar, 104);
-
-        // Inter-switch: ring buffers + seq/gap registers (heavy stateful).
-        // On the ASIC one wide register array serves every port (indexed by
-        // port x slot), so the stateful-ALU cost is fixed; SRAM scales with
-        // the per-port rings.
-        for t in self.taggers.values() {
-            ledger.charge("inter-switch", ResourceKind::SramBits, t.slots() as u64 * 137);
+        let mut ledger = ResourceLedger::new(TOFINO_32D);
+        // The base forwarding program (switch.p4) NetSeer extends, as
+        // calibrated shares of the chip in `ALL_RESOURCE_KINDS` order.
+        let shares = [0.30, 0.28, 0.25, 0.35, 0.32, 0.30, 0.08, 0.40];
+        let capacities = ALL_RESOURCE_KINDS.into_iter().zip(TOFINO_32D.capacity);
+        for ((kind, cap), share) in capacities.zip(shares) {
+            ledger.charge("switch.p4", kind, (cap as f64 * share) as u64);
         }
-        ledger.charge("inter-switch", ResourceKind::StatefulAlu, 6);
-        ledger.charge("inter-switch", ResourceKind::PhvBits, 48);
-        ledger.charge("inter-switch", ResourceKind::VliwActions, 8);
 
-        // Deduplication: six group caches.
+        // Ingress: the expected sequence per port, then event detection.
+        // The two per-port sequence registers are declared for their stage
+        // and ALU only: the pinned Figure 7 ledger (`monitor_footprint`)
+        // charges no SRAM for them (32 bits per port, under 0.001% of the
+        // chip's SRAM for 64 ports).
+        let (det, isw) = ("event-detection", "inter-switch");
+        ledger.declare(isw, "gap-expected-seq", 0, u32::BITS, 1);
+        self.pause_tracker.account(&mut ledger, det);
+        self.path_table.account(&mut ledger, det);
         for c in self.dedup.values() {
             c.account(&mut ledger, "dedup");
         }
-        ledger.charge("dedup", ResourceKind::VliwActions, 12);
+        // Egress: one wide ring array serves every port (indexed by port x
+        // slot), written per packet and read per lookup, so its ALU cost is
+        // fixed and its SRAM is the per-port rings' slots.
+        ledger.declare(isw, "seq-counter", 0, u32::BITS, 1);
+        let ring_slots = self.taggers.values().map(|t| t.slots() as u64).sum();
+        ledger.declare(isw, "isw-ring", ring_slots, RING_SLOT_BITS, 2);
+        // Batching: the cross-stage stack of 24 B records, pushed and popped.
+        let stack = self.cfg.stack_capacity as u64;
+        ledger.declare("batching", "event-stack", stack, EVENT_RECORD_LEN as u32 * 8, 2);
 
-        // Batching: the cross-stage stack + CEBP logic.
-        ledger.charge(
-            "batching",
-            ResourceKind::SramBits,
-            (self.cfg.stack_capacity * EVENT_RECORD_LEN * 8) as u64,
-        );
-        ledger.charge("batching", ResourceKind::StatefulAlu, 4);
+        // Stateless logic: actions, PHV fields, crossbar keys.
+        ledger.charge(det, ResourceKind::VliwActions, 12);
+        ledger.charge(det, ResourceKind::PhvBits, 160);
+        ledger.charge(det, ResourceKind::ExactXbar, 104);
+        ledger.charge(isw, ResourceKind::PhvBits, 48);
+        ledger.charge(isw, ResourceKind::VliwActions, 8);
+        ledger.charge("dedup", ResourceKind::VliwActions, 12);
         ledger.charge("batching", ResourceKind::VliwActions, 10);
         ledger.charge("batching", ResourceKind::PhvBits, 224);
         ledger

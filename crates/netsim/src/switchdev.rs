@@ -199,10 +199,10 @@ impl SwitchDevice {
             backlog: vec![0; ports],
             paused_until: vec![0; ports * PFC_CLASSES],
             paused_upstreams: HashMap::new(),
-            ecmp_hash: HashUnit::new("ecmp", config.ecmp_seed, 32),
+            ecmp_hash: HashUnit::new(config.ecmp_seed, 32),
             processor: config
                 .processing
-                .map(|p| fet_pdp::RateLimitedChannel::new("processing", p.gbps, p.buffer_bytes)),
+                .map(|p| fet_pdp::RateLimitedChannel::new(p.gbps, p.buffer_bytes)),
             gt_paths: FxHashMap::default(),
             port_busy: vec![false; ports],
             idle_tx: vec![None; ports],
@@ -865,7 +865,7 @@ mod tests {
         // switch's seeded ECMP unit, 100/100 as it always has.
         let mut pair = SwitchDevice::new(0, "sw0", SwitchConfig::default());
         pair.routes.insert(ip(10, 0, 1, 0), 24, vec![2, 5]);
-        let unit = HashUnit::new("ecmp", SwitchConfig::default().ecmp_seed, 32);
+        let unit = HashUnit::new(SwitchConfig::default().ecmp_seed, 32);
         let mut split = [0usize; 2];
         for f in &flows {
             let want = [2, 5][unit.hash_flow(f) as usize % 2];

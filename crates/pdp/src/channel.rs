@@ -11,36 +11,19 @@
 /// A bandwidth-limited, finitely-buffered serializing channel.
 #[derive(Debug, Clone)]
 pub struct RateLimitedChannel {
-    name: &'static str,
     /// Bits per nanosecond (== Gbps).
     gbps: f64,
     /// Maximum backlog the channel may hold, bytes.
     buffer_bytes: u64,
     /// Time the serializer frees up.
     next_free_ns: u64,
-    /// Bytes accepted.
-    accepted_bytes: u64,
-    /// Bytes rejected due to overflow.
-    rejected_bytes: u64,
-    /// Messages accepted / rejected.
-    accepted_msgs: u64,
-    rejected_msgs: u64,
 }
 
 impl RateLimitedChannel {
     /// Create a channel with `gbps` bandwidth and `buffer_bytes` of backlog.
-    pub fn new(name: &'static str, gbps: f64, buffer_bytes: u64) -> Self {
+    pub fn new(gbps: f64, buffer_bytes: u64) -> Self {
         assert!(gbps > 0.0, "channel must have positive bandwidth");
-        RateLimitedChannel {
-            name,
-            gbps,
-            buffer_bytes,
-            next_free_ns: 0,
-            accepted_bytes: 0,
-            rejected_bytes: 0,
-            accepted_msgs: 0,
-            rejected_msgs: 0,
-        }
+        RateLimitedChannel { gbps, buffer_bytes, next_free_ns: 0 }
     }
 
     /// Nanoseconds to serialize `bytes` at this bandwidth.
@@ -51,70 +34,23 @@ impl RateLimitedChannel {
     /// Offer `bytes` at time `now_ns`. Returns the completion time if
     /// admitted, or `None` if the implied backlog would exceed the buffer
     /// (the message is lost/dropped — the capacity limit of the paper).
+    /// The caller counts what it loses.
     pub fn offer(&mut self, now_ns: u64, bytes: usize) -> Option<u64> {
         let start = self.next_free_ns.max(now_ns);
         // Current backlog expressed in bytes still to serialize.
         let backlog_ns = start.saturating_sub(now_ns);
         let backlog_bytes = (backlog_ns as f64 * self.gbps / 8.0) as u64;
         if backlog_bytes + bytes as u64 > self.buffer_bytes {
-            self.rejected_bytes += bytes as u64;
-            self.rejected_msgs += 1;
             return None;
         }
         let done = start + self.serialize_ns(bytes);
         self.next_free_ns = done;
-        self.accepted_bytes += bytes as u64;
-        self.accepted_msgs += 1;
         Some(done)
     }
 
-    /// Bandwidth in Gbps.
-    pub fn gbps(&self) -> f64 {
-        self.gbps
-    }
-
-    /// Bytes admitted so far.
-    pub fn accepted_bytes(&self) -> u64 {
-        self.accepted_bytes
-    }
-
-    /// Bytes rejected so far.
-    pub fn rejected_bytes(&self) -> u64 {
-        self.rejected_bytes
-    }
-
-    /// Messages admitted so far.
-    pub fn accepted_msgs(&self) -> u64 {
-        self.accepted_msgs
-    }
-
-    /// Messages rejected so far.
-    pub fn rejected_msgs(&self) -> u64 {
-        self.rejected_msgs
-    }
-
-    /// Loss fraction by messages.
-    pub fn loss_fraction(&self) -> f64 {
-        let total = self.accepted_msgs + self.rejected_msgs;
-        if total == 0 {
-            0.0
-        } else {
-            self.rejected_msgs as f64 / total as f64
-        }
-    }
-
-    /// Channel name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Reset counters and serializer state.
+    /// Reset the serializer: the channel is idle again.
     pub fn reset(&mut self) {
         self.next_free_ns = 0;
-        self.accepted_bytes = 0;
-        self.rejected_bytes = 0;
-        self.accepted_msgs = 0;
-        self.rejected_msgs = 0;
     }
 }
 
@@ -124,59 +60,44 @@ mod tests {
 
     #[test]
     fn serialization_time_at_100g() {
-        let ch = RateLimitedChannel::new("int", 100.0, 1 << 20);
+        let ch = RateLimitedChannel::new(100.0, 1 << 20);
         // 1250 bytes at 100 Gbps = 100 ns.
         assert_eq!(ch.serialize_ns(1250), 100);
     }
 
     #[test]
     fn back_to_back_serializes_in_order() {
-        let mut ch = RateLimitedChannel::new("int", 100.0, 1 << 20);
-        let t1 = ch.offer(0, 1250).unwrap();
-        let t2 = ch.offer(0, 1250).unwrap();
-        assert_eq!(t1, 100);
-        assert_eq!(t2, 200);
+        let mut ch = RateLimitedChannel::new(100.0, 1 << 20);
+        assert_eq!(ch.offer(0, 1250), Some(100));
+        assert_eq!(ch.offer(0, 1250), Some(200));
         // After the channel drains, a new message starts immediately.
-        let t3 = ch.offer(1_000, 1250).unwrap();
-        assert_eq!(t3, 1_100);
+        assert_eq!(ch.offer(1_000, 1250), Some(1_100));
     }
 
     #[test]
     fn overflow_rejects() {
         // 10 Gbps channel with a tiny 100-byte buffer.
-        let mut ch = RateLimitedChannel::new("x", 10.0, 100);
-        assert!(ch.offer(0, 100).is_some());
+        let mut ch = RateLimitedChannel::new(10.0, 100);
+        assert_eq!(ch.offer(0, 100), Some(80));
         // Immediately offering more exceeds the backlog budget.
-        assert!(ch.offer(0, 100).is_none());
-        assert_eq!(ch.rejected_msgs(), 1);
-        assert!(ch.loss_fraction() > 0.0);
+        assert_eq!(ch.offer(0, 100), None);
         // Once drained, it accepts again.
         let drain = ch.serialize_ns(100);
-        assert!(ch.offer(drain, 100).is_some());
+        assert_eq!(ch.offer(drain, 100), Some(drain + 80));
     }
 
     #[test]
-    fn counters_track_bytes() {
-        let mut ch = RateLimitedChannel::new("x", 100.0, 1 << 30);
-        ch.offer(0, 64).unwrap();
-        ch.offer(0, 1500).unwrap();
-        assert_eq!(ch.accepted_bytes(), 1564);
-        assert_eq!(ch.accepted_msgs(), 2);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut ch = RateLimitedChannel::new("x", 1.0, 10);
-        ch.offer(0, 10).unwrap();
-        assert!(ch.offer(0, 10).is_none());
+    fn reset_frees_the_serializer() {
+        let mut ch = RateLimitedChannel::new(1.0, 10);
+        assert_eq!(ch.offer(0, 10), Some(80));
+        assert_eq!(ch.offer(0, 10), None);
         ch.reset();
-        assert_eq!(ch.accepted_msgs(), 0);
-        assert!(ch.offer(0, 10).is_some());
+        assert_eq!(ch.offer(0, 10), Some(80));
     }
 
     #[test]
     #[should_panic]
     fn zero_bandwidth_rejected() {
-        let _ = RateLimitedChannel::new("bad", 0.0, 1);
+        let _ = RateLimitedChannel::new(0.0, 1);
     }
 }

@@ -3,9 +3,15 @@
 //! Programmable ASICs compute hashes with CRC polynomials, not software
 //! hashers; NetSeer exploits this by pre-computing the flow hash in the
 //! data plane and shipping it to the CPU inside the event record (the 2.5×
-//! CPU speedup of §3.6). We use CRC-32 with per-unit seeds so different
-//! tables (dedup table per event type, path-change table, …) index
-//! independently.
+//! CPU speedup of §3.6). We use CRC-32 over a per-unit seed followed by
+//! the key.
+//!
+//! Limitation: the seeds do **not** make tables index independently. CRC
+//! is affine over GF(2), so `h_s(a) ⊕ h_s(b)` is the same under every
+//! seed `s`: two flows that share a slot in one power-of-two table share
+//! one in every table of that size or smaller, on every switch (the dedup
+//! caches per event type, the path-change table, ECMP). ROADMAP item 1
+//! tracks the fix.
 
 use crate::resources::{ResourceKind, ResourceLedger};
 use fet_packet::checksum::crc32_update;
@@ -14,7 +20,6 @@ use fet_packet::flow::{FlowKey, FLOW_KEY_LEN};
 /// A single hash engine with a fixed seed and output width.
 #[derive(Debug, Clone)]
 pub struct HashUnit {
-    name: &'static str,
     /// The CRC register after the big-endian seed bytes: every hash starts
     /// from here instead of re-feeding the seed.
     seeded: u32,
@@ -23,10 +28,10 @@ pub struct HashUnit {
 
 impl HashUnit {
     /// Create a hash unit. `output_bits` ≤ 32; outputs are masked to it.
-    pub fn new(name: &'static str, seed: u32, output_bits: u32) -> Self {
+    pub fn new(seed: u32, output_bits: u32) -> Self {
         assert!((1..=32).contains(&output_bits), "hash output must be 1..=32 bits");
         let seeded = crc32_update(0xffff_ffff, &seed.to_be_bytes());
-        HashUnit { name, seeded, output_bits }
+        HashUnit { seeded, output_bits }
     }
 
     /// Hash arbitrary bytes: CRC-32 over the big-endian seed followed by
@@ -55,19 +60,9 @@ impl HashUnit {
         self.hash_flow(flow) as usize % size
     }
 
-    /// Output width in bits.
-    pub fn output_bits(&self) -> u32 {
-        self.output_bits
-    }
-
     /// Charge hash-bit usage to the ledger.
     pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
         ledger.charge(module, ResourceKind::HashBits, u64::from(self.output_bits));
-    }
-
-    /// Unit name.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -87,20 +82,20 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let h = HashUnit::new("h", 0xabc, 32);
+        let h = HashUnit::new(0xabc, 32);
         assert_eq!(h.hash_flow(&flow(1)), h.hash_flow(&flow(1)));
     }
 
     #[test]
     fn different_seeds_differ() {
-        let a = HashUnit::new("a", 1, 32);
-        let b = HashUnit::new("b", 2, 32);
+        let a = HashUnit::new(1, 32);
+        let b = HashUnit::new(2, 32);
         assert_ne!(a.hash_flow(&flow(1)), b.hash_flow(&flow(1)));
     }
 
     #[test]
     fn output_masking() {
-        let h = HashUnit::new("h", 7, 10);
+        let h = HashUnit::new(7, 10);
         for sport in 0..200 {
             assert!(h.hash_flow(&flow(sport)) < 1024);
         }
@@ -108,7 +103,7 @@ mod tests {
 
     #[test]
     fn index_bounds() {
-        let h = HashUnit::new("h", 7, 32);
+        let h = HashUnit::new(7, 32);
         for sport in 0..100 {
             assert!(h.index(&flow(sport), 37) < 37);
         }
@@ -118,7 +113,7 @@ mod tests {
     #[test]
     fn spreads_across_slots() {
         // 1000 flows into 128 slots should touch most slots.
-        let h = HashUnit::new("h", 9, 32);
+        let h = HashUnit::new(9, 32);
         let mut hit = [false; 128];
         for sport in 0..1000 {
             hit[h.index(&flow(sport), 128)] = true;
@@ -158,7 +153,7 @@ mod tests {
             (0xffff_ffff, [0xbf09_4024, 0x4c28_28f3, 0x074a_5d96]),
         ];
         for (seed, want) in golden {
-            let h = HashUnit::new("golden", seed, 32);
+            let h = HashUnit::new(seed, 32);
             for (f, w) in flows.iter().zip(want) {
                 assert_eq!(h.hash_flow(f), w, "seed {seed:#x}, flow {f:?}");
             }
@@ -179,7 +174,7 @@ mod tests {
                 let seed = rng.next_u32();
                 let mut seeded = seed.to_be_bytes().to_vec();
                 seeded.extend_from_slice(&buf);
-                let h = HashUnit::new("ref", seed, 32);
+                let h = HashUnit::new(seed, 32);
                 assert_eq!(h.hash_bytes(&buf), crc32_reference(&seeded), "seeded, len {len}");
             }
         }
@@ -188,6 +183,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_width_rejected() {
-        let _ = HashUnit::new("bad", 0, 0);
+        let _ = HashUnit::new(0, 0);
     }
 }

@@ -4,12 +4,20 @@
 //! the constraint behind the paper's observation that "one event cannot
 //! be entirely accommodated in one stage, let alone 50" (§3.5), which
 //! forced the circulating-CEBP design.
+//!
+//! The structures to place are the ones a program declared to its
+//! [`ResourceLedger`](crate::ResourceLedger), so the layout and the
+//! Figure 7 charges come from one description.
 
-use crate::register::MAX_CELL_BITS_PER_STAGE;
+/// Maximum register cell width a single stage can hold (two 64-bit words,
+/// the dual-width stateful ALU configuration).
+const MAX_CELL_BITS_PER_STAGE: u32 = 128;
 
-/// A named structure to place, with its width requirement.
-#[derive(Debug, Clone, Copy)]
+/// A stateful structure to place, as declared to the ledger.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
+    /// Program module that owns the structure (a ledger label).
+    pub module: &'static str,
     /// Structure name (diagnostics).
     pub name: &'static str,
     /// Logical cell width, bits.
@@ -19,9 +27,15 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Stages this structure spans.
+    /// Stages this structure spans: a cell wider than the per-stage limit
+    /// is sliced across consecutive stages.
     pub fn stages(&self) -> u32 {
         self.cell_bits.div_ceil(MAX_CELL_BITS_PER_STAGE).max(1)
+    }
+
+    /// Stateful ALUs the structure occupies over all its stages.
+    pub(crate) fn alus(&self) -> u32 {
+        self.stages() * self.alus_per_stage
     }
 }
 
@@ -40,8 +54,8 @@ pub const TOFINO_PIPELINE: PipelineProfile = PipelineProfile { stages: 12, alus_
 /// Result of placing structures into stages.
 #[derive(Debug, Clone)]
 pub struct LayoutResult {
-    /// (structure name, first stage index, stages occupied).
-    pub placed: Vec<(&'static str, u32, u32)>,
+    /// Each structure with the first stage it occupies, in input order.
+    pub placed: Vec<(Placement, u32)>,
     /// ALUs used per stage after placement.
     pub alu_usage: Vec<u32>,
 }
@@ -49,7 +63,13 @@ pub struct LayoutResult {
 impl LayoutResult {
     /// Highest stage index used + 1 (i.e. pipeline depth consumed).
     pub fn depth(&self) -> u32 {
-        self.placed.iter().map(|(_, first, n)| first + n).max().unwrap_or(0)
+        self.placed.iter().map(|(s, first)| first + s.stages()).max().unwrap_or(0)
+    }
+
+    /// Stateful ALUs the placed structures of `module` occupy.
+    pub fn alus_of(&self, module: &str) -> u64 {
+        let of_module = self.placed.iter().filter(|(s, _)| s.module == module);
+        of_module.map(|(s, _)| u64::from(s.alus())).sum()
     }
 }
 
@@ -96,89 +116,50 @@ pub fn place(
         for i in start..start + span {
             alu_usage[i as usize] += s.alus_per_stage;
         }
-        placed.push((s.name, start, span));
+        placed.push((*s, start));
         min_start = start; // dependencies flow forward
     }
     Ok(LayoutResult { placed, alu_usage })
-}
-
-/// The NetSeer program's stateful structures, in pipeline order, for a
-/// fit check against a profile (the Figure 7 companion).
-pub fn netseer_structures() -> Vec<Placement> {
-    vec![
-        // Ingress: gap detector (expected seq per port) + pause bits.
-        Placement { name: "gap-expected-seq", cell_bits: 32, alus_per_stage: 1 },
-        Placement { name: "pause-status", cell_bits: 1, alus_per_stage: 1 },
-        // Path-change flow table: 121-bit entries => 1 stage at 128b.
-        Placement { name: "path-table", cell_bits: 121, alus_per_stage: 1 },
-        // Six dedup group caches: 176-bit entries => 2 stages each.
-        Placement { name: "dedup-congestion", cell_bits: 176, alus_per_stage: 1 },
-        Placement { name: "dedup-pipedrop", cell_bits: 176, alus_per_stage: 1 },
-        Placement { name: "dedup-mmudrop", cell_bits: 176, alus_per_stage: 1 },
-        Placement { name: "dedup-iswdrop", cell_bits: 176, alus_per_stage: 1 },
-        Placement { name: "dedup-path", cell_bits: 176, alus_per_stage: 1 },
-        Placement { name: "dedup-pause", cell_bits: 176, alus_per_stage: 1 },
-        // Egress: seq counter + ring buffer (137-bit slots => 2 stages).
-        Placement { name: "seq-counter", cell_bits: 32, alus_per_stage: 1 },
-        Placement { name: "isw-ring", cell_bits: 137, alus_per_stage: 1 },
-        // Event stack: six slices, each holding one 24 B (192-bit) event —
-        // a single slice already exceeds one stage's register width, which
-        // is exactly the §3.5 constraint that motivates CEBPs.
-        Placement { name: "stack-slice-0", cell_bits: 192, alus_per_stage: 1 },
-        Placement { name: "stack-slice-1", cell_bits: 192, alus_per_stage: 1 },
-        Placement { name: "stack-slice-2", cell_bits: 192, alus_per_stage: 1 },
-        Placement { name: "stack-slice-3", cell_bits: 192, alus_per_stage: 1 },
-        Placement { name: "stack-slice-4", cell_bits: 192, alus_per_stage: 1 },
-        Placement { name: "stack-slice-5", cell_bits: 192, alus_per_stage: 1 },
-    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn s(name: &'static str, cell_bits: u32, alus_per_stage: u32) -> Placement {
+        Placement { module: "m", name, cell_bits, alus_per_stage }
+    }
+
     #[test]
     fn single_stage_structures_pack_together() {
-        let r = place(
-            TOFINO_PIPELINE,
-            &[
-                Placement { name: "a", cell_bits: 32, alus_per_stage: 1 },
-                Placement { name: "b", cell_bits: 64, alus_per_stage: 1 },
-                Placement { name: "c", cell_bits: 128, alus_per_stage: 1 },
-            ],
-        )
-        .unwrap();
+        let r = place(TOFINO_PIPELINE, &[s("a", 32, 1), s("b", 64, 1), s("c", 128, 1)]).unwrap();
         // All fit in stage 0 (4 ALUs available).
-        assert!(r.placed.iter().all(|&(_, first, n)| first == 0 && n == 1));
+        assert!(r.placed.iter().all(|(p, first)| *first == 0 && p.stages() == 1));
         assert_eq!(r.alu_usage[0], 3);
         assert_eq!(r.depth(), 1);
     }
 
     #[test]
     fn wide_structure_spans_stages() {
-        let r = place(
-            TOFINO_PIPELINE,
-            &[Placement { name: "wide", cell_bits: 300, alus_per_stage: 1 }],
-        )
-        .unwrap();
-        assert_eq!(r.placed[0], ("wide", 0, 3));
-        assert_eq!(r.depth(), 3);
+        let r = place(TOFINO_PIPELINE, &[s("wide", 300, 2)]).unwrap();
+        assert_eq!(r.placed[0], (s("wide", 300, 2), 0));
+        assert_eq!((r.depth(), r.alus_of("m"), r.alus_of("other")), (3, 6, 0));
+        // A 17-byte ring-buffer slot (136 bits) needs two stages; 128 one.
+        assert_eq!((s("ring", 136, 1).stages(), s("b", 128, 1).stages()), (2, 1));
     }
 
     #[test]
     fn alu_exhaustion_pushes_to_later_stages() {
-        let structures: Vec<Placement> =
-            (0..6).map(|_| Placement { name: "x", cell_bits: 32, alus_per_stage: 4 }).collect();
+        let structures: Vec<Placement> = (0..6).map(|_| s("x", 32, 4)).collect();
         let r = place(TOFINO_PIPELINE, &structures).unwrap();
         // Each takes a whole stage's ALUs: six consecutive stages.
-        let firsts: Vec<u32> = r.placed.iter().map(|&(_, f, _)| f).collect();
+        let firsts: Vec<u32> = r.placed.iter().map(|&(_, f)| f).collect();
         assert_eq!(firsts, vec![0, 1, 2, 3, 4, 5]);
     }
 
     #[test]
     fn oversized_program_rejected() {
-        let structures: Vec<Placement> =
-            (0..13).map(|_| Placement { name: "hog", cell_bits: 32, alus_per_stage: 4 }).collect();
+        let structures: Vec<Placement> = (0..13).map(|_| s("hog", 32, 4)).collect();
         assert_eq!(place(TOFINO_PIPELINE, &structures).unwrap_err(), DoesNotFit { name: "hog" });
     }
 
@@ -186,38 +167,14 @@ mod tests {
     fn a_50_event_register_would_not_fit_one_stage() {
         // The §3.5 motivation: 50 events x 24B = 9600 bits needs 75 stages
         // as a single register — impossible; hence CEBPs.
-        let naive = Placement { name: "batch-50", cell_bits: 50 * 24 * 8, alus_per_stage: 1 };
+        let naive = s("batch-50", 50 * 24 * 8, 1);
         assert_eq!(naive.stages(), 75);
         assert!(place(TOFINO_PIPELINE, &[naive]).is_err());
     }
 
     #[test]
-    fn netseer_program_fits_tofino() {
-        let r = place(TOFINO_PIPELINE, &netseer_structures()).unwrap();
-        assert!(
-            r.depth() <= TOFINO_PIPELINE.stages,
-            "NetSeer must fit 12 stages, used {}",
-            r.depth()
-        );
-        // Every stack slice needs two stages (192 > 128 bits) — the very
-        // width limit that §3.5 cites.
-        for (name, _, span) in r.placed.iter().filter(|(n, _, _)| n.starts_with("stack-")) {
-            assert_eq!(*span, 2, "{name}");
-        }
-    }
-
-    #[test]
     fn dependencies_flow_forward() {
-        let r = place(
-            TOFINO_PIPELINE,
-            &[
-                Placement { name: "first", cell_bits: 256, alus_per_stage: 4 },
-                Placement { name: "second", cell_bits: 32, alus_per_stage: 1 },
-            ],
-        )
-        .unwrap();
-        let f = r.placed[0];
-        let s = r.placed[1];
-        assert!(s.1 >= f.1, "later structures never placed before earlier ones");
+        let r = place(TOFINO_PIPELINE, &[s("first", 256, 4), s("second", 32, 1)]).unwrap();
+        assert!(r.placed[1].1 >= r.placed[0].1, "a later structure starts no earlier");
     }
 }

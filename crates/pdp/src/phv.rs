@@ -7,24 +7,6 @@
 
 use fet_packet::FlowKey;
 
-/// Where inside a device a packet currently is (used for drop attribution
-/// and for the ground-truth tracer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PipelinePoint {
-    /// Ingress MAC / parser.
-    IngressMac,
-    /// Ingress match-action pipeline.
-    IngressPipe,
-    /// Memory management unit / traffic manager.
-    Mmu,
-    /// Egress match-action pipeline.
-    EgressPipe,
-    /// Egress MAC (serializer).
-    EgressMac,
-    /// On the wire between devices.
-    Wire,
-}
-
 /// Intrinsic + user metadata accompanying a packet through one device.
 #[derive(Debug, Clone)]
 pub struct PacketMeta {
@@ -46,8 +28,6 @@ pub struct PacketMeta {
     /// True when the frame failed FCS at the ingress MAC (corrupted on the
     /// wire); such frames are dropped at MAC as the paper notes.
     pub fcs_error: bool,
-    /// How many times the packet recirculated (CEBPs only).
-    pub recirculations: u32,
 }
 
 impl PacketMeta {
@@ -62,7 +42,6 @@ impl PacketMeta {
             flow: None,
             frame_len,
             fcs_error: false,
-            recirculations: 0,
         }
     }
 

@@ -5,23 +5,23 @@
 //! stage, and a cell is at most two 32/64-bit words wide. Wider state (like
 //! NetSeer's 17-byte ring-buffer slots of 13 B flow + 4 B packet ID) must be
 //! **sliced across stages**. [`RegisterArray`] models a single array and
-//! reports the stage count a given cell width implies, so the resource
-//! ledger charges the honest cost.
+//! declares it to the resource ledger at its configured size and width, so
+//! the ledger charges, and the stage placement lays out, the honest cost.
+//!
+//! What is accounted is not enforced: the emulator does not count accesses
+//! per packet, so a caller may touch an array more than once in one pass
+//! (see ROADMAP item 7's per-pass access guard).
 
-use crate::resources::{ResourceKind, ResourceLedger};
-
-/// Maximum register cell width a single stage can hold (two 64-bit words,
-/// the dual-width stateful ALU configuration).
-pub const MAX_CELL_BITS_PER_STAGE: u32 = 128;
+use crate::resources::ResourceLedger;
 
 /// A stateful register array of `N`-byte cells.
 ///
 /// The emulator stores cells as plain Rust values but *accounts* for them as
-/// hardware would: SRAM bits, one stateful ALU per touched stage, and
-/// `stages_spanned()` pipeline stages. The ledger always charges the
-/// configured `size`; the host commits the cells only on the first write,
-/// so an array nobody writes costs no heap (an unwritten cell reads as
-/// `V::default()`, exactly as a freshly cleared SRAM would).
+/// hardware would: SRAM bits, and one stateful ALU in each pipeline stage
+/// the cell width spans. The ledger always charges the configured `size`;
+/// the host commits the cells only on the first write, so an array nobody
+/// writes costs no heap (an unwritten cell reads as `V::default()`, exactly
+/// as a freshly cleared SRAM would).
 #[derive(Debug, Clone)]
 pub struct RegisterArray<V: Copy + Default> {
     name: &'static str,
@@ -31,16 +31,13 @@ pub struct RegisterArray<V: Copy + Default> {
     /// Empty until the first write, then exactly `size` cells.
     cells: Vec<V>,
     cell_bits: u32,
-    /// Total read-modify-write operations performed (for ALU pressure
-    /// statistics).
-    rmw_ops: u64,
 }
 
 impl<V: Copy + Default> RegisterArray<V> {
     /// An array of `size` cells of `cell_bits` logical width. No cell
     /// storage is allocated until the first write.
     pub fn new(name: &'static str, size: usize, cell_bits: u32) -> Self {
-        RegisterArray { name, size, cells: Vec::new(), cell_bits, rmw_ops: 0 }
+        RegisterArray { name, size, cells: Vec::new(), cell_bits }
     }
 
     /// Array length (the configured size).
@@ -63,17 +60,6 @@ impl<V: Copy + Default> RegisterArray<V> {
         self.size != 0
     }
 
-    /// Logical cell width in bits.
-    pub fn cell_bits(&self) -> u32 {
-        self.cell_bits
-    }
-
-    /// How many pipeline stages this array occupies: a cell wider than the
-    /// per-stage limit is sliced across consecutive stages.
-    pub fn stages_spanned(&self) -> u32 {
-        self.cell_bits.div_ceil(MAX_CELL_BITS_PER_STAGE).max(1)
-    }
-
     /// Read a cell (no ALU charge; reads ride the RMW). Empty and
     /// never-written arrays return the default value.
     pub fn read(&self, index: usize) -> V {
@@ -83,9 +69,9 @@ impl<V: Copy + Default> RegisterArray<V> {
         self.cells[index % self.cells.len()]
     }
 
-    /// The single per-packet read-modify-write: applies `f` to the cell and
-    /// returns the *previous* value, mirroring the ALU's "output old value"
-    /// mode that NetSeer's eviction logic relies on. A no-op on empty arrays.
+    /// A read-modify-write: applies `f` to the cell and returns the
+    /// *previous* value, mirroring the ALU's "output old value" mode that
+    /// NetSeer's eviction logic relies on. A no-op on empty arrays.
     pub fn read_modify_write(&mut self, index: usize, f: impl FnOnce(V) -> V) -> V {
         if self.cells.is_empty() && !self.commit() {
             return V::default();
@@ -94,7 +80,6 @@ impl<V: Copy + Default> RegisterArray<V> {
         let slot = &mut self.cells[index % len];
         let old = *slot;
         *slot = f(old);
-        self.rmw_ops += 1;
         old
     }
 
@@ -113,32 +98,24 @@ impl<V: Copy + Default> RegisterArray<V> {
         self.cells = Vec::new();
     }
 
-    /// Total RMW operations performed so far.
-    pub fn rmw_ops(&self) -> u64 {
-        self.rmw_ops
-    }
-
-    /// SRAM bits this array occupies.
-    pub fn sram_bits(&self) -> u64 {
-        u64::from(self.cell_bits) * self.size as u64
-    }
-
-    /// Charge this array to a resource ledger under `module`.
+    /// Declare this array to a resource ledger under `module`: one
+    /// stateful ALU per stage its cell width spans.
     pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
-        ledger.charge(module, ResourceKind::SramBits, self.sram_bits());
-        ledger.charge(module, ResourceKind::StatefulAlu, u64::from(self.stages_spanned()));
-    }
-
-    /// Array name (diagnostics).
-    pub fn name(&self) -> &'static str {
-        self.name
+        ledger.declare(module, self.name, self.size as u64, self.cell_bits, 1);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::resources::TOFINO_32D;
+    use crate::resources::{ResourceKind, TOFINO_32D};
+
+    /// `(SRAM bits, stateful ALUs)` the array charges.
+    fn charged<V: Copy + Default>(r: &RegisterArray<V>) -> (u64, u64) {
+        let mut ledger = ResourceLedger::new(TOFINO_32D);
+        r.account(&mut ledger, "m");
+        (ledger.used(ResourceKind::SramBits), ledger.used(ResourceKind::StatefulAlu))
+    }
 
     #[test]
     fn rmw_returns_old_value() {
@@ -146,7 +123,6 @@ mod tests {
         assert_eq!(r.read_modify_write(3, |v| v + 1), 0);
         assert_eq!(r.read_modify_write(3, |v| v + 1), 1);
         assert_eq!(r.read(3), 2);
-        assert_eq!(r.rmw_ops(), 2);
     }
 
     #[test]
@@ -158,24 +134,13 @@ mod tests {
     }
 
     #[test]
-    fn stage_spanning() {
-        let narrow: RegisterArray<u32> = RegisterArray::new("a", 1, 32);
-        assert_eq!(narrow.stages_spanned(), 1);
-        let exactly: RegisterArray<u128> = RegisterArray::new("b", 1, 128);
-        assert_eq!(exactly.stages_spanned(), 1);
-        // A 17-byte ring-buffer slot (136 bits) needs two stages.
-        let ring: RegisterArray<[u8; 17]> = RegisterArray::new("ring", 1, 136);
-        assert_eq!(ring.stages_spanned(), 2);
-    }
-
-    #[test]
     fn sram_accounting() {
         let r: RegisterArray<u64> = RegisterArray::new("ctr", 1024, 64);
-        assert_eq!(r.sram_bits(), 65_536);
+        assert_eq!(charged(&r), (65_536, 1));
         let mut ledger = ResourceLedger::new(TOFINO_32D);
         r.account(&mut ledger, "dedup");
-        assert_eq!(ledger.used(ResourceKind::SramBits), 65_536);
-        assert_eq!(ledger.used(ResourceKind::StatefulAlu), 1);
+        let p = ledger.placements()[0];
+        assert_eq!((p.module, p.name, p.cell_bits, p.alus_per_stage), ("dedup", "ctr", 64, 1));
     }
 
     #[test]
@@ -184,31 +149,25 @@ mod tests {
         for i in 0..256 {
             assert_eq!(r.read(i), 0, "index {i}");
         }
-        assert_eq!(r.rmw_ops(), 0);
     }
 
     #[test]
     fn configured_size_holds_before_and_after_first_write() {
         let mut r: RegisterArray<u32> = RegisterArray::new("lazy", 4096, 176);
-        assert_eq!((r.len(), r.sram_bits()), (4096, 4096 * 176));
+        assert_eq!((r.len(), charged(&r)), (4096, (4096 * 176, 2)));
         assert!(!r.is_empty());
         r.write(4097, 5); // wraps to 1 against the configured size
-        assert_eq!((r.len(), r.sram_bits()), (4096, 4096 * 176));
+        assert_eq!((r.len(), charged(&r)), (4096, (4096 * 176, 2)));
         assert_eq!(r.read(1), 5);
-        let mut ledger = ResourceLedger::new(TOFINO_32D);
-        r.account(&mut ledger, "dedup");
-        assert_eq!(ledger.used(ResourceKind::SramBits), 4096 * 176);
-        assert_eq!(ledger.used(ResourceKind::StatefulAlu), 2);
     }
 
     #[test]
-    fn clear_resets_every_cell_and_keeps_rmw_ops() {
+    fn clear_resets_every_cell() {
         let mut r: RegisterArray<u32> = RegisterArray::new("x", 32, 32);
         for i in 0..32 {
             r.read_modify_write(i, |v| v + i as u32 + 1);
         }
         r.clear();
-        assert_eq!(r.rmw_ops(), 32);
         assert_eq!(r.len(), 32);
         for i in 0..32 {
             assert_eq!(r.read(i), 0, "index {i}");
@@ -216,7 +175,6 @@ mod tests {
         // The storage comes back on the next write.
         assert_eq!(r.read_modify_write(3, |v| v + 7), 0);
         assert_eq!(r.read(3), 7);
-        assert_eq!(r.rmw_ops(), 33);
     }
 
     #[test]
@@ -227,7 +185,7 @@ mod tests {
         r.write(5, 9);
         assert_eq!(r.read_modify_write(5, |_| 9), 0);
         assert_eq!(r.read(5), 0);
-        assert_eq!((r.len(), r.sram_bits(), r.rmw_ops()), (0, 0, 0));
+        assert_eq!((r.len(), charged(&r).0), (0, 0));
         r.clear();
         assert!(r.is_empty());
     }

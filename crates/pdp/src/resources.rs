@@ -1,10 +1,14 @@
 //! PDP resource accounting — regenerates the paper's Figure 7.
 //!
-//! Every emulated primitive (table, register array, hash unit, action)
-//! charges its usage here under a module label, so the bench harness can
-//! print both the overall resource picture (Fig. 7a) and the per-NetSeer-
-//! module breakdown (Fig. 7b).
+//! Every emulated primitive (register array, hash unit, action) charges
+//! its usage here under a module label, so the bench harness can print
+//! both the overall resource picture (Fig. 7a) and the per-NetSeer-module
+//! breakdown (Fig. 7b). A stateful structure is
+//! [declared](ResourceLedger::declare): the one call charges its SRAM and
+//! stateful ALUs and records it for the stage placement
+//! ([`crate::layout::place`]), so the two cannot disagree.
 
+use crate::layout::Placement;
 use std::collections::BTreeMap;
 
 /// Resource classes of a Tofino-like ASIC (the y-axis of Figure 7a).
@@ -92,12 +96,39 @@ fn kind_index(kind: ResourceKind) -> usize {
 pub struct ResourceLedger {
     profile: CapacityProfile,
     used: BTreeMap<(&'static str, ResourceKind), u64>,
+    /// Declared stateful structures, in declaration (pipeline) order.
+    placements: Vec<Placement>,
 }
 
 impl ResourceLedger {
     /// Create a ledger against a device profile.
     pub fn new(profile: CapacityProfile) -> Self {
-        ResourceLedger { profile, used: BTreeMap::new() }
+        ResourceLedger { profile, used: BTreeMap::new(), placements: Vec::new() }
+    }
+
+    /// Declare a stateful structure of `module`: `cells` cells of
+    /// `cell_bits`, read and written by `alus_per_stage` stateful ALUs in
+    /// every stage its cell width spans. Charges `cells × cell_bits` of
+    /// SRAM and `stages × alus_per_stage` stateful ALUs, and records the
+    /// structure for the stage placement.
+    pub fn declare(
+        &mut self,
+        module: &'static str,
+        name: &'static str,
+        cells: u64,
+        cell_bits: u32,
+        alus_per_stage: u32,
+    ) {
+        let p = Placement { module, name, cell_bits, alus_per_stage };
+        self.charge(module, ResourceKind::SramBits, cells * u64::from(cell_bits));
+        self.charge(module, ResourceKind::StatefulAlu, u64::from(p.alus()));
+        self.placements.push(p);
+    }
+
+    /// Every declared stateful structure, in declaration order: the input
+    /// of [`crate::layout::place`].
+    pub fn placements(&self) -> &[Placement] {
+        &self.placements
     }
 
     /// Charge `amount` units of `kind` to `module`.
@@ -141,11 +172,6 @@ impl ResourceLedger {
         v
     }
 
-    /// The device profile.
-    pub fn profile(&self) -> &CapacityProfile {
-        &self.profile
-    }
-
     /// True if any resource kind is over 100% of capacity — the emulator's
     /// equivalent of "does not fit on the chip".
     pub fn over_budget(&self) -> bool {
@@ -178,6 +204,18 @@ mod tests {
         assert!(!l.over_budget());
         l.charge("x", ResourceKind::StatefulAlu, cap);
         assert!(l.over_budget());
+    }
+
+    #[test]
+    fn declare_charges_and_records_in_order() {
+        let mut l = ResourceLedger::new(TOFINO_32D);
+        l.declare("isw", "ring", 4096, 137, 2);
+        l.declare("isw", "seq", 0, 32, 1);
+        assert_eq!(l.used_by("isw", ResourceKind::SramBits), 4096 * 137);
+        // 137 bits span two stages at two ALUs each, plus one.
+        assert_eq!(l.used_by("isw", ResourceKind::StatefulAlu), 5);
+        let names: Vec<&str> = l.placements().iter().map(|p| p.name).collect();
+        assert_eq!(names, ["ring", "seq"]);
     }
 
     #[test]

@@ -1,90 +1,10 @@
-//! Match-action tables: exact match, longest-prefix match, and ternary
-//! (ACL) tables with resource accounting.
+//! Match-action tables: longest-prefix match and ternary (ACL) tables.
+//! The routing and ACL tables belong to the base switch.p4 program, which
+//! the Figure 7 ledger charges as calibrated fractions of the chip.
 
-use crate::resources::{ResourceKind, ResourceLedger};
 use fet_packet::ipv4::Ipv4Addr;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-
-/// Error returned when an exact table is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableFull;
-
-impl std::fmt::Display for TableFull {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("table at capacity")
-    }
-}
-
-impl std::error::Error for TableFull {}
-
-/// An exact-match table mapping fixed keys to actions.
-///
-/// Hardware realizes these in SRAM with a hash scheme; the emulator uses a
-/// `HashMap` but charges SRAM for `capacity` entries of the declared key and
-/// action width, and refuses inserts beyond capacity — the control plane
-/// would get the same error from the driver.
-#[derive(Debug, Clone)]
-pub struct ExactTable<K: Eq + std::hash::Hash + Clone, A: Clone> {
-    name: &'static str,
-    map: HashMap<K, A>,
-    capacity: usize,
-    key_bits: u32,
-    action_bits: u32,
-}
-
-impl<K: Eq + std::hash::Hash + Clone, A: Clone> ExactTable<K, A> {
-    /// Create a table with an entry budget.
-    pub fn new(name: &'static str, capacity: usize, key_bits: u32, action_bits: u32) -> Self {
-        ExactTable { name, map: HashMap::new(), capacity, key_bits, action_bits }
-    }
-
-    /// Insert an entry; `Err(TableFull)` when the table is full.
-    pub fn insert(&mut self, key: K, action: A) -> Result<(), TableFull> {
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            return Err(TableFull);
-        }
-        self.map.insert(key, action);
-        Ok(())
-    }
-
-    /// Look up an entry.
-    pub fn lookup(&self, key: &K) -> Option<&A> {
-        self.map.get(key)
-    }
-
-    /// Remove an entry.
-    pub fn remove(&mut self, key: &K) -> Option<A> {
-        self.map.remove(key)
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Entry budget.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Charge SRAM + exact crossbar to the ledger.
-    pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
-        let bits = u64::from(self.key_bits + self.action_bits) * self.capacity as u64;
-        ledger.charge(module, ResourceKind::SramBits, bits);
-        ledger.charge(module, ResourceKind::ExactXbar, u64::from(self.key_bits));
-    }
-
-    /// Table name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
 
 /// Longest-prefix-match routing table over IPv4 destinations.
 ///
@@ -144,12 +64,6 @@ impl<A: Clone> LpmTable<A> {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.by_len.is_empty()
-    }
-
-    /// Charge TCAM usage (32-bit key + action) to the ledger.
-    pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
-        ledger.charge(module, ResourceKind::TcamBits, 64 * self.len() as u64);
-        ledger.charge(module, ResourceKind::TernaryXbar, 32);
     }
 }
 
@@ -287,12 +201,6 @@ impl AclTable {
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
     }
-
-    /// Charge TCAM usage (104-bit 5-tuple key) to the ledger.
-    pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
-        ledger.charge(module, ResourceKind::TcamBits, 104 * self.rules.len() as u64);
-        ledger.charge(module, ResourceKind::TernaryXbar, 104);
-    }
 }
 
 #[cfg(test)]
@@ -302,19 +210,6 @@ mod tests {
 
     fn ip(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
         Ipv4Addr::from_octets([a, b, c, d])
-    }
-
-    #[test]
-    fn exact_table_capacity_enforced() {
-        let mut t: ExactTable<u32, u32> = ExactTable::new("t", 2, 32, 8);
-        t.insert(1, 10).unwrap();
-        t.insert(2, 20).unwrap();
-        assert!(t.insert(3, 30).is_err());
-        // Replacing an existing key is fine at capacity.
-        t.insert(1, 11).unwrap();
-        assert_eq!(t.lookup(&1), Some(&11));
-        assert_eq!(t.remove(&2), Some(20));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]

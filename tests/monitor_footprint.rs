@@ -9,19 +9,17 @@
 //! `deploy` on the 84-device `fleet_parallel` tree allocated 65,989,148 B.
 //! These tests bound both, and pin the ledger to the values it had when
 //! every cell was stored up front, so storing cells on first write can
-//! never move a Figure 7 number.
+//! never move a Figure 7 number. The stage placement is computed from the
+//! structures that same ledger declared.
 
 use fet_bench::counting_alloc::{allocated_bytes, CountingAlloc};
-use fet_netsim::monitor::{Actions, EgressCtx, SwitchMonitor};
+use fet_bench::tag_ports;
 use fet_netsim::routing::install_ecmp_routes;
 use fet_netsim::time::MICROS;
 use fet_netsim::topology::{build_fat_tree, FatTreeParams};
 use fet_netsim::Simulator;
-use fet_packet::builder::build_data_packet;
-use fet_packet::ipv4::Ipv4Addr;
-use fet_packet::FlowKey;
 use fet_pdp::resources::{ResourceKind, ALL_RESOURCE_KINDS};
-use fet_pdp::PacketMeta;
+use fet_pdp::{place, TOFINO_PIPELINE};
 use netseer::deploy::{deploy, DeployOptions};
 use netseer::{NetSeerConfig, NetSeerMonitor, Role};
 use std::sync::Mutex;
@@ -39,31 +37,6 @@ fn measure<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = allocated_bytes();
     let out = f();
     (allocated_bytes() - before, out)
-}
-
-/// Send one data packet out of each of `ports` toward a tagged peer, so
-/// the monitor creates those ports' ring buffers.
-fn tag_ports(m: &mut NetSeerMonitor, ports: std::ops::Range<u8>) {
-    let meta = PacketMeta::arriving(0, 0, 64);
-    for port in ports {
-        let flow = FlowKey::tcp(
-            Ipv4Addr::from_octets([10, 0, 0, 1]),
-            u16::from(port),
-            Ipv4Addr::from_octets([10, 0, 0, 2]),
-            80,
-        );
-        let mut frame = build_data_packet(&flow, 100, 0, 0, 64);
-        let ctx = EgressCtx {
-            now_ns: 0,
-            node: 0,
-            port,
-            queue: 0,
-            peer_tagged: true,
-            congested: false,
-            meta: &meta,
-        };
-        m.on_egress(&ctx, &mut frame, &mut Actions::new());
-    }
 }
 
 /// Every non-zero `(module, kind, amount)` charge, modules ascending.
@@ -155,4 +128,27 @@ fn figure7_ledger_golden() {
     let mut tagged = FRESH.to_vec();
     tagged.insert(14, ("inter-switch", SramBits, 561_152));
     assert_eq!(ledger_rows(&m), tagged);
+}
+
+/// The stateful structures the ledger declared fit the pipeline, and each
+/// NetSeer module's placed structures hold exactly the stateful ALUs the
+/// ledger charged it, so the §3.5 stage claim rests on the charged state.
+#[test]
+fn netseer_program_fits_tofino() {
+    let _turn = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut m = NetSeerMonitor::new(0, Role::Switch, NetSeerConfig::default());
+    tag_ports(&mut m, 0..32);
+    let ledger = m.resource_usage();
+    let layout = place(TOFINO_PIPELINE, ledger.placements()).expect("NetSeer fits 12 stages");
+    // The depth README and EXPERIMENTS quote: 7 of 12 stages.
+    assert_eq!(layout.depth(), 7);
+    for module in ["event-detection", "inter-switch", "dedup", "batching"] {
+        let charged = ledger.used_by(module, StatefulAlu);
+        assert!(charged > 0, "{module} declares no stateful structure");
+        assert_eq!(layout.alus_of(module), charged, "{module}: placed vs charged ALUs");
+    }
+    // One 24 B (192-bit) stack record already exceeds one stage's register
+    // width: the constraint §3.5 cites for circulating batch packets.
+    let stack = ledger.placements().iter().find(|p| p.name == "event-stack").expect("declared");
+    assert_eq!(stack.stages(), 2);
 }
