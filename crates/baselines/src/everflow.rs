@@ -204,6 +204,7 @@ mod tests {
             port: 0,
             queue: 0,
             peer_tagged: false,
+            tag_open: false,
             congested: false,
             meta,
         }
@@ -266,7 +267,7 @@ mod tests {
         let mut m = EverFlowMonitor::new(1);
         m.traced.insert(flow(2));
         let f = build_data_packet(&flow(2), 10, flags::ACK, 0, 64);
-        let ictx = IngressCtx { now_ns: 7, node: 0, port: 0, peer_tagged: false };
+        let ictx = IngressCtx::parse(7, 0, 0, false, &f);
         let mut out = Actions::new();
         m.on_pipeline_drop(&ictx, &f, Some(flow(2)), DropCode::TableMiss, None, 0, &mut out);
         assert_eq!(m.log.obs.len(), 1);
@@ -276,7 +277,7 @@ mod tests {
     fn untraced_drop_invisible_even_with_syn() {
         let mut m = EverFlowMonitor::new(1);
         let f = build_data_packet(&flow(3), 10, flags::SYN, 0, 64);
-        let ictx = IngressCtx { now_ns: 7, node: 0, port: 0, peer_tagged: false };
+        let ictx = IngressCtx::parse(7, 0, 0, false, &f);
         let mut out = Actions::new();
         m.on_pipeline_drop(&ictx, &f, Some(flow(3)), DropCode::TableMiss, None, 0, &mut out);
         assert!(m.log.is_empty());

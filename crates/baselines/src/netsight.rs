@@ -115,6 +115,7 @@ mod tests {
             port: 2,
             queue: 0,
             peer_tagged: false,
+            tag_open: false,
             congested: false,
             meta: &meta,
         };
@@ -131,7 +132,7 @@ mod tests {
     #[test]
     fn mirrors_drops_too() {
         let mut m = NetSightMonitor::new();
-        let ictx = IngressCtx { now_ns: 5, node: 1, port: 0, peer_tagged: false };
+        let ictx = IngressCtx::parse(5, 1, 0, false, &[0u8; 64]);
         let mut out = Actions::new();
         m.on_pipeline_drop(&ictx, &[0u8; 64], Some(flow()), DropCode::TableMiss, None, 0, &mut out);
         assert_eq!(m.log.obs.len(), 1);
@@ -148,6 +149,7 @@ mod tests {
             port: 2,
             queue: 0,
             peer_tagged: false,
+            tag_open: false,
             congested: false,
             meta: &meta,
         };

@@ -79,6 +79,7 @@ mod tests {
             port: 0,
             queue: 0,
             peer_tagged: false,
+            tag_open: false,
             congested: false,
             meta: &meta,
         };
@@ -107,6 +108,7 @@ mod tests {
             port: 0,
             queue: 0,
             peer_tagged: false,
+            tag_open: false,
             congested: false,
             meta: &meta,
         };

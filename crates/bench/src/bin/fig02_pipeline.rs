@@ -7,9 +7,11 @@ use fet_bench::counting_alloc::{allocations, CountingAlloc};
 use fet_bench::{run_experiment, BenchReport, InjectSpec, MonitorKind};
 use fet_netsim::monitor::{Actions, EgressCtx, IngressCtx, SwitchMonitor};
 use fet_netsim::time::MILLIS;
-use fet_packet::builder::build_data_packet;
+use fet_packet::builder::{
+    build_data_packet, insert_seqtag_in_place, set_seqtag_seq, slide_in_seqtag, slide_out_seqtag,
+};
 use fet_packet::ipv4::Ipv4Addr;
-use fet_packet::FlowKey;
+use fet_packet::{FlowKey, SEQTAG_LEN};
 use fet_pdp::PacketMeta;
 use fet_workloads::distributions::DCTCP;
 use netseer::deploy::monitor_of;
@@ -20,10 +22,12 @@ use std::time::Instant;
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Drive the steady-state per-packet path directly — upstream egress
-/// (tag + ring record) into downstream ingress (strip + gap check) — and
-/// measure wall-clock throughput and heap allocations per packet after
-/// warm-up. The zero-allocation contract of `DESIGN.md` §11 is asserted
-/// here, so a regression fails the bench job, not just a code review.
+/// (the deparser re-forms the tag, the hook claims it and records the
+/// ring) into downstream ingress (the parser reads the tag, the hook
+/// checks the gap, the tag slides out) — and measure wall-clock
+/// throughput and heap allocations per packet after warm-up. The
+/// zero-allocation contract of `DESIGN.md` §11 is asserted here, so a
+/// regression fails the bench job, not just a code review.
 fn hot_path_bench() -> (f64, f64) {
     let cfg = NetSeerConfig::default();
     let mut upstream = NetSeerMonitor::new(1, Role::Switch, cfg.clone());
@@ -34,15 +38,17 @@ fn hot_path_bench() -> (f64, f64) {
         Ipv4Addr::from_octets([10, 0, 0, 2]),
         80,
     );
+    // A frame as a switch holds it after its parser removed the tag: the
+    // tag's bytes are headroom in front of the frame.
     let mut frame = build_data_packet(&flow, 1000, 0, 0, 64);
-    // Room for the 6-byte sequence tag: after the first insertion the
-    // buffer's capacity absorbs the growth forever.
-    frame.reserve(8);
+    insert_seqtag_in_place(&mut frame, 0).expect("taggable");
+    slide_out_seqtag(&mut frame);
+    let len = frame.len() - SEQTAG_LEN;
     let mut out = Actions::new();
     let mut run = |n: u64, t0: u64, frame: &mut Vec<u8>| {
         for i in 0..n {
             let now = t0 + i * 1_000;
-            let mut meta = PacketMeta::arriving(0, now, frame.len());
+            let mut meta = PacketMeta::arriving(0, now, len);
             meta.flow = Some(flow);
             meta.egress_ts_ns = now; // zero queuing delay: no event
             let ectx = EgressCtx {
@@ -51,18 +57,22 @@ fn hot_path_bench() -> (f64, f64) {
                 port: 0,
                 queue: 0,
                 peer_tagged: true,
+                tag_open: true,
                 congested: false,
                 meta: &meta,
             };
+            slide_in_seqtag(frame, 0);
             upstream.on_egress(&ectx, frame, &mut out);
-            let ictx = IngressCtx { now_ns: now, node: 2, port: 0, peer_tagged: true };
+            set_seqtag_seq(frame, out.tag.take().expect("the hook claims the open tag"));
+            let ictx = IngressCtx::parse(now, 2, 0, true, frame);
             downstream.on_ingress(&ictx, frame, &mut out);
+            slide_out_seqtag(frame);
             out.emit.clear();
             out.report_bytes = 0;
         }
     };
-    // Warm-up: first-touch allocations (port tables, ring buffers, the
-    // one-time frame growth for the tag) are expected and excluded.
+    // Warm-up: first-touch allocations (port tables, ring buffers) are
+    // expected and excluded.
     run(10_000, 0, &mut frame);
     let before = allocations();
     let start = Instant::now();
@@ -127,7 +137,7 @@ fn main() {
     );
 
     let (pkts_per_s, allocs_per_pkt) = hot_path_bench();
-    println!("\n=== Monitor hot path (tag -> strip cycle, steady state) ===");
+    println!("\n=== Monitor hot path (tag -> read -> slide out cycle, steady state) ===");
     println!("  throughput        {pkts_per_s:>14.0} pkts/s");
     println!("  heap allocations  {allocs_per_pkt:>14.4} per packet");
     assert_eq!(allocs_per_pkt, 0.0, "steady-state packet path must not allocate");

@@ -376,17 +376,19 @@ pub fn run_experiment(
 /// switch monitor creates those ports' ring buffers (Figure 7 charges the
 /// rings of the ports in use).
 pub fn tag_ports(m: &mut NetSeerMonitor, ports: std::ops::Range<u8>) {
-    let meta = PacketMeta::arriving(0, 0, 64);
     for port in ports {
         let src = Ipv4Addr::from_octets([10, 0, 0, 1]);
         let flow = FlowKey::tcp(src, u16::from(port), Ipv4Addr::from_octets([10, 0, 0, 2]), 80);
         let mut frame = build_data_packet(&flow, 100, 0, 0, 64);
+        let mut meta = PacketMeta::arriving(0, 0, frame.len());
+        meta.flow = Some(flow);
         let ctx = EgressCtx {
             now_ns: 0,
             node: 0,
             port,
             queue: 0,
             peer_tagged: true,
+            tag_open: true,
             congested: false,
             meta: &meta,
         };

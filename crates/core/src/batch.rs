@@ -177,11 +177,18 @@ impl CebpBatcher {
         PushOutcome::Stored
     }
 
+    /// True when the CEBP's next visit is due by `now_ns` with events
+    /// waiting: exactly when [`poll`](Self::poll) would do anything.
+    #[inline]
+    pub fn due(&self, now_ns: u64) -> bool {
+        self.next_visit_ns <= now_ns && !self.stack.is_empty()
+    }
+
     /// Advance the circulation model to `now_ns`, returning batches that
     /// completed by then.
     pub fn poll(&mut self, now_ns: u64) -> Vec<Batch> {
         let mut out = Vec::new();
-        while self.next_visit_ns <= now_ns && !self.stack.is_empty() {
+        while self.due(now_ns) {
             // A scheduled recirculation stall parks the CEBP until the
             // window lifts; events wait in the (bounded) stack meanwhile.
             if let Some(release) = stall_release(&self.stalls, self.next_visit_ns) {

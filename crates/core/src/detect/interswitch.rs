@@ -66,18 +66,17 @@ impl PortTagger {
         let seq = self.next_seq;
         self.next_seq = self.next_seq.wrapping_add(1);
         self.tagged += 1;
-        let slots = self.ring.len().max(1);
         let mut fk = [0u8; FLOW_KEY_LEN];
         flow.write_to(&mut fk);
-        self.ring.write(seq as usize % slots, RingSlot { valid: true, seq, flow: fk });
+        // The ring folds the sequence number onto its slots.
+        self.ring.write(seq as usize, RingSlot { valid: true, seq, flow: fk });
         seq
     }
 
     /// Look up a reported-lost packet ID. `Some(flow)` only when the slot
     /// still holds exactly that ID (never reports the wrong packet).
     pub fn lookup(&mut self, seq: u32) -> Option<FlowKey> {
-        let slots = self.ring.len().max(1);
-        let slot = self.ring.read(seq as usize % slots);
+        let slot = self.ring.read(seq as usize);
         if slot.valid && slot.seq == seq {
             self.lookup_hits += 1;
             Some(FlowKey::read_from(&slot.flow))

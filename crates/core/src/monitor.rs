@@ -19,10 +19,10 @@ use crate::transport::{ReliableChannel, DEFAULT_MAX_RETRIES};
 use fet_netsim::counters::PortCounters;
 use fet_netsim::monitor::{Actions, EgressCtx, HookVerdict, IngressCtx, RoutedCtx, SwitchMonitor};
 use fet_packet::builder::{
-    build_cebp_frame, build_notification_frames_with, classify, extract_flow,
-    insert_seqtag_in_place, parse_cebp_frame, parse_notification, strip_seqtag_in_place, FrameKind,
+    build_cebp_frame, build_notification_frames_with, parse_cebp_frame, parse_notification,
+    FrameKind,
 };
-use fet_packet::ethernet::{EtherType, EthernetFrame, ETHERNET_HEADER_LEN};
+use fet_packet::ethernet::ETHERNET_HEADER_LEN;
 use fet_packet::event::{DropCode, EventDetail, EventRecord, EventType, EVENT_RECORD_LEN};
 use fet_packet::ipv4::Ipv4Addr;
 use fet_packet::pfc::{PfcFrame, PFC_CLASSES};
@@ -470,8 +470,11 @@ impl NetSeerMonitor {
     }
 
     /// Advance batcher → CPU → transport, delivering finished events.
+    /// Returns at once unless the batcher has a visit due, as it has on
+    /// most packets.
+    #[inline]
     fn pump(&mut self, now_ns: u64, out: &mut Actions) {
-        if self.wedged {
+        if self.wedged || !self.batcher.due(now_ns) {
             return;
         }
         for batch in self.batcher.poll(now_ns) {
@@ -755,25 +758,23 @@ impl SwitchMonitor for NetSeerMonitor {
         self.stats.packets_seen += 1;
         self.stats.packets_bytes += frame.len() as u64;
 
-        // Strip the upstream's sequence tag and watch for gaps (Fig. 5
-        // steps 2–4).
-        let eth = EthernetFrame::new_unchecked(frame.as_slice());
-        if eth.ethertype() == EtherType::NetSeerSeq {
-            if let Ok(seq) = strip_seqtag_in_place(frame) {
-                let gap = self.gaps.get_or_insert_with(ctx.port, GapDetector::default).observe(seq);
-                if let Some((lo, hi)) = gap {
-                    let copies = self.cfg.notification_copies;
-                    for mut nf in build_notification_frames_with(lo, hi, ctx.port, copies) {
-                        // Injected byte damage per copy: the receiver's
-                        // CRC trailer catches what survives the FCS.
-                        self.notif_corrupt.corrupt(&mut nf);
-                        out.emit(ctx.port, nf, true);
-                    }
+        // Watch the upstream's sequence tag for gaps (Fig. 5 steps 2–4);
+        // the parser read it, and the switch removes it after this hook.
+        if let Some(seq) = ctx.seq {
+            let gap = self.gaps.get_or_insert_with(ctx.port, GapDetector::default).observe(seq);
+            if let Some((lo, hi)) = gap {
+                let copies = self.cfg.notification_copies;
+                for mut nf in build_notification_frames_with(lo, hi, ctx.port, copies) {
+                    // Injected byte damage per copy: the receiver's
+                    // CRC trailer catches what survives the FCS.
+                    self.notif_corrupt.corrupt(&mut nf);
+                    out.emit(ctx.port, nf, true);
                 }
             }
         }
 
-        match classify(frame) {
+        let frame = ctx.untagged(frame);
+        match ctx.kind {
             FrameKind::LossNotification => {
                 // Injected fault: this notification copy died on the wire.
                 // Redundant copies (paper: three) are each drawn
@@ -943,7 +944,7 @@ impl SwitchMonitor for NetSeerMonitor {
         );
     }
 
-    fn on_egress(&mut self, ctx: &EgressCtx<'_>, frame: &mut Vec<u8>, out: &mut Actions) {
+    fn on_egress(&mut self, ctx: &EgressCtx<'_>, _frame: &mut Vec<u8>, out: &mut Actions) {
         if self.is_down() {
             return;
         }
@@ -958,25 +959,19 @@ impl SwitchMonitor for NetSeerMonitor {
                     EventType::Congestion,
                     flow,
                     EventDetail::Congestion { egress_port: ctx.port, queue: ctx.queue, latency_us },
-                    frame.len(),
+                    ctx.meta.frame_len,
                     out,
                 );
             }
         }
-        // Inter-switch numbering + ring recording (Fig. 5 step 1), and one
-        // pending ring lookup per departing packet (§3.3: subsequent
-        // packets trigger the lookups).
+        // Inter-switch numbering + ring recording (Fig. 5 step 1): claim
+        // the tag header the switch opened, and one pending ring lookup
+        // per departing packet (§3.3: subsequent packets trigger the
+        // lookups).
         if ctx.peer_tagged {
-            let kind = classify(frame);
-            let already_tagged =
-                EthernetFrame::new_unchecked(frame.as_slice()).ethertype() == EtherType::NetSeerSeq;
-            if kind != FrameKind::Pfc && !already_tagged {
-                let flow = extract_flow(frame).unwrap_or(acl_rule_flow(0));
-                let seq = self.tagger(ctx.port).next(flow);
-                // In place: data and notification frames are built with
-                // room for the 6-byte tag, so tagging never reallocates,
-                // the first hop included.
-                let _ = insert_seqtag_in_place(frame, seq);
+            if ctx.tag_open {
+                let seq = self.tagger(ctx.port).next(ctx.meta.flow.unwrap_or(acl_rule_flow(0)));
+                out.tag(seq);
             }
             self.drain_pending(ctx.now_ns, ctx.port, 1, out);
         }
@@ -1035,7 +1030,10 @@ impl SwitchMonitor for NetSeerMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fet_packet::builder::{build_data_packet, build_pfc_frame};
+    use fet_packet::builder::{
+        build_data_packet, build_pfc_frame, insert_seqtag, insert_seqtag_in_place, set_seqtag_seq,
+        strip_seqtag_in_place,
+    };
 
     fn flow(n: u16) -> FlowKey {
         FlowKey::tcp(
@@ -1050,33 +1048,103 @@ mod tests {
         NetSeerMonitor::new(3, Role::Switch, NetSeerConfig::default())
     }
 
-    fn ictx(port: u8, now: u64) -> IngressCtx {
-        IngressCtx { now_ns: now, node: 3, port, peer_tagged: true }
+    /// The ingress context the switch's parser gives `frame` on `port`.
+    fn ictx(port: u8, now: u64, frame: &[u8]) -> IngressCtx {
+        IngressCtx::parse(now, 3, port, true, frame)
+    }
+
+    /// `frame` arrives on `port`: the hook sees it as it came, then the
+    /// switch removes its tag.
+    fn arrive(
+        m: &mut NetSeerMonitor,
+        port: u8,
+        now: u64,
+        frame: &mut Vec<u8>,
+        out: &mut Actions,
+    ) -> HookVerdict {
+        let ctx = ictx(port, now, frame);
+        let v = m.on_ingress(&ctx, frame, out);
+        if ctx.seq.is_some() {
+            strip_seqtag_in_place(frame).expect("parsed tag");
+        }
+        v
+    }
+
+    /// `frame` departs under `ctx`: on a tagged link the switch opens a
+    /// tag header before the hook and writes the claimed seq after it.
+    fn depart(m: &mut NetSeerMonitor, ctx: &EgressCtx<'_>, frame: &mut Vec<u8>, out: &mut Actions) {
+        if ctx.tag_open {
+            insert_seqtag_in_place(frame, 0).expect("taggable");
+        }
+        m.on_egress(ctx, frame, out);
+        if let Some(seq) = out.tag.take() {
+            set_seqtag_seq(frame, seq);
+        }
     }
 
     #[test]
-    fn egress_tags_and_ingress_strips() {
+    fn egress_claims_the_tag_and_ingress_reads_it() {
         let mut up = mon();
         let mut down = NetSeerMonitor::new(4, Role::Switch, NetSeerConfig::default());
         let mut out = Actions::new();
-        let mut frame = build_data_packet(&flow(1), 100, 0, 0, 64);
-        let orig = frame.clone();
-        let meta = fet_pdp::PacketMeta::arriving(0, 0, frame.len());
+        let orig = build_data_packet(&flow(1), 100, 0, 0, 64);
+        let mut meta = fet_pdp::PacketMeta::arriving(0, 0, orig.len());
+        meta.flow = Some(flow(1));
         let ectx = EgressCtx {
             now_ns: 0,
             node: 3,
             port: 2,
             queue: 0,
             peer_tagged: true,
+            tag_open: true,
             congested: false,
             meta: &meta,
         };
-        up.on_egress(&ectx, &mut frame, &mut out);
-        assert_ne!(frame, orig, "frame should be tagged");
-        // Downstream strips.
-        let v = down.on_ingress(&ictx(5, 100), &mut frame, &mut out);
+        for want in 0..3 {
+            let mut frame = orig.clone();
+            insert_seqtag_in_place(&mut frame, 0).unwrap();
+            let opened = frame.clone();
+            up.on_egress(&ectx, &mut frame, &mut out);
+            assert_eq!(frame, opened, "the hook leaves the frame to the switch");
+            assert_eq!(out.tag.take(), Some(want), "consecutive per-port numbering");
+        }
+        // A closed header (no tag may ride the frame) is never claimed.
+        let mut frame = orig.clone();
+        up.on_egress(&EgressCtx { tag_open: false, ..ectx }, &mut frame, &mut out);
+        assert_eq!(out.tag, None);
+        // Downstream reads the parsed seq off the frame as it arrived.
+        let mut frame = insert_seqtag(&orig, 0).unwrap();
+        let arrived = frame.clone();
+        let v = down.on_ingress(&ictx(5, 100, &frame), &mut frame, &mut out);
         assert_eq!(v, HookVerdict::Continue);
-        assert_eq!(frame, orig, "tag should be stripped");
+        assert_eq!(frame, arrived, "the switch, not the hook, removes the tag");
+        assert_eq!(down.gaps.get(5).map(|g| g.packets_seen), Some(1));
+    }
+
+    /// A switch that forwards `flow(1)` from tagged port 1 to tagged
+    /// port 2 under `m`.
+    fn tagged_switch(m: NetSeerMonitor) -> fet_netsim::SwitchDevice {
+        let mut s = fet_netsim::SwitchDevice::new(3, "sw", fet_netsim::SwitchConfig::default());
+        s.routes.insert(Ipv4Addr::from_octets([10, 0, 0, 2]), 32, vec![2]);
+        s.tag_ports[1] = true;
+        s.tag_ports[2] = true;
+        s.set_monitor(Box::new(m));
+        s
+    }
+
+    #[test]
+    fn seq_tag_never_leaks_past_a_crashed_monitor() {
+        let sent = insert_seqtag(&build_data_packet(&flow(1), 100, 0, 0, 64), 7).unwrap();
+        let forwarded = build_data_packet(&flow(1), 100, 0, 0, 63);
+        let mut crashed = mon();
+        crashed.crash(CrashKind::Hard, 0);
+        for (m, want) in [(mon(), insert_seqtag(&forwarded, 0).unwrap()), (crashed, forwarded)] {
+            let mut s = tagged_switch(m);
+            let mut gt = fet_netsim::GroundTruth::new();
+            let _ = s.handle_arrival(10, 1, sent.clone(), false, &mut gt);
+            let out = s.dequeue(10, 2, &mut gt).expect("forwarded");
+            assert_eq!(out.frame, want, "a live monitor tags anew, a crashed one not at all");
+        }
     }
 
     #[test]
@@ -1094,18 +1162,19 @@ mod tests {
                 port: 2,
                 queue: 0,
                 peer_tagged: true,
+                tag_open: true,
                 congested: false,
                 meta: &meta,
             };
             let mut out = Actions::new();
-            up.on_egress(&ectx, &mut f, &mut out);
+            depart(&mut up, &ectx, &mut f, &mut out);
             if n == 0 || n == 4 {
                 arrived.push(f);
             }
         }
         let mut out = Actions::new();
         for mut f in arrived {
-            down.on_ingress(&ictx(5, 10), &mut f, &mut out);
+            arrive(&mut down, 5, 10, &mut f, &mut out);
         }
         // Three redundant notification copies, high priority, back the way
         // the packets came.
@@ -1119,41 +1188,54 @@ mod tests {
         let mut up = mon();
         let mut down = NetSeerMonitor::new(4, Role::Switch, NetSeerConfig::default());
         let meta = fet_pdp::PacketMeta::arriving(0, 0, 64);
-        let mk_ectx = |now| EgressCtx {
-            now_ns: now,
-            node: 3,
-            port: 2,
-            queue: 0,
-            peer_tagged: true,
-            congested: false,
-            meta: &meta,
-        };
         // seq 0 arrives, 1 and 2 lost, 3 arrives.
         let mut survivors = Vec::new();
         for n in 0..4u16 {
+            let mut meta = meta.clone();
+            meta.flow = Some(flow(n));
+            let ectx = EgressCtx {
+                now_ns: 0,
+                node: 3,
+                port: 2,
+                queue: 0,
+                peer_tagged: true,
+                tag_open: true,
+                congested: false,
+                meta: &meta,
+            };
             let mut f = build_data_packet(&flow(n), 100, 0, 0, 64);
             let mut out = Actions::new();
-            up.on_egress(&mk_ectx(0), &mut f, &mut out);
+            depart(&mut up, &ectx, &mut f, &mut out);
             if n == 0 || n == 3 {
                 survivors.push(f);
             }
         }
         let mut down_out = Actions::new();
         for mut f in survivors {
-            down.on_ingress(&ictx(5, 10), &mut f, &mut down_out);
+            arrive(&mut down, 5, 10, &mut f, &mut down_out);
         }
         // Deliver the notifications back to the upstream on its port 2.
         let mut up_out = Actions::new();
         for e in down_out.emit {
             let mut f = e.frame;
-            let v = up.on_ingress(&ictx(2, 20), &mut f, &mut up_out);
+            let v = arrive(&mut up, 2, 20, &mut f, &mut up_out);
             assert_eq!(v, HookVerdict::Consume);
         }
         // Subsequent egress packets drain the pending lookups.
+        let ectx = EgressCtx {
+            now_ns: 100,
+            node: 3,
+            port: 2,
+            queue: 0,
+            peer_tagged: true,
+            tag_open: true,
+            congested: false,
+            meta: &meta,
+        };
         for n in 10..14u16 {
             let mut f = build_data_packet(&flow(n), 100, 0, 0, 64);
             let mut out = Actions::new();
-            up.on_egress(&mk_ectx(100), &mut f, &mut out);
+            depart(&mut up, &ectx, &mut f, &mut out);
         }
         // Force the event path to the end.
         let mut out = Actions::new();
@@ -1182,6 +1264,7 @@ mod tests {
                 port: 1,
                 queue: 0,
                 peer_tagged: false,
+                tag_open: false,
                 congested: true,
                 meta: &meta,
             };
@@ -1210,6 +1293,7 @@ mod tests {
             port: 1,
             queue: 0,
             peer_tagged: false,
+            tag_open: false,
             congested: false,
             meta: &meta,
         };
@@ -1222,7 +1306,7 @@ mod tests {
         let mut m = mon();
         let mut out = Actions::new();
         // The PAUSE arrives on port 7, which the detector parses in ingress.
-        m.on_ingress(&ictx(7, 0), &mut build_pfc_frame(0, 0xffff), &mut out);
+        arrive(&mut m, 7, 0, &mut build_pfc_frame(0, 0xffff), &mut out);
         let rctx = RoutedCtx {
             now_ns: 10,
             node: 3,
@@ -1267,7 +1351,7 @@ mod tests {
             // Different flows, same rule.
             let _ = i;
             m.on_pipeline_drop(
-                &ictx(1, 10),
+                &ictx(1, 10, &f),
                 &f,
                 Some(flow(i)),
                 DropCode::AclDeny,
@@ -1290,7 +1374,15 @@ mod tests {
         let mut m = mon();
         let mut out = Actions::new();
         let f = build_data_packet(&flow(5), 100, 0, 0, 64);
-        m.on_pipeline_drop(&ictx(1, 10), &f, Some(flow(5)), DropCode::TableMiss, None, 0, &mut out);
+        m.on_pipeline_drop(
+            &ictx(1, 10, &f),
+            &f,
+            Some(flow(5)),
+            DropCode::TableMiss,
+            None,
+            0,
+            &mut out,
+        );
         m.on_timer(10_000_000_000, &[], &mut out);
         let ev = m
             .delivered
@@ -1365,6 +1457,7 @@ mod tests {
                 port: 1,
                 queue: 0,
                 peer_tagged: false,
+                tag_open: false,
                 congested: true,
                 meta: &meta,
             };
@@ -1396,6 +1489,7 @@ mod tests {
             port: 1,
             queue: 0,
             peer_tagged: false,
+            tag_open: false,
             congested: true,
             meta: &meta,
         };
@@ -1421,7 +1515,7 @@ mod tests {
                 // Damage one copy's payload: its CRC trailer condemns it.
                 f[ETHERNET_HEADER_LEN + 2] ^= 0x10;
             }
-            let v = m.on_ingress(&ictx(2, 20), &mut f, &mut out);
+            let v = arrive(&mut m, 2, 20, &mut f, &mut out);
             assert_eq!(v, HookVerdict::Consume);
         }
         assert_eq!(m.notifications_crc_rejected, 1);
@@ -1462,11 +1556,12 @@ mod tests {
                 port,
                 queue: 0,
                 peer_tagged: true,
+                tag_open: true,
                 congested: false,
                 meta: &meta,
             };
             let mut out = Actions::new();
-            m.on_egress(&ectx, &mut f, &mut out);
+            depart(&mut m, &ectx, &mut f, &mut out);
         }
         let ledger = m.resource_usage();
         // Nothing over budget; stateful ALU is the top NetSeer consumer.
@@ -1503,9 +1598,18 @@ mod tests {
         meta.flow = Some(flow(n));
         meta.egress_ts_ns = now;
         let mut frame = build_data_packet(&flow(n), 100, 0, 0, 64);
-        let ectx =
-            EgressCtx { now_ns: now, node: 3, port, queue: 0, peer_tagged, congested, meta: &meta };
-        m.on_egress(&ectx, &mut frame, out);
+        let tag_open = peer_tagged;
+        let ectx = EgressCtx {
+            now_ns: now,
+            node: 3,
+            port,
+            queue: 0,
+            peer_tagged,
+            tag_open,
+            congested,
+            meta: &meta,
+        };
+        depart(m, &ectx, &mut frame, out);
         frame
     }
 
@@ -1580,7 +1684,7 @@ mod tests {
         let tagged: Vec<Vec<u8>> =
             (0..5).map(|n| egress(&mut m, 0, 2, true, false, n, &mut out)).collect();
         for i in [0, 3] {
-            m.on_ingress(&ictx(5, 10), &mut tagged[i].clone(), &mut out);
+            arrive(&mut m, 5, 10, &mut tagged[i].clone(), &mut out);
         }
         assert_eq!(m.gaps_detected(), 1);
         // Dedup: one heavy congested flow plus twenty light ones.
@@ -1592,7 +1696,7 @@ mod tests {
         }
         // A path change, and a pause event toward a PFC-paused queue.
         routed(&mut m, 200, 9, 2, &mut out);
-        m.on_ingress(&ictx(7, 200), &mut build_pfc_frame(0, 0xffff), &mut out);
+        arrive(&mut m, 7, 200, &mut build_pfc_frame(0, 0xffff), &mut out);
         routed(&mut m, 200, 2, 7, &mut out);
         // The timer flushes everything so far through the CPU.
         m.on_timer(1_000_000, &[], &mut out);
@@ -1602,7 +1706,7 @@ mod tests {
             egress(&mut m, 1_000_100, 1, false, true, n, &mut out);
         }
         for mut f in build_notification_frames_with(0, 99, 2, 3) {
-            m.on_ingress(&ictx(2, 1_000_200), &mut f, &mut out);
+            arrive(&mut m, 2, 1_000_200, &mut f, &mut out);
         }
         assert_eq!(m.pending.get(2).map(|p| p.len()), Some(100));
         m.checkpoint(1_000_300);

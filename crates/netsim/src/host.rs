@@ -8,9 +8,9 @@
 use crate::counters::PortCounters;
 use crate::fxhash::FxHashMap;
 use crate::monitor::{Actions, EgressCtx, HookVerdict, IngressCtx, SwitchMonitor};
-use crate::switchdev::{DequeueResult, Effects};
+use crate::switchdev::{open_tag, remove_tag, seal_tag, DequeueResult, Effects};
 use fet_packet::builder::{
-    build_data_packet_in, classify, data_packet_len, extract_flow, FrameKind,
+    build_data_packet_in, build_tagged_data_packet_in, data_packet_len, extract_flow, FrameKind,
 };
 use fet_packet::ipv4::Ipv4Addr;
 use fet_packet::tcp::flags;
@@ -259,34 +259,56 @@ impl Host {
     }
 
     /// Dequeue the next frame for transmission, honoring PFC pause and
-    /// running the NIC egress telemetry hook.
+    /// running the NIC egress telemetry hook. The NIC's link is tagged
+    /// when it runs a monitor, so a data packet is then built with its
+    /// tag header already open.
     pub fn dequeue_tx(&mut self, now_ns: u64) -> Option<DequeueResult> {
         if now_ns < self.paused_until {
             return None;
         }
-        let mut frame = match self.txq.pop_front()? {
+        let entry = self.txq.pop_front()?;
+        let len = entry.wire_len();
+        self.txq_bytes -= len;
+        let len = len as usize;
+        let tag_link = self.monitor.is_some();
+        let (mut frame, tag_open, descriptor) = match entry {
             Queued::Packet { flow, payload_len, tcp_flags, dscp } => {
-                build_data_packet_in(&mut self.arena, &flow, payload_len, tcp_flags, dscp, HOST_TTL)
+                let a = &mut self.arena;
+                let frame = if tag_link {
+                    build_tagged_data_packet_in(a, &flow, payload_len, tcp_flags, dscp, HOST_TTL)
+                } else {
+                    build_data_packet_in(a, &flow, payload_len, tcp_flags, dscp, HOST_TTL)
+                };
+                (frame, tag_link, Some(flow))
             }
-            Queued::Frame(frame) => frame,
+            Queued::Frame(mut frame) => {
+                let open = open_tag(&mut frame, len, tag_link);
+                (frame, open, None)
+            }
         };
-        self.txq_bytes -= frame.len() as u64;
         let mut effects = Effects::default();
         if let Some(m) = self.monitor.as_mut() {
-            let mut meta = PacketMeta::arriving(0, now_ns, frame.len());
+            let mut meta = PacketMeta::arriving(0, now_ns, len);
             meta.egress_ts_ns = now_ns;
-            meta.flow = extract_flow(&frame);
+            // A TCP or UDP descriptor's key is the one its frame parses
+            // to; anything else is parsed (through the open tag header).
+            meta.flow = match descriptor {
+                Some(f) if matches!(f.proto, IpProtocol::Tcp | IpProtocol::Udp) => Some(f),
+                _ => extract_flow(&frame),
+            };
             let ctx = EgressCtx {
                 now_ns,
                 node: self.id,
                 port: 0,
                 queue: 0,
                 peer_tagged: true,
+                tag_open,
                 congested: false,
                 meta: &meta,
             };
             let mut actions = Actions::new();
             m.on_egress(&ctx, &mut frame, &mut actions);
+            seal_tag(&mut frame, tag_open, actions.tag);
             self.apply_actions(actions, &mut effects);
         }
         self.counters.tx_pkts += 1;
@@ -339,8 +361,8 @@ impl Host {
         }
 
         let mut frame = frame;
+        let ctx = IngressCtx::parse(now_ns, self.id, 0, true, &frame);
         if let Some(m) = self.monitor.as_mut() {
-            let ctx = IngressCtx { now_ns, node: self.id, port: 0, peer_tagged: true };
             let mut actions = Actions::new();
             let verdict = m.on_ingress(&ctx, &mut frame, &mut actions);
             self.apply_actions(actions, &mut fx);
@@ -348,12 +370,15 @@ impl Host {
                 return fx;
             }
         }
+        // The NIC's parser removes the hop tag as a switch's does.
+        let room = remove_tag(&ctx, &mut frame);
+        let untagged = &frame[room..];
 
-        match classify(&frame) {
+        match ctx.kind {
             FrameKind::Pfc => {
                 self.counters.pfc_rx += 1;
                 if let Ok(pfc) = fet_packet::pfc::PfcFrame::new_checked(
-                    &frame[fet_packet::ETHERNET_HEADER_LEN..],
+                    &untagged[fet_packet::ETHERNET_HEADER_LEN..],
                 ) {
                     for prio in 0..fet_packet::pfc::PFC_CLASSES {
                         if pfc.pauses(prio) {
@@ -370,8 +395,8 @@ impl Host {
                 }
             }
             FrameKind::Ipv4 => {
-                if let Some(flow) = extract_flow(&frame) {
-                    self.receive_data(now_ns, &frame, flow, &mut fx);
+                if let Some(flow) = extract_flow(untagged) {
+                    self.receive_data(now_ns, untagged, flow, &mut fx);
                 }
             }
             _ => {}

@@ -7,20 +7,29 @@
 //!
 //! | hook               | pipeline position                               |
 //! |--------------------|-------------------------------------------------|
-//! | `on_ingress`       | after the ingress MAC, before parsing/routing — may rewrite the frame (strip a seq tag) or consume it (a notification addressed to this switch) |
-//! | `on_routed`        | end of the ingress pipeline: flow, ports, queue and pause state resolved |
+//! | `on_ingress`       | after the parser, before the tag is removed: sees the frame as it arrived, with the tag's sequence number and the kind of the frame beneath it parsed into [`IngressCtx`] — may consume the frame (a notification addressed to this switch) |
+//! | `on_routed`        | end of the ingress pipeline: flow, ports, queue and pause state resolved; the frame without its tag |
 //! | `on_pipeline_drop` | wherever the pipeline kills a packet            |
 //! | `on_mmu_drop`      | the MMU's drop path (NetSeer redirects this)    |
-//! | `on_egress`        | egress pipeline at dequeue: queuing delay known — may rewrite the frame (insert a seq tag) |
+//! | `on_egress`        | egress pipeline at dequeue: queuing delay known; on a tagged link the frame carries an open tag header, which the hook claims with [`Actions::tag`] |
 //! | `on_timer`         | periodic control-plane tick (CPU pacing, expiry) |
 //!
+//! The hop tag belongs to the switch's parser and deparser, as in a
+//! programmable pipeline: the parser reads it, the ASIC removes it by
+//! sliding the 12 MAC bytes over it, and at a tagged egress the deparser
+//! re-forms it in the same place and writes the sequence number the
+//! monitor claimed. A header nobody claims is closed again. No hook
+//! moves a payload.
+//!
 //! Hooks communicate back through [`Actions`]: frames to transmit (e.g.
-//! loss notifications on a high-priority queue) and the bytes of
-//! management-plane reports, metered for the overhead figures.
+//! loss notifications on a high-priority queue), the bytes of
+//! management-plane reports, metered for the overhead figures, and the
+//! egress tag claim.
 
 use crate::counters::PortCounters;
+use fet_packet::builder::FrameKind;
 use fet_packet::event::DropCode;
-use fet_packet::FlowKey;
+use fet_packet::{FlowKey, SEQTAG_LEN};
 use fet_pdp::PacketMeta;
 use std::any::Any;
 
@@ -36,6 +45,32 @@ pub struct IngressCtx {
     /// True when the upstream neighbor runs telemetry too (frames on this
     /// port are expected to carry sequence tags).
     pub peer_tagged: bool,
+    /// Sequence number of the frame's hop tag, `None` when it carries no
+    /// whole tag.
+    pub seq: Option<u32>,
+    /// Kind of the frame beneath the hop tag (the frame's own kind when
+    /// it carries none).
+    pub kind: FrameKind,
+}
+
+impl IngressCtx {
+    /// The context for `frame` arriving on `port`: the parser's one pass
+    /// over it fills [`seq`](Self::seq) and [`kind`](Self::kind).
+    pub fn parse(now_ns: u64, node: u32, port: u8, peer_tagged: bool, frame: &[u8]) -> Self {
+        let (seq, kind) = fet_packet::builder::parse_hop(frame);
+        IngressCtx { now_ns, node, port, peer_tagged, seq, kind }
+    }
+
+    /// `frame` (as it arrived) from the view of the frame beneath its hop
+    /// tag: from byte 12 on, the bytes the tag's removal leaves. Only its
+    /// first 12 bytes, the MAC addresses, differ from that frame's.
+    pub fn untagged<'a>(&self, frame: &'a [u8]) -> &'a [u8] {
+        if self.seq.is_some() {
+            &frame[SEQTAG_LEN..]
+        } else {
+            frame
+        }
+    }
 }
 
 /// Context after routing: everything the end of the ingress pipeline knows.
@@ -68,8 +103,13 @@ pub struct EgressCtx<'a> {
     pub port: u8,
     /// Egress queue the packet waited in.
     pub queue: u8,
-    /// True when the downstream neighbor runs telemetry (insert seq tags).
+    /// True when the downstream neighbor runs telemetry.
     pub peer_tagged: bool,
+    /// True when the frame carries an open hop-tag header (sequence
+    /// number 0) for the monitor to claim with [`Actions::tag`]: the
+    /// link is tagged and the frame can take a tag (not PFC, not already
+    /// tagged). Unclaimed, the header is closed before transmission.
+    pub tag_open: bool,
     /// The switch's congestion verdict: a data packet whose queuing delay
     /// exceeded [`SwitchConfig::congestion_threshold_ns`]. The same
     /// comparison records ground truth, so a monitor that reads it can
@@ -110,6 +150,8 @@ pub struct Actions {
     /// Bytes of management-plane reports (their contents stay inside the
     /// monitor's own state; only the volume reaches the overhead figures).
     pub report_bytes: u64,
+    /// The sequence number `on_egress` claimed the open tag header with.
+    pub tag: Option<u32>,
 }
 
 impl Actions {
@@ -128,16 +170,23 @@ impl Actions {
         self.report_bytes += bytes as u64;
     }
 
+    /// Claim the open hop-tag header of the departing frame with `seq`
+    /// (see [`EgressCtx::tag_open`]).
+    pub fn tag(&mut self, seq: u32) {
+        self.tag = Some(seq);
+    }
+
     /// True when nothing was produced.
     pub fn is_empty(&self) -> bool {
-        self.emit.is_empty() && self.report_bytes == 0
+        self.emit.is_empty() && self.report_bytes == 0 && self.tag.is_none()
     }
 }
 
 /// The telemetry interface implemented by NetSeer and all baselines.
 #[allow(unused_variables)]
 pub trait SwitchMonitor: Any + Send {
-    /// Frame arrived (after MAC, before parse). May rewrite or consume.
+    /// Frame arrived, as it came off the wire (`ctx` holds what the
+    /// parser read). May consume it; must not re-frame it.
     fn on_ingress(
         &mut self,
         ctx: &IngressCtx,
@@ -167,7 +216,8 @@ pub trait SwitchMonitor: Any + Send {
     /// The MMU dropped (or, under NetSeer, redirected) a packet.
     fn on_mmu_drop(&mut self, ctx: &RoutedCtx, frame: &[u8], out: &mut Actions) {}
 
-    /// Egress pipeline at dequeue (queuing delay known). May rewrite.
+    /// Egress pipeline at dequeue (queuing delay known). Claims an open
+    /// tag header through [`Actions::tag`]; must not re-frame the frame.
     fn on_egress(&mut self, ctx: &EgressCtx<'_>, frame: &mut Vec<u8>, out: &mut Actions) {}
 
     /// PFC pause state of (port, priority) changed.
@@ -205,8 +255,8 @@ mod tests {
     #[test]
     fn default_hooks_do_nothing() {
         let mut m = Nop;
-        let ctx = IngressCtx { now_ns: 0, node: 0, port: 0, peer_tagged: false };
         let mut frame = vec![0u8; 64];
+        let ctx = IngressCtx::parse(0, 0, 0, false, &frame);
         let mut out = Actions::new();
         assert_eq!(m.on_ingress(&ctx, &mut frame, &mut out), HookVerdict::Continue);
         assert!(out.is_empty());

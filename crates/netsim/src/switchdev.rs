@@ -7,12 +7,16 @@ use crate::fxhash::FxHashMap;
 use crate::mmu::{Mmu, MmuConfig, MmuVerdict};
 use crate::monitor::{Actions, EgressCtx, HookVerdict, IngressCtx, RoutedCtx, SwitchMonitor};
 use crate::tracer::{GroundTruth, GtEvent};
-use fet_packet::builder::{classify, extract_flow, FrameKind};
+use fet_packet::builder::{
+    extract_flow, insert_seqtag_in_place, set_seqtag_seq, slide_in_seqtag, slide_out_seqtag,
+    strip_seqtag_in_place, taggable, FrameKind,
+};
 use fet_packet::ethernet::ETHERNET_HEADER_LEN;
 use fet_packet::event::{DropCode, EventType};
 use fet_packet::ipv4::{Ipv4Addr, Ipv4Packet};
 use fet_packet::pfc::{quanta_to_ns, PfcFrame, PFC_CLASSES};
-use fet_packet::FlowKey;
+use fet_packet::{FlowKey, SEQTAG_LEN};
+use fet_pdp::hash::slot;
 use fet_pdp::table::{AclAction, AclTable, LpmTable};
 use fet_pdp::{HashUnit, PacketMeta};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -145,6 +149,10 @@ pub struct SwitchDevice {
     /// The attached telemetry monitor, if any.
     pub monitor: Option<Box<dyn SwitchMonitor>>,
     mmu: Mmu,
+    /// Queued frames with their metadata. A frame that arrived tagged
+    /// keeps the tag's bytes as headroom in front: its buffer holds
+    /// `meta.frame_len` bytes of frame after `len() - meta.frame_len`
+    /// bytes of room (see [`untagged`]).
     queues: Vec<VecDeque<(Vec<u8>, PacketMeta)>>,
     /// Per port, bit `q` set while queue `q` holds a frame (`QUEUES` is
     /// 8, so one byte per port).
@@ -274,9 +282,10 @@ impl SwitchDevice {
             return fx;
         }
 
+        // The parser's one pass: the hop tag and the kind beneath it.
+        let ctx = IngressCtx::parse(now_ns, self.id, port, self.tag_ports[p], &frame);
         // Monitor ingress hook (reads sequence tags, consumes notifications).
         if let Some(m) = self.monitor.as_mut() {
-            let ctx = IngressCtx { now_ns, node: self.id, port, peer_tagged: self.tag_ports[p] };
             let mut actions = Actions::new();
             let verdict = m.on_ingress(&ctx, &mut frame, &mut actions);
             self.apply_actions(now_ns, actions, gt, &mut fx);
@@ -284,19 +293,18 @@ impl SwitchDevice {
                 return fx;
             }
         }
-        // Hop-local sequence tags are parsed out by the ASIC data plane,
-        // whatever the monitor did: a missing, crashed or tag-blind monitor
-        // never leaks a tag to the next hop.
-        let _ = fet_packet::builder::strip_seqtag_in_place(&mut frame);
-        let meta = PacketMeta::arriving(port, now_ns, frame.len());
+        // The ASIC removes the hop tag whatever the monitor did: a
+        // missing, crashed or tag-blind monitor never leaks a tag to the
+        // next hop.
+        let room = remove_tag(&ctx, &mut frame);
 
-        match classify(&frame) {
+        match ctx.kind {
             FrameKind::Pfc => {
-                self.handle_pfc(now_ns, port, &frame, &mut fx);
+                self.handle_pfc(now_ns, port, &frame[room..], &mut fx);
                 fx
             }
             FrameKind::Ipv4 => {
-                self.ingress_pipeline(now_ns, port, frame, meta, gt, &mut fx);
+                self.ingress_pipeline(&ctx, frame, room, gt, &mut fx);
                 fx
             }
             FrameKind::LossNotification => {
@@ -343,34 +351,32 @@ impl SwitchDevice {
         }
     }
 
+    /// The ingress pipeline over `frame[room..]`, the frame the parser
+    /// left (its first `room` bytes are the removed tag's headroom).
     fn ingress_pipeline(
         &mut self,
-        now_ns: u64,
-        port: u8,
-        frame: Vec<u8>,
-        meta: PacketMeta,
+        ictx: &IngressCtx,
+        mut frame: Vec<u8>,
+        room: usize,
         gt: &mut GroundTruth,
         fx: &mut Effects,
     ) {
-        let ictx = IngressCtx {
-            now_ns,
-            node: self.id,
-            port,
-            peer_tagged: self.tag_ports[usize::from(port)],
-        };
-        let Some(flow) = extract_flow(&frame) else {
-            self.pipeline_drop(now_ns, &ictx, &frame, None, DropCode::ParseError, None, 0, gt, fx);
+        let (now_ns, port) = (ictx.now_ns, ictx.port);
+        let len = frame.len() - room;
+        let Some(flow) = extract_flow(&frame[room..]) else {
+            let frame = &frame[room..];
+            self.pipeline_drop(now_ns, ictx, frame, None, DropCode::ParseError, None, 0, gt, fx);
             return;
         };
 
         // Middlebox processing capacity: a device that cannot keep up
         // drops the packet locally (§3.7's "buffer overflow" event).
         if let Some(proc) = self.processor.as_mut() {
-            if proc.offer(now_ns, frame.len()).is_none() {
+            if proc.offer(now_ns, len).is_none() {
                 self.pipeline_drop(
                     now_ns,
-                    &ictx,
-                    &frame,
+                    ictx,
+                    &frame[room..],
                     Some(flow),
                     DropCode::Overload,
                     None,
@@ -387,8 +393,8 @@ impl SwitchDevice {
         if verdict == AclAction::Deny {
             self.pipeline_drop(
                 now_ns,
-                &ictx,
-                &frame,
+                ictx,
+                &frame[room..],
                 Some(flow),
                 DropCode::AclDeny,
                 None,
@@ -400,16 +406,15 @@ impl SwitchDevice {
         }
 
         // TTL.
-        let mut frame = frame;
+        let l3 = room + l3_offset(&frame[room..]);
         {
-            let off = self.l3_offset(&frame);
-            let mut ip = Ipv4Packet::new_unchecked(&mut frame[off..]);
+            let mut ip = Ipv4Packet::new_unchecked(&mut frame[l3..]);
             if ip.ttl() <= 1 {
                 ip.decrement_ttl();
                 self.pipeline_drop(
                     now_ns,
-                    &ictx,
-                    &frame,
+                    ictx,
+                    &frame[room..],
                     Some(flow),
                     DropCode::TtlExpired,
                     None,
@@ -428,12 +433,12 @@ impl SwitchDevice {
         let hash = &self.ecmp_hash;
         let Some(egress_port) = route.map(|ecmp| match ecmp[..] {
             [only] => only,
-            _ => ecmp[hash.hash_flow(&flow) as usize % ecmp.len()],
+            _ => ecmp[slot(hash.hash_flow(&flow) as usize, ecmp.len())],
         }) else {
             self.pipeline_drop(
                 now_ns,
-                &ictx,
-                &frame,
+                ictx,
+                &frame[room..],
                 Some(flow),
                 DropCode::TableMiss,
                 None,
@@ -446,8 +451,8 @@ impl SwitchDevice {
         if !self.port_up[usize::from(egress_port)] {
             self.pipeline_drop(
                 now_ns,
-                &ictx,
-                &frame,
+                ictx,
+                &frame[room..],
                 Some(flow),
                 DropCode::PortDown,
                 Some(egress_port),
@@ -459,11 +464,11 @@ impl SwitchDevice {
         }
 
         // MTU.
-        if frame.len() > self.config.mtu {
+        if len > self.config.mtu {
             self.pipeline_drop(
                 now_ns,
-                &ictx,
-                &frame,
+                ictx,
+                &frame[room..],
                 Some(flow),
                 DropCode::MtuExceeded,
                 Some(egress_port),
@@ -474,11 +479,7 @@ impl SwitchDevice {
             return;
         }
 
-        let queue = {
-            let off = self.l3_offset(&frame);
-            let ip = Ipv4Packet::new_unchecked(&frame[off..]);
-            ip.dscp() >> 3
-        };
+        let queue = Ipv4Packet::new_unchecked(&frame[l3..]).dscp() >> 3;
 
         // Ground truth: path change (first packet of a flow, or port pair
         // changed).
@@ -519,16 +520,15 @@ impl SwitchDevice {
 
         let mut actions = Actions::new();
         if let Some(m) = self.monitor.as_mut() {
-            m.on_routed(&rctx, &frame, &mut actions);
+            m.on_routed(&rctx, &frame[room..], &mut actions);
         }
         self.apply_actions(now_ns, actions, gt, fx);
 
         // MMU admission.
-        let mut meta = meta;
+        let mut meta = PacketMeta::arriving(port, now_ns, len);
         meta.egress_port = Some(egress_port);
         meta.queue = queue;
         meta.flow = Some(flow);
-        meta.frame_len = frame.len();
         self.enqueue(now_ns, frame, meta, rctx, gt, fx);
     }
 
@@ -545,7 +545,7 @@ impl SwitchDevice {
     ) {
         let eport = rctx.egress_port;
         let queue = rctx.queue;
-        match self.mmu.admit(eport, queue, frame.len() as u64) {
+        match self.mmu.admit(eport, queue, meta.frame_len as u64) {
             MmuVerdict::Admit => {
                 let qi = self.qidx(eport, queue);
                 self.queues[qi].push_back((frame, meta));
@@ -588,7 +588,7 @@ impl SwitchDevice {
                     );
                     let mut actions = Actions::new();
                     if let Some(m) = self.monitor.as_mut() {
-                        m.on_mmu_drop(&rctx, &frame, &mut actions);
+                        m.on_mmu_drop(&rctx, untagged(&frame, &meta), &mut actions);
                     }
                     self.apply_actions(now_ns, actions, gt, fx);
                 }
@@ -675,17 +675,6 @@ impl SwitchDevice {
         }
     }
 
-    /// Offset of the IPv4 header inside the frame (skips a sequence tag).
-    fn l3_offset(&self, frame: &[u8]) -> usize {
-        use fet_packet::ethernet::{EtherType, EthernetFrame};
-        let eth = EthernetFrame::new_unchecked(frame);
-        if eth.ethertype() == EtherType::NetSeerSeq {
-            ETHERNET_HEADER_LEN + fet_packet::SEQTAG_LEN
-        } else {
-            ETHERNET_HEADER_LEN
-        }
-    }
-
     /// Dequeue the next frame from `port` for transmission, if any.
     /// Picks the highest-priority unpaused non-empty queue.
     pub fn dequeue(
@@ -705,7 +694,7 @@ impl SwitchDevice {
         if self.queues[qi].is_empty() {
             self.backlog[usize::from(port)] &= !(1 << chosen);
         }
-        self.mmu.release(port, chosen, frame.len() as u64);
+        self.mmu.release(port, chosen, meta.frame_len as u64);
 
         // PFC XON: resume upstreams we had paused, now that we drained.
         if self.config.pfc_priorities & (1 << chosen) != 0 && self.mmu.below_xon(port, chosen) {
@@ -736,18 +725,22 @@ impl SwitchDevice {
         }
 
         let mut actions = Actions::new();
+        let peer_tagged = self.tag_ports[usize::from(port)];
+        let tag_open = open_tag(&mut frame, meta.frame_len, peer_tagged && self.monitor.is_some());
         if let Some(m) = self.monitor.as_mut() {
             let ctx = EgressCtx {
                 now_ns,
                 node: self.id,
                 port,
                 queue: chosen,
-                peer_tagged: self.tag_ports[usize::from(port)],
+                peer_tagged,
+                tag_open,
                 congested,
                 meta: &meta,
             };
             m.on_egress(&ctx, &mut frame, &mut actions);
         }
+        seal_tag(&mut frame, tag_open, actions.tag);
         self.apply_actions(now_ns, actions, gt, &mut fx);
 
         let pc = &mut self.counters[usize::from(port)];
@@ -791,6 +784,67 @@ impl SwitchDevice {
             .map(|q| self.paused_until[self.qidx(port, q)])
             .filter(|&t| t > now_ns)
             .min()
+    }
+}
+
+/// Offset of the IPv4 header inside the frame (skips a sequence tag).
+fn l3_offset(frame: &[u8]) -> usize {
+    use fet_packet::ethernet::{EtherType, EthernetFrame};
+    let eth = EthernetFrame::new_unchecked(frame);
+    if eth.ethertype() == EtherType::NetSeerSeq {
+        ETHERNET_HEADER_LEN + SEQTAG_LEN
+    } else {
+        ETHERNET_HEADER_LEN
+    }
+}
+
+/// The parser's removal of the hop tag `ctx` read: slide the MAC bytes
+/// over it, so the payload stays where it is and the tag's bytes become
+/// headroom. Returns that headroom (0 for an untagged frame).
+pub(crate) fn remove_tag(ctx: &IngressCtx, frame: &mut [u8]) -> usize {
+    if ctx.seq.is_none() {
+        return 0;
+    }
+    slide_out_seqtag(frame);
+    SEQTAG_LEN
+}
+
+/// The frame in a queued buffer, past any headroom its removed tag left.
+fn untagged<'a>(frame: &'a [u8], meta: &PacketMeta) -> &'a [u8] {
+    &frame[frame.len() - meta.frame_len..]
+}
+
+/// The deparser's first half, before the egress hook: `frame` holds a
+/// `len`-byte frame behind `frame.len() - len` bytes of headroom. On a
+/// tagged link (`tag_link`) a taggable frame gets an open tag header
+/// with sequence number 0 — formed in the headroom when there is some,
+/// so only the MAC bytes move, else inserted — and `true` comes back.
+/// Otherwise the headroom is dropped and `false` comes back.
+pub(crate) fn open_tag(frame: &mut Vec<u8>, len: usize, tag_link: bool) -> bool {
+    let room = frame.len() - len;
+    if tag_link && taggable(&frame[room..]) {
+        if room == 0 {
+            insert_seqtag_in_place(frame, 0).expect("a taggable frame takes a tag");
+        } else {
+            slide_in_seqtag(frame, 0);
+        }
+        true
+    } else {
+        frame.drain(..room);
+        false
+    }
+}
+
+/// The deparser's second half, after the egress hook: write the claimed
+/// sequence number into an open tag header, or close a header nobody
+/// claimed.
+pub(crate) fn seal_tag(frame: &mut Vec<u8>, tag_open: bool, claim: Option<u32>) {
+    match (tag_open, claim) {
+        (true, Some(seq)) => set_seqtag_seq(frame, seq),
+        (true, None) => {
+            strip_seqtag_in_place(frame).expect("an open header strips");
+        }
+        (false, _) => {}
     }
 }
 
@@ -1098,21 +1152,83 @@ mod tests {
         }
     }
 
+    /// A monitor that claims every open tag header with a fixed number.
+    struct Claim(u32);
+    impl SwitchMonitor for Claim {
+        fn on_egress(&mut self, ctx: &EgressCtx<'_>, _frame: &mut Vec<u8>, out: &mut Actions) {
+            if ctx.tag_open {
+                out.tag(self.0);
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
     #[test]
     fn seq_tag_never_leaks_to_the_next_hop() {
-        for monitor in [None, Some(Box::new(Passive) as Box<dyn SwitchMonitor>)] {
-            let mut s = sw();
-            s.monitor = monitor;
-            let mut gt = GroundTruth::new();
-            let pkt = build_data_packet(&flow(), 100, 0, 0, 64);
-            let mut tagged = pkt.clone();
-            fet_packet::builder::insert_seqtag_in_place(&mut tagged, 7).unwrap();
-            let _ = s.handle_arrival(0, 1, tagged, false, &mut gt);
-            let out = s.dequeue(0, 2, &mut gt).unwrap();
-            let eth = fet_packet::ethernet::EthernetFrame::new_unchecked(&out.frame[..]);
-            assert_eq!(eth.ethertype(), fet_packet::ethernet::EtherType::Ipv4, "tag stripped");
-            assert_eq!(out.frame.len(), pkt.len());
+        // No monitor, or one that never claims a tag (a crashed NetSeer
+        // behaves so): whether or not the egress link is tagged, the
+        // frame leaves untagged, the tag's bytes gone.
+        for tagged_egress in [false, true] {
+            for monitor in [None, Some(Box::new(Passive) as Box<dyn SwitchMonitor>)] {
+                let mut s = sw();
+                s.monitor = monitor;
+                s.tag_ports[1] = true;
+                s.tag_ports[2] = tagged_egress;
+                let mut gt = GroundTruth::new();
+                let pkt = build_data_packet(&flow(), 100, 0, 0, 64);
+                let mut tagged = pkt.clone();
+                fet_packet::builder::insert_seqtag_in_place(&mut tagged, 7).unwrap();
+                let _ = s.handle_arrival(0, 1, tagged, false, &mut gt);
+                let out = s.dequeue(0, 2, &mut gt).unwrap();
+                assert_eq!(out.frame, build_data_packet(&flow(), 100, 0, 0, 63), "tag stripped");
+                assert_eq!(s.counters[2].tx_bytes, pkt.len() as u64);
+            }
         }
+    }
+
+    #[test]
+    fn tagged_hop_moves_no_payload() {
+        let mut s = sw();
+        s.monitor = Some(Box::new(Claim(0xabcd)));
+        s.tag_ports[1] = true;
+        s.tag_ports[2] = true;
+        let mut gt = GroundTruth::new();
+        let mut frame = build_data_packet(&flow(), 1000, 0, 0, 64);
+        fet_packet::builder::insert_seqtag_in_place(&mut frame, 7).unwrap();
+        // The old path: strip, forward (TTL 64 -> 63), tag again.
+        let mut want = frame.clone();
+        fet_packet::builder::strip_seqtag_in_place(&mut want).unwrap();
+        let mut ip = Ipv4Packet::new_unchecked(&mut want[ETHERNET_HEADER_LEN..]);
+        ip.set_ttl(63);
+        ip.fill_checksum();
+        fet_packet::builder::insert_seqtag_in_place(&mut want, 0xabcd).unwrap();
+
+        let (ptr, cap) = (frame.as_ptr(), frame.capacity());
+        let _ = s.handle_arrival(0, 1, frame, false, &mut gt);
+        // The MMU holds the frame at its length without the tag.
+        assert_eq!(s.mmu().depth(2, 0), (want.len() - SEQTAG_LEN) as u64);
+        let out = s.dequeue(0, 2, &mut gt).unwrap();
+        assert_eq!((out.frame.as_ptr(), out.frame.capacity()), (ptr, cap), "the buffer moved");
+        assert_eq!(out.frame, want);
+        assert_eq!(s.counters[1].rx_bytes, want.len() as u64);
+        assert_eq!(s.counters[2].tx_bytes, want.len() as u64);
+    }
+
+    #[test]
+    fn untagged_arrival_is_tagged_at_a_tagged_egress() {
+        let mut s = sw();
+        s.monitor = Some(Box::new(Claim(5)));
+        s.tag_ports[2] = true;
+        let mut gt = GroundTruth::new();
+        let _ = s.handle_arrival(0, 1, build_data_packet(&flow(), 100, 0, 0, 64), false, &mut gt);
+        let out = s.dequeue(0, 2, &mut gt).unwrap();
+        let want = build_data_packet(&flow(), 100, 0, 0, 63);
+        assert_eq!(out.frame, fet_packet::builder::insert_seqtag(&want, 5).unwrap());
     }
 
     #[test]

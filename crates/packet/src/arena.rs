@@ -9,9 +9,11 @@
 //!
 //! Every buffer `get` returns has room for the frame plus one sequence
 //! tag ([`SEQTAG_LEN`]): every monitored link tags at egress, the first
-//! hop included, so [`insert_seqtag_in_place`] never reallocates and a
-//! frame holds `len + SEQTAG_LEN` bytes for its whole life instead of
-//! the doubled capacity a tag-triggered `Vec` growth would leave.
+//! hop included. A NIC builds its data frames with the tag already in
+//! that room ([`build_tagged_data_packet_in`]), [`insert_seqtag_in_place`]
+//! never reallocates, and a frame holds `len + SEQTAG_LEN` bytes for its
+//! whole life instead of the doubled capacity a tag-triggered `Vec`
+//! growth would leave.
 //!
 //! The arena is deliberately *not* thread-safe or reference-counted —
 //! each device owns its own pool, matching the simulator's
@@ -19,6 +21,7 @@
 //! so they flow through the existing packet APIs unchanged.
 //!
 //! [`insert_seqtag_in_place`]: crate::builder::insert_seqtag_in_place
+//! [`build_tagged_data_packet_in`]: crate::builder::build_tagged_data_packet_in
 
 use crate::seqtag::SEQTAG_LEN;
 

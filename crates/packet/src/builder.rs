@@ -51,6 +51,27 @@ pub fn build_data_packet_in(
     buf
 }
 
+/// Like [`build_data_packet_in`] but with an open hop tag (sequence
+/// number 0) already in front: the frame [`insert_seqtag_in_place`]
+/// would make of it, built in one pass so no payload moves. The arena's
+/// tag room holds the tag, so the buffer is the one an untagged build
+/// would use.
+pub fn build_tagged_data_packet_in(
+    arena: &mut crate::FrameArena,
+    flow: &FlowKey,
+    payload_len: usize,
+    tcp_flags: u8,
+    dscp: u8,
+    ttl: u8,
+) -> Vec<u8> {
+    let len = data_packet_len(flow, payload_len);
+    let mut buf = arena.get(len);
+    buf.resize(len + SEQTAG_LEN, 0);
+    fill_data_packet(&mut buf[SEQTAG_LEN..], flow, payload_len, tcp_flags, dscp, ttl);
+    slide_in_seqtag(&mut buf, 0);
+    buf
+}
+
 /// On-wire length of the frame [`build_data_packet`] would produce.
 pub fn data_packet_len(flow: &FlowKey, payload_len: usize) -> usize {
     let l4_len = match flow.proto {
@@ -241,7 +262,8 @@ pub fn strip_seqtag(frame: &[u8]) -> Result<(u32, Vec<u8>)> {
 
 /// Insert a NetSeer sequence tag **in place**: the frame grows by
 /// [`SEQTAG_LEN`] bytes but keeps its buffer — the zero-allocation form of
-/// [`insert_seqtag`] used on the per-packet hot path. Data and
+/// [`insert_seqtag`], for a frame with no headroom to
+/// [`slide_in_seqtag`] into (it moves the payload). Data and
 /// notification frames from this module and [`crate::FrameArena`] have
 /// the capacity for it, so their buffers never move.
 pub fn insert_seqtag_in_place(frame: &mut Vec<u8>, seq: u32) -> Result<()> {
@@ -263,8 +285,8 @@ pub fn insert_seqtag_in_place(frame: &mut Vec<u8>, seq: u32) -> Result<()> {
 
 /// Strip a NetSeer sequence tag **in place**, returning the sequence
 /// number. The frame shrinks by [`SEQTAG_LEN`] bytes but keeps its buffer
-/// — the zero-allocation form of [`strip_seqtag`] used on the per-packet
-/// hot path.
+/// — the zero-allocation form of [`strip_seqtag`]. It moves the payload;
+/// the switch's parser uses [`slide_out_seqtag`] instead.
 pub fn strip_seqtag_in_place(frame: &mut Vec<u8>) -> Result<u32> {
     let eth = EthernetFrame::new_checked(&frame[..])?;
     if eth.ethertype() != EtherType::NetSeerSeq {
@@ -279,6 +301,66 @@ pub fn strip_seqtag_in_place(frame: &mut Vec<u8>) -> Result<u32> {
     let mut eth = EthernetFrame::new_unchecked(&mut frame[..]);
     eth.set_ethertype(inner);
     Ok(seq)
+}
+
+/// The destination and source MAC addresses: what moves when a hop tag
+/// slides in or out.
+const MAC_BYTES: usize = ETHERNET_HEADER_LEN - 2;
+
+/// What the switch parser reads off an arriving frame in one pass: the
+/// sequence number of its hop tag (`None` exactly when [`peek_seqtag`]
+/// fails), and the [`classify`] kind of the frame beneath the tag, the
+/// one [`strip_seqtag_in_place`] would leave.
+#[inline]
+pub fn parse_hop(frame: &[u8]) -> (Option<u32>, FrameKind) {
+    if frame.len() >= ETHERNET_HEADER_LEN + SEQTAG_LEN
+        && be16_at(frame, 12) == Some(EtherType::NetSeerSeq.value())
+    {
+        // From byte 12 on, `frame[SEQTAG_LEN..]` is the untagged frame,
+        // and `classify` reads nothing before byte 12.
+        return (be32_at(frame, ETHERNET_HEADER_LEN), classify(&frame[SEQTAG_LEN..]));
+    }
+    (None, classify(frame))
+}
+
+/// True when a hop tag may ride `frame`: it has a whole Ethernet header
+/// and is neither PFC (MAC control never leaves the link) nor already
+/// tagged.
+#[inline]
+pub fn taggable(frame: &[u8]) -> bool {
+    !matches!(be16_at(frame, 12), None | Some(0x8808 | 0x88b5))
+}
+
+/// Remove a hop tag as the switch parser does: slide the 12 MAC bytes
+/// over it. `frame[SEQTAG_LEN..]` is then the untagged frame, byte for
+/// byte what [`strip_seqtag_in_place`] leaves, and the first
+/// [`SEQTAG_LEN`] bytes are headroom. The payload never moves. `frame`
+/// must carry a whole tag ([`parse_hop`] read its sequence number).
+#[inline]
+pub fn slide_out_seqtag(frame: &mut [u8]) {
+    debug_assert!(peek_seqtag(frame).is_ok(), "no hop tag to slide out");
+    frame.copy_within(..MAC_BYTES, SEQTAG_LEN);
+}
+
+/// Re-form a hop tag in the headroom [`slide_out_seqtag`] left: slide the
+/// MAC bytes back and write the tag's EtherType and `seq`, so `frame`
+/// becomes what [`insert_seqtag_in_place`] makes of `frame[SEQTAG_LEN..]`.
+/// The untagged frame's own EtherType already sits where the tag keeps
+/// it, so again only 12 bytes move. `frame[SEQTAG_LEN..]` must be
+/// [`taggable`].
+#[inline]
+pub fn slide_in_seqtag(frame: &mut [u8], seq: u32) {
+    debug_assert!(taggable(&frame[SEQTAG_LEN..]), "frame under the headroom is not taggable");
+    frame.copy_within(SEQTAG_LEN..SEQTAG_LEN + MAC_BYTES, 0);
+    frame[MAC_BYTES..ETHERNET_HEADER_LEN]
+        .copy_from_slice(&EtherType::NetSeerSeq.value().to_be_bytes());
+    set_seqtag_seq(frame, seq);
+}
+
+/// Overwrite the sequence number of a tagged frame in place.
+#[inline]
+pub fn set_seqtag_seq(frame: &mut [u8], seq: u32) {
+    frame[ETHERNET_HEADER_LEN..ETHERNET_HEADER_LEN + 4].copy_from_slice(&seq.to_be_bytes());
 }
 
 /// Big-endian 16-bit load at a byte offset; `None` past the end.
@@ -562,6 +644,28 @@ mod tests {
             assert_eq!((f.as_ptr(), f.capacity()), (ptr, cap), "frame {i} moved");
             assert_eq!(f, insert_seqtag(&untagged, 7).unwrap());
         }
+    }
+
+    #[test]
+    fn sliding_the_tag_moves_only_the_macs() {
+        let mut arena = crate::FrameArena::new();
+        let pkt = build_data_packet(&flow(), 1000, flags::ACK, 0, 64);
+        let mut f = build_tagged_data_packet_in(&mut arena, &flow(), 1000, flags::ACK, 0, 64);
+        assert_eq!(f, insert_seqtag(&pkt, 0).unwrap(), "built open == built then tagged");
+        let ptr = f.as_ptr();
+        assert_eq!(parse_hop(&f), (Some(0), FrameKind::Ipv4));
+        slide_out_seqtag(&mut f);
+        assert_eq!(&f[SEQTAG_LEN..], &pkt[..], "slid out == stripped");
+        assert!(taggable(&f[SEQTAG_LEN..]));
+        slide_in_seqtag(&mut f, 0xfeed);
+        assert_eq!(f, insert_seqtag(&pkt, 0xfeed).unwrap(), "slid in == inserted");
+        set_seqtag_seq(&mut f, 3);
+        assert_eq!(peek_seqtag(&f).unwrap(), 3);
+        assert_eq!(f.as_ptr(), ptr, "the buffer never moved");
+        assert_eq!(parse_hop(&pkt), (None, FrameKind::Ipv4));
+        assert!(!taggable(&f), "a tagged frame takes no second tag");
+        assert!(!taggable(&build_pfc_frame(0, 1)), "PFC stays untagged");
+        assert!(!taggable(&pkt[..13]));
     }
 
     #[test]

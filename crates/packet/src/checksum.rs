@@ -63,45 +63,92 @@ pub fn verify_internet_checksum(data: &[u8]) -> bool {
 /// Reflected CRC-32 (IEEE 802.3) polynomial.
 const CRC32_POLY: u32 = 0xedb8_8320;
 
-/// Byte-at-a-time lookup table for CRC-32, built at compile time.
-static CRC32_TABLE: [u32; 256] = build_crc32_table();
+/// Slice-by-8 lookup tables for CRC-32, built at compile time.
+static CRC32_TABLES: [[u32; 256]; 8] = build_slice8_tables(CRC32_POLY);
 
-const fn build_crc32_table() -> [u32; 256] {
-    let mut t = [0u32; 256];
+/// Slice-by-8 lookup tables for a reflected CRC-32 polynomial.
+///
+/// `T[0]` is the classic byte-at-a-time table; `T[k][i]` extends it with
+/// `k` extra zero bytes, so eight table lookups advance the CRC across
+/// eight message bytes at once.
+const fn build_slice8_tables(poly: u32) -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
         let mut bit = 0;
         while bit < 8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (CRC32_POLY & mask);
+            crc = (crc >> 1) ^ (poly & mask);
             bit += 1;
         }
-        t[i] = crc;
+        t[0][i] = crc;
         i += 1;
     }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
     t
+}
+
+/// Advance a running CRC register over `data` with slice-by-8 tables:
+/// eight message bytes per step, eight independent table lookups the CPU
+/// can overlap, then one four-byte step and byte-at-a-time over the tail
+/// (a 13-byte flow key takes one step of each).
+#[inline]
+fn slice8_update(t: &[[u32; 256]; 8], mut crc: u32, data: &[u8]) -> u32 {
+    let mut chunks = data.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    let mut tail = chunks.remainder();
+    if let [a, b, c, d, rest @ ..] = tail {
+        let w = u32::from_le_bytes([*a, *b, *c, *d]) ^ crc;
+        crc = t[3][(w & 0xff) as usize]
+            ^ t[2][((w >> 8) & 0xff) as usize]
+            ^ t[1][((w >> 16) & 0xff) as usize]
+            ^ t[0][(w >> 24) as usize];
+        tail = rest;
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+    }
+    crc
 }
 
 /// CRC-32 (IEEE 802.3) over a buffer, as used by the Ethernet FCS.
 ///
 /// The simulator uses this both for FCS validation of corrupted frames and
 /// as the PDP hash units (ECMP, path table, dedup indexes), so it runs
-/// several times per switch hop. Table-driven; bit-identical to the
+/// several times per switch hop. Slice-by-8; bit-identical to the
 /// one-bit-at-a-time [`crc32_reference`].
 pub fn crc32(data: &[u8]) -> u32 {
     !crc32_update(0xffff_ffff, data)
 }
 
-/// Advance a running CRC-32 register over `data`, one table lookup per
-/// byte. Start from `0xffff_ffff` and complement the result to finish:
+/// Advance a running CRC-32 register over `data` (slice-by-8). Start
+/// from `0xffff_ffff` and complement the result to finish:
 /// `!crc32_update(crc32_update(0xffff_ffff, a), b) == crc32(a ++ b)`.
 /// Lets a caller hash a message in pieces without concatenating them.
-pub fn crc32_update(mut crc: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    crc
+#[inline]
+pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+    slice8_update(&CRC32_TABLES, crc, data)
 }
 
 /// One-bit-at-a-time CRC-32 with the reflected polynomial 0xEDB88320 —
@@ -124,38 +171,7 @@ pub fn crc32_reference(data: &[u8]) -> u32 {
 const CRC32C_POLY: u32 = 0x82f6_3b78;
 
 /// Slice-by-8 lookup tables for CRC-32C, built at compile time.
-///
-/// `T[0]` is the classic byte-at-a-time table; `T[k][i]` extends it with
-/// `k` extra zero bytes, so eight table lookups advance the CRC across
-/// eight message bytes at once.
-static CRC32C_TABLES: [[u32; 256]; 8] = build_crc32c_tables();
-
-const fn build_crc32c_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (CRC32C_POLY & mask);
-            bit += 1;
-        }
-        t[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = t[k - 1][i];
-            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
+static CRC32C_TABLES: [[u32; 256]; 8] = build_slice8_tables(CRC32C_POLY);
 
 /// CRC-32C (Castagnoli) over a buffer, as used by the NetSeer telemetry
 /// framing trailers (CEBP reports, loss notifications, WAL records) and
@@ -179,28 +195,9 @@ pub fn crc32c(data: &[u8]) -> u32 {
     crc32c_sw(data)
 }
 
-/// Portable slice-by-8 CRC-32C kernel: eight message bytes per step,
-/// eight independent table lookups the CPU can overlap.
+/// Portable slice-by-8 CRC-32C kernel.
 fn crc32c_sw(data: &[u8]) -> u32 {
-    let t = &CRC32C_TABLES;
-    let mut crc: u32 = 0xffff_ffff;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    !crc
+    !slice8_update(&CRC32C_TABLES, 0xffff_ffff, data)
 }
 
 /// Hardware CRC-32C kernel: the SSE4.2 `crc32` instruction, 8 message

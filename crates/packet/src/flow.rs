@@ -81,6 +81,7 @@ impl FlowKey {
     }
 
     /// Serialize to the 13-byte wire layout.
+    #[inline]
     pub fn write_to(&self, buf: &mut [u8; FLOW_KEY_LEN]) {
         buf[0..4].copy_from_slice(&self.src.octets());
         buf[4..8].copy_from_slice(&self.dst.octets());

@@ -168,12 +168,26 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         self.buffer.as_mut()[8] = ttl;
     }
 
-    /// Decrement TTL, saturating at zero. Returns the new value.
+    /// Decrement TTL, saturating at zero, and update the header checksum
+    /// incrementally (RFC 1624 eqn. 3: `HC' = ~(~HC + ~m + m')`, `m` the
+    /// TTL/protocol word) instead of re-summing the header. On a header
+    /// whose checksum was valid the result equals [`fill_checksum`]'s.
+    /// Returns the new TTL.
+    ///
+    /// [`fill_checksum`]: Self::fill_checksum
     pub fn decrement_ttl(&mut self) -> u8 {
         let b = self.buffer.as_mut();
-        b[8] = b[8].saturating_sub(1);
-        let ttl = b[8];
-        self.fill_checksum();
+        let Some(ttl) = b[8].checked_sub(1) else {
+            return 0;
+        };
+        let old = u16::from_be_bytes([b[8], b[9]]);
+        b[8] = ttl;
+        let new = u16::from_be_bytes([b[8], b[9]]);
+        let hc = u16::from_be_bytes([b[10], b[11]]);
+        let mut sum = u32::from(!hc) + u32::from(!old) + u32::from(new);
+        sum = (sum & 0xffff) + (sum >> 16);
+        sum = (sum & 0xffff) + (sum >> 16);
+        b[10..12].copy_from_slice(&(!(sum as u16)).to_be_bytes());
         ttl
     }
 
@@ -267,6 +281,59 @@ mod tests {
         assert_eq!(p.decrement_ttl(), 0);
         assert_eq!(p.decrement_ttl(), 0);
         assert!(p.verify_checksum());
+    }
+
+    #[test]
+    fn incremental_ttl_checksum_matches_full_recompute() {
+        let mut state: u64 = 0x2545_f491_4f6c_dd1d;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let check = |hdr: &[u8; IPV4_HEADER_LEN]| {
+            let mut inc = *hdr;
+            Ipv4Packet::new_unchecked(&mut inc[..]).fill_checksum();
+            let mut full = inc;
+            let ttl = Ipv4Packet::new_unchecked(&mut inc[..]).decrement_ttl();
+            let mut q = Ipv4Packet::new_unchecked(&mut full[..]);
+            q.set_ttl(q.ttl().saturating_sub(1));
+            q.fill_checksum();
+            assert_eq!(ttl, q.ttl());
+            assert_eq!(inc, full, "header {hdr:02x?}");
+            assert!(Ipv4Packet::new_unchecked(&inc[..]).verify_checksum());
+            u16::from_be_bytes([inc[10], inc[11]])
+        };
+        let (mut carried, mut zero_result) = (0, 0);
+        for round in 0..20_000u32 {
+            let mut hdr = [0u8; IPV4_HEADER_LEN];
+            for b in hdr.iter_mut() {
+                *b = next() as u8;
+            }
+            hdr[8] = match round % 4 {
+                0 => 1,
+                1 => 0,
+                _ => hdr[8],
+            };
+            if round % 3 == 0 {
+                // Pick the identification word so the decremented header
+                // sums to 0xffff: its checksum is 0x0000, the value an
+                // incremental update could get wrong as -0.
+                hdr[4..6].fill(0);
+                hdr[8] = hdr[8].max(1);
+                let mut after = hdr;
+                after[8] -= 1;
+                after[10..12].fill(0);
+                hdr[4..6].copy_from_slice(&internet_checksum(&after).to_be_bytes());
+            }
+            let mut filled = hdr;
+            Ipv4Packet::new_unchecked(&mut filled[..]).fill_checksum();
+            let hc = u16::from_be_bytes([filled[10], filled[11]]);
+            carried += usize::from(u32::from(!hc) + 0xfeff > 0xffff);
+            zero_result += usize::from(check(&hdr) == 0 && hdr[8] > 0);
+        }
+        assert!(carried > 1_000 && zero_result > 1_000, "{carried} carries, {zero_result} zeros");
     }
 
     #[test]

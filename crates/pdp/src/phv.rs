@@ -23,7 +23,8 @@ pub struct PacketMeta {
     pub egress_ts_ns: u64,
     /// Cached flow key extracted by the parser (None for non-IP).
     pub flow: Option<FlowKey>,
-    /// Frame length in bytes (with any NetSeer tag).
+    /// Frame length in bytes, without the hop tag the parser removed
+    /// (the length the MMU, the MTU check and the queues account).
     pub frame_len: usize,
     /// True when the frame failed FCS at the ingress MAC (corrupted on the
     /// wire); such frames are dropped at MAC as the paper notes.

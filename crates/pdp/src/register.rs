@@ -12,6 +12,7 @@
 //! per packet, so a caller may touch an array more than once in one pass
 //! (see ROADMAP item 7's per-pass access guard).
 
+use crate::hash::slot;
 use crate::resources::ResourceLedger;
 
 /// A stateful register array of `N`-byte cells.
@@ -66,7 +67,7 @@ impl<V: Copy + Default> RegisterArray<V> {
         if self.cells.is_empty() {
             return V::default();
         }
-        self.cells[index % self.cells.len()]
+        self.cells[slot(index, self.cells.len())]
     }
 
     /// A read-modify-write: applies `f` to the cell and returns the
@@ -76,10 +77,10 @@ impl<V: Copy + Default> RegisterArray<V> {
         if self.cells.is_empty() && !self.commit() {
             return V::default();
         }
-        let len = self.cells.len();
-        let slot = &mut self.cells[index % len];
-        let old = *slot;
-        *slot = f(old);
+        let i = slot(index, self.cells.len());
+        let cell = &mut self.cells[i];
+        let old = *cell;
+        *cell = f(old);
         old
     }
 
@@ -88,8 +89,8 @@ impl<V: Copy + Default> RegisterArray<V> {
         if self.cells.is_empty() && !self.commit() {
             return;
         }
-        let len = self.cells.len();
-        self.cells[index % len] = v;
+        let i = slot(index, self.cells.len());
+        self.cells[i] = v;
     }
 
     /// Reset every cell to default (control-plane table clear). The cell

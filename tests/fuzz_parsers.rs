@@ -13,7 +13,9 @@
 //! The contract under test is the data-integrity fault domain's first
 //! line: **no parser may panic on any input** — they return typed
 //! `ParseError`s — and any input a parser *accepts* must round-trip
-//! stably (parse → rebuild → parse gives the same result).
+//! stably (parse → rebuild → parse gives the same result). The switch's
+//! parse-once hop path (`parse_hop`, the tag slides) must also agree
+//! byte for byte with the layered reference it replaced.
 //!
 //! `FUZZ_ITERS` overrides the per-parser iteration count (CI smoke runs
 //! use a bounded value; the default exercises ≥10k inputs per parser).
@@ -23,8 +25,9 @@ use fet_netsim::corrupt::{corrupt_buffer, CorruptionSpec};
 use fet_netsim::rng::Pcg32;
 use fet_packet::builder::{
     build_cebp_frame, build_data_packet, build_notification_frames_with, build_pfc_frame, classify,
-    extract_flow, insert_seqtag, parse_cebp_frame, parse_notification, peek_seqtag, strip_seqtag,
-    strip_seqtag_in_place,
+    extract_flow, insert_seqtag, insert_seqtag_in_place, parse_cebp_frame, parse_hop,
+    parse_notification, peek_seqtag, slide_in_seqtag, slide_out_seqtag, strip_seqtag,
+    strip_seqtag_in_place, taggable, FrameKind,
 };
 use fet_packet::cebp::CebpPacket;
 use fet_packet::ethernet::EthernetFrame;
@@ -33,7 +36,7 @@ use fet_packet::ipv4::Ipv4Addr;
 use fet_packet::notification::LossNotification;
 use fet_packet::pfc::PfcFrame;
 use fet_packet::seqtag::SeqTag;
-use fet_packet::FlowKey;
+use fet_packet::{FlowKey, SEQTAG_LEN};
 use netseer::spill::{
     decode_spill_prefix, decode_spill_record, encode_spill_record, SPILL_RECORD_LEN,
 };
@@ -172,6 +175,62 @@ fn mutated_valid(rng: &mut Pcg32) -> Vec<u8> {
     buf
 }
 
+/// A frame aimed at the hop-tag parser's edges: a tag over PFC, CEBP,
+/// notification or data frames, with the outer and inner EtherTypes
+/// sometimes rewritten (a second tag beneath the first included) and the
+/// frame sometimes cut short.
+fn hostile_hop_frame(rng: &mut Pcg32) -> Vec<u8> {
+    let inner = match rng.next_below(4) {
+        0 => build_pfc_frame(rng.next_below(8) as usize, rng.next_u32() as u16),
+        1 => {
+            let events: Vec<EventRecord> = (0..3).map(rec).collect();
+            build_cebp_frame(3, &events).expect("cebp builds")
+        }
+        2 => build_notification_frames_with(9, 12, 1, 1).remove(0),
+        _ => build_data_packet(&flow(rng.next_below(500) as u16), 64, 7, 1, 64),
+    };
+    let mut f = insert_seqtag(&inner, rng.next_u32()).expect("untagged inner frame");
+    const TYPES: [u16; 6] = [0x0800, 0x88b5, 0x88b6, 0x88b7, 0x8808, 0x1234];
+    for off in [12, 18, 24] {
+        if rng.chance(0.3) {
+            let ty = TYPES[rng.next_below(TYPES.len() as u32) as usize];
+            f[off..off + 2].copy_from_slice(&ty.to_be_bytes());
+        }
+    }
+    if rng.chance(0.3) {
+        f.truncate(rng.next_below(f.len() as u32 + 1) as usize);
+    }
+    f
+}
+
+/// The switch's parse-once hop path against the layered reference it
+/// replaced: `parse_hop` reads the seq `peek_seqtag` reads and the kind
+/// `classify` gives the stripped frame, and sliding the tag out then
+/// back in leaves exactly what `strip_seqtag_in_place` then
+/// `insert_seqtag_in_place` leave.
+fn check_hop_path(buf: &[u8]) {
+    let (seq, kind) = parse_hop(buf);
+    assert_eq!(seq, peek_seqtag(buf).ok(), "parsed seq");
+    let mut stripped = buf.to_vec();
+    assert_eq!(strip_seqtag_in_place(&mut stripped).ok(), seq, "parsed seq vs strip");
+    assert_eq!(kind, classify(&stripped), "parsed kind");
+    // The switch tags exactly what the reference insert accepts, PFC aside.
+    let mut reference = stripped.clone();
+    let next = seq.unwrap_or(0).wrapping_add(1);
+    let inserted = insert_seqtag_in_place(&mut reference, next).is_ok();
+    assert_eq!(taggable(&stripped), inserted && classify(&stripped) != FrameKind::Pfc);
+    if seq.is_none() {
+        return;
+    }
+    let mut slid = buf.to_vec();
+    slide_out_seqtag(&mut slid);
+    assert_eq!(slid[SEQTAG_LEN..], stripped[..], "slide-out vs strip");
+    if taggable(&stripped) {
+        slide_in_seqtag(&mut slid, next);
+        assert_eq!(slid, reference, "slide-in vs insert");
+    }
+}
+
 /// Drive every parser over one buffer. Panics (the test failure mode)
 /// only if a parser itself panics or an accepted input fails round-trip.
 fn exercise_all(buf: &[u8]) {
@@ -203,6 +262,7 @@ fn exercise_all(buf: &[u8]) {
         }
     }
     let _ = SeqTag::new_checked(buf);
+    check_hop_path(buf);
 
     // Loss notifications: framed parse (CRC-verified) and raw view.
     if let Ok((lo, hi, copy, port)) = parse_notification(buf) {
@@ -249,6 +309,18 @@ fn parsers_survive_mutated_valid_frames() {
     for _ in 0..iters() {
         exercise_all(&mutated_valid(&mut rng));
     }
+}
+
+#[test]
+fn hop_parse_matches_layered_reference_on_hostile_frames() {
+    let mut rng = Pcg32::new(seed(0x4099_7A65), 8);
+    let mut tagged = 0;
+    for _ in 0..iters() {
+        let f = hostile_hop_frame(&mut rng);
+        tagged += usize::from(parse_hop(&f).0.is_some());
+        exercise_all(&f);
+    }
+    assert!(tagged * 4 > iters() as usize, "too few whole tags: {tagged}");
 }
 
 #[test]
