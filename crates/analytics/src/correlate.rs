@@ -55,23 +55,13 @@ impl LinkMap {
     }
 
     /// Resolve the link leaving `device` on `port`.
-    pub fn link(&self, device: u32, port: u8) -> Option<LinkId> {
+    pub(crate) fn link(&self, device: u32, port: u8) -> Option<LinkId> {
         self.forward.get(&(device, port)).map(|&(down, down_port)| LinkId {
             up: device,
             up_port: port,
             down,
             down_port,
         })
-    }
-
-    /// Known directed attachments.
-    pub fn len(&self) -> usize {
-        self.forward.len()
-    }
-
-    /// True when no wiring is known.
-    pub fn is_empty(&self) -> bool {
-        self.forward.is_empty()
     }
 }
 
@@ -80,11 +70,11 @@ impl LinkMap {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GapReport {
     /// The downstream device.
-    pub device: u32,
+    pub(crate) device: u32,
     /// Its ingress port (where the tagged frames arrive).
-    pub port: u8,
+    pub(crate) port: u8,
     /// Sequence gaps counted there.
-    pub gaps: u64,
+    pub(crate) gaps: u64,
 }
 
 /// The correlator's judgement on one link.
@@ -104,22 +94,22 @@ pub struct LinkVerdict {
 
 /// Joins upstream loss reports with downstream gap reports per link.
 #[derive(Debug, Clone, Default)]
-pub struct Correlator {
+pub(crate) struct Correlator {
     map: LinkMap,
     upstream: HashMap<(u32, u8), (u64, u64)>, // (device, egress) -> (reports, weight)
     downstream: HashMap<(u32, u8), u64>,      // (device, ingress) -> gaps
     /// Upstream reports whose (device, port) has no link in the map.
-    pub unmapped: u64,
+    pub(crate) unmapped: u64,
 }
 
 impl Correlator {
     /// A correlator over the given wiring.
-    pub fn new(map: LinkMap) -> Self {
+    pub(crate) fn new(map: LinkMap) -> Self {
         Correlator { map, ..Correlator::default() }
     }
 
     /// Feed one delivered event; only `InterSwitchDrop` reports matter.
-    pub fn observe(&mut self, device: u32, rec: &EventRecord) {
+    pub(crate) fn observe(&mut self, device: u32, rec: &EventRecord) {
         if rec.ty != EventType::InterSwitchDrop {
             return;
         }
@@ -136,7 +126,7 @@ impl Correlator {
     }
 
     /// Feed one downstream gap-detector scrape.
-    pub fn ingest_gap_report(&mut self, r: GapReport) {
+    pub(crate) fn ingest_gap_report(&mut self, r: GapReport) {
         if r.gaps > 0 {
             *self.downstream.entry((r.device, r.port)).or_default() += r.gaps;
         }
@@ -145,7 +135,7 @@ impl Correlator {
     /// Rank every implicated link, worst first: corroborated links before
     /// one-sided suspicions, then by upstream weight, then gaps. Ties
     /// break on the link id so the ranking is deterministic.
-    pub fn localize(&self) -> Vec<LinkVerdict> {
+    pub(crate) fn localize(&self) -> Vec<LinkVerdict> {
         let mut out: Vec<LinkVerdict> = Vec::new();
         let mut covered: HashMap<(u32, u8), bool> = HashMap::new();
         for (&(device, port), &(reports, weight)) in &self.upstream {
@@ -187,14 +177,14 @@ impl Correlator {
     }
 
     /// The single most likely lossy link, if any verdict is corroborated.
-    pub fn culprit(&self) -> Option<LinkVerdict> {
+    pub(crate) fn culprit(&self) -> Option<LinkVerdict> {
         self.localize().into_iter().find(|v| v.corroborated)
     }
 
     /// Drop all observed counts, keeping the link map (the wiring is
     /// static truth; the counts revert with the events that produced
     /// them — used by the checkpoint-less engine restart path).
-    pub fn reset_counts(&mut self) {
+    pub(crate) fn reset_counts(&mut self) {
         self.upstream.clear();
         self.downstream.clear();
         self.unmapped = 0;

@@ -32,10 +32,10 @@ use netseer::StoredEvent;
 use std::collections::BTreeMap;
 
 /// Sliding view: retained windows per shard.
-pub const SLIDING_BUCKETS: usize = 8;
+pub(crate) const SLIDING_BUCKETS: usize = 8;
 
 /// Max retained SLA breach windows.
-pub const MAX_BREACHES: usize = 1024;
+pub(crate) const MAX_BREACHES: usize = 1024;
 
 /// Engine geometry and budgets. Every bound is hard: the engine's memory
 /// is fixed at construction time whatever the stream does.
@@ -77,7 +77,7 @@ impl Default for AnalyticsConfig {
 /// finished with a Murmur3-style avalanche. The finisher matters: raw
 /// FNV-1a mod a small power of two sees only each byte's low bits, so
 /// structured address/port patterns collapse onto one shard.
-pub fn flow_shard_hash(flow: &FlowKey) -> u32 {
+pub(crate) fn flow_shard_hash(flow: &FlowKey) -> u32 {
     let mut buf = [0u8; FLOW_KEY_LEN];
     flow.write_to(&mut buf);
     let mut h: u32 = 0x811c_9dc5;
@@ -117,7 +117,7 @@ pub struct AnalyticsEngine {
     upstream: BTreeMap<(u16, u32), (u64, u64)>,
     /// Upstream-loss scrapes ignored because the stream map hit
     /// [`UPSTREAM_STREAM_CAP`] (bounded memory, never silent).
-    pub upstream_overflow: u64,
+    pub(crate) upstream_overflow: u64,
     /// Events processed since construction.
     pub processed: u64,
     /// Engine crash/restart cycles.
@@ -126,7 +126,7 @@ pub struct AnalyticsEngine {
 
 /// Hard cap on tracked wire exporter streams — defense in depth behind
 /// the wire session's own `max_streams` bound.
-pub const UPSTREAM_STREAM_CAP: usize = 1024;
+pub(crate) const UPSTREAM_STREAM_CAP: usize = 1024;
 
 impl AnalyticsEngine {
     /// Build an engine over the fleet wiring in `links`.
@@ -149,11 +149,6 @@ impl AnalyticsEngine {
             processed: 0,
             restarts: 0,
         }
-    }
-
-    /// The configured geometry.
-    pub fn config(&self) -> &AnalyticsConfig {
-        &self.cfg
     }
 
     /// Shard count.
@@ -196,7 +191,7 @@ impl AnalyticsEngine {
     }
 
     /// Absorb one delivered event.
-    pub fn process(&mut self, e: &StoredEvent) {
+    pub(crate) fn process(&mut self, e: &StoredEvent) {
         let shard = (flow_shard_hash(&e.record.flow) as usize) % self.shards.len();
         self.shards[shard].absorb(e);
         self.correlator.observe(e.device, &e.record);
@@ -253,16 +248,6 @@ impl AnalyticsEngine {
             .collect()
     }
 
-    /// Total upstream-loss units across all wire streams.
-    pub fn upstream_lost_total(&self) -> u64 {
-        self.upstream.values().map(|&(lost, _)| lost).sum()
-    }
-
-    /// Total distinct sequence gaps across all wire streams.
-    pub fn upstream_gap_total(&self) -> u64 {
-        self.upstream.values().map(|&(_, gaps)| gaps).sum()
-    }
-
     /// The merged analytics ledger across all shards. The identity
     /// `ingested == aggregated + sketch_absorbed + shed_analytics` holds
     /// per shard and therefore for the sum.
@@ -275,11 +260,6 @@ impl AnalyticsEngine {
     /// heaviest-first.
     pub fn top_flows(&self, n: usize) -> Vec<TopKEntry> {
         heaviest(self.shards.iter().flat_map(|s| s.topk.entries()).collect(), n)
-    }
-
-    /// Total weight absorbed by the sketches (the `W` of the error bound).
-    pub fn sketch_weight(&self) -> u64 {
-        self.shards.iter().map(|s| s.topk.total_weight).sum()
     }
 
     /// Cumulative (device, type, reason) totals merged across shards,
@@ -447,7 +427,7 @@ mod tests {
         ledger.assert_balanced();
         assert_eq!(ledger.ingested, 30);
         // The sketch weight equals the stream weight: no double counting.
-        assert_eq!(eng.sketch_weight(), 30);
+        assert_eq!(eng.shards.iter().map(|s| s.topk.total_weight).sum::<u64>(), 30);
     }
 
     #[test]
@@ -471,8 +451,8 @@ mod tests {
         ];
         eng.ingest_upstream_loss(scrape.clone());
         eng.ingest_upstream_loss(scrape); // cumulative re-scrape: no double count
-        assert_eq!(eng.upstream_lost_total(), 11);
-        assert_eq!(eng.upstream_gap_total(), 3);
+        assert_eq!(eng.upstream_losses().iter().map(|r| r.lost).sum::<u64>(), 11);
+        assert_eq!(eng.upstream_losses().iter().map(|r| r.gaps).sum::<u64>(), 3);
         assert_eq!(eng.upstream_losses().len(), 2);
         // A later scrape with larger accumulators replaces, not adds.
         eng.ingest_upstream_loss([UpstreamLossReport {
@@ -481,7 +461,7 @@ mod tests {
             lost: 10,
             gaps: 3,
         }]);
-        assert_eq!(eng.upstream_lost_total(), 13);
+        assert_eq!(eng.upstream_losses().iter().map(|r| r.lost).sum::<u64>(), 13);
         // The stream map is hard-capped.
         for d in 0..2 * UPSTREAM_STREAM_CAP as u32 {
             eng.ingest_upstream_loss([UpstreamLossReport {

@@ -27,7 +27,7 @@ const REORDER_CHUNK: usize = 256;
 ///   the lateness bound; booked, never silently dropped;
 /// * `pending_reorder` — parked in the event-time reorder buffer, waiting
 ///   for the watermark (occupancy, not cumulative; drains to zero on
-///   [`ShardWorker::flush`]).
+///   `ShardWorker::flush`).
 ///
 /// `late_admitted` is a memo, *outside* the identity: events behind the
 /// watermark but within the lateness bound are admitted and take one of
@@ -67,7 +67,7 @@ impl AnalyticsLedger {
     }
 
     /// Events unaccounted for (0 when balanced).
-    pub fn missing(&self) -> i64 {
+    pub(crate) fn missing(&self) -> i64 {
         self.ingested as i64 - self.accounted() as i64
     }
 
@@ -121,13 +121,13 @@ impl std::iter::Sum for AnalyticsLedger {
 /// One flow-hash shard: windows + sketch + ledger, with an optional
 /// event-time front end (watermark + bounded reorder buffer).
 #[derive(Debug, Clone)]
-pub struct ShardWorker {
+pub(crate) struct ShardWorker {
     /// Tumbling/sliding aggregates for this shard's flows.
-    pub windows: WindowAggregator,
+    pub(crate) windows: WindowAggregator,
     /// Heaviest loss/congestion flows in this shard.
-    pub topk: SpaceSaving,
+    pub(crate) topk: SpaceSaving,
     /// Disposition accounting.
-    pub ledger: AnalyticsLedger,
+    pub(crate) ledger: AnalyticsLedger,
     /// Watermark lag behind the max stamp seen, ns. With `reorder_cap`
     /// both zero the event-time front end is disabled and [`absorb`]
     /// (Self::absorb) is the exact arrival-order path.
@@ -154,7 +154,12 @@ pub struct ShardWorker {
 impl ShardWorker {
     /// A shard with the given window geometry and sketch capacity, in
     /// arrival-order (processing-time) mode.
-    pub fn new(window_ns: u64, sliding_buckets: usize, max_agg_keys: usize, topk_k: usize) -> Self {
+    pub(crate) fn new(
+        window_ns: u64,
+        sliding_buckets: usize,
+        max_agg_keys: usize,
+        topk_k: usize,
+    ) -> Self {
         ShardWorker {
             windows: WindowAggregator::new(window_ns, sliding_buckets, max_agg_keys),
             topk: SpaceSaving::new(topk_k),
@@ -175,25 +180,25 @@ impl ShardWorker {
     /// seen minus `lateness_bound_ns` — passes them; events arriving
     /// behind the watermark are admitted if within the bound, shed (and
     /// booked) otherwise. `(0, 0)` keeps the arrival-order path.
-    pub fn with_event_time(mut self, lateness_bound_ns: u64, reorder_cap: usize) -> Self {
+    pub(crate) fn with_event_time(mut self, lateness_bound_ns: u64, reorder_cap: usize) -> Self {
         self.lateness_bound_ns = lateness_bound_ns;
         self.reorder_cap = reorder_cap;
         self
     }
 
     /// True when the event-time front end is active.
-    pub fn event_time_enabled(&self) -> bool {
+    pub(crate) fn event_time_enabled(&self) -> bool {
         self.lateness_bound_ns > 0 || self.reorder_cap > 0
     }
 
     /// The current watermark: stamps below this are late.
-    pub fn watermark_ns(&self) -> u64 {
+    pub(crate) fn watermark_ns(&self) -> u64 {
         self.max_stamp_ns.saturating_sub(self.lateness_bound_ns)
     }
 
     /// Absorb one delivered event, assigning it exactly one disposition
     /// (possibly deferred through the reorder buffer).
-    pub fn absorb(&mut self, e: &StoredEvent) {
+    pub(crate) fn absorb(&mut self, e: &StoredEvent) {
         self.ledger.ingested += 1;
         if !self.event_time_enabled() {
             self.dispose(e);
@@ -311,7 +316,7 @@ impl ShardWorker {
     /// Drain the reorder buffer unconditionally (end of stream): every
     /// parked event gets its final disposition and `pending_reorder`
     /// returns to zero.
-    pub fn flush(&mut self) {
+    pub(crate) fn flush(&mut self) {
         self.compact();
         while let Some(p) = self.sorted.pop() {
             self.ledger.pending_reorder -= 1;
@@ -394,7 +399,8 @@ mod tests {
         let e = ev(1, EventType::InterSwitchDrop, 5);
         s.absorb(&e);
         assert_eq!(s.ledger.aggregated, 1);
-        assert_eq!(s.topk.estimate(&e.record.flow), Some((2, 0)), "counter weight 2");
+        let est = s.topk.entries().find(|x| x.flow == e.record.flow).map(|x| (x.count, x.error));
+        assert_eq!(est, Some((2, 0)), "counter weight 2");
     }
 
     #[test]

@@ -52,7 +52,7 @@ struct DeviceWindow {
 /// Streams events and emits [`BreachWindow`]s. Memory is bounded: one
 /// small accumulator per device plus a capped breach list.
 #[derive(Debug, Clone)]
-pub struct SlaEvaluator {
+pub(crate) struct SlaEvaluator {
     policy: SlaPolicy,
     open: HashMap<u32, DeviceWindow>,
     /// Breach in progress per device (merged while contiguous).
@@ -60,14 +60,14 @@ pub struct SlaEvaluator {
     breaches: Vec<BreachWindow>,
     max_breaches: usize,
     /// Breach windows discarded because `max_breaches` was reached.
-    pub dropped_breaches: u64,
+    pub(crate) dropped_breaches: u64,
     /// Events inspected.
-    pub observed: u64,
+    pub(crate) observed: u64,
 }
 
 impl SlaEvaluator {
     /// An evaluator for `policy`, retaining at most `max_breaches` windows.
-    pub fn new(policy: SlaPolicy, max_breaches: usize) -> Self {
+    pub(crate) fn new(policy: SlaPolicy, max_breaches: usize) -> Self {
         SlaEvaluator {
             policy,
             open: HashMap::new(),
@@ -79,17 +79,12 @@ impl SlaEvaluator {
         }
     }
 
-    /// The policy under evaluation.
-    pub fn policy(&self) -> SlaPolicy {
-        self.policy
-    }
-
     /// Inspect one delivered event.
     ///
     /// Deliveries are per-device ordered, so a new bucket index closes the
     /// device's previous evaluation window; slight cross-device interleave
     /// is fine because all state is per-device.
-    pub fn observe(&mut self, e: &StoredEvent) {
+    pub(crate) fn observe(&mut self, e: &StoredEvent) {
         self.observed += 1;
         let bucket = e.time_ns / self.policy.window_ns.max(1);
         let w = self.open.entry(e.device).or_insert(DeviceWindow { bucket, ..Default::default() });
@@ -168,7 +163,7 @@ impl SlaEvaluator {
 
     /// Flush every open window and breach-in-progress, then return all
     /// breach windows sorted by (device, start).
-    pub fn finish(&mut self) -> Vec<BreachWindow> {
+    pub(crate) fn finish(&mut self) -> Vec<BreachWindow> {
         let mut open: Vec<(u32, DeviceWindow)> = self.open.drain().collect();
         open.sort_by_key(|&(d, _)| d);
         for (device, w) in open {

@@ -35,20 +35,20 @@ impl TopKEntry {
 
 /// The Space-Saving sketch: at most `k` monitored flows.
 #[derive(Debug, Clone)]
-pub struct SpaceSaving {
+pub(crate) struct SpaceSaving {
     k: usize,
     table: HashMap<FlowKey, (u64, u64)>, // flow -> (count, error)
     /// Offers absorbed (every offer is absorbed; the sketch never rejects).
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Total absorbed weight `W` (guarantee threshold is `W / k`).
-    pub total_weight: u64,
+    pub(crate) total_weight: u64,
     /// Evictions of the minimum entry (replacement pressure).
-    pub evictions: u64,
+    pub(crate) evictions: u64,
 }
 
 impl SpaceSaving {
     /// A sketch tracking at most `k` flows (`k >= 1`).
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         let k = k.max(1);
         SpaceSaving {
             k,
@@ -59,23 +59,8 @@ impl SpaceSaving {
         }
     }
 
-    /// Capacity `k`.
-    pub fn capacity(&self) -> usize {
-        self.k
-    }
-
-    /// Monitored flows right now (≤ k).
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// True when nothing was offered yet.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
     /// Absorb one observation of `flow` with `weight`. Never rejects.
-    pub fn offer(&mut self, flow: FlowKey, weight: u64) {
+    pub(crate) fn offer(&mut self, flow: FlowKey, weight: u64) {
         let weight = weight.max(1);
         self.offered += 1;
         self.total_weight += weight;
@@ -98,28 +83,9 @@ impl SpaceSaving {
         self.evictions += 1;
     }
 
-    /// The top `n` entries, heaviest first (deterministic tie-break on the
-    /// flow key).
-    pub fn top(&self, n: usize) -> Vec<TopKEntry> {
-        heaviest(self.entries().collect(), n)
-    }
-
     /// Every monitored entry, in no particular order.
-    pub fn entries(&self) -> impl Iterator<Item = TopKEntry> + '_ {
+    pub(crate) fn entries(&self) -> impl Iterator<Item = TopKEntry> + '_ {
         self.table.iter().map(|(&flow, &(count, error))| TopKEntry { flow, count, error })
-    }
-
-    /// The smallest monitored count (the eviction bar; 0 while not full).
-    pub fn min_count(&self) -> u64 {
-        if self.table.len() < self.k {
-            return 0;
-        }
-        self.table.values().map(|&(c, _)| c).min().unwrap_or(0)
-    }
-
-    /// Estimated (count, error) for a flow, if monitored.
-    pub fn estimate(&self, flow: &FlowKey) -> Option<(u64, u64)> {
-        self.table.get(flow).copied()
     }
 }
 
@@ -158,10 +124,9 @@ mod tests {
             }
         }
         for n in 0..5u32 {
-            assert_eq!(s.estimate(&flow(n)), Some((u64::from(n) + 1, 0)));
+            assert_eq!(s.table.get(&flow(n)).copied(), Some((u64::from(n) + 1, 0)));
         }
-        assert_eq!(s.min_count(), 0, "not full yet");
-        let top = s.top(2);
+        let top = heaviest(s.entries().collect(), 2);
         assert_eq!(top[0].flow, flow(4));
         assert_eq!(top[1].flow, flow(3));
     }
@@ -180,7 +145,7 @@ mod tests {
             s.offer(flow(noise), 1);
             *truth.entry(flow(noise)).or_default() += 1;
         }
-        for e in s.top(4) {
+        for e in heaviest(s.entries().collect(), 4) {
             let t = truth.get(&e.flow).copied().unwrap_or(0);
             assert!(t <= e.count, "true {t} > count {} for {:?}", e.count, e.flow);
             assert!(e.guaranteed() <= t, "lower bound {} > true {t}", e.guaranteed());
@@ -195,8 +160,8 @@ mod tests {
             s.offer(flow(0), 1);
             s.offer(flow(1 + (i % 100)), 1);
         }
-        assert!(s.estimate(&flow(0)).is_some(), "flow above W/k must survive");
-        assert_eq!(s.top(1)[0].flow, flow(0));
+        assert!(s.table.contains_key(&flow(0)), "flow above W/k must survive");
+        assert_eq!(heaviest(s.entries().collect(), 1)[0].flow, flow(0));
         assert!(s.total_weight / 8 < 1000);
     }
 
@@ -206,7 +171,7 @@ mod tests {
         for n in 0..10_000u32 {
             s.offer(flow(n), 1);
         }
-        assert_eq!(s.len(), 16);
+        assert_eq!(s.table.len(), 16);
         assert_eq!(s.offered, 10_000);
         assert!(s.evictions > 0);
     }
@@ -221,7 +186,7 @@ mod tests {
         assert_eq!(all.len(), 6);
         all.sort_by(|a, b| b.count.cmp(&a.count).then(a.flow.cmp(&b.flow)));
         for n in 0..=7 {
-            assert_eq!(s.top(n), all[..n.min(all.len())], "top({n})");
+            assert_eq!(heaviest(s.entries().collect(), n), all[..n.min(all.len())], "top({n})");
         }
     }
 }

@@ -22,7 +22,7 @@ pub struct AggKey {
 
 impl AggKey {
     /// The key of a stored event.
-    pub fn of(e: &StoredEvent) -> Self {
+    pub(crate) fn of(e: &StoredEvent) -> Self {
         let reason = match e.record.detail {
             EventDetail::Drop { code, .. } => Some(code),
             _ => None,
@@ -56,7 +56,7 @@ impl WindowStats {
 /// Bounded tumbling-window aggregator with a sliding view over the last
 /// `sliding_buckets` windows and cumulative per-key totals.
 #[derive(Debug, Clone)]
-pub struct WindowAggregator {
+pub(crate) struct WindowAggregator {
     width_ns: u64,
     sliding_buckets: usize,
     max_keys: usize,
@@ -64,18 +64,18 @@ pub struct WindowAggregator {
     buckets: VecDeque<(u64, HashMap<AggKey, WindowStats>)>,
     totals: HashMap<AggKey, WindowStats>,
     /// Events accepted into the aggregates.
-    pub aggregated: u64,
+    pub(crate) aggregated: u64,
     /// Offers refused because a new key would exceed `max_keys`.
-    pub rejected: u64,
+    pub(crate) rejected: u64,
     /// Accepted events older than the oldest retained bucket (they count
     /// in `totals` but have no tumbling bucket anymore).
-    pub late: u64,
+    pub(crate) late: u64,
 }
 
 impl WindowAggregator {
     /// A new aggregator: `width_ns` per tumbling window, a sliding view of
     /// `sliding_buckets` windows, at most `max_keys` distinct keys.
-    pub fn new(width_ns: u64, sliding_buckets: usize, max_keys: usize) -> Self {
+    pub(crate) fn new(width_ns: u64, sliding_buckets: usize, max_keys: usize) -> Self {
         WindowAggregator {
             width_ns: width_ns.max(1),
             sliding_buckets: sliding_buckets.max(1),
@@ -88,20 +88,15 @@ impl WindowAggregator {
         }
     }
 
-    /// Tumbling window width, ns.
-    pub fn width_ns(&self) -> u64 {
-        self.width_ns
-    }
-
     /// The bucket index covering time `t`.
-    pub fn bucket_of(&self, t: u64) -> u64 {
+    pub(crate) fn bucket_of(&self, t: u64) -> u64 {
         t / self.width_ns
     }
 
     /// Offer one event: true = aggregated, false = refused (key table
     /// full). A refusal leaves the aggregator untouched so the caller can
     /// give the event another disposition.
-    pub fn offer(&mut self, time_ns: u64, key: AggKey, weight: u64) -> bool {
+    pub(crate) fn offer(&mut self, time_ns: u64, key: AggKey, weight: u64) -> bool {
         if !self.totals.contains_key(&key) && self.totals.len() >= self.max_keys {
             self.rejected += 1;
             return false;
@@ -139,12 +134,14 @@ impl WindowAggregator {
     }
 
     /// The tumbling aggregate of one bucket, if still retained.
-    pub fn tumbling(&self, bucket: u64) -> Option<&HashMap<AggKey, WindowStats>> {
+    #[cfg(test)]
+    fn tumbling(&self, bucket: u64) -> Option<&HashMap<AggKey, WindowStats>> {
         self.buckets.iter().find(|(b, _)| *b == bucket).map(|(_, m)| m)
     }
 
     /// The sliding aggregate: every retained bucket summed per key.
-    pub fn sliding(&self) -> HashMap<AggKey, WindowStats> {
+    #[cfg(test)]
+    fn sliding(&self) -> HashMap<AggKey, WindowStats> {
         let mut out: HashMap<AggKey, WindowStats> = HashMap::new();
         for (_, map) in &self.buckets {
             for (&k, s) in map {
@@ -157,25 +154,21 @@ impl WindowAggregator {
     }
 
     /// Cumulative total for one key.
-    pub fn total(&self, key: &AggKey) -> WindowStats {
+    #[cfg(test)]
+    fn total(&self, key: &AggKey) -> WindowStats {
         self.totals.get(key).copied().unwrap_or_default()
     }
 
     /// All cumulative totals, deterministically ordered.
-    pub fn totals(&self) -> Vec<(AggKey, WindowStats)> {
+    pub(crate) fn totals(&self) -> Vec<(AggKey, WindowStats)> {
         let mut v: Vec<(AggKey, WindowStats)> = self.totals.iter().map(|(&k, &s)| (k, s)).collect();
         v.sort_by_key(|(k, _)| k.order());
         v
     }
 
-    /// Distinct keys tracked (≤ `max_keys`).
-    pub fn key_count(&self) -> usize {
-        self.totals.len()
-    }
-
     /// Fold another aggregator's totals into this one (per-shard merge).
     /// Only the cumulative totals merge; tumbling buckets stay per-shard.
-    pub fn merge_totals_from(&mut self, other: &WindowAggregator) {
+    pub(crate) fn merge_totals_from(&mut self, other: &WindowAggregator) {
         for (&k, s) in &other.totals {
             let e = self.totals.entry(k).or_default();
             e.events += s.events;
@@ -230,7 +223,7 @@ mod tests {
         assert!(w.offer(0, key(1, EventType::Congestion), 5));
         assert_eq!(w.rejected, 1);
         assert_eq!(w.aggregated, 3);
-        assert_eq!(w.key_count(), 2);
+        assert_eq!(w.totals().len(), 2);
         assert_eq!(w.total(&key(1, EventType::Congestion)).weight, 6);
     }
 

@@ -16,33 +16,28 @@ use std::any::Any;
 use std::collections::HashSet;
 
 /// Bytes per ERSPAN mirror (truncated to 64 B like the paper's setup).
-pub const MIRROR_BYTES: usize = 64 + 14;
+pub(crate) const MIRROR_BYTES: usize = 64 + 14;
 
 /// Per-switch EverFlow agent.
 #[derive(Debug)]
 pub struct EverFlowMonitor {
     /// Flows currently traced on demand.
-    pub traced: HashSet<FlowKey>,
+    pub(crate) traced: HashSet<FlowKey>,
     /// Recently seen flows (candidate pool for on-demand rotation).
     seen: Vec<FlowKey>,
     seen_set: HashSet<FlowKey>,
     /// How many flows each rotation traces.
-    pub trace_set_size: usize,
+    pub(crate) trace_set_size: usize,
     /// Rotation interval, ns (paper: one minute).
-    pub rotate_interval_ns: u64,
+    pub(crate) rotate_interval_ns: u64,
     rng: Pcg32,
     /// Everything mirrored.
     pub log: ObservationLog,
     /// Mirrors emitted.
-    pub mirrors: u64,
+    pub(crate) mirrors: u64,
 }
 
 impl EverFlowMonitor {
-    /// Create with the paper's defaults (1,000 flows, 60 s rotation).
-    pub fn new(seed: u64) -> Self {
-        Self::with_params(seed, 1_000, 60 * fet_netsim::SECONDS)
-    }
-
     /// Create with explicit rotation parameters.
     pub fn with_params(seed: u64, trace_set_size: usize, rotate_interval_ns: u64) -> Self {
         EverFlowMonitor {
@@ -84,7 +79,7 @@ impl EverFlowMonitor {
     }
 
     /// Rotate the on-demand trace set (called from the timer).
-    pub fn rotate(&mut self) {
+    pub(crate) fn rotate(&mut self) {
         self.traced.clear();
         if self.seen.is_empty() {
             return;
@@ -111,7 +106,6 @@ impl SwitchMonitor for EverFlowMonitor {
             flow,
             t_ingress: ctx.meta.ingress_ts_ns,
             t_egress: ctx.now_ns,
-            latency_ns: ctx.meta.queuing_delay_ns(),
             kind: ObsKind::Forwarded,
         });
         self.mirrors += 1;
@@ -140,7 +134,6 @@ impl SwitchMonitor for EverFlowMonitor {
             flow,
             t_ingress: ctx.now_ns,
             t_egress: 0,
-            latency_ns: 0,
             kind: ObsKind::Dropped(fet_packet::EventType::PipelineDrop),
         });
         self.mirrors += 1;
@@ -156,7 +149,6 @@ impl SwitchMonitor for EverFlowMonitor {
             flow: ctx.flow,
             t_ingress: ctx.now_ns,
             t_egress: 0,
-            latency_ns: 0,
             kind: ObsKind::Dropped(fet_packet::EventType::MmuDrop),
         });
         self.mirrors += 1;
@@ -212,8 +204,8 @@ mod tests {
 
     #[test]
     fn syn_and_fin_mirrored_data_not() {
-        let mut m = EverFlowMonitor::new(1);
-        let mut meta = PacketMeta::arriving(0, 0, 64);
+        let mut m = EverFlowMonitor::with_params(1, 1_000, 60 * fet_netsim::SECONDS);
+        let mut meta = PacketMeta::arriving(0, 64);
         meta.flow = Some(flow(1));
         let mut out = Actions::new();
         let mut syn = build_data_packet(&flow(1), 10, flags::SYN, 0, 64);
@@ -227,9 +219,9 @@ mod tests {
 
     #[test]
     fn traced_flows_fully_mirrored() {
-        let mut m = EverFlowMonitor::new(1);
+        let mut m = EverFlowMonitor::with_params(1, 1_000, 60 * fet_netsim::SECONDS);
         m.traced.insert(flow(9));
-        let mut meta = PacketMeta::arriving(0, 0, 64);
+        let mut meta = PacketMeta::arriving(0, 64);
         meta.flow = Some(flow(9));
         let mut out = Actions::new();
         let mut data = build_data_packet(&flow(9), 10, flags::ACK, 0, 64);
@@ -264,10 +256,10 @@ mod tests {
 
     #[test]
     fn dropped_traced_packet_mirrored() {
-        let mut m = EverFlowMonitor::new(1);
+        let mut m = EverFlowMonitor::with_params(1, 1_000, 60 * fet_netsim::SECONDS);
         m.traced.insert(flow(2));
         let f = build_data_packet(&flow(2), 10, flags::ACK, 0, 64);
-        let ictx = IngressCtx::parse(7, 0, 0, false, &f);
+        let ictx = IngressCtx::parse(7, 0, 0, &f);
         let mut out = Actions::new();
         m.on_pipeline_drop(&ictx, &f, Some(flow(2)), DropCode::TableMiss, None, 0, &mut out);
         assert_eq!(m.log.obs.len(), 1);
@@ -275,11 +267,11 @@ mod tests {
 
     #[test]
     fn untraced_drop_invisible_even_with_syn() {
-        let mut m = EverFlowMonitor::new(1);
+        let mut m = EverFlowMonitor::with_params(1, 1_000, 60 * fet_netsim::SECONDS);
         let f = build_data_packet(&flow(3), 10, flags::SYN, 0, 64);
-        let ictx = IngressCtx::parse(7, 0, 0, false, &f);
+        let ictx = IngressCtx::parse(7, 0, 0, &f);
         let mut out = Actions::new();
         m.on_pipeline_drop(&ictx, &f, Some(flow(3)), DropCode::TableMiss, None, 0, &mut out);
-        assert!(m.log.is_empty());
+        assert!(m.log.obs.is_empty());
     }
 }

@@ -10,7 +10,7 @@ use fet_packet::FlowKey;
 use std::any::Any;
 
 /// Truncated mirror + metadata size per postcard.
-pub const POSTCARD_BYTES: usize = 64 + 16;
+pub(crate) const POSTCARD_BYTES: usize = 64 + 16;
 
 /// The per-switch NetSight agent.
 #[derive(Debug, Default)]
@@ -18,7 +18,7 @@ pub struct NetSightMonitor {
     /// Everything this switch mirrored.
     pub log: ObservationLog,
     /// Postcards emitted.
-    pub postcards: u64,
+    pub(crate) postcards: u64,
 }
 
 impl NetSightMonitor {
@@ -36,7 +36,6 @@ impl SwitchMonitor for NetSightMonitor {
             flow,
             t_ingress: ctx.meta.ingress_ts_ns,
             t_egress: ctx.now_ns,
-            latency_ns: ctx.meta.queuing_delay_ns(),
             kind: ObsKind::Forwarded,
         });
         self.postcards += 1;
@@ -59,7 +58,6 @@ impl SwitchMonitor for NetSightMonitor {
             flow,
             t_ingress: ctx.now_ns,
             t_egress: 0,
-            latency_ns: 0,
             kind: ObsKind::Dropped(fet_packet::EventType::PipelineDrop),
         });
         self.postcards += 1;
@@ -72,7 +70,6 @@ impl SwitchMonitor for NetSightMonitor {
             flow: ctx.flow,
             t_ingress: ctx.now_ns,
             t_egress: 0,
-            latency_ns: 0,
             kind: ObsKind::Dropped(fet_packet::EventType::MmuDrop),
         });
         self.postcards += 1;
@@ -106,7 +103,7 @@ mod tests {
     #[test]
     fn mirrors_every_forwarded_packet() {
         let mut m = NetSightMonitor::new();
-        let mut meta = PacketMeta::arriving(0, 100, 64);
+        let mut meta = PacketMeta::arriving(100, 64);
         meta.flow = Some(flow());
         meta.egress_ts_ns = 150;
         let ctx = EgressCtx {
@@ -132,7 +129,7 @@ mod tests {
     #[test]
     fn mirrors_drops_too() {
         let mut m = NetSightMonitor::new();
-        let ictx = IngressCtx::parse(5, 1, 0, false, &[0u8; 64]);
+        let ictx = IngressCtx::parse(5, 1, 0, &[0u8; 64]);
         let mut out = Actions::new();
         m.on_pipeline_drop(&ictx, &[0u8; 64], Some(flow()), DropCode::TableMiss, None, 0, &mut out);
         assert_eq!(m.log.obs.len(), 1);
@@ -142,7 +139,7 @@ mod tests {
     #[test]
     fn non_ip_frames_not_mirrored() {
         let mut m = NetSightMonitor::new();
-        let meta = PacketMeta::arriving(0, 100, 64);
+        let meta = PacketMeta::arriving(100, 64);
         let ctx = EgressCtx {
             now_ns: 150,
             node: 1,

@@ -13,7 +13,7 @@ use std::collections::{BTreeSet, HashMap};
 
 /// What kind of packet observation this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObsKind {
+pub(crate) enum ObsKind {
     /// A forwarded packet mirrored at egress.
     Forwarded,
     /// A packet mirrored at a drop hook.
@@ -31,10 +31,8 @@ pub struct Observation {
     pub t_ingress: u64,
     /// Its dequeue (egress) time, ns; 0 when not applicable.
     pub t_egress: u64,
-    /// Queuing latency carried in the mirror metadata, ns.
-    pub latency_ns: u64,
     /// Forwarded or dropped.
-    pub kind: ObsKind,
+    pub(crate) kind: ObsKind,
 }
 
 /// A monitor's accumulated observations.
@@ -51,18 +49,8 @@ impl ObservationLog {
     }
 
     /// Record one observation.
-    pub fn record(&mut self, o: Observation) {
+    pub(crate) fn record(&mut self, o: Observation) {
         self.obs.push(o);
-    }
-
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.obs.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.obs.is_empty()
     }
 }
 
@@ -146,7 +134,6 @@ mod tests {
             flow: flow(5),
             t_ingress: 0,
             t_egress: 999,
-            latency_ns: 50_000,
             kind: ObsKind::Forwarded,
         });
         assert_eq!(coverage(&gt, &log, EventType::Congestion), (0, 1));
@@ -156,7 +143,6 @@ mod tests {
             flow: flow(5),
             t_ingress: 0,
             t_egress: 1_000,
-            latency_ns: 50_000,
             kind: ObsKind::Forwarded,
         });
         assert_eq!(coverage(&gt, &log, EventType::Congestion), (1, 1));
@@ -171,7 +157,6 @@ mod tests {
             flow: flow(7),
             t_ingress: 5_000,
             t_egress: 9_999,
-            latency_ns: 0,
             kind: ObsKind::Forwarded,
         });
         assert_eq!(coverage(&gt, &log, EventType::PathChange), (1, 1));
@@ -186,7 +171,6 @@ mod tests {
             flow: flow(1),
             t_ingress: 100,
             t_egress: 0,
-            latency_ns: 0,
             kind: ObsKind::Forwarded,
         });
         assert_eq!(coverage(&gt, &log, EventType::PipelineDrop), (0, 1));
@@ -195,7 +179,6 @@ mod tests {
             flow: flow(1),
             t_ingress: 100,
             t_egress: 0,
-            latency_ns: 0,
             kind: ObsKind::Dropped(EventType::PipelineDrop),
         });
         assert_eq!(coverage(&gt, &log, EventType::PipelineDrop), (1, 1));
@@ -210,7 +193,6 @@ mod tests {
             flow: flow(5),
             t_ingress: 0,
             t_egress: 1_000,
-            latency_ns: 0,
             kind: ObsKind::Forwarded,
         });
         assert_eq!(coverage(&gt, &log, EventType::Congestion), (0, 1));

@@ -7,18 +7,18 @@ use fet_netsim::monitor::{Actions, EgressCtx, SwitchMonitor};
 use std::any::Any;
 
 /// Bytes mirrored per sample (truncated header + metadata).
-pub const SAMPLE_BYTES: usize = 128;
+pub(crate) const SAMPLE_BYTES: usize = 128;
 
 /// Per-switch 1:k sampler.
 #[derive(Debug)]
 pub struct SamplingMonitor {
     /// Sampling ratio denominator (1:k).
-    pub k: u64,
+    pub(crate) k: u64,
     counter: u64,
     /// What was sampled.
     pub log: ObservationLog,
     /// Samples emitted.
-    pub samples: u64,
+    pub(crate) samples: u64,
 }
 
 impl SamplingMonitor {
@@ -40,7 +40,6 @@ impl SwitchMonitor for SamplingMonitor {
             flow,
             t_ingress: ctx.meta.ingress_ts_ns,
             t_egress: ctx.now_ns,
-            latency_ns: ctx.meta.queuing_delay_ns(),
             kind: ObsKind::Forwarded,
         });
         self.samples += 1;
@@ -66,7 +65,7 @@ mod tests {
     #[test]
     fn samples_every_kth_packet() {
         let mut m = SamplingMonitor::new(10);
-        let mut meta = PacketMeta::arriving(0, 0, 64);
+        let mut meta = PacketMeta::arriving(0, 64);
         meta.flow = Some(FlowKey::tcp(
             Ipv4Addr::from_octets([10, 0, 0, 1]),
             1,
@@ -95,7 +94,7 @@ mod tests {
     #[test]
     fn k_one_samples_everything() {
         let mut m = SamplingMonitor::new(1);
-        let mut meta = PacketMeta::arriving(0, 0, 64);
+        let mut meta = PacketMeta::arriving(0, 64);
         meta.flow = Some(FlowKey::tcp(
             Ipv4Addr::from_octets([10, 0, 0, 1]),
             1,

@@ -8,24 +8,24 @@ use fet_netsim::monitor::{Actions, SwitchMonitor};
 use std::any::Any;
 
 /// Bytes per counter poll response (a handful of OIDs per port).
-pub const POLL_BYTES_PER_PORT: usize = 48;
+pub(crate) const POLL_BYTES_PER_PORT: usize = 48;
 
 /// One counter snapshot.
 #[derive(Debug, Clone)]
-pub struct CounterPoll {
+pub(crate) struct CounterPoll {
     /// Poll time, ns.
-    pub time_ns: u64,
+    pub(crate) time_ns: u64,
     /// Counters per port at that time.
-    pub counters: Vec<PortCounters>,
+    pub(crate) counters: Vec<PortCounters>,
 }
 
 /// The per-switch SNMP agent.
 #[derive(Debug)]
 pub struct SnmpMonitor {
     /// Poll interval, ns.
-    pub interval_ns: u64,
+    pub(crate) interval_ns: u64,
     /// Collected polls.
-    pub polls: Vec<CounterPoll>,
+    pub(crate) polls: Vec<CounterPoll>,
 }
 
 impl SnmpMonitor {
@@ -37,7 +37,7 @@ impl SnmpMonitor {
 
     /// Device-level drop deltas between consecutive polls:
     /// (poll time, total drops since previous poll).
-    pub fn drop_deltas(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn drop_deltas(&self) -> Vec<(u64, u64)> {
         let totals: Vec<(u64, u64)> = self
             .polls
             .iter()

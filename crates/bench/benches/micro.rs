@@ -224,7 +224,7 @@ fn bench_full_monitor_path() {
     // frame serves every iteration.
     let mut m = NetSeerMonitor::new(0, Role::Switch, NetSeerConfig::default());
     let mut f = build_data_packet(&flow(1), 1000, 0, 0, 64);
-    let mut meta = PacketMeta::arriving(1, 0, f.len());
+    let mut meta = PacketMeta::arriving(0, f.len());
     meta.flow = Some(flow(1));
     let mut n = 0u64;
     bench("monitor_path", "healthy_packet", 1, || {
@@ -256,7 +256,7 @@ fn bench_full_monitor_path() {
     });
     // The event-storm path: every packet is a congestion event packet.
     let mut m = NetSeerMonitor::new(0, Role::Switch, NetSeerConfig::default());
-    let mut meta = PacketMeta::arriving(1, 0, f.len());
+    let mut meta = PacketMeta::arriving(0, f.len());
     meta.flow = Some(flow(1));
     let mut n = 0u64;
     bench("monitor_path", "event_packet", 1, || {

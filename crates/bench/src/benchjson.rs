@@ -50,7 +50,7 @@ impl BenchReport {
     }
 
     /// Serialize to the flat JSON format above.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut s = String::new();
         s.push_str("{\n");
         s.push_str(&format!("  \"name\": \"{}\",\n", self.name));
@@ -65,7 +65,7 @@ impl BenchReport {
     }
 
     /// Write `BENCH_<name>.json` into `dir` and return the path.
-    pub fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
+    pub(crate) fn write_to(&self, dir: &Path) -> std::io::Result<PathBuf> {
         let path = dir.join(format!("BENCH_{}.json", self.name));
         let mut f = std::fs::File::create(&path)?;
         f.write_all(self.to_json().as_bytes())?;
@@ -83,7 +83,7 @@ impl BenchReport {
 
     /// Parse a report previously produced by [`Self::to_json`]. Returns
     /// `None` on anything that doesn't look like our own output.
-    pub fn parse(json: &str) -> Option<Self> {
+    pub(crate) fn parse(json: &str) -> Option<Self> {
         let name = extract_string(json, "name")?;
         let metrics_start = json.find("\"metrics\"")?;
         let body = &json[metrics_start..];

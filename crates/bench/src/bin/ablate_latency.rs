@@ -39,7 +39,7 @@ fn measure(batch_size: u16, gap_ns: u64, n_events: u32) -> Vec<u64> {
         }
         let f = flow(n);
         inject_time.insert(f, t);
-        let ictx = IngressCtx::parse(t, 0, 1, false, &frame);
+        let ictx = IngressCtx::parse(t, 0, 1, &frame);
         m.on_pipeline_drop(&ictx, &frame, Some(f), DropCode::TableMiss, Some(2), 0, &mut out);
     }
     // Run timers until everything flushes.

@@ -48,7 +48,7 @@ fn hot_path_bench() -> (f64, f64) {
     let mut run = |n: u64, t0: u64, frame: &mut Vec<u8>| {
         for i in 0..n {
             let now = t0 + i * 1_000;
-            let mut meta = PacketMeta::arriving(0, now, len);
+            let mut meta = PacketMeta::arriving(now, len);
             meta.flow = Some(flow);
             meta.egress_ts_ns = now; // zero queuing delay: no event
             let ectx = EgressCtx {
@@ -64,7 +64,7 @@ fn hot_path_bench() -> (f64, f64) {
             slide_in_seqtag(frame, 0);
             upstream.on_egress(&ectx, frame, &mut out);
             set_seqtag_seq(frame, out.tag.take().expect("the hook claims the open tag"));
-            let ictx = IngressCtx::parse(now, 2, 0, true, frame);
+            let ictx = IngressCtx::parse(now, 2, 0, frame);
             downstream.on_ingress(&ictx, frame, &mut out);
             slide_out_seqtag(frame);
             out.emit.clear();

@@ -9,13 +9,7 @@ use fet_workloads::distributions::ALL_WORKLOADS;
 fn main() {
     // Congestion arises naturally from the 70% load + incast; no other
     // faults needed.
-    let inject = InjectSpec {
-        interswitch_burst: 0,
-        blackhole: false,
-        reroute: false,
-        incast: true,
-        ..Default::default()
-    };
+    let inject = InjectSpec { interswitch_burst: 0, blackhole: false, reroute: false };
     let monitors = [
         MonitorKind::NetSeer,
         MonitorKind::NetSight,

@@ -9,6 +9,11 @@
 //!   bit-identical to the serial run, or the bench aborts;
 //! * **throughput** — simulated packets per wall-second per shard count;
 //!   `speedup_4x` (4 shards vs serial) is the acceptance headline.
+//!
+//! One untimed serial run warms the process up first. Each shard count is
+//! then timed as a pair with its own serial leg, and the pair's order
+//! alternates from one shard count to the next, so neither side always
+//! runs first.
 
 use fet_netsim::host::FlowSpec;
 use fet_netsim::routing::install_ecmp_routes;
@@ -71,6 +76,7 @@ fn build() -> (Simulator, FatTree) {
 }
 
 struct Outcome {
+    devices: usize,
     delivered: Vec<StoredEvent>,
     ledger: DeliveryLedger,
     gt_len: usize,
@@ -92,6 +98,7 @@ fn run(shards: usize) -> Outcome {
     let pkts: u64 =
         sim.switch_ids().into_iter().map(|id| monitor_of(&sim, id).stats.packets_seen).sum();
     Outcome {
+        devices: sim.switch_ids().len() + sim.host_ids().len(),
         delivered: delivered_history(&sim),
         ledger: fleet_ledger(&sim),
         gt_len: sim.gt.events().len(),
@@ -102,26 +109,50 @@ fn run(shards: usize) -> Outcome {
     }
 }
 
+/// Whether two runs observed the same fleet, bit for bit.
+fn identical(a: &Outcome, b: &Outcome) -> bool {
+    a.delivered == b.delivered
+        && a.ledger == b.ledger
+        && a.gt_len == b.gt_len
+        && a.mgmt_bytes == b.mgmt_bytes
+        && a.pkts == b.pkts
+}
+
 fn main() {
     println!("=== Fleet simulation: serial vs deterministic parallel execution ===");
-    println!("  ({} switches+hosts, 6 ms horizon)", {
-        let (sim, _) = build();
-        sim.switch_ids().len() + sim.host_ids().len()
-    });
+    let warm = run(0);
+    println!("  ({} switches+hosts, 6 ms horizon)", warm.devices);
 
-    let serial = run(0);
+    // One (serial, sharded) pair per shard count, order alternating.
+    let mut pairs = Vec::new();
+    for (i, shards) in [1usize, 2, 4, 8].into_iter().enumerate() {
+        let (serial, par) = if i % 2 == 0 {
+            let serial = run(0);
+            (serial, run(shards))
+        } else {
+            let par = run(shards);
+            (run(0), par)
+        };
+        assert!(identical(&serial, &warm), "serial runs diverged from each other");
+        pairs.push((shards, serial.secs, par));
+    }
+    // The serial rate is the median of the serial legs.
+    let mut serial_secs: Vec<f64> = pairs.iter().map(|p| p.1).collect();
+    serial_secs.sort_by(f64::total_cmp);
+    let serial = Outcome { secs: serial_secs[serial_secs.len() / 2], ..warm };
+    let row = |mode: &str, o: &Outcome, identical: &str| {
+        let rate = o.pkts as f64 / o.secs;
+        println!(
+            "  {mode:>8} {:>12.3} {rate:>14.0} {:>10} {identical:>10}",
+            o.secs,
+            o.delivered.len()
+        );
+    };
     println!(
         "\n  {:>8} {:>12} {:>14} {:>10} {:>10}",
         "mode", "wall_s", "sim pkts/s", "delivered", "identical"
     );
-    println!(
-        "  {:>8} {:>12.3} {:>14.0} {:>10} {:>10}",
-        "serial",
-        serial.secs,
-        serial.pkts as f64 / serial.secs,
-        serial.delivered.len(),
-        "-"
-    );
+    row("serial", &serial, "-");
 
     let cores = fet_bench::host_cores();
     let mut report = fet_bench::BenchReport::new("fleet_parallel");
@@ -132,23 +163,11 @@ fn main() {
         .metric("fleet_pkts", serial.pkts as f64);
 
     let mut speedup_4x = 0.0;
-    for shards in [1usize, 2, 4, 8] {
-        let par = run(shards);
-        let identical = par.delivered == serial.delivered
-            && par.ledger == serial.ledger
-            && par.gt_len == serial.gt_len
-            && par.mgmt_bytes == serial.mgmt_bytes
-            && par.pkts == serial.pkts;
-        println!(
-            "  {:>8} {:>12.3} {:>14.0} {:>10} {:>10}",
-            format!("{shards}-shard"),
-            par.secs,
-            par.pkts as f64 / par.secs,
-            par.delivered.len(),
-            identical
-        );
+    for (shards, serial_secs, par) in pairs {
+        let identical = identical(&par, &serial);
+        row(&format!("{shards}-shard"), &par, &identical.to_string());
         assert!(identical, "parallel run at {shards} shards diverged from serial");
-        let speedup = serial.secs / par.secs;
+        let speedup = serial_secs / par.secs;
         report.metric(&format!("pkts_per_s_shards{shards}"), par.pkts as f64 / par.secs);
         report.metric(&format!("speedup_{shards}x"), speedup);
         if shards == 4 {

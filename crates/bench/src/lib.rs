@@ -6,7 +6,7 @@
 //! coverage / overhead per monitor with identical semantics across
 //! monitors.
 
-pub mod benchjson;
+mod benchjson;
 pub mod counting_alloc;
 pub mod export_fixture;
 
@@ -20,7 +20,7 @@ use fet_netsim::link::BurstDrop;
 use fet_netsim::monitor::{Actions, EgressCtx, SwitchMonitor};
 use fet_netsim::routing::override_route;
 use fet_netsim::time::{MICROS, MILLIS};
-use fet_netsim::topology::{build_fat_tree, FatTree, FatTreeParams};
+use fet_netsim::topology::{build_fat_tree, FatTreeParams};
 use fet_netsim::tracer::{GroundTruth, GtEvent};
 use fet_netsim::Simulator;
 use fet_packet::builder::build_data_packet;
@@ -140,7 +140,7 @@ pub fn filter_gt(gt: &GroundTruth, keep: impl Fn(&GtEvent) -> bool) -> GroundTru
 }
 
 /// Merge all baseline observation logs across switches into one.
-pub fn merged_log(sim: &mut Simulator, kind: MonitorKind) -> ObservationLog {
+pub(crate) fn merged_log(sim: &mut Simulator, kind: MonitorKind) -> ObservationLog {
     let mut log = ObservationLog::new();
     for id in sim.switch_ids() {
         let Node::Switch(sw) = &mut sim.nodes[id as usize] else { continue };
@@ -254,35 +254,25 @@ pub fn overhead_of(sim: &Simulator) -> f64 {
     sim.mgmt.total_bytes() as f64 / denom as f64
 }
 
+/// When a standard evaluation run's faults activate, ns.
+const FAULT_AT_NS: u64 = 5 * MILLIS;
+
 /// What faults a standard evaluation run injects (paper §5.2: congestion
-/// and MMU drops arise naturally; inter-switch drop, pipeline drop, and
-/// path change are injected).
+/// and MMU drops arise naturally, helped by an incast; inter-switch drop,
+/// pipeline drop, and path change are injected).
 #[derive(Debug, Clone, Copy)]
 pub struct InjectSpec {
     /// Burst-drop this many frames on a ToR uplink.
     pub interswitch_burst: u32,
-    /// Also corrupt (vs silently drop).
-    pub corrupt: bool,
     /// Blackhole one destination at one ToR.
     pub blackhole: bool,
     /// Reroute one destination mid-run (path change).
     pub reroute: bool,
-    /// Add an incast to force congestion + MMU drops.
-    pub incast: bool,
-    /// Fault activation time, ns.
-    pub at_ns: u64,
 }
 
 impl Default for InjectSpec {
     fn default() -> Self {
-        InjectSpec {
-            interswitch_burst: 16,
-            corrupt: false,
-            blackhole: true,
-            reroute: true,
-            incast: true,
-            at_ns: 5 * MILLIS,
-        }
+        InjectSpec { interswitch_burst: 16, blackhole: true, reroute: true }
     }
 }
 
@@ -290,8 +280,6 @@ impl Default for InjectSpec {
 pub struct RunOutcome {
     /// The simulator after the run (monitors still attached).
     pub sim: Simulator,
-    /// Topology handles.
-    pub ft: FatTree,
     /// When faults activated.
     pub fault_at_ns: u64,
 }
@@ -323,19 +311,18 @@ pub fn run_experiment(
 
     if inject.interswitch_burst > 0 {
         let tor = ft.edges[0][0];
-        let burst = inject.interswitch_burst;
-        let corrupt = inject.corrupt;
-        let at = inject.at_ns;
+        let count = inject.interswitch_burst;
         for port in 0..2 {
             if let Some(dir) = sim.link_direction_mut(tor, port) {
-                dir.faults.burst_drop = Some(BurstDrop { at_ns: at, count: burst, corrupt });
+                dir.faults.burst_drop =
+                    Some(BurstDrop { at_ns: FAULT_AT_NS, count, corrupt: false });
             }
         }
     }
     if inject.blackhole {
         let tor = ft.edges[1][0];
         let vip = ft.host_ips[0];
-        sim.schedule_control(inject.at_ns, move |s| {
+        sim.schedule_control(FAULT_AT_NS, move |s| {
             fet_netsim::routing::remove_route(s, tor, vip);
         });
     }
@@ -356,20 +343,18 @@ pub fn run_experiment(
             dscp: 0,
         });
         sim.schedule_flow(h, idx);
-        sim.schedule_control(inject.at_ns, move |s| {
+        sim.schedule_control(FAULT_AT_NS, move |s| {
             override_route(s, tor, vip, vec![0]);
         });
-        sim.schedule_control(inject.at_ns + 2 * MILLIS, move |s| {
+        sim.schedule_control(FAULT_AT_NS + 2 * MILLIS, move |s| {
             override_route(s, tor, vip, vec![1]);
         });
     }
-    if inject.incast {
-        let sources: Vec<usize> = (0..7).collect();
-        generate_incast(&mut sim, &ft, 7, &sources, 1_500_000, inject.at_ns);
-    }
+    let sources: Vec<usize> = (0..7).collect();
+    generate_incast(&mut sim, &ft, 7, &sources, 1_500_000, FAULT_AT_NS);
 
     sim.run_until(duration_ns + 20 * MILLIS);
-    RunOutcome { sim, ft, fault_at_ns: inject.at_ns }
+    RunOutcome { sim, fault_at_ns: FAULT_AT_NS }
 }
 
 /// Send one data packet out of each of `ports` toward a tagged peer, so a
@@ -380,7 +365,7 @@ pub fn tag_ports(m: &mut NetSeerMonitor, ports: std::ops::Range<u8>) {
         let src = Ipv4Addr::from_octets([10, 0, 0, 1]);
         let flow = FlowKey::tcp(src, u16::from(port), Ipv4Addr::from_octets([10, 0, 0, 2]), 80);
         let mut frame = build_data_packet(&flow, 100, 0, 0, 64);
-        let mut meta = PacketMeta::arriving(0, 0, frame.len());
+        let mut meta = PacketMeta::arriving(0, frame.len());
         meta.flow = Some(flow);
         let ctx = EgressCtx {
             now_ns: 0,

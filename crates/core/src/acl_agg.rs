@@ -29,16 +29,11 @@ impl RuleRegistry {
     pub fn describe(&self, rule_id: u32) -> &str {
         self.rules.get(&rule_id).map(String::as_str).unwrap_or("<unknown rule>")
     }
-
-    /// Remove a rule at uninstall time.
-    pub fn unregister(&mut self, rule_id: u32) -> bool {
-        self.rules.remove(&rule_id).is_some()
-    }
 }
 
 /// Per-ACL-rule drop counters with periodic report thresholds.
 #[derive(Debug, Default)]
-pub struct AclAggregator {
+pub(crate) struct AclAggregator {
     counters: HashMap<u32, u64>,
     reported_at: HashMap<u32, u64>,
     /// Counter interval between refresher reports.
@@ -47,7 +42,7 @@ pub struct AclAggregator {
 
 /// What an ACL drop produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AclOutcome {
+pub(crate) enum AclOutcome {
     /// First drop on this rule: report (rule id, count = 1).
     FirstReport,
     /// Crossed a report threshold: report (rule id, count).
@@ -61,7 +56,7 @@ pub enum AclOutcome {
 
 impl AclAggregator {
     /// Create with a refresher interval (drops between reports).
-    pub fn new(report_interval: u64) -> Self {
+    pub(crate) fn new(report_interval: u64) -> Self {
         AclAggregator {
             counters: HashMap::new(),
             reported_at: HashMap::new(),
@@ -70,7 +65,7 @@ impl AclAggregator {
     }
 
     /// Record one ACL drop on `rule_id`.
-    pub fn record(&mut self, rule_id: u32) -> AclOutcome {
+    pub(crate) fn record(&mut self, rule_id: u32) -> AclOutcome {
         let c = self.counters.entry(rule_id).or_insert(0);
         *c += 1;
         let count = *c;
@@ -87,15 +82,8 @@ impl AclAggregator {
     }
 
     /// Current drop count of one rule.
-    pub fn count(&self, rule_id: u32) -> u64 {
+    pub(crate) fn count(&self, rule_id: u32) -> u64 {
         self.counters.get(&rule_id).copied().unwrap_or(0)
-    }
-
-    /// All (rule, count) pairs, sorted by rule id.
-    pub fn snapshot(&self) -> Vec<(u32, u64)> {
-        let mut v: Vec<_> = self.counters.iter().map(|(&r, &c)| (r, c)).collect();
-        v.sort_unstable();
-        v
     }
 }
 
@@ -132,9 +120,6 @@ mod tests {
         r.register(7, "deny tcp any any eq 22");
         assert_eq!(r.describe(7), "deny tcp any any eq 22");
         assert_eq!(r.describe(8), "<unknown rule>");
-        assert!(r.unregister(7));
-        assert!(!r.unregister(7));
-        assert_eq!(r.describe(7), "<unknown rule>");
     }
 
     #[test]
@@ -142,6 +127,6 @@ mod tests {
         let mut a = AclAggregator::new(5);
         a.record(1);
         assert_eq!(a.record(2), AclOutcome::FirstReport);
-        assert_eq!(a.snapshot(), vec![(1, 1), (2, 1)]);
+        assert_eq!((a.count(1), a.count(2)), (1, 1));
     }
 }

@@ -9,7 +9,7 @@
 //! The timing model is calibrated to the paper's Figure 12 (≈86 Meps /
 //! 17.7 Gbps at batch 50): each circulation costs
 //! `max(pass_latency, serialize(frame) @ internal port)` and collects up to
-//! [`EVENTS_PER_PASS`] events (the stack spans several stages, and the CEBP
+//! `EVENTS_PER_PASS` events (the stack spans several stages, and the CEBP
 //! pops one event per stage it traverses); each delivery to the CPU costs
 //! one extra pass plus the full-frame serialization.
 
@@ -22,20 +22,20 @@ use std::collections::HashMap;
 
 /// Events collected per CEBP circulation: the stack spans several stages
 /// and the CEBP pops one event per stage it traverses (§3.5).
-pub const EVENTS_PER_PASS: usize = 6;
+pub(crate) const EVENTS_PER_PASS: usize = 6;
 
 /// A completed batch ready for the PCIe channel.
 #[derive(Debug, Clone)]
 pub struct Batch {
     /// Time the CEBP finished collecting and left for the CPU, ns.
-    pub ready_ns: u64,
+    pub(crate) ready_ns: u64,
     /// The carried events.
     pub events: Vec<EventRecord>,
 }
 
 impl Batch {
     /// Wire size of this batch on PCIe (Ethernet + CEBP framing + events).
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         ETHERNET_HEADER_LEN + CEBP_HEADER_LEN + self.events.len() * EVENT_RECORD_LEN
     }
 }
@@ -79,21 +79,21 @@ pub struct CebpBatcher {
     /// behavior, bit for bit.
     flush_stride: u32,
     /// Flush calls offered (skipped ones included).
-    pub flush_calls: u64,
+    pub(crate) flush_calls: u64,
     /// Flush calls skipped by the widening stride.
-    pub flushes_skipped: u64,
+    pub(crate) flushes_skipped: u64,
     /// Events pushed successfully.
     pub accepted: u64,
     /// Events shed because the stack was full (capacity limit). Shedding
     /// is priority-aware: drops outrank congestion/pause, which outrank
-    /// path-change (see [`crate::faults::event_priority`]).
-    pub dropped: u64,
+    /// path-change (see `crate::faults::event_priority`).
+    pub(crate) dropped: u64,
     /// Shed counts broken down by the victim's event type.
-    pub shed_by_type: HashMap<EventType, u64>,
+    pub(crate) shed_by_type: HashMap<EventType, u64>,
     /// Batches delivered.
     pub delivered_batches: u64,
     /// Events delivered.
-    pub delivered_events: u64,
+    pub(crate) delivered_events: u64,
 }
 
 impl CebpBatcher {
@@ -180,7 +180,7 @@ impl CebpBatcher {
     /// True when the CEBP's next visit is due by `now_ns` with events
     /// waiting: exactly when [`poll`](Self::poll) would do anything.
     #[inline]
-    pub fn due(&self, now_ns: u64) -> bool {
+    pub(crate) fn due(&self, now_ns: u64) -> bool {
         self.next_visit_ns <= now_ns && !self.stack.is_empty()
     }
 
@@ -215,23 +215,23 @@ impl CebpBatcher {
     /// Set the flush-widening stride (collector backpressure): only every
     /// `stride`-th flush call forces a partial batch out. Clamped to ≥ 1;
     /// natural full batches via [`poll`](Self::poll) are unaffected.
-    pub fn set_flush_stride(&mut self, stride: u32) {
+    pub(crate) fn set_flush_stride(&mut self, stride: u32) {
         self.flush_stride = stride.max(1);
     }
 
-    /// The current flush-widening stride.
-    pub fn flush_stride(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn flush_stride(&self) -> u32 {
         self.flush_stride
     }
 
     /// Force a partial batch out (the control-plane timer prevents events
     /// from aging in a half-full CEBP when traffic is light), handing it
     /// out after the full batches circulation completed by `now_ns`. Under
-    /// backpressure ([`set_flush_stride`](Self::set_flush_stride) > 1)
+    /// backpressure (`set_flush_stride` > 1)
     /// skipped calls return nothing without touching circulation: events
     /// keep accumulating toward fuller batches instead of being forced
     /// out every tick.
-    pub fn flush(&mut self, now_ns: u64) -> Vec<Batch> {
+    pub(crate) fn flush(&mut self, now_ns: u64) -> Vec<Batch> {
         self.flush_calls += 1;
         if !self.flush_calls.is_multiple_of(u64::from(self.flush_stride)) {
             self.flushes_skipped += 1;
@@ -272,7 +272,7 @@ impl CebpBatcher {
     /// (it drains on the next delivery), then the stack, oldest first.
     /// This is the ground truth a recovery checkpoint snapshots and that
     /// WAL replay must reconstruct.
-    pub fn pending_events(&self) -> Vec<EventRecord> {
+    pub(crate) fn pending_events(&self) -> Vec<EventRecord> {
         self.open.iter().chain(self.stack.iter()).copied().collect()
     }
 }

@@ -14,7 +14,7 @@ fn pkt_time_ns(pkt_bytes: usize, gbps: f64) -> f64 {
 
 /// Feedback latency: detection (the next packet must arrive and reveal the
 /// gap) + notification round trip on the high-priority queue.
-pub fn feedback_latency_ns(pkt_bytes: usize, gbps: f64, link_rtt_ns: u64) -> f64 {
+pub(crate) fn feedback_latency_ns(pkt_bytes: usize, gbps: f64, link_rtt_ns: u64) -> f64 {
     pkt_time_ns(pkt_bytes, gbps) + link_rtt_ns as f64
 }
 

@@ -17,7 +17,7 @@ pub struct FlowFilter {
 
 impl FlowFilter {
     /// Does this filter select the flow?
-    pub fn matches(&self, flow: &fet_packet::FlowKey) -> bool {
+    pub(crate) fn matches(&self, flow: &fet_packet::FlowKey) -> bool {
         let mask = if self.len == 0 { 0 } else { u32::MAX << (32 - u32::from(self.len)) };
         let p = self.prefix.as_u32() & mask;
         flow.src.as_u32() & mask == p || flow.dst.as_u32() & mask == p
@@ -25,15 +25,15 @@ impl FlowFilter {
 }
 
 /// PCIe bandwidth pipeline→CPU with 1 core driving it, Gbps (§4).
-pub const PCIE_1CORE_GBPS: f64 = 9.5;
+pub(crate) const PCIE_1CORE_GBPS: f64 = 9.5;
 
 /// PCIe bandwidth pipeline→CPU with 2 cores driving it, Gbps (§4).
-pub const PCIE_2CORE_GBPS: f64 = 18.0;
+pub(crate) const PCIE_2CORE_GBPS: f64 = 18.0;
 
 /// Capacity ceilings from the paper's §4 ("Capacity") — all the hardware
 /// bottlenecks NetSeer's event path crosses. The fixed ceilings are
-/// constants: [`PCIE_1CORE_GBPS`], [`PCIE_2CORE_GBPS`] and
-/// [`crate::cpu::CPU_GHZ`].
+/// constants: `PCIE_1CORE_GBPS`, `PCIE_2CORE_GBPS` and
+/// `crate::cpu::CPU_GHZ`.
 #[derive(Debug, Clone, Copy)]
 pub struct CapacityModel {
     /// Internal port bandwidth shared by redirected events and CEBPs, Gbps.
@@ -52,7 +52,7 @@ impl Default for CapacityModel {
 
 impl CapacityModel {
     /// PCIe bandwidth for the configured core count.
-    pub fn pcie_gbps(&self) -> f64 {
+    pub(crate) fn pcie_gbps(&self) -> f64 {
         if self.cpu_cores >= 2 {
             PCIE_2CORE_GBPS
         } else {
@@ -89,8 +89,6 @@ pub struct NetSeerConfig {
     pub capacity: CapacityModel,
     /// Per-module enables (for ablations).
     pub enable_dedup: bool,
-    /// Enable CPU false-positive elimination.
-    pub enable_fp_elimination: bool,
     /// Partial deployment: only monitor flows matching this filter
     /// (None = monitor everything, the paper's always-on mode).
     pub flow_filter: Option<FlowFilter>,
@@ -108,7 +106,7 @@ pub struct NetSeerConfig {
 
 /// Configuration of the backend [`Collector`](crate::Collector): memory
 /// watermark and spill budget (quarantine retention is the fixed
-/// [`Collector::MAX_QUARANTINE`](crate::Collector::MAX_QUARANTINE)). The defaults
+/// `Collector::MAX_QUARANTINE`). The defaults
 /// reproduce the pre-spill collector exactly (unbounded memory admission,
 /// spill never engaged).
 #[derive(Debug, Clone, Copy)]
@@ -149,7 +147,6 @@ impl Default for NetSeerConfig {
             notification_copies: 3,
             capacity: CapacityModel::default(),
             enable_dedup: true,
-            enable_fp_elimination: true,
             flow_filter: None,
             faults: FaultPlan::default(),
             cpu_max_backlog_ns: 10 * MILLIS,
@@ -217,7 +214,6 @@ mod tests {
     fn collector_defaults_reproduce_pre_spill_behavior() {
         let c = CollectorConfig::default();
         assert_eq!(crate::Collector::MAX_QUARANTINE, 64);
-        assert_eq!(crate::monitor::MAX_POISON_HELD, 16);
         // Spilling is off by default: the watermark is never reached.
         assert_eq!(c.memory_watermark, usize::MAX);
         assert!(c.max_spill_bytes > 0 && c.spill_segment_bytes > 0);

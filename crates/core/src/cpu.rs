@@ -17,21 +17,21 @@ use fet_pdp::RateLimitedChannel;
 use std::collections::HashMap;
 
 /// Switch CPU clock, GHz (§4).
-pub const CPU_GHZ: f64 = 2.5;
+pub(crate) const CPU_GHZ: f64 = 2.5;
 
 /// Cycles per event at ≤1K concurrent flows (fit to 82 Meps @ 5 Gcycles/s).
-pub const BASE_CYCLES: f64 = 61.0;
+pub(crate) const BASE_CYCLES: f64 = 61.0;
 
 /// Extra cycles per event per doubling of the flow working set
 /// (fit to 4.5 Meps @ 1M flows).
-pub const GROWTH_CYCLES_PER_DOUBLING: f64 = 105.0;
+pub(crate) const GROWTH_CYCLES_PER_DOUBLING: f64 = 105.0;
 
 /// Hash-computation multiplier when offload is disabled: capacity drops
 /// 2.5× (hash cost = 1.5 × the lookup cost).
-pub const HASH_COST_FACTOR: f64 = 1.5;
+pub(crate) const HASH_COST_FACTOR: f64 = 1.5;
 
 /// Per-event CPU cycles for a flow working set of `flows`.
-pub fn cycles_per_event(flows: usize, hash_offload: bool) -> f64 {
+pub(crate) fn cycles_per_event(flows: usize, hash_offload: bool) -> f64 {
     let lookup = if flows <= 1024 {
         BASE_CYCLES
     } else {
@@ -67,9 +67,9 @@ pub fn pcie_throughput(cap: &CapacityModel, batch_size: usize) -> (f64, f64) {
 #[derive(Debug, Clone, Copy)]
 pub struct CpuOutput {
     /// CPU completion time, ns.
-    pub done_ns: u64,
+    pub(crate) done_ns: u64,
     /// The surviving event.
-    pub record: EventRecord,
+    pub(crate) record: EventRecord,
 }
 
 /// The switch CPU: PCIe channel in front, FP-elimination hash map inside.
@@ -80,7 +80,6 @@ pub struct SwitchCpu {
     /// Cycles per second across the configured cores.
     cycles_per_sec: f64,
     fp_window_ns: u64,
-    enable_fp: bool,
     /// Last initial-report time per (type code, flow hash).
     seen: HashMap<(u8, u32), u64>,
     cpu_free_ns: u64,
@@ -97,11 +96,11 @@ pub struct SwitchCpu {
     /// Initial reports eliminated as false positives.
     pub fp_eliminated: u64,
     /// Events inside PCIe-rejected batches (for delivery accounting).
-    pub pcie_rejected_events: u64,
+    pub(crate) pcie_rejected_events: u64,
     /// Events shed by the overload controller.
-    pub shed_overload: u64,
+    pub(crate) shed_overload: u64,
     /// Total busy CPU time, ns.
-    pub busy_ns: u64,
+    pub(crate) busy_ns: u64,
 }
 
 impl SwitchCpu {
@@ -115,7 +114,6 @@ impl SwitchCpu {
             ),
             cycles_per_sec: CPU_GHZ * 1e9 * f64::from(cfg.capacity.cpu_cores),
             fp_window_ns: cfg.fp_window_ns,
-            enable_fp: cfg.enable_fp_elimination,
             seen: HashMap::new(),
             cpu_free_ns: 0,
             max_backlog_ns: cfg.cpu_max_backlog_ns.max(1),
@@ -182,7 +180,7 @@ impl SwitchCpu {
             .max(1.0) as u64;
             t += per_event_ns;
             self.busy_ns += per_event_ns;
-            if self.enable_fp && ev.counter <= 1 {
+            if ev.counter <= 1 {
                 // Initial report: a repeat within the window is the
                 // collision-induced false positive of §3.6.
                 let key = (ev.ty.code(), ev.hash);
@@ -202,13 +200,13 @@ impl SwitchCpu {
         out
     }
 
-    /// Current flow working-set estimate.
-    pub fn working_set(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn working_set(&self) -> usize {
         self.seen.len()
     }
 
     /// Drop FP-window entries older than the window (periodic sweep).
-    pub fn expire(&mut self, now_ns: u64) {
+    pub(crate) fn expire(&mut self, now_ns: u64) {
         let w = self.fp_window_ns;
         self.seen.retain(|_, &mut t| now_ns.saturating_sub(t) < w);
     }
@@ -346,6 +344,21 @@ mod tests {
     }
 
     #[test]
+    fn overload_factor_takes_worst_overlap() {
+        use crate::faults::{OverloadWindow, Window};
+        let mut cfg = NetSeerConfig::default();
+        cfg.faults.cpu_overload = vec![
+            OverloadWindow { window: Window { start_ns: 0, end_ns: 100 }, factor: 4.0 },
+            OverloadWindow { window: Window { start_ns: 50, end_ns: 80 }, factor: 10.0 },
+        ];
+        let cpu = SwitchCpu::new(&cfg);
+        assert_eq!(cpu.overload_factor(60), 10.0);
+        assert_eq!(cpu.overload_factor(90), 4.0);
+        assert_eq!(cpu.overload_factor(200), 1.0);
+        assert_eq!(SwitchCpu::new(&NetSeerConfig::default()).overload_factor(12345), 1.0);
+    }
+
+    #[test]
     fn overload_window_slows_processing() {
         use crate::faults::{OverloadWindow, Window};
         let mut cfg = NetSeerConfig::default();
@@ -373,13 +386,5 @@ mod tests {
         let out = cpu.process_batch(0, &[ev(1, 1)], 100);
         assert_eq!(out.len(), 1);
         assert!(out[0].done_ns >= 1_000_000, "done at {}", out[0].done_ns);
-    }
-
-    #[test]
-    fn fp_disabled_passes_everything() {
-        let cfg = NetSeerConfig { enable_fp_elimination: false, ..NetSeerConfig::default() };
-        let mut cpu = SwitchCpu::new(&cfg);
-        let out = cpu.process_batch(0, &[ev(1, 1), ev(1, 1), ev(1, 1)], 100);
-        assert_eq!(out.len(), 3);
     }
 }

@@ -18,7 +18,7 @@ use fet_pdp::{HashUnit, RegisterArray, ResourceLedger};
 /// One group-cache entry. ~23 bytes of logical state (13 B flow + counter +
 /// target), spanning two 128-bit stateful-ALU stages.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct CacheEntry {
+pub(crate) struct CacheEntry {
     flow: Option<FlowKey>,
     counter: u32,
     target: u32,
@@ -116,7 +116,7 @@ impl GroupCache {
     }
 
     /// The data-plane pre-computed flow hash shipped in the event record.
-    pub fn flow_hash(&self, flow: &FlowKey) -> u32 {
+    pub(crate) fn flow_hash(&self, flow: &FlowKey) -> u32 {
         self.hash.hash_flow(flow)
     }
 
@@ -135,14 +135,9 @@ impl GroupCache {
     }
 
     /// Charge this table to a resource ledger.
-    pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
+    pub(crate) fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
         self.table.account(ledger, module);
         self.hash.account(ledger, module);
-    }
-
-    /// Table size in entries.
-    pub fn entries(&self) -> usize {
-        self.table.len()
     }
 }
 

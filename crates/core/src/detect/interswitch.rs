@@ -10,7 +10,7 @@
 //! high-priority queue.
 //!
 //! Back upstream, the notification's missing range is queued in
-//! [`PendingLookups`] and drained one ring lookup per subsequent egress
+//! `PendingLookups` and drained one ring lookup per subsequent egress
 //! packet (programmable ASICs cannot loop within a stage — paper §3.3) with
 //! the control-plane timer as a backstop when the port goes quiet. A slot
 //! whose stored ID no longer matches was overridden by newer traffic: the
@@ -29,7 +29,7 @@ pub(crate) const RING_SLOT_BITS: u32 = 137;
 /// One ring-buffer slot: 4 B packet ID + 13 B flow + valid bit
 /// (the paper's "5-tuple and packet IDs of the recent N packets").
 #[derive(Debug, Clone, Copy, Default)]
-pub struct RingSlot {
+pub(crate) struct RingSlot {
     valid: bool,
     seq: u32,
     flow: [u8; FLOW_KEY_LEN],
@@ -41,11 +41,11 @@ pub struct PortTagger {
     next_seq: u32,
     ring: RegisterArray<RingSlot>,
     /// Frames tagged so far.
-    pub tagged: u64,
+    pub(crate) tagged: u64,
     /// Ring lookups that found their packet.
-    pub lookup_hits: u64,
+    pub(crate) lookup_hits: u64,
     /// Ring lookups that missed (slot overridden — drop detected too late).
-    pub lookup_misses: u64,
+    pub(crate) lookup_misses: u64,
 }
 
 impl PortTagger {
@@ -87,13 +87,13 @@ impl PortTagger {
     }
 
     /// Ring capacity in slots.
-    pub fn slots(&self) -> usize {
+    pub(crate) fn slots(&self) -> usize {
         self.ring.len()
     }
 
     /// The next sequence number this port will assign — the "ring-buffer
     /// head" a recovery checkpoint snapshots.
-    pub fn head(&self) -> u32 {
+    pub(crate) fn head(&self) -> u32 {
         self.next_seq
     }
 
@@ -112,14 +112,14 @@ impl PortTagger {
 pub struct GapDetector {
     expected: Option<u32>,
     /// Tagged frames observed.
-    pub packets_seen: u64,
+    pub(crate) packets_seen: u64,
     /// Gap events detected.
-    pub gaps_detected: u64,
+    pub(crate) gaps_detected: u64,
     /// Total missing packets across all gaps.
-    pub packets_missing: u64,
+    pub(crate) packets_missing: u64,
     /// Explicit re-bases after an upstream restart (see
     /// [`GapDetector::rebase`]).
-    pub rebases: u64,
+    pub(crate) rebases: u64,
 }
 
 impl GapDetector {
@@ -157,7 +157,7 @@ impl GapDetector {
     /// discontinuous (e.g. a hard kill rolled the head back), and counting
     /// that administrative discontinuity as an inter-switch loss burst
     /// would double-count the crash.
-    pub fn rebase(&mut self) {
+    pub(crate) fn rebase(&mut self) {
         self.expected = None;
         self.rebases += 1;
     }
@@ -167,34 +167,34 @@ impl GapDetector {
 /// is a corrupted payload (no sane gap spans a million packets before the
 /// next arrival reveals it) and is truncated + counted, so one flipped bit
 /// can't wedge the lookup queue for seconds.
-pub const MAX_NOTIFICATION_RANGE: u32 = 1 << 20;
+pub(crate) const MAX_NOTIFICATION_RANGE: u32 = 1 << 20;
 
 /// Upstream queue of not-yet-performed ring lookups: one entry per missing
 /// packet ID, drained one per subsequent egress packet + by the timer.
 #[derive(Debug)]
-pub struct PendingLookups {
+pub(crate) struct PendingLookups {
     queue: VecDeque<u32>,
     cap: usize,
     /// Ranges recently enqueued (to drop redundant notification copies).
     recent: VecDeque<(u32, u32)>,
     /// Lookups dropped because the pending queue overflowed.
-    pub overflowed: u64,
+    pub(crate) overflowed: u64,
     /// Notification copies offered (including redundant ones).
-    pub copies_received: u64,
+    pub(crate) copies_received: u64,
     /// Redundant copies suppressed by dedup — each one is a copy that was
     /// *not needed* because an earlier copy survived.
-    pub duplicate_copies: u64,
+    pub(crate) duplicate_copies: u64,
     /// Distinct ranges accepted. `copies_received` ≥ `ranges_accepted`;
     /// with triple redundancy and no loss it is 3× — the shortfall under
     /// injected notification loss measures redundancy effectiveness.
-    pub ranges_accepted: u64,
+    pub(crate) ranges_accepted: u64,
     /// Absurd (corrupted) ranges truncated to [`MAX_NOTIFICATION_RANGE`].
-    pub corrupted_ranges: u64,
+    pub(crate) corrupted_ranges: u64,
 }
 
 impl PendingLookups {
     /// Create with a capacity bound.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         PendingLookups {
             queue: VecDeque::new(),
             cap: cap.max(1),
@@ -210,7 +210,7 @@ impl PendingLookups {
     /// Enqueue a missing range from a notification. Redundant copies of the
     /// same range are ignored (reordered copies included, up to the recent
     /// window). Returns true if newly enqueued.
-    pub fn push_range(&mut self, lo: u32, hi: u32) -> bool {
+    pub(crate) fn push_range(&mut self, lo: u32, hi: u32) -> bool {
         self.copies_received += 1;
         if self.recent.contains(&(lo, hi)) {
             self.duplicate_copies += 1;
@@ -238,18 +238,13 @@ impl PendingLookups {
     }
 
     /// Pop one pending packet ID to look up.
-    pub fn pop(&mut self) -> Option<u32> {
+    pub(crate) fn pop(&mut self) -> Option<u32> {
         self.queue.pop_front()
     }
 
-    /// Pending count.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Restart in place: forget queued lookups and recent ranges (no event

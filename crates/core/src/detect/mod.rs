@@ -5,7 +5,7 @@
 //!   detection, and loss-notification processing for drops/corruptions on
 //!   the wire between devices;
 //! * [`path_change`] — the learned flow→(ingress, egress) port table;
-//! * [`pause`] — the PFC queue-status tracker.
+//! * `pause` — the PFC queue-status tracker.
 //!
 //! Congestion detection is a stateless threshold on the queuing delay the
 //! egress pipeline already has; pipeline- and MMU-drop detection are hook
@@ -14,8 +14,7 @@
 
 pub mod interswitch;
 pub mod path_change;
-pub mod pause;
+pub(crate) mod pause;
 
-pub use interswitch::{GapDetector, PendingLookups, PortTagger};
-pub use path_change::{PathChangeKind, PathTable};
-pub use pause::PauseTracker;
+pub use interswitch::{GapDetector, PortTagger};
+pub use path_change::PathTable;

@@ -9,11 +9,12 @@
 
 use fet_packet::flow::FLOW_KEY_LEN;
 use fet_packet::FlowKey;
+use fet_pdp::hash::slot;
 use fet_pdp::{HashUnit, RegisterArray, ResourceLedger};
 
 /// One learned path entry.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PathEntry {
+pub(crate) struct PathEntry {
     valid: bool,
     flow: [u8; FLOW_KEY_LEN],
     in_port: u8,
@@ -40,9 +41,9 @@ pub struct PathTable {
     table: RegisterArray<PathEntry>,
     hash: HashUnit,
     /// Packets offered.
-    pub offered: u64,
+    pub(crate) offered: u64,
     /// Path-change events reported.
-    pub reported: u64,
+    pub(crate) reported: u64,
 }
 
 impl PathTable {
@@ -61,9 +62,10 @@ impl PathTable {
     /// reported as a path-change event.
     pub fn offer(&mut self, flow: FlowKey, in_port: u8, out_port: u8) -> Option<PathChangeKind> {
         self.offered += 1;
-        let idx = self.hash.index(&flow, self.table.len());
         let mut fk = [0u8; FLOW_KEY_LEN];
         flow.write_to(&mut fk);
+        // The stored key is the hash input: serialize the flow once.
+        let idx = slot(self.hash.hash_bytes(&fk) as usize, self.table.len());
         let old = self.table.read_modify_write(idx, |_| PathEntry {
             valid: true,
             flow: fk,
@@ -90,14 +92,9 @@ impl PathTable {
     }
 
     /// Charge to a resource ledger.
-    pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
+    pub(crate) fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
         self.table.account(ledger, module);
         self.hash.account(ledger, module);
-    }
-
-    /// Table size in entries.
-    pub fn entries(&self) -> usize {
-        self.table.len()
     }
 }
 

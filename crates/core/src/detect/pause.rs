@@ -7,21 +7,21 @@ use fet_pdp::ResourceLedger;
 
 /// Tracks PFC pause state per (port, priority).
 #[derive(Debug)]
-pub struct PauseTracker {
+pub(crate) struct PauseTracker {
     /// Bit per (port, prio).
     bits: Vec<u64>,
     ports: usize,
     /// Pause transitions observed.
-    pub pauses_seen: u64,
+    pub(crate) pauses_seen: u64,
     /// Resume transitions observed.
-    pub resumes_seen: u64,
+    pub(crate) resumes_seen: u64,
 }
 
 const PRIOS: usize = 8;
 
 impl PauseTracker {
     /// Create for `ports` ports.
-    pub fn new(ports: usize) -> Self {
+    pub(crate) fn new(ports: usize) -> Self {
         PauseTracker {
             bits: vec![0; (ports * PRIOS).div_ceil(64)],
             ports,
@@ -36,7 +36,7 @@ impl PauseTracker {
     }
 
     /// Record a pause-state transition.
-    pub fn set(&mut self, port: u8, prio: u8, paused: bool) {
+    pub(crate) fn set(&mut self, port: u8, prio: u8, paused: bool) {
         if usize::from(port) >= self.ports || usize::from(prio) >= PRIOS {
             return;
         }
@@ -52,7 +52,7 @@ impl PauseTracker {
     }
 
     /// Is (port, prio) currently paused?
-    pub fn is_paused(&self, port: u8, prio: u8) -> bool {
+    pub(crate) fn is_paused(&self, port: u8, prio: u8) -> bool {
         if usize::from(port) >= self.ports || usize::from(prio) >= PRIOS {
             return false;
         }
@@ -67,7 +67,7 @@ impl PauseTracker {
 
     /// Declare the status bits to the ledger: one bit per (port, prio),
     /// one stateful ALU.
-    pub fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
+    pub(crate) fn account(&self, ledger: &mut ResourceLedger, module: &'static str) {
         ledger.declare(module, "pause-status", (self.ports * PRIOS) as u64, 1, 1);
     }
 }

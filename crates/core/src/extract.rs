@@ -11,7 +11,7 @@ use fet_packet::FlowKey;
 #[derive(Debug, Default)]
 pub struct Extractor {
     /// Bytes of the original event packets that entered extraction.
-    pub input_bytes: u64,
+    pub(crate) input_bytes: u64,
     /// Bytes of the 24-byte records produced.
     pub output_bytes: u64,
     /// Records produced.
@@ -20,13 +20,13 @@ pub struct Extractor {
 
 impl Extractor {
     /// Fresh extractor.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Build the 24-byte record for an event detected on a packet of
     /// `original_len` bytes.
-    pub fn extract(
+    pub(crate) fn extract(
         &mut self,
         ty: EventType,
         flow: FlowKey,

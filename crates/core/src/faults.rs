@@ -23,7 +23,7 @@
 //!
 //! The plan is pure data ([`Clone`], [`Default`]); per-concern runtime
 //! state (Gilbert–Elliott channel state, RNG streams) lives in
-//! [`LossGen`] instances derived from the plan so that independent
+//! `LossGen` instances derived from the plan so that independent
 //! subsystems draw from independent, reproducible streams.
 
 use fet_netsim::rng::Pcg32;
@@ -43,19 +43,19 @@ pub struct Window {
 
 impl Window {
     /// Is `t` inside the window?
-    pub fn contains(&self, t: u64) -> bool {
+    pub(crate) fn contains(&self, t: u64) -> bool {
         self.start_ns <= t && t < self.end_ns
     }
 }
 
 /// Returns the end of the first window containing `t`, if any — i.e. when
 /// a stalled operation may resume.
-pub fn stall_release(windows: &[Window], t: u64) -> Option<u64> {
+pub(crate) fn stall_release(windows: &[Window], t: u64) -> Option<u64> {
     windows.iter().filter(|w| w.contains(t)).map(|w| w.end_ns).max()
 }
 
 /// True when `t` falls inside any of the windows.
-pub fn in_any_window(windows: &[Window], t: u64) -> bool {
+pub(crate) fn in_any_window(windows: &[Window], t: u64) -> bool {
     windows.iter().any(|w| w.contains(t))
 }
 
@@ -87,7 +87,7 @@ pub enum LossProcess {
 /// Runtime state of one [`LossProcess`]: owns an independent RNG stream
 /// so two subsystems never perturb each other's draws.
 #[derive(Debug, Clone)]
-pub struct LossGen {
+pub(crate) struct LossGen {
     process: LossProcess,
     rng: Pcg32,
     in_bad: bool,
@@ -95,12 +95,12 @@ pub struct LossGen {
 
 impl LossGen {
     /// Instantiate a process with an independent stream.
-    pub fn new(process: LossProcess, seed: u64, stream: u64) -> Self {
+    pub(crate) fn new(process: LossProcess, seed: u64, stream: u64) -> Self {
         LossGen { process, rng: Pcg32::new(seed, stream), in_bad: false }
     }
 
     /// Decide one attempt: true = the attempt is lost.
-    pub fn lose(&mut self) -> bool {
+    pub(crate) fn lose(&mut self) -> bool {
         match self.process {
             LossProcess::None => false,
             LossProcess::Bernoulli { p } => self.rng.chance(p.clamp(0.0, 1.0)),
@@ -161,7 +161,7 @@ pub struct CollectorCrash {
 
 /// Generate a seeded crash schedule that kills (and restarts) every listed
 /// device exactly once, with kill times drawn uniformly from
-/// `[window.start_ns, window.end_ns)` on the [`streams::CRASH`] RNG stream.
+/// `[window.start_ns, window.end_ns)` on the `streams::CRASH` RNG stream.
 /// The same seed reproduces the same schedule bit-for-bit.
 pub fn seeded_device_crashes(
     seed: u64,
@@ -217,23 +217,23 @@ pub struct FaultPlan {
     /// Switch-CPU overload windows.
     pub cpu_overload: Vec<OverloadWindow>,
     /// Byte damage applied to each CEBP report frame on its way to the
-    /// collector (drawn on [`streams::CEBP_CORRUPT`]). The CRC-32C trailer
+    /// collector (drawn on `streams::CEBP_CORRUPT`). The CRC-32C trailer
     /// detects it; the transport treats the failure as an implicit NACK and
     /// retransmits, so only a retry-budget exhaustion turns into the
     /// ledger's terminal `corrupted` count.
     pub cebp_corruption: CorruptionSpec,
     /// Byte damage applied to each emitted loss-notification copy (drawn
-    /// on [`streams::NOTIF_CORRUPT`]). Damaged copies fail the notification
+    /// on `streams::NOTIF_CORRUPT`). Damaged copies fail the notification
     /// CRC at the upstream monitor and are counted, not parsed.
     pub notification_corruption: CorruptionSpec,
     /// Torn tail-write damage applied to the un-fsynced WAL region on a
-    /// hard crash (drawn on [`streams::WAL_CORRUPT`]). Replay stops at the
+    /// hard crash (drawn on `streams::WAL_CORRUPT`). Replay stops at the
     /// first record whose per-record CRC fails instead of deserializing
     /// garbage. Inactive spec = the whole un-fsynced tail is lost (the
     /// pre-integrity model).
     pub torn_wal: CorruptionSpec,
     /// Per-device virtual clock faults (offset/drift/step/freeze, drawn
-    /// on [`streams::CLOCK`]). Local clocks rewrite *recorded stamps*
+    /// on `fet_netsim::clockfault::CLOCK_STREAM`). Local clocks rewrite *recorded stamps*
     /// only — event stamps, WAL/snapshot stamps, heartbeat readings —
     /// while simulator global time stays the ordering authority, so the
     /// generated event set and serial/parallel determinism are untouched.
@@ -241,43 +241,30 @@ pub struct FaultPlan {
     pub clock: ClockSpec,
 }
 
-/// RNG stream ids, one per concern, so streams never collide.
+/// RNG stream ids, one per concern, so streams never collide. Clock
+/// faults draw on `fet_netsim::clockfault::CLOCK_STREAM`.
 pub mod streams {
     /// Management-network loss draws (inside `ReliableChannel`).
-    pub const MGMT: u64 = 0x4d47;
+    pub(crate) const MGMT: u64 = 0x4d47;
     /// Notification-copy loss draws (inside `NetSeerMonitor`).
-    pub const NOTIFICATION: u64 = 0x4e4f;
+    pub(crate) const NOTIFICATION: u64 = 0x4e4f;
     /// Crash-schedule draws ([`super::seeded_device_crashes`]).
-    pub const CRASH: u64 = 0x4352;
+    pub(crate) const CRASH: u64 = 0x4352;
     /// CEBP report-frame byte damage (inside `NetSeerMonitor`).
-    pub const CEBP_CORRUPT: u64 = 0x4345;
+    pub(crate) const CEBP_CORRUPT: u64 = 0x4345;
     /// Notification-copy byte damage (inside `NetSeerMonitor`).
-    pub const NOTIF_CORRUPT: u64 = 0x434e;
+    pub(crate) const NOTIF_CORRUPT: u64 = 0x434e;
     /// Torn-WAL tail damage on hard crash (inside `RecoveryLog`).
-    pub const WAL_CORRUPT: u64 = 0x4357;
+    pub(crate) const WAL_CORRUPT: u64 = 0x4357;
     /// Torn spill-segment tail damage on a collector hard kill (inside
     /// `SpillStore`).
     pub const SPILL_CORRUPT: u64 = 0x4350;
-    /// Per-device clock-fault parameter draws (inside
-    /// `fet_netsim::clockfault::DeviceClock`).
-    pub const CLOCK: u64 = fet_netsim::clockfault::CLOCK_STREAM;
-}
-
-impl FaultPlan {
-    /// CPU cost multiplier at time `t` (1.0 = no overload).
-    pub fn cpu_factor(&self, t: u64) -> f64 {
-        self.cpu_overload
-            .iter()
-            .filter(|o| o.window.contains(t))
-            .map(|o| o.factor.max(1.0))
-            .fold(1.0, f64::max)
-    }
 }
 
 /// Reporting priority of an event type under shedding pressure: higher is
 /// kept longer. Per the paper's triage order, packet-loss events are the
 /// most actionable (drops > congestion/pause > path-change).
-pub fn event_priority(ty: fet_packet::event::EventType) -> u8 {
+pub(crate) fn event_priority(ty: fet_packet::event::EventType) -> u8 {
     use fet_packet::event::EventType;
     match ty {
         EventType::PipelineDrop | EventType::MmuDrop | EventType::InterSwitchDrop => 2,
@@ -372,7 +359,7 @@ impl DeliveryLedger {
     }
 
     /// Events delivered or shed beyond what was generated (double counting).
-    pub fn surplus(&self) -> u64 {
+    pub(crate) fn surplus(&self) -> u64 {
         self.accounted().saturating_sub(self.generated)
     }
 
@@ -442,7 +429,6 @@ mod tests {
         let mut g = LossGen::new(p.mgmt_loss, 1, streams::MGMT);
         assert!((0..1000).all(|_| !g.lose()));
         assert!(!in_any_window(&p.mgmt_partitions, 0));
-        assert_eq!(p.cpu_factor(12345), 1.0);
     }
 
     #[test]
@@ -657,19 +643,5 @@ mod tests {
         assert!(a.windows(2).any(|p| p[0].at_ns != p[1].at_ns));
         let c = seeded_device_crashes(0xABCE, &devices, w, 500, CrashKind::Hard);
         assert_ne!(a, c, "different seeds should perturb the schedule");
-    }
-
-    #[test]
-    fn cpu_factor_takes_worst_overlap() {
-        let p = FaultPlan {
-            cpu_overload: vec![
-                OverloadWindow { window: Window { start_ns: 0, end_ns: 100 }, factor: 4.0 },
-                OverloadWindow { window: Window { start_ns: 50, end_ns: 80 }, factor: 10.0 },
-            ],
-            ..FaultPlan::default()
-        };
-        assert_eq!(p.cpu_factor(60), 10.0);
-        assert_eq!(p.cpu_factor(90), 4.0);
-        assert_eq!(p.cpu_factor(200), 1.0);
     }
 }

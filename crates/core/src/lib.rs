@@ -73,16 +73,16 @@ pub mod cpu;
 pub mod dedup;
 pub mod deploy;
 pub mod detect;
-pub mod extract;
+mod extract;
 pub mod faults;
 pub mod monitor;
 pub mod recovery;
 pub mod spill;
-pub mod storage;
-pub mod tables;
-pub mod transport;
+mod storage;
+mod tables;
+mod transport;
 pub mod watchdog;
-pub mod wire;
+mod wire;
 
 pub use config::{CollectorConfig, NetSeerConfig};
 pub use faults::{
@@ -90,11 +90,8 @@ pub use faults::{
     FaultPlan, LossProcess, Window,
 };
 pub use monitor::{NetSeerMonitor, Role};
-pub use recovery::{
-    run_collector_crash_drill, schedule_device_crashes, Collector, CrashLog, CrashReport,
-    PoisonFrame,
-};
+pub use recovery::{run_collector_crash_drill, schedule_device_crashes, Collector, CrashReport};
 pub use spill::SpillStore;
-pub use storage::{EventStore, Query, StoredEvent};
-pub use watchdog::{schedule_watchdog, schedule_wedge, Incident, WatchdogConfig, WatchdogLog};
-pub use wire::{WireAdmission, WireConfig, WireIngest};
+pub use storage::{Query, StoredEvent};
+pub use watchdog::{schedule_watchdog, schedule_wedge, WatchdogConfig, WatchdogLog};
+pub use wire::{WireConfig, WireIngest};

@@ -8,11 +8,13 @@ use crate::batch::{CebpBatcher, PushOutcome};
 use crate::config::NetSeerConfig;
 use crate::cpu::SwitchCpu;
 use crate::dedup::{DedupOutcome, GroupCache};
+use crate::detect::interswitch::PendingLookups;
 use crate::detect::interswitch::RING_SLOT_BITS;
-use crate::detect::{GapDetector, PathTable, PauseTracker, PendingLookups, PortTagger};
+use crate::detect::pause::PauseTracker;
+use crate::detect::{GapDetector, PathTable, PortTagger};
 use crate::extract::Extractor;
 use crate::faults::{streams, CorruptionGen, CrashKind, DeliveryLedger, DeviceClock, LossGen};
-use crate::recovery::{CrashReport, PoisonFrame, RecoveryLog, Snapshot};
+use crate::recovery::{CrashReport, RecoveryLog, Snapshot};
 use crate::storage::StoredEvent;
 use crate::tables::{DedupTable, PortTable};
 use crate::transport::{ReliableChannel, DEFAULT_MAX_RETRIES};
@@ -75,9 +77,9 @@ pub fn acl_rule_flow(rule_id: u32) -> FlowKey {
 /// The NetSeer data-plane + control-plane program for one device.
 pub struct NetSeerMonitor {
     /// Configuration.
-    pub cfg: NetSeerConfig,
+    pub(crate) cfg: NetSeerConfig,
     /// Switch or NIC deployment.
-    pub role: Role,
+    pub(crate) role: Role,
     device: u32,
     // --- detection state (§3.3) ---
     // Flat 256-slot tables indexed by the u8 port (no per-packet hashing).
@@ -85,14 +87,14 @@ pub struct NetSeerMonitor {
     gaps: PortTable<GapDetector>,
     pending: PortTable<PendingLookups>,
     /// PFC queue status (pause detection).
-    pub pause_tracker: PauseTracker,
+    pub(crate) pause_tracker: PauseTracker,
     /// Learned flow paths (path-change detection).
-    pub path_table: PathTable,
+    pub(crate) path_table: PathTable,
     // --- aggregation (§3.4) ---
     /// One group cache per event type, indexed by discriminant.
     pub dedup: DedupTable,
     /// ACL-rule-granularity drop aggregation.
-    pub acl: AclAggregator,
+    pub(crate) acl: AclAggregator,
     /// 24-byte record builder.
     pub extractor: Extractor,
     // --- batching + CPU + transport (§3.5, §3.6) ---
@@ -101,7 +103,7 @@ pub struct NetSeerMonitor {
     /// The switch CPU model.
     pub cpu: SwitchCpu,
     /// Reliable TCP-ish reporting channel to the backend.
-    pub transport: ReliableChannel,
+    pub(crate) transport: ReliableChannel,
     mmu_redirect: RateLimitedChannel,
     /// The internal port that carries redirected ingress/MMU event packets
     /// (and CEBPs): pause, ingress pipeline drop, and MMU drop events are
@@ -123,25 +125,22 @@ pub struct NetSeerMonitor {
     /// Byte damage applied to each outgoing loss-notification copy.
     notif_corrupt: CorruptionGen,
     /// Event records handed to the reporting path (ledger numerator).
-    pub events_generated: u64,
+    pub(crate) events_generated: u64,
     /// Events shed because the transport exhausted its retry budget.
-    pub transport_failed_events: u64,
+    pub(crate) transport_failed_events: u64,
     /// Notification copies eaten by the injected loss process.
-    pub notification_copies_dropped: u64,
+    pub(crate) notification_copies_dropped: u64,
     /// CEBP report attempts whose CRC trailer failed at the collector.
     /// Each failure is an implicit NACK: the sender retransmits.
-    pub cebp_crc_failures: u64,
+    pub(crate) cebp_crc_failures: u64,
     /// Batches abandoned after every CRC retransmit failed; their events
     /// are the ledger's `corrupted` term.
-    pub corrupted_batches: u64,
+    pub(crate) corrupted_batches: u64,
     /// Events in abandoned corrupted batches (terminal, counted — the
-    /// poison frames are quarantined, never parsed into the store).
-    pub corrupted_events: u64,
+    /// damaged frames are never parsed into the store).
+    pub(crate) corrupted_events: u64,
     /// Arriving loss-notification copies rejected by their CRC trailer.
     pub notifications_crc_rejected: u64,
-    /// Poison CEBP frames held for collector-side quarantine, bounded by
-    /// [`MAX_POISON_HELD`].
-    poison: Vec<PoisonFrame>,
     // --- crash recovery ---
     /// Write-ahead log + periodic checkpoint for the pending set, tagger
     /// heads, and group-cache summaries (see [`crate::recovery`]).
@@ -167,12 +166,8 @@ pub struct NetSeerMonitor {
     wedged: bool,
 }
 
-/// Poison CEBP frames a monitor holds for collector-side quarantine
-/// before overflow frames are counted-but-dropped.
-pub const MAX_POISON_HELD: usize = 16;
-
 /// Counter report interval C of Algorithm 1 (§3.4).
-pub const DEDUP_C: u32 = 128;
+pub(crate) const DEDUP_C: u32 = 128;
 
 /// Path-change flow table entries.
 const PATH_ENTRIES: usize = 8192;
@@ -187,7 +182,7 @@ pub const TIMER_INTERVAL_NS: u64 = 100 * fet_netsim::MICROS;
 /// backpressure the monitor forces partial batches out only every
 /// `2^level` timer ticks, and this caps the stride so a runaway backlog
 /// signal can never silence the reporting path entirely.
-pub const BACKPRESSURE_MAX_WIDEN: u32 = 8;
+pub(crate) const BACKPRESSURE_MAX_WIDEN: u32 = 8;
 
 impl std::fmt::Debug for NetSeerMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -263,7 +258,6 @@ impl NetSeerMonitor {
             corrupted_batches: 0,
             corrupted_events: 0,
             notifications_crc_rejected: 0,
-            poison: Vec::new(),
             recovery: {
                 let mut recovery = RecoveryLog::new(cfg.checkpoint_interval_ns);
                 recovery.set_torn_wal(CorruptionGen::new(
@@ -307,7 +301,7 @@ impl NetSeerMonitor {
 
     /// Wedge the control loop (fault injection): the heartbeat freezes and
     /// timer ticks / pumping become no-ops until [`restart`](Self::restart).
-    pub fn wedge(&mut self) {
+    pub(crate) fn wedge(&mut self) {
         self.wedged = true;
     }
 
@@ -322,28 +316,13 @@ impl NetSeerMonitor {
         self.recovery.killed_at().is_some()
     }
 
-    /// Poison CEBP frames held for quarantine (bounded, oldest first).
-    pub fn poison_frames(&self) -> &[PoisonFrame] {
-        &self.poison
-    }
-
-    /// Hand the held poison frames to the collector, emptying the hold.
-    pub fn take_poison(&mut self) -> Vec<PoisonFrame> {
-        std::mem::take(&mut self.poison)
-    }
-
     /// Record the collector's backpressure level (piggybacked on transport
     /// ACKs in a real deployment). The next timer tick converts it into a
     /// flush-widening stride of `2^level` ticks, capped by
-    /// [`BACKPRESSURE_MAX_WIDEN`]. Level 0 restores
+    /// `BACKPRESSURE_MAX_WIDEN`. Level 0 restores
     /// flush-every-tick.
     pub fn set_backpressure(&mut self, level: u32) {
         self.transport.rx_backpressure_hint = level;
-    }
-
-    /// The currently signalled collector backpressure level.
-    pub fn backpressure(&self) -> u32 {
-        self.transport.rx_backpressure_hint
     }
 
     fn tagger(&mut self, port: u8) -> &mut PortTagger {
@@ -529,19 +508,10 @@ impl NetSeerMonitor {
                             out.report(bytes);
                             return;
                         }
-                        Err(e) => {
-                            // Poison: quarantine the damaged frame verbatim
-                            // for CPU-side inspection, never parse it into
-                            // the store, and retransmit.
+                        Err(_) => {
+                            // Poison: count the damaged frame, never parse
+                            // it into the store, and retransmit.
                             self.cebp_crc_failures += 1;
-                            if self.poison.len() < MAX_POISON_HELD {
-                                self.poison.push(PoisonFrame {
-                                    device: self.device,
-                                    quarantined_ns: delivery.delivered_ns,
-                                    frame,
-                                    reason: e.to_string(),
-                                });
-                            }
                             send_at = delivery.delivered_ns;
                         }
                     }
@@ -587,7 +557,7 @@ impl NetSeerMonitor {
     /// Take a checkpoint now: materialize the pending set and the tagger
     /// heads (ascending by port, as the port table iterates); the WAL
     /// truncates behind it. Global time drives the cadence.
-    pub fn checkpoint(&mut self, now_ns: u64) {
+    pub(crate) fn checkpoint(&mut self, now_ns: u64) {
         let snap = Snapshot {
             pending: self.batcher.pending_events(),
             tagger_heads: self.taggers.iter().map(|(p, t)| (p, t.head())).collect(),
@@ -606,7 +576,7 @@ impl NetSeerMonitor {
     /// the data plane forwards unobserved meanwhile. A clean stop
     /// checkpoints on the way down (lossless); a hard kill loses the
     /// un-fsynced WAL tail. Crashing a down monitor does nothing.
-    pub fn crash(&mut self, kind: CrashKind, now_ns: u64) {
+    pub(crate) fn crash(&mut self, kind: CrashKind, now_ns: u64) {
         if self.is_down() {
             return;
         }
@@ -627,7 +597,7 @@ impl NetSeerMonitor {
     /// events re-enter the batcher without touching `events_generated` —
     /// they were counted when first generated — and a replayed set larger
     /// than the stack re-sheds by priority, counted as usual.
-    pub fn restart(&mut self, now_ns: u64) -> CrashReport {
+    pub(crate) fn restart(&mut self, now_ns: u64) -> CrashReport {
         // A restart always un-wedges: the fresh process has a live loop.
         self.wedged = false;
         let replayed = self.recovery.replay();
@@ -691,7 +661,7 @@ impl NetSeerMonitor {
     /// A neighboring device restarted: re-sync this ingress port's gap
     /// detector on the next tagged frame instead of charging the
     /// sequence discontinuity as an inter-switch loss burst.
-    pub fn rebase_ingress(&mut self, port: u8) {
+    pub(crate) fn rebase_ingress(&mut self, port: u8) {
         self.gaps.get_or_insert_with(port, GapDetector::default).rebase();
     }
 
@@ -1031,9 +1001,10 @@ impl SwitchMonitor for NetSeerMonitor {
 mod tests {
     use super::*;
     use fet_packet::builder::{
-        build_data_packet, build_pfc_frame, insert_seqtag, insert_seqtag_in_place, set_seqtag_seq,
+        build_data_packet, build_pfc_frame, insert_seqtag_in_place, set_seqtag_seq,
         strip_seqtag_in_place,
     };
+    use fet_packet::reference::insert_seqtag;
 
     fn flow(n: u16) -> FlowKey {
         FlowKey::tcp(
@@ -1050,7 +1021,7 @@ mod tests {
 
     /// The ingress context the switch's parser gives `frame` on `port`.
     fn ictx(port: u8, now: u64, frame: &[u8]) -> IngressCtx {
-        IngressCtx::parse(now, 3, port, true, frame)
+        IngressCtx::parse(now, 3, port, frame)
     }
 
     /// `frame` arrives on `port`: the hook sees it as it came, then the
@@ -1088,7 +1059,7 @@ mod tests {
         let mut down = NetSeerMonitor::new(4, Role::Switch, NetSeerConfig::default());
         let mut out = Actions::new();
         let orig = build_data_packet(&flow(1), 100, 0, 0, 64);
-        let mut meta = fet_pdp::PacketMeta::arriving(0, 0, orig.len());
+        let mut meta = fet_pdp::PacketMeta::arriving(0, orig.len());
         meta.flow = Some(flow(1));
         let ectx = EgressCtx {
             now_ns: 0,
@@ -1151,7 +1122,7 @@ mod tests {
     fn gap_triggers_three_notifications() {
         let mut up = mon();
         let mut down = NetSeerMonitor::new(4, Role::Switch, NetSeerConfig::default());
-        let meta = fet_pdp::PacketMeta::arriving(0, 0, 64);
+        let meta = fet_pdp::PacketMeta::arriving(0, 64);
         // Upstream sends seq 0,1,2,3,4; the wire eats 1..=3.
         let mut arrived = Vec::new();
         for n in 0..5u16 {
@@ -1187,7 +1158,7 @@ mod tests {
     fn notification_roundtrip_recovers_lost_flows() {
         let mut up = mon();
         let mut down = NetSeerMonitor::new(4, Role::Switch, NetSeerConfig::default());
-        let meta = fet_pdp::PacketMeta::arriving(0, 0, 64);
+        let meta = fet_pdp::PacketMeta::arriving(0, 64);
         // seq 0 arrives, 1 and 2 lost, 3 arrives.
         let mut survivors = Vec::new();
         for n in 0..4u16 {
@@ -1252,7 +1223,7 @@ mod tests {
     #[test]
     fn congestion_event_reported_once_per_flow() {
         let mut m = mon();
-        let mut meta = fet_pdp::PacketMeta::arriving(0, 0, 100);
+        let mut meta = fet_pdp::PacketMeta::arriving(0, 100);
         meta.flow = Some(flow(1));
         meta.egress_ts_ns = 100 * fet_netsim::MICROS; // 100us delay
         let mut out = Actions::new();
@@ -1282,7 +1253,7 @@ mod tests {
     #[test]
     fn below_threshold_is_not_congestion() {
         let mut m = mon();
-        let mut meta = fet_pdp::PacketMeta::arriving(0, 0, 100);
+        let mut meta = fet_pdp::PacketMeta::arriving(0, 100);
         meta.flow = Some(flow(1));
         meta.egress_ts_ns = fet_netsim::MICROS;
         let mut out = Actions::new();
@@ -1447,7 +1418,7 @@ mod tests {
         let mut m = NetSeerMonitor::new(3, Role::Switch, cfg);
         let mut out = Actions::new();
         for n in 0..30u16 {
-            let mut meta = fet_pdp::PacketMeta::arriving(0, 0, 100);
+            let mut meta = fet_pdp::PacketMeta::arriving(0, 100);
             meta.flow = Some(flow(n));
             meta.egress_ts_ns = 100 * fet_netsim::MICROS;
             let mut f = build_data_packet(&flow(n), 100, 0, 0, 64);
@@ -1467,7 +1438,6 @@ mod tests {
         assert_eq!(m.events_generated, 30);
         assert!(m.cebp_crc_failures > 0, "some attempts must fail CRC");
         assert!(m.stats.final_reports > 0, "retransmits must get batches through");
-        assert!(!m.poison_frames().is_empty(), "failed attempts are quarantined");
         assert!(m.ledger().balanced(), "{:?}", m.ledger());
     }
 
@@ -1479,7 +1449,7 @@ mod tests {
         cfg.faults.cebp_corruption = CorruptionSpec::bit_flips(0.5);
         let mut m = NetSeerMonitor::new(3, Role::Switch, cfg);
         let mut out = Actions::new();
-        let mut meta = fet_pdp::PacketMeta::arriving(0, 0, 100);
+        let mut meta = fet_pdp::PacketMeta::arriving(0, 100);
         meta.flow = Some(flow(1));
         meta.egress_ts_ns = 100 * fet_netsim::MICROS;
         let mut f = build_data_packet(&flow(1), 100, 0, 0, 64);
@@ -1499,10 +1469,6 @@ mod tests {
         assert_eq!((m.corrupted_batches, m.corrupted_events), (1, 1));
         assert_eq!(m.ledger().corrupted, 1);
         assert!(m.ledger().balanced(), "{:?}", m.ledger());
-        assert!(!m.poison_frames().is_empty());
-        let poison = m.take_poison();
-        assert!(!poison.is_empty() && m.poison_frames().is_empty());
-        assert!(poison.iter().all(|p| p.device == 3 && !p.reason.is_empty()));
     }
 
     #[test]
@@ -1547,7 +1513,7 @@ mod tests {
     fn resource_usage_matches_paper_shape() {
         let mut m = mon();
         // Touch a few ports so ring buffers exist.
-        let meta = fet_pdp::PacketMeta::arriving(0, 0, 64);
+        let meta = fet_pdp::PacketMeta::arriving(0, 64);
         for port in 0..4u8 {
             let mut f = build_data_packet(&flow(port.into()), 100, 0, 0, 64);
             let ectx = EgressCtx {
@@ -1594,7 +1560,7 @@ mod tests {
         n: u16,
         out: &mut Actions,
     ) -> Vec<u8> {
-        let mut meta = fet_pdp::PacketMeta::arriving(0, 0, 64);
+        let mut meta = fet_pdp::PacketMeta::arriving(0, 64);
         meta.flow = Some(flow(n));
         meta.egress_ts_ns = now;
         let mut frame = build_data_packet(&flow(n), 100, 0, 0, 64);
@@ -1730,7 +1696,7 @@ mod tests {
         assert_eq!(m.batcher.backlog() as u64, report.replayed);
         assert!(m.ledger().balanced(), "{:?}", m.ledger());
         // Volatile state starts empty.
-        assert!(m.pending.get(2).is_some_and(|p| p.is_empty()));
+        assert_eq!(m.pending.get(2).map(|p| p.len()), Some(0));
         assert!(!m.pause_tracker.is_paused(7, 0));
         assert_eq!(m.cpu.working_set(), 0);
         // The same flows are new again to dedup and to the path table.

@@ -23,7 +23,7 @@
 //!
 //! 3. **Exactly-once reconciliation** ([`Collector`]): senders stamp every
 //!    delivered event with `(epoch, seq)`; the collector gates on
-//!    [`EpochReceiver`] per device, so at-least-once retransmission after
+//!    `EpochReceiver` per device, so at-least-once retransmission after
 //!    any restart (sender's or collector's) dedups to exactly-once
 //!    accounting, and pre-restart retransmits are rejected by epoch.
 //!
@@ -50,7 +50,7 @@ use fet_packet::event::{EventRecord, EVENT_RECORD_LEN};
 
 /// One mirrored mutation of the monitor's pending set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WalOp {
+pub(crate) enum WalOp {
     /// An event entered the pending set (appended at the back).
     Enq(EventRecord),
     /// A priority eviction removed the pending event at this position
@@ -71,7 +71,7 @@ const WAL_TAG_EVICT: u8 = 2;
 const WAL_TAG_DEQ: u8 = 3;
 
 /// Per-record CRC trailer length in the serialized WAL.
-pub const WAL_RECORD_CRC_LEN: usize = 4;
+pub(crate) const WAL_RECORD_CRC_LEN: usize = 4;
 
 /// Append one `[tag][payload][crc32c over tag+payload]` record — the
 /// on-disk framing of both the recovery WAL and the spill segments, whose
@@ -121,7 +121,7 @@ pub(crate) fn decode_prefix<T>(
 
 impl WalOp {
     /// Serialize one op as a `[tag][payload][crc32c]` record.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match *self {
             WalOp::Enq(rec) => {
                 let mut b = [0u8; EVENT_RECORD_LEN];
@@ -139,7 +139,7 @@ impl WalOp {
     /// bytes consumed, or `None` on a truncated tail, an unknown tag, a
     /// CRC mismatch, or a semantically invalid payload — all the ways a
     /// torn write manifests. Never panics on arbitrary bytes.
-    pub fn decode_from(buf: &[u8]) -> Option<(WalOp, usize)> {
+    pub(crate) fn decode_from(buf: &[u8]) -> Option<(WalOp, usize)> {
         let len = |tag| match tag {
             WAL_TAG_ENQ => Some(EVENT_RECORD_LEN),
             WAL_TAG_EVICT | WAL_TAG_DEQ => Some(4),
@@ -158,7 +158,7 @@ impl WalOp {
 }
 
 /// Serialize a slice of ops into the on-disk record stream.
-pub fn encode_wal(ops: &[WalOp]) -> Vec<u8> {
+pub(crate) fn encode_wal(ops: &[WalOp]) -> Vec<u8> {
     let mut out = Vec::new();
     for op in ops {
         op.encode_into(&mut out);
@@ -170,7 +170,7 @@ pub fn encode_wal(ops: &[WalOp]) -> Vec<u8> {
 /// stream. Replay stops cleanly at the first bad record: everything before
 /// it is recovered, everything at and after it is counted as lost — never
 /// deserialized as garbage.
-pub fn decode_wal_prefix(bytes: &[u8]) -> Vec<WalOp> {
+pub(crate) fn decode_wal_prefix(bytes: &[u8]) -> Vec<WalOp> {
     decode_prefix(bytes, WalOp::decode_from)
 }
 
@@ -178,7 +178,7 @@ pub fn decode_wal_prefix(bytes: &[u8]) -> Vec<WalOp> {
 /// deterministic: the same `(base, ops)` always yields the same pending
 /// set, and replaying a durable log twice yields the same result as once
 /// (the function has no hidden state).
-pub fn replay_ops(base: &[EventRecord], ops: &[WalOp]) -> VecDeque<EventRecord> {
+pub(crate) fn replay_ops(base: &[EventRecord], ops: &[WalOp]) -> VecDeque<EventRecord> {
     let mut q: VecDeque<EventRecord> = base.iter().copied().collect();
     for op in ops {
         match *op {
@@ -218,10 +218,6 @@ impl Wal {
         lost as u64
     }
 
-    fn unsynced(&self) -> usize {
-        self.ops.len() - self.synced
-    }
-
     fn clear(&mut self) {
         self.ops.clear();
         self.synced = 0;
@@ -231,12 +227,12 @@ impl Wal {
 /// A materialized checkpoint: everything needed to rebuild the durable
 /// part of the monitor's state without the WAL.
 #[derive(Debug, Clone, Default)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     /// The pending set (open CEBP cargo first, then stack, oldest first).
-    pub pending: Vec<EventRecord>,
+    pub(crate) pending: Vec<EventRecord>,
     /// Per-port tagger numbering heads (the notification ring-buffer
     /// heads): `(port, next_seq)`.
-    pub tagger_heads: Vec<(u8, u32)>,
+    pub(crate) tagger_heads: Vec<(u8, u32)>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -291,26 +287,26 @@ pub struct RecoveryLog {
     /// keeping only the record prefix whose per-record CRCs still verify.
     torn_wal: Option<CorruptionGen>,
     /// Checkpoints taken.
-    pub checkpoints: u64,
+    pub(crate) checkpoints: u64,
     /// Completed crash/restart cycles.
     pub restarts: u64,
     /// Events destroyed across all hard kills (the ledger's
     /// `lost_to_crash` term).
-    pub lost_to_crash: u64,
+    pub(crate) lost_to_crash: u64,
     /// WAL records rejected during torn-tail recovery (CRC mismatch,
     /// truncated tail, or cut off behind the first bad record).
-    pub wal_records_rejected: u64,
+    pub(crate) wal_records_rejected: u64,
 }
 
 impl RecoveryLog {
     /// Create with a checkpoint cadence.
-    pub fn new(interval_ns: u64) -> Self {
+    pub(crate) fn new(interval_ns: u64) -> Self {
         RecoveryLog { interval_ns: interval_ns.max(1), ..Default::default() }
     }
 
     /// Mirror an enqueue. Not fsynced — this is the only op class a hard
     /// kill can destroy.
-    pub fn log_enq(&mut self, rec: EventRecord) {
+    pub(crate) fn log_enq(&mut self, rec: EventRecord) {
         self.wal.append(WalOp::Enq(rec));
     }
 
@@ -318,7 +314,7 @@ impl RecoveryLog {
     /// as shed the moment it is evicted, so the log must never forget the
     /// eviction (replay would otherwise resurrect an already-counted
     /// event and double-count it).
-    pub fn log_evict(&mut self, pending_pos: usize) {
+    pub(crate) fn log_evict(&mut self, pending_pos: usize) {
         self.wal.append(WalOp::Evict { pending_pos: pending_pos as u32 });
         self.wal.fsync();
     }
@@ -326,20 +322,20 @@ impl RecoveryLog {
     /// Mirror a batch departure. Fsynced eagerly for the same reason:
     /// the batch's events are about to be delivered or counted shed
     /// downstream, and replay must not bring them back.
-    pub fn log_deq(&mut self, count: usize) {
+    pub(crate) fn log_deq(&mut self, count: usize) {
         self.wal.append(WalOp::Deq { count: count as u32 });
         self.wal.fsync();
     }
 
     /// Is a checkpoint due at `now_ns`?
-    pub fn due(&self, now_ns: u64) -> bool {
+    pub(crate) fn due(&self, now_ns: u64) -> bool {
         now_ns.saturating_sub(self.last_checkpoint_ns) >= self.interval_ns
     }
 
     /// Install a fresh checkpoint: the snapshot replaces the old one, the
     /// WAL is truncated (its effects are in the snapshot) and the log is
     /// durable again.
-    pub fn checkpoint(&mut self, now_ns: u64, snapshot: Snapshot) {
+    pub(crate) fn checkpoint(&mut self, now_ns: u64, snapshot: Snapshot) {
         self.snapshot = snapshot;
         self.wal.clear();
         self.wal.fsync();
@@ -348,20 +344,15 @@ impl RecoveryLog {
     }
 
     /// The current checkpoint.
-    pub fn snapshot(&self) -> &Snapshot {
+    pub(crate) fn snapshot(&self) -> &Snapshot {
         &self.snapshot
-    }
-
-    /// WAL ops appended since the last fsync (what a hard kill destroys).
-    pub fn unsynced_ops(&self) -> usize {
-        self.wal.unsynced()
     }
 
     /// The component died. A clean stop flushes the tail; a hard kill
     /// truncates it. `pending_at_kill` is the live pending count at the
     /// moment of death, used by [`complete_restart`](Self::complete_restart)
     /// to attribute the difference.
-    pub fn record_kill(&mut self, kind: CrashKind, at_ns: u64, pending_at_kill: u64) {
+    pub(crate) fn record_kill(&mut self, kind: CrashKind, at_ns: u64, pending_at_kill: u64) {
         let ops_lost = match kind {
             CrashKind::Clean => {
                 self.wal.fsync();
@@ -396,7 +387,7 @@ impl RecoveryLog {
     /// Arm the torn-write failure model for hard kills. With no generator
     /// (or an inactive spec) hard kills cleanly truncate the un-fsynced
     /// tail, as before.
-    pub fn set_torn_wal(&mut self, gen: CorruptionGen) {
+    pub(crate) fn set_torn_wal(&mut self, gen: CorruptionGen) {
         self.torn_wal = Some(gen);
     }
 
@@ -407,13 +398,13 @@ impl RecoveryLog {
 
     /// Reconstruct the pending set from the durable state (snapshot + the
     /// surviving WAL). Deterministic; callable any number of times.
-    pub fn replay(&self) -> Vec<EventRecord> {
+    pub(crate) fn replay(&self) -> Vec<EventRecord> {
         replay_ops(&self.snapshot.pending, &self.wal.ops).into()
     }
 
     /// Close the books on a restart: compute what the kill destroyed and
     /// fold it into `lost_to_crash`. Panics if no kill was recorded.
-    pub fn complete_restart(&mut self, replayed: u64) -> (CrashKind, u64, u64) {
+    pub(crate) fn complete_restart(&mut self, replayed: u64) -> (CrashKind, u64, u64) {
         let kill = self.kill.take().expect("complete_restart without record_kill");
         let lost = kill.pending_at_kill.saturating_sub(replayed);
         // The fsync discipline guarantees the bound: only enqueues can be
@@ -434,7 +425,7 @@ impl RecoveryLog {
 /// and durable backpressure buffering.
 ///
 /// Every [`StoredEvent`] arrives stamped `(device, epoch, seq)`; a
-/// per-device [`EpochReceiver`] admits each key once, rejects same-epoch
+/// per-device `EpochReceiver` admits each key once, rejects same-epoch
 /// duplicates, and refuses retransmits from pre-restart epochs. Because
 /// ingestion is idempotent, recovery after a collector crash is simply
 /// *re-offering*: senders keep their delivered history, and a
@@ -480,16 +471,14 @@ impl Default for Collector {
     }
 }
 
-/// A telemetry frame that failed its CRC trailer, quarantined verbatim for
-/// CPU-side inspection instead of being parsed (it never reaches the event
-/// store — corrupted batches are counted in the ledger's `corrupted` term).
+/// An input frame the collector refused to parse (a wire datagram the
+/// parser rejected), kept verbatim up to a prefix for inspection; it never
+/// reaches the event store.
 #[derive(Debug, Clone)]
 pub struct PoisonFrame {
-    /// The monitor whose telemetry stream produced the frame.
+    /// The device id the frame's stream is filed under.
     pub device: u32,
-    /// Sim time the frame was quarantined, ns.
-    pub quarantined_ns: u64,
-    /// The damaged wire bytes, verbatim.
+    /// The rejected wire bytes, verbatim.
     pub frame: Vec<u8>,
     /// The parse failure that condemned it.
     pub reason: String,
@@ -530,11 +519,6 @@ impl Collector {
             overflow_refused: 0,
             spill_applied: 0,
         }
-    }
-
-    /// The collector's configuration.
-    pub fn config(&self) -> &CollectorConfig {
-        &self.cfg
     }
 
     /// Offer a slice of deliveries. Returns how many were accepted into
@@ -689,11 +673,11 @@ impl Collector {
 
     /// Quarantined poison frames retained at most this deep; overflow is
     /// still counted in `poison_seen`.
-    pub const MAX_QUARANTINE: usize = 64;
+    pub(crate) const MAX_QUARANTINE: usize = 64;
 
     /// Quarantine a poison frame for inspection. Returns `true` when the
     /// frame was retained, `false` when only counted (bound reached).
-    pub fn quarantine_poison(&mut self, frame: PoisonFrame) -> bool {
+    pub(crate) fn quarantine_poison(&mut self, frame: PoisonFrame) -> bool {
         self.poison_seen += 1;
         if self.quarantine.len() < Self::MAX_QUARANTINE {
             self.quarantine.push(frame);
@@ -730,20 +714,6 @@ impl Collector {
         let from = (*cursor).min(self.store.len());
         *cursor = self.store.len();
         self.store.events()[from..].to_vec()
-    }
-
-    /// Move a subscriber's cursor (clamped to the store length). Rewinding
-    /// replays events on the next drain — used by consumers that revert
-    /// their own state and need the reverted suffix again.
-    pub fn set_cursor(&mut self, id: u32, pos: usize) {
-        if let Some(cursor) = self.subscribers.get_mut(&id) {
-            *cursor = pos.min(self.store.len());
-        }
-    }
-
-    /// A subscriber's current cursor, if registered.
-    pub fn cursor(&self, id: u32) -> Option<usize> {
-        self.subscribers.get(&id).copied()
     }
 
     /// The stored events.
@@ -948,7 +918,7 @@ mod tests {
         for n in 0..5 {
             log.log_enq(rec(n));
         }
-        assert_eq!(log.unsynced_ops(), 5);
+        assert_eq!(log.wal.ops.len() - log.wal.synced, 5);
         log.record_kill(CrashKind::Clean, 500, 5);
         let replayed = log.replay();
         assert_eq!(replayed.len(), 5, "clean stop fsyncs the tail");
@@ -970,7 +940,7 @@ mod tests {
         for n in 2..5 {
             log.log_enq(rec(n));
         }
-        assert_eq!(log.unsynced_ops(), 3);
+        assert_eq!(log.wal.ops.len() - log.wal.synced, 3);
         log.record_kill(CrashKind::Hard, 900, 3);
         let replayed = log.replay();
         // The Deq survived (fsynced), the three enqueues died.
@@ -1114,24 +1084,12 @@ mod tests {
         c.ingest(&(8..12).map(|s| stored(1, 0, s)).collect::<Vec<_>>());
         assert_eq!(c.drain_ordered(id).len(), 4);
         assert_eq!(c.crash_restart(CrashKind::Hard), 4);
-        assert_eq!(c.cursor(id), Some(8), "cursor reverts with the store");
+        assert_eq!(c.subscribers.get(&id), Some(&8), "cursor reverts with the store");
         // Reconciliation restores the suffix; the subscriber re-drains
         // exactly the reverted events, nothing twice.
         c.ingest(&(0..12).map(|s| stored(1, 0, s)).collect::<Vec<_>>());
         let redrained = c.drain_ordered(id);
         assert_eq!(redrained.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![8, 9, 10, 11]);
-    }
-
-    #[test]
-    fn set_cursor_clamps_and_replays() {
-        let mut c = Collector::new();
-        let id = c.subscribe();
-        c.ingest(&(0..3).map(|s| stored(1, 0, s)).collect::<Vec<_>>());
-        c.drain_ordered(id);
-        c.set_cursor(id, 1);
-        assert_eq!(c.drain_ordered(id).len(), 2, "rewind replays the suffix");
-        c.set_cursor(id, 99);
-        assert_eq!(c.cursor(id), Some(3), "clamped to the store length");
     }
 
     #[test]
@@ -1210,8 +1168,7 @@ mod tests {
         let mut c = Collector::new();
         for n in 0..(Collector::MAX_QUARANTINE as u64 + 10) {
             let kept = c.quarantine_poison(PoisonFrame {
-                device: 3,
-                quarantined_ns: n,
+                device: n as u32,
                 frame: vec![0xde, 0xad],
                 reason: "cebp.crc32c".into(),
             });
@@ -1219,7 +1176,7 @@ mod tests {
         }
         assert_eq!(c.quarantine().len(), Collector::MAX_QUARANTINE);
         assert_eq!(c.poison_seen, Collector::MAX_QUARANTINE as u64 + 10);
-        assert_eq!(c.quarantine()[0].quarantined_ns, 0, "oldest kept");
+        assert_eq!(c.quarantine()[0].device, 0, "oldest kept");
         assert!(c.is_empty(), "poison never reaches the store");
     }
 }

@@ -49,11 +49,11 @@ use crate::storage::StoredEvent;
 use fet_packet::event::{EventRecord, EVENT_RECORD_LEN};
 
 /// Record tag for a spilled [`StoredEvent`] (the recovery WAL owns 1–3).
-pub const SPILL_RECORD_TAG: u8 = 4;
+pub(crate) const SPILL_RECORD_TAG: u8 = 4;
 
 /// Serialized payload: delivery stamp (8) + device (4) + epoch (4) +
 /// seq (8) + the event record.
-pub const SPILL_PAYLOAD_LEN: usize = 24 + EVENT_RECORD_LEN;
+pub(crate) const SPILL_PAYLOAD_LEN: usize = 24 + EVENT_RECORD_LEN;
 
 /// Full on-disk record length: tag + payload + CRC-32C trailer. Fixed
 /// size, so byte budgets and record counts convert exactly.
@@ -334,11 +334,6 @@ impl SpillStore {
         self.end - self.base
     }
 
-    /// Disk bytes retained.
-    pub fn bytes(&self) -> u64 {
-        self.resident() * SPILL_RECORD_LEN as u64
-    }
-
     /// True when every appended record has been drained.
     pub fn is_drained(&self) -> bool {
         self.read >= self.end
@@ -453,7 +448,7 @@ mod tests {
         while s.drain_next().is_some() {}
         s.commit();
         assert_eq!(s.segment_count(), 0);
-        assert_eq!(s.bytes(), 0);
+        assert_eq!(s.resident(), 0);
         assert!(s.is_drained());
         // The store stays usable: appends reopen a segment.
         assert!(s.append(ev(99)));

@@ -26,13 +26,13 @@ pub struct StoredEvent {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Query {
     /// Restrict to one flow.
-    pub flow: Option<FlowKey>,
+    pub(crate) flow: Option<FlowKey>,
     /// Restrict to one device.
-    pub device: Option<u32>,
+    pub(crate) device: Option<u32>,
     /// Restrict to one event type.
-    pub ty: Option<EventType>,
+    pub(crate) ty: Option<EventType>,
     /// Restrict to a half-open time window `[from, to)`.
-    pub window: Option<(u64, u64)>,
+    pub(crate) window: Option<(u64, u64)>,
 }
 
 impl Query {
@@ -89,12 +89,12 @@ pub struct EventStore {
 
 impl EventStore {
     /// Empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Insert one event.
-    pub fn insert(&mut self, e: StoredEvent) {
+    pub(crate) fn insert(&mut self, e: StoredEvent) {
         let i = self.events.len();
         self.by_flow.entry(e.record.flow).or_default().push(i);
         self.by_device.entry(e.device).or_default().push(i);
@@ -103,7 +103,7 @@ impl EventStore {
     }
 
     /// Bulk insert.
-    pub fn extend(&mut self, it: impl IntoIterator<Item = StoredEvent>) {
+    pub(crate) fn extend(&mut self, it: impl IntoIterator<Item = StoredEvent>) {
         for e in it {
             self.insert(e);
         }
@@ -171,11 +171,6 @@ impl EventStore {
             .filter(|e| e.record.ty == ty)
             .map(|e| (e.device, e.record.flow))
             .collect()
-    }
-
-    /// Count of events of one type.
-    pub fn count(&self, ty: EventType) -> usize {
-        self.events.iter().filter(|e| e.record.ty == ty).count()
     }
 
     /// Per-device, per-type event counts — the dashboard view an operator
@@ -351,9 +346,6 @@ mod tests {
     #[test]
     fn counts() {
         let s = store();
-        assert_eq!(s.count(EventType::Congestion), 3);
-        assert_eq!(s.count(EventType::Pause), 1);
-        assert_eq!(s.count(EventType::MmuDrop), 0);
         assert_eq!(s.len(), 4);
         assert!(!s.is_empty());
     }

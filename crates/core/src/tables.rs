@@ -2,7 +2,7 @@
 //! monitor hot path.
 //!
 //! A hardware pipeline indexes register arrays by port number and by event
-//! type — it never hashes. Mirroring that, [`PortTable`] is keyed directly
+//! type — it never hashes. Mirroring that, `PortTable` is keyed directly
 //! by the `u8` port through a 256-entry position index and
 //! [`DedupTable`] is a 6-slot array keyed by the [`EventType`]
 //! discriminant. Both turn the per-packet map lookups (hash + probe +
@@ -20,7 +20,7 @@ use fet_packet::event::{EventType, ALL_EVENT_TYPES};
 /// to sort after collecting from a map are naturally sorted). State is
 /// stored densely, so a table holds only the ports in use.
 #[derive(Debug)]
-pub struct PortTable<T> {
+pub(crate) struct PortTable<T> {
     /// One past each port's position in `entries`; 0 means absent. `u16`
     /// so all 256 ports can be present at once.
     index: [u16; 256],
@@ -36,7 +36,7 @@ impl<T> Default for PortTable<T> {
 
 impl<T> PortTable<T> {
     /// An empty table (no heap until the first port is inserted).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PortTable { index: [0; 256], entries: Vec::new() }
     }
 
@@ -47,19 +47,19 @@ impl<T> PortTable<T> {
 
     /// State for `port`, if present.
     #[inline]
-    pub fn get(&self, port: u8) -> Option<&T> {
+    pub(crate) fn get(&self, port: u8) -> Option<&T> {
         self.position(port).map(|i| &self.entries[i].1)
     }
 
     /// Mutable state for `port`, if present.
     #[inline]
-    pub fn get_mut(&mut self, port: u8) -> Option<&mut T> {
+    pub(crate) fn get_mut(&mut self, port: u8) -> Option<&mut T> {
         self.position(port).map(|i| &mut self.entries[i].1)
     }
 
     /// State for `port`, created with `make` on first touch.
     #[inline]
-    pub fn get_or_insert_with(&mut self, port: u8, make: impl FnOnce() -> T) -> &mut T {
+    pub(crate) fn get_or_insert_with(&mut self, port: u8, make: impl FnOnce() -> T) -> &mut T {
         let i = match self.position(port) {
             Some(i) => i,
             None => self.insert(port, make()),
@@ -83,38 +83,33 @@ impl<T> PortTable<T> {
 
     /// The `i`-th occupied port in ascending order (`i < len()`): lets a
     /// caller walk the occupied ports while mutably borrowing their owner.
-    pub fn port_at(&self, i: usize) -> u8 {
+    pub(crate) fn port_at(&self, i: usize) -> u8 {
         self.entries[i].0
     }
 
     /// Occupied ports, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = (u8, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u8, &T)> {
         self.entries.iter().map(|(p, t)| (*p, t))
     }
 
     /// Occupied ports with mutable state, ascending.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u8, &mut T)> {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (u8, &mut T)> {
         self.entries.iter_mut().map(|(p, t)| (*p, t))
     }
 
     /// Occupied slots, ascending port order.
-    pub fn values(&self) -> impl Iterator<Item = &T> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
         self.entries.iter().map(|(_, t)| t)
     }
 
     /// Occupied slots, mutable, ascending port order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
         self.entries.iter_mut().map(|(_, t)| t)
     }
 
     /// Number of occupied slots.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when no port has state.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -132,25 +127,20 @@ fn idx(ty: EventType) -> usize {
 
 impl DedupTable {
     /// Build the table, constructing each type's cache with `make`.
-    pub fn build(mut make: impl FnMut(EventType) -> GroupCache) -> Self {
+    pub(crate) fn build(mut make: impl FnMut(EventType) -> GroupCache) -> Self {
         DedupTable { caches: ALL_EVENT_TYPES.map(&mut make) }
     }
 
     /// The cache for an event type (always present).
     #[inline]
-    pub fn get(&self, ty: EventType) -> &GroupCache {
+    pub(crate) fn get(&self, ty: EventType) -> &GroupCache {
         &self.caches[idx(ty)]
     }
 
     /// The mutable cache for an event type (always present).
     #[inline]
-    pub fn get_mut(&mut self, ty: EventType) -> &mut GroupCache {
+    pub(crate) fn get_mut(&mut self, ty: EventType) -> &mut GroupCache {
         &mut self.caches[idx(ty)]
-    }
-
-    /// `(type, cache)` pairs in discriminant (wire-code) order.
-    pub fn iter(&self) -> impl Iterator<Item = (EventType, &GroupCache)> {
-        ALL_EVENT_TYPES.iter().map(move |&ty| (ty, &self.caches[idx(ty)]))
     }
 
     /// All caches in discriminant order.
@@ -159,7 +149,7 @@ impl DedupTable {
     }
 
     /// All caches, mutable, in discriminant order.
-    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut GroupCache> {
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut GroupCache> {
         self.caches.iter_mut()
     }
 }
@@ -171,7 +161,7 @@ mod tests {
     #[test]
     fn port_table_basic() {
         let mut t: PortTable<u32> = PortTable::new();
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
         assert!(t.get(7).is_none());
         *t.get_or_insert_with(7, || 1) += 10;
         *t.get_or_insert_with(3, || 2) += 20;
@@ -232,7 +222,5 @@ mod tests {
             assert_eq!(t.get(ty).offered, 1, "{ty:?}");
         }
         assert_eq!(t.values().count(), 6);
-        let order: Vec<EventType> = t.iter().map(|(ty, _)| ty).collect();
-        assert_eq!(order.as_slice(), &ALL_EVENT_TYPES, "wire-code order");
     }
 }

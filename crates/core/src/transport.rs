@@ -9,59 +9,59 @@
 //!   probed at a decaying rate instead of hammered, yet recovery after the
 //!   partition heals is prompt (the ceiling bounds the probe gap).
 //! * **A retry cap**: a fully partitioned link (loss = 1.0, or a
-//!   [`FaultPlan`] partition window outlasting the budget) yields a
-//!   [`SendFailure`] the caller must account for — never an infinite loop
+//!   [`FaultPlan`](crate::faults::FaultPlan) partition window outlasting the budget) yields a
+//!   `SendFailure` the caller must account for — never an infinite loop
 //!   and never silent loss.
 //! * **Schedulable faults**: loss is drawn from a seeded
 //!   [`LossProcess`] (Bernoulli or bursty Gilbert–Elliott) and hard
-//!   partition windows, both from the device's [`FaultPlan`].
+//!   partition windows, both from the device's [`FaultPlan`](crate::faults::FaultPlan).
 
 use std::collections::HashMap;
 
-use crate::faults::{streams, FaultPlan, LossGen, LossProcess, Window};
+use crate::faults::{streams, LossGen, LossProcess, Window};
 
 /// Delivery record for one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Delivery {
+pub(crate) struct Delivery {
     /// Sequence number assigned by the sender.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// When the backend received it, ns.
-    pub delivered_ns: u64,
+    pub(crate) delivered_ns: u64,
     /// Attempts it took (1 = no retransmission).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
 }
 
 /// A message the channel gave up on after exhausting its retry budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendFailure {
+pub(crate) struct SendFailure {
     /// Sequence number of the abandoned message.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// Attempts made (== 1 + retry cap).
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// When the sender abandoned the message, ns.
-    pub gave_up_ns: u64,
+    pub(crate) gave_up_ns: u64,
 }
 
 /// Default retry budget: enough to ride out transient bursts, small enough
 /// that a real partition surfaces as a failure in bounded time.
-pub const DEFAULT_MAX_RETRIES: u32 = 12;
+pub(crate) const DEFAULT_MAX_RETRIES: u32 = 12;
 
 /// The sender's side of the reconnect handshake: sent to the receiver on
 /// the first message after a restart so it can adopt the new epoch and
 /// tell the sender which suffix is uncovered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Handshake {
+pub(crate) struct Handshake {
     /// The sender's new epoch (bumped once per restart).
-    pub epoch: u32,
+    pub(crate) epoch: u32,
     /// Highest sequence number the sender saw acknowledged before the
     /// crash, if any: everything after it is the uncovered suffix the
     /// sender must retransmit.
-    pub last_acked_seq: Option<u64>,
+    pub(crate) last_acked_seq: Option<u64>,
 }
 
 /// Stop-and-wait reliable channel with adaptive RTO and injectable faults.
 #[derive(Debug)]
-pub struct ReliableChannel {
+pub(crate) struct ReliableChannel {
     loss: LossGen,
     partitions: Vec<Window>,
     rtt_ns: u64,
@@ -77,59 +77,30 @@ pub struct ReliableChannel {
     next_send_ns: u64,
     /// Connection epoch: bumped by [`ReliableChannel::reconnect`] on every
     /// sender restart. Receivers reject traffic from older epochs.
-    pub epoch: u32,
+    pub(crate) epoch: u32,
     /// Highest sequence number acknowledged by the receiver (i.e. the last
     /// `Ok` delivery). Carried into the reconnect [`Handshake`].
-    pub last_acked_seq: Option<u64>,
+    pub(crate) last_acked_seq: Option<u64>,
     /// Receiver-pressure hint piggybacked on the most recent ACK (0 = no
     /// pressure): the collector's widening level, applied by the monitor's
     /// control loop to its batch-flush stride. Carried as channel state
     /// because the signal rides the existing ACK path — no extra
     /// messages, and it survives a reconnect (the receiver's pressure does
     /// not reset because the sender restarted).
-    pub rx_backpressure_hint: u32,
+    pub(crate) rx_backpressure_hint: u32,
     /// Bytes put on the management wire (including retransmissions).
-    pub wire_bytes: u64,
+    pub(crate) wire_bytes: u64,
     /// Total transmissions (first attempts + retransmissions).
-    pub transmissions: u64,
+    pub(crate) transmissions: u64,
     /// Retransmissions only.
-    pub retransmissions: u64,
+    pub(crate) retransmissions: u64,
     /// Messages abandoned after the retry budget.
-    pub failed_sends: u64,
+    pub(crate) failed_sends: u64,
 }
 
 impl ReliableChannel {
-    /// Create a channel with independent Bernoulli loss per attempt.
-    /// `loss_prob` is clamped to `[0, 1]`: 1.0 models a fully partitioned
-    /// link, where every send fails after the capped retries rather than
-    /// panicking or looping forever.
-    pub fn new(loss_prob: f64, rtt_ns: u64, pace_gap_ns: u64, seed: u64) -> Self {
-        let p = loss_prob.clamp(0.0, 1.0);
-        Self::with_process(
-            LossProcess::Bernoulli { p },
-            Vec::new(),
-            rtt_ns,
-            pace_gap_ns,
-            seed,
-            DEFAULT_MAX_RETRIES,
-        )
-    }
-
-    /// Create from a device [`FaultPlan`]: management-network loss process
-    /// plus hard partition windows.
-    pub fn from_plan(plan: &FaultPlan, rtt_ns: u64, pace_gap_ns: u64, max_retries: u32) -> Self {
-        Self::with_process(
-            plan.mgmt_loss,
-            plan.mgmt_partitions.clone(),
-            rtt_ns,
-            pace_gap_ns,
-            plan.seed,
-            max_retries,
-        )
-    }
-
     /// Fully explicit constructor.
-    pub fn with_process(
+    pub(crate) fn with_process(
         process: LossProcess,
         partitions: Vec<Window>,
         rtt_ns: u64,
@@ -161,13 +132,13 @@ impl ReliableChannel {
     /// Current retransmission timeout: `SRTT + 4·RTTVAR`, floored at the
     /// base RTT (an RTO below one RTT would retransmit before the ACK can
     /// possibly arrive).
-    pub fn rto_ns(&self) -> u64 {
+    pub(crate) fn rto_ns(&self) -> u64 {
         (self.srtt_ns + 4.0 * self.rttvar_ns).max(self.rtt_ns as f64) as u64
     }
 
     /// Backoff ceiling: probes during a partition are at most this far
     /// apart, bounding post-partition recovery latency.
-    pub fn rto_max_ns(&self) -> u64 {
+    pub(crate) fn rto_max_ns(&self) -> u64 {
         64 * self.rtt_ns
     }
 
@@ -179,7 +150,7 @@ impl ReliableChannel {
     /// Send one message of `bytes` at `now_ns`. `Ok` carries the delivery;
     /// `Err` means the retry budget ran out (e.g. a partition outlasting
     /// the backoff schedule) and the caller must shed-and-count.
-    pub fn send(&mut self, now_ns: u64, bytes: usize) -> Result<Delivery, SendFailure> {
+    pub(crate) fn send(&mut self, now_ns: u64, bytes: usize) -> Result<Delivery, SendFailure> {
         let seq = self.next_seq;
         self.next_seq += 1;
         let start = self.next_send_ns.max(now_ns);
@@ -233,7 +204,7 @@ impl ReliableChannel {
     /// return the [`Handshake`] the receiver needs to dedup the uncovered
     /// suffix. Cumulative wire counters and the sequence counter survive —
     /// they are measurement, not connection state.
-    pub fn reconnect(&mut self, now_ns: u64) -> Handshake {
+    pub(crate) fn reconnect(&mut self, now_ns: u64) -> Handshake {
         self.epoch += 1;
         self.srtt_ns = self.rtt_ns as f64;
         self.rttvar_ns = self.rtt_ns as f64 / 2.0;
@@ -244,7 +215,7 @@ impl ReliableChannel {
 
 /// Verdict of the receiver-side epoch/sequence gate for one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RxVerdict {
+pub(crate) enum RxVerdict {
     /// First sight of `(epoch, seq)`: deliver to the ledger.
     Accepted,
     /// The message's epoch predates the receiver's current epoch for this
@@ -260,23 +231,23 @@ pub enum RxVerdict {
 /// message; at-least-once retransmission + this gate = exactly-once
 /// accounting.
 #[derive(Debug, Clone, Default)]
-pub struct EpochReceiver {
+pub(crate) struct EpochReceiver {
     /// Current (highest ever seen) sender epoch.
-    pub epoch: u32,
+    pub(crate) epoch: u32,
     /// Per-epoch next-expected sequence number: `seq < next[epoch]` has
     /// already been accepted.
     next: HashMap<u32, u64>,
     /// Messages accepted.
-    pub accepted: u64,
+    pub(crate) accepted: u64,
     /// Retransmits rejected for carrying a pre-restart epoch.
-    pub stale_epoch_rejected: u64,
+    pub(crate) stale_epoch_rejected: u64,
     /// Same-epoch duplicates suppressed.
-    pub duplicates_rejected: u64,
+    pub(crate) duplicates_rejected: u64,
 }
 
 impl EpochReceiver {
     /// Judge one `(epoch, seq)` pair, updating the gate's state.
-    pub fn accept(&mut self, epoch: u32, seq: u64) -> RxVerdict {
+    pub(crate) fn accept(&mut self, epoch: u32, seq: u64) -> RxVerdict {
         if epoch < self.epoch {
             self.stale_epoch_rejected += 1;
             return RxVerdict::StaleEpoch;
@@ -291,16 +262,43 @@ impl EpochReceiver {
         self.accepted += 1;
         RxVerdict::Accepted
     }
-
-    /// The watermark for `epoch`: sequences below it have been accepted.
-    pub fn watermark(&self, epoch: u32) -> u64 {
-        self.next.get(&epoch).copied().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::FaultPlan;
+
+    impl ReliableChannel {
+        /// Create a channel with independent Bernoulli loss per attempt.
+        /// `loss_prob` is clamped to `[0, 1]`: 1.0 models a fully partitioned
+        /// link, where every send fails after the capped retries rather than
+        /// panicking or looping forever.
+        fn new(loss_prob: f64, rtt_ns: u64, pace_gap_ns: u64, seed: u64) -> Self {
+            let p = loss_prob.clamp(0.0, 1.0);
+            Self::with_process(
+                LossProcess::Bernoulli { p },
+                Vec::new(),
+                rtt_ns,
+                pace_gap_ns,
+                seed,
+                DEFAULT_MAX_RETRIES,
+            )
+        }
+
+        /// Create from a device [`FaultPlan`]: management-network loss process
+        /// plus hard partition windows.
+        fn from_plan(plan: &FaultPlan, rtt_ns: u64, pace_gap_ns: u64, max_retries: u32) -> Self {
+            Self::with_process(
+                plan.mgmt_loss,
+                plan.mgmt_partitions.clone(),
+                rtt_ns,
+                pace_gap_ns,
+                plan.seed,
+                max_retries,
+            )
+        }
+    }
 
     #[test]
     fn lossless_channel_delivers_first_try() {
@@ -494,7 +492,7 @@ mod tests {
         assert_eq!(rx.accept(2, 1), RxVerdict::Duplicate);
         assert_eq!(rx.accept(2, 0), RxVerdict::Duplicate);
         assert_eq!(rx.duplicates_rejected, 2);
-        assert_eq!(rx.watermark(2), 2);
+        assert_eq!(rx.next[&2], 2);
         // Re-offering the full history (reconciliation) is idempotent.
         for seq in 0..2 {
             assert_eq!(rx.accept(2, seq), RxVerdict::Duplicate);

@@ -79,11 +79,11 @@ pub struct Incident {
     /// The silent device.
     pub device: u32,
     /// When the watchdog declared it suspect (and hard-killed it), ns.
-    pub declared_ns: u64,
+    pub(crate) declared_ns: u64,
     /// The heartbeat value it was frozen at.
-    pub stuck_heartbeat: u64,
+    pub(crate) stuck_heartbeat: u64,
     /// When the supervised restart fired, ns.
-    pub restart_ns: u64,
+    pub(crate) restart_ns: u64,
 }
 
 /// Shared handle to the watchdog's incident and restart records. The
@@ -112,16 +112,6 @@ impl WatchdogLog {
     /// Crash reports of the supervised restarts, in restart order.
     pub fn restarts(&self) -> Vec<CrashReport> {
         self.restarts.lock().unwrap().clone()
-    }
-
-    /// Number of incidents declared.
-    pub fn len(&self) -> usize {
-        self.incidents.lock().unwrap().len()
-    }
-
-    /// True when no monitor was ever declared suspect.
-    pub fn is_empty(&self) -> bool {
-        self.incidents.lock().unwrap().is_empty()
     }
 
     /// The largest `|local heartbeat stamp - global check time|` observed
@@ -258,8 +248,6 @@ mod tests {
     #[test]
     fn empty_log_reports_empty() {
         let log = WatchdogLog::default();
-        assert!(log.is_empty());
-        assert_eq!(log.len(), 0);
         assert!(log.incidents().is_empty());
         assert!(log.restarts().is_empty());
     }

@@ -17,7 +17,7 @@
 //!   `shed_cpu_overload` — the collector's overload refusal;
 //! * undecodable records land in the new `malformed` term;
 //! * datagram-fatal rejects are quarantined verbatim via
-//!   [`Collector::quarantine_poison`] and counted per
+//!   `Collector::quarantine_poison` and counted per
 //!   [`RejectReason`](fet_wire::RejectReason).
 //!
 //! The extended identity `generated == delivered + shed + pending +
@@ -28,25 +28,25 @@
 use crate::recovery::{Collector, PoisonFrame};
 use crate::storage::StoredEvent;
 use crate::DeliveryLedger;
-use fet_wire::{translate, IngestReport, UpstreamLossReport, WireSession, WireSessionConfig};
+use fet_wire::{translate, UpstreamLossReport, WireSession, WireSessionConfig};
 use std::collections::BTreeMap;
 
 /// Device ids assigned to wire exporters start here, keeping them disjoint
 /// from simulator device ids.
-pub const DEVICE_BASE: u32 = 1 << 16;
+pub(crate) const DEVICE_BASE: u32 = 1 << 16;
 
 /// Wire-ingest configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct WireConfig {
     /// Parser/session bounds (template cache, datagram size, stream cap).
-    pub session: WireSessionConfig,
+    pub(crate) session: WireSessionConfig,
     /// Distinct exporter streams mapped to their own device id; streams
     /// beyond the cap share the last id (bounded, deterministic).
-    pub max_devices: u32,
+    pub(crate) max_devices: u32,
     /// Bytes of a rejected datagram preserved in quarantine (the head;
     /// hostile datagrams can be 64 KiB and quarantine is retention-bounded
     /// but each frame should stay small).
-    pub quarantine_prefix: usize,
+    pub(crate) quarantine_prefix: usize,
 }
 
 impl Default for WireConfig {
@@ -57,21 +57,6 @@ impl Default for WireConfig {
             quarantine_prefix: 256,
         }
     }
-}
-
-/// What one datagram did, after admission.
-#[derive(Debug, Clone)]
-pub struct WireAdmission {
-    /// The parser-level report (protocol, per-reason counts, loss signal).
-    pub report: IngestReport,
-    /// Events accepted into the in-memory store.
-    pub admitted: u64,
-    /// Events diverted to the durable spill.
-    pub spilled: u64,
-    /// Events refused because the spill budget was exhausted.
-    pub refused: u64,
-    /// Device id this datagram's records were filed under.
-    pub device: u32,
 }
 
 /// The stateful adapter: one per collector ingest socket.
@@ -127,12 +112,7 @@ impl WireIngest {
     }
 
     /// Ingest one datagram through the collector's admission path.
-    pub fn ingest_datagram(
-        &mut self,
-        collector: &mut Collector,
-        datagram: &[u8],
-        now_ns: u64,
-    ) -> WireAdmission {
+    pub fn ingest_datagram(&mut self, collector: &mut Collector, datagram: &[u8], now_ns: u64) {
         let report = self.session.ingest(datagram, now_ns);
         self.generated += report.claimed();
         self.malformed += report.malformed;
@@ -141,11 +121,10 @@ impl WireIngest {
             let keep = datagram.len().min(self.cfg.quarantine_prefix);
             collector.quarantine_poison(PoisonFrame {
                 device: DEVICE_BASE,
-                quarantined_ns: now_ns,
                 frame: datagram[..keep].to_vec(),
                 reason: format!("wire:{}", reason.as_str()),
             });
-            return WireAdmission { report, admitted: 0, spilled: 0, refused: 0, device: 0 };
+            return;
         }
 
         let version = report.protocol.map(|p| p.version()).unwrap_or(0);
@@ -181,7 +160,6 @@ impl WireIngest {
         // ledger() re-buckets current spill occupancy into `buffered`.
         self.delivered += admitted + spilled;
         self.shed += refused;
-        WireAdmission { report, admitted, spilled, refused, device }
     }
 
     /// The wire-scope delivery ledger for a collector dedicated to this
@@ -279,8 +257,7 @@ mod tests {
     fn clean_datagrams_flow_into_the_store() {
         let mut w = WireIngest::default();
         let mut c = Collector::new();
-        let adm = w.ingest_datagram(&mut c, &v5_datagram(0, 0, 1, &[sample(1), sample(2)]), 7);
-        assert_eq!(adm.admitted, 2);
+        w.ingest_datagram(&mut c, &v5_datagram(0, 0, 1, &[sample(1), sample(2)]), 7);
         assert_eq!(c.len(), 2);
         let ledger = w.ledger(&c);
         ledger.assert_balanced();
@@ -310,8 +287,7 @@ mod tests {
     fn fatal_rejects_are_quarantined_with_reason() {
         let mut w = WireIngest::default();
         let mut c = Collector::new();
-        let adm = w.ingest_datagram(&mut c, &[0, 77, 1, 2, 3], 5);
-        assert_eq!(adm.report.rejected, Some(RejectReason::BadVersion));
+        w.ingest_datagram(&mut c, &[0, 77, 1, 2, 3], 5);
         assert_eq!(c.quarantine().len(), 1);
         assert_eq!(c.quarantine()[0].reason, "wire:bad-version");
         assert_eq!(w.session().stats().rejected, 1);

@@ -2,12 +2,12 @@
 //!
 //! The observability half the collector stack was missing: a
 //! deterministic, allocation-bounded [`registry::MetricRegistry`] fed by
-//! pull-shaped [`scrape`] adapters over every existing stat surface
+//! pull-shaped `scrape` adapters over every existing stat surface
 //! (delivery ledgers, collector spill counters, analytics SLA/top-k,
 //! wire reject taxonomy, watchdog incidents, fleet reliability
 //! counters), rendered by two zero-dependency encoders — Prometheus text
-//! exposition v0.0.4 ([`prom`]) and OTLP-shaped JSON ([`otel`]) — and
-//! served by a thin `std::net` scrape endpoint ([`server`]).
+//! exposition v0.0.4 (`prom`) and OTLP-shaped JSON (`otel`) — and
+//! served by a thin `std::net` scrape endpoint (`server`).
 //!
 //! Design rules, enforced by tests:
 //!
@@ -20,24 +20,24 @@
 //! * **Consistent**: scrapes serve immutable pre-rendered snapshots
 //!   published at quiescent points ([`server::SnapshotHandle`]) — never
 //!   a torn read mid-pump.
-//! * **Closed-loop**: the mixed sim/real replay ([`replay`]) merges a
+//! * **Closed-loop**: the mixed sim/real replay (`replay`) merges a
 //!   simulated faulted fleet with captured hostile NetFlow bytes and
 //!   asserts the conservation identity *from the Prometheus output
 //!   itself* — the exporter is the test oracle.
 
 #![warn(missing_docs)]
 
-pub mod otel;
-pub mod prom;
-pub mod registry;
-pub mod replay;
-pub mod scrape;
-pub mod server;
+mod otel;
+mod prom;
+mod registry;
+mod replay;
+mod scrape;
+mod server;
 
 pub use otel::{render_otel, validate_json};
-pub use prom::{parse_exposition, render_prometheus, Exposition, Sample};
-pub use registry::{MetricKind, MetricRegistry, RegistryConfig, SeriesValue};
-pub use replay::{merge_ledgers, run_mixed_replay, Capture, MixedReplayConfig, MixedReplayReport};
+pub use prom::{parse_exposition, render_prometheus, Sample};
+pub use registry::{MetricRegistry, RegistryConfig};
+pub use replay::{merge_ledgers, run_mixed_replay, MixedReplayConfig};
 pub use scrape::{
     scrape_analytics, scrape_breaches, scrape_collector, scrape_fleet, scrape_ledger,
     scrape_sim_sync, scrape_watchdog, scrape_wire,

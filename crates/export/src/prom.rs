@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write;
 
 /// A sorted, owned label set, as [`parse_exposition`] reads it back.
-pub type LabelSet = Vec<(String, String)>;
+pub(crate) type LabelSet = Vec<(String, String)>;
 
 /// Render the whole registry (real families, then the registry's own
 /// meta families) as one exposition document.
@@ -229,7 +229,8 @@ impl Exposition {
     }
 
     /// Sum of every sample with this name (all label sets).
-    pub fn sum(&self, name: &str) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self, name: &str) -> f64 {
         self.samples.iter().filter(|s| s.name == name).map(|s| s.value).sum()
     }
 }

@@ -15,7 +15,7 @@
 //!    [`RegistryConfig::max_series_per_family`] and families beyond
 //!    [`RegistryConfig::max_families`] are *refused and counted*, never
 //!    admitted; the refusal counters are themselves exported (see
-//!    [`MetricRegistry::meta_series`]), so silent truncation is
+//!    `MetricRegistry::meta_series`), so silent truncation is
 //!    impossible.
 //!
 //! 3. **Bounded allocation.** Memory is bounded by the caps times the
@@ -45,7 +45,7 @@ const FAMILY_CAPACITY: usize = 128;
 
 /// What a metric family measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
+pub(crate) enum MetricKind {
     /// Monotonically non-decreasing count.
     Counter,
     /// Point-in-time value.
@@ -56,7 +56,7 @@ pub enum MetricKind {
 
 impl MetricKind {
     /// The Prometheus `# TYPE` keyword.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
@@ -67,7 +67,7 @@ impl MetricKind {
 
 /// One series' value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum SeriesValue {
+pub(crate) enum SeriesValue {
     /// Cumulative count.
     Counter(u64),
     /// Last-set value.
@@ -99,12 +99,12 @@ impl SeriesValue {
 
 /// One series: its label set and value.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Series {
+pub(crate) struct Series {
     /// Label pairs sorted by (name, value), so two call sites naming the
     /// same labels in different orders hit the same series.
-    pub labels: Vec<(&'static str, String)>,
+    pub(crate) labels: Vec<(&'static str, String)>,
     /// The series' value.
-    pub value: SeriesValue,
+    pub(crate) value: SeriesValue,
 }
 
 impl Series {
@@ -116,16 +116,16 @@ impl Series {
 
 /// One metric family: a name, help text, kind, and its series.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Family {
+pub(crate) struct Family {
     /// Metric name (`fet_*`).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Help text (escaped by the encoders).
-    pub help: &'static str,
+    pub(crate) help: &'static str,
     /// Family kind; every series in the family shares it.
-    pub kind: MetricKind,
+    pub(crate) kind: MetricKind,
     /// Histogram bucket upper bounds (ascending, `+Inf` implicit).
     /// Empty for counters and gauges.
-    pub bounds: &'static [f64],
+    pub(crate) bounds: &'static [f64],
     /// Sorted by label set, so iteration (and thus every rendered
     /// snapshot) is deterministic.
     series: Vec<Series>,
@@ -133,7 +133,7 @@ pub struct Family {
 
 impl Family {
     /// Every series, in label-set order.
-    pub fn series(&self) -> &[Series] {
+    pub(crate) fn series(&self) -> &[Series] {
         &self.series
     }
 }
@@ -168,11 +168,11 @@ pub struct MetricRegistry {
     /// Series refused by the per-family cardinality cap.
     pub series_rejected: u64,
     /// Families refused by the family cap.
-    pub families_rejected: u64,
+    pub(crate) families_rejected: u64,
     /// Updates refused because the family already exists with a
     /// different kind or bounds (a programming error, but counted, not
     /// ignored).
-    pub kind_conflicts: u64,
+    pub(crate) kind_conflicts: u64,
 }
 
 impl MetricRegistry {
@@ -187,24 +187,15 @@ impl MetricRegistry {
         }
     }
 
-    /// The configured caps.
-    pub fn config(&self) -> RegistryConfig {
-        self.cfg
-    }
-
     /// All families in name order.
-    pub fn families(&self) -> impl Iterator<Item = &Family> {
+    pub(crate) fn families(&self) -> impl Iterator<Item = &Family> {
         self.families.iter()
     }
 
     /// A family by name.
-    pub fn family(&self, name: &str) -> Option<&Family> {
+    #[cfg(test)]
+    pub(crate) fn family(&self, name: &str) -> Option<&Family> {
         self.families.binary_search_by(|f| f.name.cmp(name)).ok().map(|i| &self.families[i])
-    }
-
-    /// Number of families (meta families excluded).
-    pub fn family_count(&self) -> usize {
-        self.families.len()
     }
 
     /// Total live series across all families (meta excluded).
@@ -321,7 +312,7 @@ impl MetricRegistry {
     /// refusal counters as `(name, help, kind, series)`, rendered after
     /// the real families by both encoders so capped output is never
     /// silent. Built on the stack, without touching the heap.
-    pub fn meta_series(&self) -> [(&'static str, &'static str, MetricKind, Series); 4] {
+    pub(crate) fn meta_series(&self) -> [(&'static str, &'static str, MetricKind, Series); 4] {
         use MetricKind::{Counter, Gauge};
         let counter = |v| Series::single(SeriesValue::Counter(v));
         [
@@ -360,7 +351,7 @@ impl Default for MetricRegistry {
 }
 
 /// Prometheus metric-name grammar: `[a-zA-Z_:][a-zA-Z0-9_:]*`.
-pub fn valid_metric_name(name: &str) -> bool {
+pub(crate) fn valid_metric_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' || c == ':' => {}
@@ -370,7 +361,7 @@ pub fn valid_metric_name(name: &str) -> bool {
 }
 
 /// Prometheus label-name grammar: `[a-zA-Z_][a-zA-Z0-9_]*`.
-pub fn valid_label_name(name: &str) -> bool {
+pub(crate) fn valid_label_name(name: &str) -> bool {
     let mut chars = name.chars();
     match chars.next() {
         Some(c) if c.is_ascii_alphabetic() || c == '_' => {}
@@ -429,7 +420,7 @@ mod tests {
         r.counter_add("fet_a_total", "a", &[], 1);
         r.counter_add("fet_b_total", "b", &[], 1);
         r.counter_add("fet_c_total", "c", &[], 1);
-        assert_eq!(r.family_count(), 2);
+        assert_eq!(r.families.len(), 2);
         assert_eq!(r.families_rejected, 1);
     }
 
@@ -462,7 +453,7 @@ mod tests {
             for &(f, sr) in &attempts {
                 r.counter_add(NAMES[f as usize], "Prop.", &[("s", &sr.to_string())], 1);
             }
-            assert!(r.family_count() <= cfg.max_families, "family cap violated");
+            assert!(r.families.len() <= cfg.max_families, "family cap violated");
             assert!(r.families().all(|fam| fam.series().len() <= cfg.max_series_per_family));
             let stored = attempts
                 .iter()

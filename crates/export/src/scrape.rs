@@ -22,7 +22,7 @@ use std::fmt::Write;
 
 /// SLA breach-window duration buckets, ns (windows are ~1 ms wide and
 /// merge while contiguous).
-pub const BREACH_DURATION_BOUNDS_NS: [f64; 4] = [1e6, 2e6, 4e6, 8e6];
+pub(crate) const BREACH_DURATION_BOUNDS_NS: [f64; 4] = [1e6, 2e6, 4e6, 8e6];
 
 /// Publish one [`DeliveryLedger`]'s terms under a `scope` label
 /// (`fleet`, `wire`, `merged`, ...). Occupancy-style terms (`pending`,

@@ -74,7 +74,7 @@ impl SnapshotHandle {
     }
 
     /// The currently published snapshot.
-    pub fn current(&self) -> Arc<RenderedSnapshot> {
+    pub(crate) fn current(&self) -> Arc<RenderedSnapshot> {
         Arc::clone(&self.slot.lock().expect("snapshot slot poisoned"))
     }
 }
@@ -85,7 +85,6 @@ pub struct ExportServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
-    handle: SnapshotHandle,
 }
 
 impl ExportServer {
@@ -95,7 +94,6 @@ impl ExportServer {
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let thread_stop = Arc::clone(&stop);
-        let thread_handle = handle.clone();
         let thread =
             std::thread::Builder::new().name("fet-export-scrape".to_string()).spawn(move || {
                 for conn in listener.incoming() {
@@ -106,21 +104,16 @@ impl ExportServer {
                         // One request per connection; a scrape endpoint
                         // doesn't need keep-alive. Errors on a single
                         // connection never take the server down.
-                        let _ = serve_one(stream, &thread_handle);
+                        let _ = serve_one(stream, &handle);
                     }
                 }
             })?;
-        Ok(ExportServer { addr, stop, thread: Some(thread), handle })
+        Ok(ExportServer { addr, stop, thread: Some(thread) })
     }
 
     /// The bound address (`127.0.0.1:<ephemeral>`).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The handle this server serves from.
-    pub fn handle(&self) -> &SnapshotHandle {
-        &self.handle
     }
 
     /// Stop the accept loop and join the thread.

@@ -22,7 +22,7 @@
 use crate::rng::Pcg32;
 
 /// Dedicated RNG stream for per-device clock parameter draws ("CK").
-pub const CLOCK_STREAM: u64 = 0x434b;
+pub(crate) const CLOCK_STREAM: u64 = 0x434b;
 
 /// Fleet-wide clock-fault envelope. Each field bounds the *magnitude* of
 /// one misbehaviour; per-device signs and exact values are drawn
@@ -113,7 +113,7 @@ impl Default for DeviceClock {
 
 impl DeviceClock {
     /// The perfect clock: `local_time(t) == t` for all `t`.
-    pub const fn identity() -> Self {
+    pub(crate) const fn identity() -> Self {
         DeviceClock {
             offset_ns: 0,
             drift_ppm: 0,
@@ -126,10 +126,10 @@ impl DeviceClock {
 
     /// Draw this device's concrete clock parameters from the spec.
     ///
-    /// Inactive specs return [`DeviceClock::identity`] **without creating
+    /// Inactive specs return `DeviceClock::identity` **without creating
     /// an RNG** — the draw-free path that keeps pre-existing seeds
     /// reproducing bit-for-bit. Active specs draw on a per-device
-    /// [`CLOCK_STREAM`] generator, so enabling clock faults never
+    /// `CLOCK_STREAM` generator, so enabling clock faults never
     /// perturbs any other subsystem's stream.
     pub fn new(spec: &ClockSpec, seed: u64, device: u32) -> Self {
         if !spec.is_active() {
@@ -155,11 +155,6 @@ impl DeviceClock {
     /// Is this the identity clock?
     pub fn is_identity(&self) -> bool {
         !self.active
-    }
-
-    /// Did this device's clock freeze?
-    pub fn is_frozen(&self) -> bool {
-        self.freeze_at_ns != u64::MAX
     }
 
     /// The device's local reading of global time `global_ns`.
@@ -296,7 +291,6 @@ mod tests {
             ..ClockSpec::none()
         };
         let c = DeviceClock::new(&spec, 7, 0);
-        assert!(c.is_frozen());
         let frozen = c.local_time(2_000);
         assert_eq!(c.local_time(3_000), frozen);
         assert_eq!(c.local_time(u64::MAX), frozen);

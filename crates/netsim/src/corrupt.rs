@@ -50,16 +50,16 @@ impl CorruptionSpec {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CorruptionTally {
     /// Individual bits flipped.
-    pub bits_flipped: u32,
+    pub(crate) bits_flipped: u32,
     /// Buffer was cut short.
-    pub truncated: bool,
+    pub(crate) truncated: bool,
     /// A run of bytes was doubled.
-    pub duplicated: bool,
+    pub(crate) duplicated: bool,
 }
 
 impl CorruptionTally {
     /// True when the buffer was changed in any way.
-    pub fn touched(&self) -> bool {
+    pub(crate) fn touched(&self) -> bool {
         self.bits_flipped > 0 || self.truncated || self.duplicated
     }
 }
@@ -111,15 +111,15 @@ pub struct CorruptionGen {
     pub spec: CorruptionSpec,
     rng: Pcg32,
     /// Buffers offered to this generator.
-    pub buffers_offered: u64,
+    pub(crate) buffers_offered: u64,
     /// Buffers actually damaged.
-    pub buffers_damaged: u64,
+    pub(crate) buffers_damaged: u64,
     /// Total bits flipped across all buffers.
-    pub bits_flipped: u64,
+    pub(crate) bits_flipped: u64,
     /// Total truncations applied.
-    pub truncations: u64,
+    pub(crate) truncations: u64,
     /// Total duplicated runs inserted.
-    pub duplications: u64,
+    pub(crate) duplications: u64,
 }
 
 impl CorruptionGen {

@@ -6,21 +6,21 @@
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PortCounters {
     /// Frames received.
-    pub rx_pkts: u64,
+    pub(crate) rx_pkts: u64,
     /// Bytes received.
     pub rx_bytes: u64,
     /// Frames transmitted.
-    pub tx_pkts: u64,
+    pub(crate) tx_pkts: u64,
     /// Bytes transmitted.
-    pub tx_bytes: u64,
+    pub(crate) tx_bytes: u64,
     /// Frames dropped by the ingress/egress pipeline (all reasons).
-    pub pipeline_drops: u64,
+    pub(crate) pipeline_drops: u64,
     /// Frames dropped by the MMU (congestion).
     pub mmu_drops: u64,
     /// Frames discarded at the MAC for FCS errors (corruption).
-    pub fcs_errors: u64,
+    pub(crate) fcs_errors: u64,
     /// PFC pause frames received.
-    pub pfc_rx: u64,
+    pub(crate) pfc_rx: u64,
     /// PFC pause frames sent.
     pub pfc_tx: u64,
 }

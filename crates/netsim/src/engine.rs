@@ -305,7 +305,7 @@ impl Simulator {
     }
 
     /// Add a switch; returns its node id.
-    pub fn add_switch(&mut self, sw: SwitchDevice) -> NodeId {
+    pub(crate) fn add_switch(&mut self, sw: SwitchDevice) -> NodeId {
         let id = self.nodes.len() as NodeId;
         debug_assert_eq!(sw.id, id, "switch id must match its slot");
         self.nodes.push(Node::Switch(sw));
@@ -314,7 +314,7 @@ impl Simulator {
     }
 
     /// Add a host; returns its node id.
-    pub fn add_host(&mut self, h: Host) -> NodeId {
+    pub(crate) fn add_host(&mut self, h: Host) -> NodeId {
         let id = self.nodes.len() as NodeId;
         debug_assert_eq!(h.id, id, "host id must match its slot");
         self.host_ip_cache.push((id, h.config.ip));
@@ -324,12 +324,12 @@ impl Simulator {
     }
 
     /// Next node id that will be assigned.
-    pub fn next_node_id(&self) -> NodeId {
+    pub(crate) fn next_node_id(&self) -> NodeId {
         self.nodes.len() as NodeId
     }
 
     /// Connect (a, pa) ↔ (b, pb) with a full-duplex link. Returns link index.
-    pub fn connect(&mut self, a: NodeId, pa: u8, b: NodeId, pb: u8, link: Link) -> usize {
+    pub(crate) fn connect(&mut self, a: NodeId, pa: u8, b: NodeId, pb: u8, link: Link) -> usize {
         let idx = self.links.len();
         self.links.push(link);
         self.wire(a, pa, Peer { node: b, port: pb, link: idx, a_to_b: true });
@@ -516,7 +516,7 @@ impl Simulator {
     }
 
     /// Arm monitor timers for all devices (idempotent; call before run).
-    pub fn arm_monitor_timers(&mut self) {
+    pub(crate) fn arm_monitor_timers(&mut self) {
         if self.timers_armed {
             return;
         }

@@ -86,17 +86,17 @@ pub struct HostileExporter {
     streams: Vec<StreamState>,
     flood_tid: u16,
     /// Datagrams emitted (honest + attack).
-    pub emitted: u64,
+    pub(crate) emitted: u64,
     /// Attack datagrams emitted.
     pub attacks: u64,
     /// Honest datagrams dropped upstream (never emitted).
     pub dropped_upstream: u64,
     /// Sequence units the drops consumed (records for v5/IPFIX, datagrams
     /// for v9) — the ceiling on detectable upstream loss.
-    pub dropped_units: u64,
+    pub(crate) dropped_units: u64,
     /// Honest flow records emitted undamaged-by-construction (corruption
     /// may still have mangled the bytes in flight).
-    pub honest_records: u64,
+    pub(crate) honest_records: u64,
     /// Honest datagrams the corruption model visibly damaged.
     pub corrupted: u64,
     /// Clock-lie datagrams emitted.
@@ -113,7 +113,7 @@ pub struct HostileExporter {
 
 /// RNG stream id for the exporter's draws (disjoint from the fault and
 /// corruption stream ids used elsewhere in the simulator).
-pub const EXPORTER_STREAM: u64 = 0x4e46_4c4f; // "NFLO"
+pub(crate) const EXPORTER_STREAM: u64 = 0x4e46_4c4f; // "NFLO"
 
 impl HostileExporter {
     /// A workload from its config.
@@ -134,11 +134,6 @@ impl HostileExporter {
             clock_seq_ipfix: 0,
             clock_flip: false,
         }
-    }
-
-    /// The configured shape.
-    pub fn config(&self) -> &HostileExporterConfig {
-        &self.cfg
     }
 
     fn sample(&mut self) -> FlowSample {

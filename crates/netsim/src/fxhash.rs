@@ -75,7 +75,7 @@ impl Hasher for FxHasher {
 }
 
 /// A `HashMap` keyed through [`FxHasher`].
-pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

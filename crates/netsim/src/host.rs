@@ -62,13 +62,13 @@ pub struct FlowSpec {
 
 /// Transmit-side progress of a flow.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct FlowProgress {
+pub(crate) struct FlowProgress {
     /// Bytes handed to the NIC so far.
-    pub sent_bytes: u64,
+    pub(crate) sent_bytes: u64,
     /// Packets emitted.
-    pub pkts_sent: u64,
+    pub(crate) pkts_sent: u64,
     /// True once the FIN-marked last packet was emitted.
-    pub done: bool,
+    pub(crate) done: bool,
 }
 
 /// Receive-side statistics per flow.
@@ -78,8 +78,6 @@ pub struct RxStats {
     pub bytes: u64,
     /// Packets received.
     pub pkts: u64,
-    /// First arrival, ns.
-    pub first_ns: u64,
     /// Last arrival, ns.
     pub last_ns: u64,
     /// FIN observed (flow completed in order).
@@ -93,8 +91,6 @@ pub struct ProbeSample {
     pub sent_ns: u64,
     /// Round-trip time, ns.
     pub rtt_ns: u64,
-    /// Probe target.
-    pub target: Ipv4Addr,
 }
 
 /// TTL of every data packet a host sends.
@@ -124,11 +120,11 @@ impl Queued {
 /// A simulated server.
 pub struct Host {
     /// Device id.
-    pub id: u32,
+    pub(crate) id: u32,
     /// Configuration.
     pub config: HostConfig,
     /// Flow transmit schedule.
-    pub flows: Vec<(FlowSpec, FlowProgress)>,
+    pub(crate) flows: Vec<(FlowSpec, FlowProgress)>,
     /// NIC counters.
     pub counters: PortCounters,
     /// Per-flow receive stats. Fx-hashed: iteration order is arbitrary,
@@ -137,7 +133,7 @@ pub struct Host {
     /// Probe RTT samples (Pingmesh substrate).
     pub probe_samples: Vec<ProbeSample>,
     /// Probes sent but not yet answered: probe id → sent time.
-    outstanding_probes: HashMap<u16, (u64, Ipv4Addr)>,
+    outstanding_probes: HashMap<u16, u64>,
     next_probe_id: u16,
     /// Lost-probe count (for probe loss statistics).
     pub probes_lost: u64,
@@ -152,7 +148,7 @@ pub struct Host {
     /// so was recorded rather than scheduled (see `Simulator::kick_port`).
     pub(crate) idle_tx: Option<(u64, u64)>,
     /// PFC pause deadline for the NIC (0 = not paused).
-    pub paused_until: u64,
+    pub(crate) paused_until: u64,
     /// Frames dropped because the TX queue overflowed.
     pub txq_drops: u64,
     /// Recycled frame buffers: departing data packets draw from here,
@@ -243,7 +239,7 @@ impl Host {
     }
 
     /// Push a frame into the NIC TX queue (drops on overflow).
-    pub fn enqueue_tx(&mut self, frame: Vec<u8>) -> bool {
+    pub(crate) fn enqueue_tx(&mut self, frame: Vec<u8>) -> bool {
         self.enqueue(Queued::Frame(frame))
     }
 
@@ -288,7 +284,7 @@ impl Host {
         };
         let mut effects = Effects::default();
         if let Some(m) = self.monitor.as_mut() {
-            let mut meta = PacketMeta::arriving(0, now_ns, len);
+            let mut meta = PacketMeta::arriving(now_ns, len);
             meta.egress_ts_ns = now_ns;
             // A TCP or UDP descriptor's key is the one its frame parses
             // to; anything else is parsed (through the open tag header).
@@ -340,7 +336,7 @@ impl Host {
     }
 
     /// True when the TX queue holds frames and is not paused.
-    pub fn has_transmittable(&self, now_ns: u64) -> bool {
+    pub(crate) fn has_transmittable(&self, now_ns: u64) -> bool {
         !self.txq.is_empty() && now_ns >= self.paused_until
     }
 
@@ -351,7 +347,12 @@ impl Host {
     }
 
     /// Handle an arriving frame.
-    pub fn handle_arrival(&mut self, now_ns: u64, frame: Vec<u8>, fcs_error: bool) -> Effects {
+    pub(crate) fn handle_arrival(
+        &mut self,
+        now_ns: u64,
+        frame: Vec<u8>,
+        fcs_error: bool,
+    ) -> Effects {
         let mut fx = Effects::default();
         self.counters.rx_pkts += 1;
         self.counters.rx_bytes += frame.len() as u64;
@@ -361,7 +362,7 @@ impl Host {
         }
 
         let mut frame = frame;
-        let ctx = IngressCtx::parse(now_ns, self.id, 0, true, &frame);
+        let ctx = IngressCtx::parse(now_ns, self.id, 0, &frame);
         if let Some(m) = self.monitor.as_mut() {
             let mut actions = Actions::new();
             let verdict = m.on_ingress(&ctx, &mut frame, &mut actions);
@@ -419,20 +420,13 @@ impl Host {
         }
         // Probe reply: match an outstanding probe by id (our sport).
         if flow.proto == IpProtocol::Udp && flow.sport == PROBE_ECHO_PORT {
-            if let Some((sent, target)) = self.outstanding_probes.remove(&flow.dport) {
-                self.probe_samples.push(ProbeSample {
-                    sent_ns: sent,
-                    rtt_ns: now_ns - sent,
-                    target,
-                });
+            if let Some(sent) = self.outstanding_probes.remove(&flow.dport) {
+                self.probe_samples.push(ProbeSample { sent_ns: sent, rtt_ns: now_ns - sent });
             }
             return;
         }
         // Ordinary data: account it.
-        let s = self
-            .rx_flows
-            .entry(flow)
-            .or_insert_with(|| RxStats { first_ns: now_ns, ..Default::default() });
+        let s = self.rx_flows.entry(flow).or_default();
         s.bytes += frame.len() as u64;
         s.pkts += 1;
         s.last_ns = now_ns;
@@ -448,18 +442,18 @@ impl Host {
     }
 
     /// Send one probe to `target`. Returns true if enqueued (kick the port).
-    pub fn send_probe(&mut self, now_ns: u64, target: Ipv4Addr) -> bool {
+    pub(crate) fn send_probe(&mut self, now_ns: u64, target: Ipv4Addr) -> bool {
         let id = self.next_probe_id;
         self.next_probe_id = self.next_probe_id.wrapping_add(1).max(20_000);
         let flow = FlowKey::udp(self.config.ip, id, target, PROBE_ECHO_PORT);
-        self.outstanding_probes.insert(id, (now_ns, target));
+        self.outstanding_probes.insert(id, now_ns);
         self.enqueue(Queued::Packet { flow, payload_len: 8, tcp_flags: 0, dscp: 0 })
     }
 
     /// Expire probes older than `timeout_ns` (counted as lost).
-    pub fn expire_probes(&mut self, now_ns: u64, timeout_ns: u64) {
+    pub(crate) fn expire_probes(&mut self, now_ns: u64, timeout_ns: u64) {
         let before = self.outstanding_probes.len();
-        self.outstanding_probes.retain(|_, (sent, _)| now_ns.saturating_sub(*sent) < timeout_ns);
+        self.outstanding_probes.retain(|_, sent| now_ns.saturating_sub(*sent) < timeout_ns);
         self.probes_lost += (before - self.outstanding_probes.len()) as u64;
     }
 
@@ -573,7 +567,6 @@ mod tests {
         let _ = h.handle_arrival(200, f2, false);
         let s = h.rx_flows[&key];
         assert_eq!(s.pkts, 2);
-        assert_eq!(s.first_ns, 100);
         assert_eq!(s.last_ns, 200);
         assert!(s.fin_seen);
     }
@@ -595,7 +588,6 @@ mod tests {
         let _ = a.handle_arrival(3_500, reply, false);
         assert_eq!(a.probe_samples.len(), 1);
         assert_eq!(a.probe_samples[0].rtt_ns, 2_500);
-        assert_eq!(a.probe_samples[0].target, b.config.ip);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`clockfault`] — seeded per-device virtual clocks (offset/drift/step/
 //!   freeze) for the time-fault domain;
 //! * [`topology`] / [`routing`] — fat-tree construction and ECMP routes;
-//! * [`fxhash`] — the non-SipHash hasher for simulator-internal per-flow
+//! * `fxhash` — the non-SipHash hasher for simulator-internal per-flow
 //!   maps.
 
 #![warn(missing_docs)]
@@ -27,7 +27,7 @@ pub mod corrupt;
 pub mod counters;
 pub mod engine;
 pub mod exporter;
-pub mod fxhash;
+mod fxhash;
 pub mod host;
 pub mod link;
 pub mod mmu;
@@ -47,7 +47,7 @@ pub use corrupt::{CorruptionGen, CorruptionSpec, CorruptionTally};
 pub use engine::{NodeId, Simulator, SyncStats};
 pub use exporter::{HostileExporter, HostileExporterConfig};
 pub use host::{FlowSpec, Host, HostConfig};
-pub use link::{FaultSpec, Link};
+pub use link::Link;
 pub use monitor::{Actions, EgressCtx, HookVerdict, IngressCtx, RoutedCtx, SwitchMonitor};
 pub use rng::Pcg32;
 pub use switchdev::{SwitchConfig, SwitchDevice};

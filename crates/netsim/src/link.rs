@@ -15,7 +15,7 @@ use crate::rng::Pcg32;
 
 /// What the link did to a frame in flight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkOutcome {
+pub(crate) enum LinkOutcome {
     /// Delivered intact.
     Delivered,
     /// Vanished silently — downstream sees nothing.
@@ -65,13 +65,13 @@ pub struct LinkDirection {
     burst_remaining: u32,
     burst_armed: bool,
     /// Frames offered to this direction.
-    pub frames_offered: u64,
+    pub(crate) frames_offered: u64,
     /// Frames lost or corrupted by this direction.
-    pub frames_faulted: u64,
+    pub(crate) frames_faulted: u64,
     /// Frames whose bytes were actually mutated (corrupt_bytes mode).
     pub frames_mutated: u64,
     /// Total bits flipped into delivered frames (corrupt_bytes mode).
-    pub bits_flipped: u64,
+    pub(crate) bits_flipped: u64,
 }
 
 impl LinkDirection {
@@ -93,7 +93,7 @@ impl LinkDirection {
     /// residual-corruption model is enabled. Returns `true` when the frame
     /// should be delivered (bytes mutated, FCS missed it) and `false` when
     /// classic FCS-kill semantics apply.
-    pub fn mutate_corrupted(&mut self, frame: &mut Vec<u8>) -> bool {
+    pub(crate) fn mutate_corrupted(&mut self, frame: &mut Vec<u8>) -> bool {
         let Some(spec) = self.faults.corrupt_bytes else {
             return false;
         };
@@ -106,7 +106,7 @@ impl LinkDirection {
     }
 
     /// Decide the fate of a frame entering this direction at `now_ns`.
-    pub fn judge(&mut self, now_ns: u64) -> LinkOutcome {
+    pub(crate) fn judge(&mut self, now_ns: u64) -> LinkOutcome {
         self.frames_offered += 1;
         if let Some(b) = self.faults.burst_drop {
             if !self.burst_armed && now_ns >= b.at_ns {
@@ -135,18 +135,18 @@ impl LinkDirection {
 #[derive(Debug, Clone)]
 pub struct Link {
     /// Bandwidth, Gbps.
-    pub gbps: f64,
+    pub(crate) gbps: f64,
     /// One-way propagation delay, ns.
-    pub prop_ns: u64,
+    pub(crate) prop_ns: u64,
     /// Faults/state in the a→b direction.
-    pub ab: LinkDirection,
+    pub(crate) ab: LinkDirection,
     /// Faults/state in the b→a direction.
-    pub ba: LinkDirection,
+    pub(crate) ba: LinkDirection,
 }
 
 impl Link {
     /// Create a healthy link.
-    pub fn new(gbps: f64, prop_ns: u64, seed: u64) -> Self {
+    pub(crate) fn new(gbps: f64, prop_ns: u64, seed: u64) -> Self {
         Link { gbps, prop_ns, ab: LinkDirection::new(seed, 101), ba: LinkDirection::new(seed, 202) }
     }
 }

@@ -37,7 +37,7 @@ impl Default for MmuConfig {
 
 /// Why the MMU rejected a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MmuVerdict {
+pub(crate) enum MmuVerdict {
     /// Admitted to the queue.
     Admit,
     /// Rejected: queue exceeded its dynamic threshold or the pool is full.
@@ -46,22 +46,19 @@ pub enum MmuVerdict {
 
 /// Shared-buffer occupancy tracker.
 #[derive(Debug, Clone)]
-pub struct Mmu {
+pub(crate) struct Mmu {
     config: MmuConfig,
     used_bytes: u64,
     /// Depth per (port, queue).
     depths: Vec<u64>,
     ports: u8,
-    /// Total admitted / dropped counts.
-    admitted: u64,
-    dropped: u64,
 }
 
 impl Mmu {
     /// Create an MMU for `ports` ports.
-    pub fn new(ports: u8, config: MmuConfig) -> Self {
+    pub(crate) fn new(ports: u8, config: MmuConfig) -> Self {
         let n = usize::from(ports) * usize::from(config.queues_per_port);
-        Mmu { config, used_bytes: 0, depths: vec![0; n], ports, admitted: 0, dropped: 0 }
+        Mmu { config, used_bytes: 0, depths: vec![0; n], ports }
     }
 
     fn idx(&self, port: u8, queue: u8) -> usize {
@@ -70,33 +67,31 @@ impl Mmu {
     }
 
     /// Free shared bytes.
-    pub fn free_bytes(&self) -> u64 {
+    pub(crate) fn free_bytes(&self) -> u64 {
         self.config.total_bytes.saturating_sub(self.used_bytes)
     }
 
     /// Current depth of one queue, bytes.
-    pub fn depth(&self, port: u8, queue: u8) -> u64 {
+    pub(crate) fn depth(&self, port: u8, queue: u8) -> u64 {
         self.depths[self.idx(port, queue)]
     }
 
     /// Try to admit `bytes` into (port, queue).
-    pub fn admit(&mut self, port: u8, queue: u8, bytes: u64) -> MmuVerdict {
+    pub(crate) fn admit(&mut self, port: u8, queue: u8, bytes: u64) -> MmuVerdict {
         let depth = self.depths[self.idx(port, queue)];
         let free = self.free_bytes();
         let limit = (self.config.alpha * free as f64) as u64;
         if bytes > free || depth + bytes > limit {
-            self.dropped += 1;
             return MmuVerdict::Drop;
         }
         let i = self.idx(port, queue);
         self.depths[i] += bytes;
         self.used_bytes += bytes;
-        self.admitted += 1;
         MmuVerdict::Admit
     }
 
     /// Release `bytes` from (port, queue) at dequeue.
-    pub fn release(&mut self, port: u8, queue: u8, bytes: u64) {
+    pub(crate) fn release(&mut self, port: u8, queue: u8, bytes: u64) {
         let i = self.idx(port, queue);
         debug_assert!(self.depths[i] >= bytes, "MMU release underflow");
         self.depths[i] = self.depths[i].saturating_sub(bytes);
@@ -104,28 +99,13 @@ impl Mmu {
     }
 
     /// True when the queue has crossed the XOFF watermark (send PAUSE).
-    pub fn above_xoff(&self, port: u8, queue: u8) -> bool {
+    pub(crate) fn above_xoff(&self, port: u8, queue: u8) -> bool {
         self.depth(port, queue) >= self.config.pfc_xoff_bytes
     }
 
     /// True when the queue has drained below the XON watermark (send RESUME).
-    pub fn below_xon(&self, port: u8, queue: u8) -> bool {
+    pub(crate) fn below_xon(&self, port: u8, queue: u8) -> bool {
         self.depth(port, queue) <= self.config.pfc_xon_bytes
-    }
-
-    /// Packets admitted so far.
-    pub fn admitted(&self) -> u64 {
-        self.admitted
-    }
-
-    /// Packets dropped so far.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &MmuConfig {
-        &self.config
     }
 }
 
@@ -165,7 +145,6 @@ mod tests {
         assert_eq!(m.admit(1, 0, 4_000), MmuVerdict::Admit);
         // 2000 free; queue limit = 1*2000 = 2000 -> 2500 rejected.
         assert_eq!(m.admit(2, 0, 2_500), MmuVerdict::Drop);
-        assert_eq!(m.dropped(), 1);
         // 2000 exactly fits.
         assert_eq!(m.admit(2, 0, 2_000), MmuVerdict::Admit);
         assert_eq!(m.free_bytes(), 0);

@@ -42,9 +42,6 @@ pub struct IngressCtx {
     pub node: u32,
     /// Arrival port.
     pub port: u8,
-    /// True when the upstream neighbor runs telemetry too (frames on this
-    /// port are expected to carry sequence tags).
-    pub peer_tagged: bool,
     /// Sequence number of the frame's hop tag, `None` when it carries no
     /// whole tag.
     pub seq: Option<u32>,
@@ -56,9 +53,9 @@ pub struct IngressCtx {
 impl IngressCtx {
     /// The context for `frame` arriving on `port`: the parser's one pass
     /// over it fills [`seq`](Self::seq) and [`kind`](Self::kind).
-    pub fn parse(now_ns: u64, node: u32, port: u8, peer_tagged: bool, frame: &[u8]) -> Self {
+    pub fn parse(now_ns: u64, node: u32, port: u8, frame: &[u8]) -> Self {
         let (seq, kind) = fet_packet::builder::parse_hop(frame);
-        IngressCtx { now_ns, node, port, peer_tagged, seq, kind }
+        IngressCtx { now_ns, node, port, seq, kind }
     }
 
     /// `frame` (as it arrived) from the view of the frame beneath its hop
@@ -177,7 +174,8 @@ impl Actions {
     }
 
     /// True when nothing was produced.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.emit.is_empty() && self.report_bytes == 0 && self.tag.is_none()
     }
 }
@@ -256,7 +254,7 @@ mod tests {
     fn default_hooks_do_nothing() {
         let mut m = Nop;
         let mut frame = vec![0u8; 64];
-        let ctx = IngressCtx::parse(0, 0, 0, false, &frame);
+        let ctx = IngressCtx::parse(0, 0, 0, &frame);
         let mut out = Actions::new();
         assert_eq!(m.on_ingress(&ctx, &mut frame, &mut out), HookVerdict::Continue);
         assert!(out.is_empty());

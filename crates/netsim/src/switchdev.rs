@@ -22,11 +22,17 @@ use fet_pdp::{HashUnit, PacketMeta};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Number of egress priority queues per port.
-pub const QUEUES: u8 = 8;
+pub(crate) const QUEUES: u8 = 8;
 
 /// The queue used for monitor-emitted high-priority traffic
 /// (loss notifications ride "an independent queue in high priority").
-pub const HIGH_PRIO_QUEUE: u8 = 7;
+pub(crate) const HIGH_PRIO_QUEUE: u8 = 7;
+
+/// MTU, bytes: frames larger than this are pipeline-dropped.
+const MTU: usize = 1600;
+
+/// PFC pause quanta sent when a queue crosses XOFF.
+const PFC_QUANTA: u16 = 4096;
 
 /// Finite packet-processing capacity (middlebox model, paper §3.7).
 /// A device with one drops packets it cannot process in time — the
@@ -44,16 +50,12 @@ pub struct ProcessingModel {
 pub struct SwitchConfig {
     /// Number of front-panel ports.
     pub ports: u8,
-    /// MTU, bytes (frames larger than this are pipeline-dropped).
-    pub mtu: usize,
     /// MMU configuration.
     pub mmu: MmuConfig,
     /// Queuing delay above which a packet is a congestion event, ns.
     pub congestion_threshold_ns: u64,
     /// Bitmask of PFC-protected (lossless) priorities.
     pub pfc_priorities: u8,
-    /// PFC pause quanta sent when crossing XOFF.
-    pub pfc_quanta: u16,
     /// ECMP hash seed (per-switch, like a per-device hash rotation).
     pub ecmp_seed: u32,
     /// Optional processing-capacity limit (None = ASIC line rate).
@@ -66,11 +68,9 @@ impl Default for SwitchConfig {
     fn default() -> Self {
         SwitchConfig {
             ports: 32,
-            mtu: 1600,
             mmu: MmuConfig::default(),
             congestion_threshold_ns: 20 * crate::time::MICROS,
             pfc_priorities: 0,
-            pfc_quanta: 4096,
             ecmp_seed: 1,
             processing: None,
         }
@@ -80,16 +80,16 @@ impl Default for SwitchConfig {
 /// A set of port numbers as a 256-bit mask. Iterates in ascending port
 /// order; inserting a port twice is a no-op.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PortSet([u64; 4]);
+pub(crate) struct PortSet([u64; 4]);
 
 impl PortSet {
     /// Add `port`.
-    pub fn insert(&mut self, port: u8) {
+    pub(crate) fn insert(&mut self, port: u8) {
         self.0[usize::from(port >> 6)] |= 1 << (port & 63);
     }
 
     /// The ports, ascending.
-    pub fn iter(self) -> impl Iterator<Item = u8> {
+    pub(crate) fn iter(self) -> impl Iterator<Item = u8> {
         let mut words = self.0;
         let mut w = 0;
         std::iter::from_fn(move || {
@@ -112,11 +112,11 @@ impl PortSet {
 #[derive(Debug, Default)]
 pub struct Effects {
     /// Ports that enqueued traffic and may need a dequeue scheduled.
-    pub kick_ports: PortSet,
+    pub(crate) kick_ports: PortSet,
     /// PFC frames to transmit immediately (bypass queues, MAC control).
-    pub pfc_frames: Vec<(u8, Vec<u8>)>,
+    pub(crate) pfc_frames: Vec<(u8, Vec<u8>)>,
     /// Bytes the monitor reported on the management network.
-    pub report_bytes: u64,
+    pub(crate) report_bytes: u64,
 }
 
 /// Result of dequeuing one frame for transmission.
@@ -125,17 +125,17 @@ pub struct DequeueResult {
     /// The (possibly monitor-rewritten) frame to put on the wire.
     pub frame: Vec<u8>,
     /// Extra effects (PFC resumes, monitor actions).
-    pub effects: Effects,
+    pub(crate) effects: Effects,
 }
 
 /// One simulated switch.
 pub struct SwitchDevice {
     /// Device id (assigned by the engine).
-    pub id: u32,
+    pub(crate) id: u32,
     /// Human-readable name (e.g. "tor0", "agg1", "core0").
     pub name: String,
     /// Configuration.
-    pub config: SwitchConfig,
+    pub(crate) config: SwitchConfig,
     /// IPv4 routing table: destination prefix → ECMP port set.
     pub routes: LpmTable<Vec<u8>>,
     /// Ingress ACL.
@@ -228,17 +228,17 @@ impl SwitchDevice {
     }
 
     /// Is TX currently paused for (port, prio)?
-    pub fn tx_paused(&self, now_ns: u64, port: u8, prio: u8) -> bool {
+    pub(crate) fn tx_paused(&self, now_ns: u64, port: u8, prio: u8) -> bool {
         now_ns < self.paused_until[self.qidx(port, prio)]
     }
 
-    /// Queue depth in packets for diagnostics.
-    pub fn queue_len(&self, port: u8, queue: u8) -> usize {
+    #[cfg(test)]
+    pub(crate) fn queue_len(&self, port: u8, queue: u8) -> usize {
         self.queues[self.qidx(port, queue)].len()
     }
 
-    /// MMU accessor for diagnostics.
-    pub fn mmu(&self) -> &Mmu {
+    #[cfg(test)]
+    fn mmu(&self) -> &Mmu {
         &self.mmu
     }
 
@@ -283,7 +283,7 @@ impl SwitchDevice {
         }
 
         // The parser's one pass: the hop tag and the kind beneath it.
-        let ctx = IngressCtx::parse(now_ns, self.id, port, self.tag_ports[p], &frame);
+        let ctx = IngressCtx::parse(now_ns, self.id, port, &frame);
         // Monitor ingress hook (reads sequence tags, consumes notifications).
         if let Some(m) = self.monitor.as_mut() {
             let mut actions = Actions::new();
@@ -464,7 +464,7 @@ impl SwitchDevice {
         }
 
         // MTU.
-        if len > self.config.mtu {
+        if len > MTU {
             self.pipeline_drop(
                 now_ns,
                 ictx,
@@ -525,7 +525,7 @@ impl SwitchDevice {
         self.apply_actions(now_ns, actions, gt, fx);
 
         // MMU admission.
-        let mut meta = PacketMeta::arriving(port, now_ns, len);
+        let mut meta = PacketMeta::arriving(now_ns, len);
         meta.egress_port = Some(egress_port);
         meta.queue = queue;
         meta.flow = Some(flow);
@@ -557,16 +557,14 @@ impl SwitchDevice {
                 if self.config.pfc_priorities & (1 << queue) != 0
                     && self.mmu.above_xoff(eport, queue)
                 {
-                    let pause_ns = fet_packet::pfc::quanta_to_ns(self.config.pfc_quanta, 100.0);
+                    let pause_ns = fet_packet::pfc::quanta_to_ns(PFC_QUANTA, 100.0);
                     let ups = self.paused_upstreams.entry((eport, queue)).or_default();
                     let entry = ups.entry(rctx.ingress_port).or_insert(0);
                     // Refresh once 60% of the previous pause has elapsed.
                     if now_ns + (pause_ns * 2 / 5) >= *entry {
                         *entry = now_ns + pause_ns;
-                        let pfc = fet_packet::builder::build_pfc_frame(
-                            usize::from(queue),
-                            self.config.pfc_quanta,
-                        );
+                        let pfc =
+                            fet_packet::builder::build_pfc_frame(usize::from(queue), PFC_QUANTA);
                         self.counters[usize::from(rctx.ingress_port)].pfc_tx += 1;
                         fx.pfc_frames.push((rctx.ingress_port, pfc));
                     }
@@ -659,7 +657,7 @@ impl SwitchDevice {
                 Ipv4Addr::from_u32(0),
                 0,
             ));
-            let mut meta = PacketMeta::arriving(e.out_port, now_ns, e.frame.len());
+            let mut meta = PacketMeta::arriving(now_ns, e.frame.len());
             meta.egress_port = Some(e.out_port);
             meta.queue = queue;
             let rctx = RoutedCtx {
@@ -773,13 +771,13 @@ impl SwitchDevice {
     }
 
     /// True if any queue on `port` could transmit right now.
-    pub fn has_transmittable(&self, now_ns: u64, port: u8) -> bool {
+    pub(crate) fn has_transmittable(&self, now_ns: u64, port: u8) -> bool {
         self.transmittable(now_ns, port) != 0
     }
 
     /// Earliest pause expiry among nonempty paused queues of `port`
     /// (engine schedules a retry then).
-    pub fn earliest_pause_expiry(&self, now_ns: u64, port: u8) -> Option<u64> {
+    pub(crate) fn earliest_pause_expiry(&self, now_ns: u64, port: u8) -> Option<u64> {
         self.backlogged(port)
             .map(|q| self.paused_until[self.qidx(port, q)])
             .filter(|&t| t > now_ns)
@@ -1228,7 +1226,7 @@ mod tests {
         let _ = s.handle_arrival(0, 1, build_data_packet(&flow(), 100, 0, 0, 64), false, &mut gt);
         let out = s.dequeue(0, 2, &mut gt).unwrap();
         let want = build_data_packet(&flow(), 100, 0, 0, 63);
-        assert_eq!(out.frame, fet_packet::builder::insert_seqtag(&want, 5).unwrap());
+        assert_eq!(out.frame, fet_packet::reference::insert_seqtag(&want, 5).unwrap());
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub const SECONDS: u64 = 1_000_000_000;
 
 /// Serialization time of `bytes` at `gbps` gigabits/second, in ns,
 /// rounded up (a partial nanosecond still occupies the wire).
-pub fn tx_time_ns(bytes: usize, gbps: f64) -> u64 {
+pub(crate) fn tx_time_ns(bytes: usize, gbps: f64) -> u64 {
     ((bytes as f64 * 8.0) / gbps).ceil() as u64
 }
 

@@ -8,6 +8,9 @@ use crate::link::Link;
 use crate::switchdev::{SwitchConfig, SwitchDevice};
 use fet_packet::ipv4::Ipv4Addr;
 
+/// Fabric (switch-to-switch) link speed, Gbps.
+const FABRIC_GBPS: f64 = 100.0;
+
 /// Fat-tree shape parameters.
 #[derive(Debug, Clone)]
 pub struct FatTreeParams {
@@ -21,8 +24,6 @@ pub struct FatTreeParams {
     pub cores: usize,
     /// Servers per edge switch.
     pub hosts_per_edge: usize,
-    /// Fabric link speed, Gbps.
-    pub fabric_gbps: f64,
     /// Host uplink speed, Gbps.
     pub host_gbps: f64,
     /// One-way propagation delay per link, ns.
@@ -43,7 +44,6 @@ impl Default for FatTreeParams {
             agg_per_pod: 2,
             cores: 2,
             hosts_per_edge: 2,
-            fabric_gbps: 100.0,
             host_gbps: 25.0,
             prop_ns: 500,
             switch_config: SwitchConfig::default(),
@@ -65,8 +65,6 @@ pub struct FatTree {
     pub hosts: Vec<NodeId>,
     /// Host IPs, parallel to `hosts`.
     pub host_ips: Vec<Ipv4Addr>,
-    /// The parameters used.
-    pub params_pods: usize,
 }
 
 impl FatTree {
@@ -113,7 +111,7 @@ impl TopologyBuilder {
     }
 
     /// Allocate the next free port number on a node.
-    pub fn alloc_port(&mut self, node: NodeId) -> u8 {
+    pub(crate) fn alloc_port(&mut self, node: NodeId) -> u8 {
         let p = self.next_port.entry(node).or_insert(0);
         let port = *p;
         *p += 1;
@@ -138,7 +136,7 @@ impl TopologyBuilder {
 }
 
 /// Deterministic host IP for (pod, edge, slot).
-pub fn host_ip(pod: usize, edge: usize, slot: usize) -> Ipv4Addr {
+pub(crate) fn host_ip(pod: usize, edge: usize, slot: usize) -> Ipv4Addr {
     Ipv4Addr::from_octets([10, pod as u8, edge as u8, (slot + 1) as u8])
 }
 
@@ -172,14 +170,14 @@ pub fn build_fat_tree(sim: &mut Simulator, params: &FatTreeParams) -> FatTree {
     for (ci, &core) in cores.iter().enumerate() {
         for pod_aggs in &aggs {
             let agg = pod_aggs[ci % params.agg_per_pod];
-            b.connect(sim, core, agg, params.fabric_gbps, params.prop_ns, next_seed());
+            b.connect(sim, core, agg, FABRIC_GBPS, params.prop_ns, next_seed());
         }
     }
     // Agg ↔ edge: full mesh within a pod.
     for (pod_aggs, pod_edges) in aggs.iter().zip(&edges) {
         for &agg in pod_aggs {
             for &edge in pod_edges {
-                b.connect(sim, agg, edge, params.fabric_gbps, params.prop_ns, next_seed());
+                b.connect(sim, agg, edge, FABRIC_GBPS, params.prop_ns, next_seed());
             }
         }
     }
@@ -201,7 +199,7 @@ pub fn build_fat_tree(sim: &mut Simulator, params: &FatTreeParams) -> FatTree {
         }
     }
 
-    FatTree { cores, aggs, edges, hosts, host_ips, params_pods: params.pods }
+    FatTree { cores, aggs, edges, hosts, host_ips }
 }
 
 #[cfg(test)]

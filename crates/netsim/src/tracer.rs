@@ -69,16 +69,6 @@ impl GroundTruth {
             .collect()
     }
 
-    /// Events within a time window.
-    pub fn in_window(&self, from_ns: u64, to_ns: u64) -> impl Iterator<Item = &GtEvent> {
-        self.events.iter().filter(move |e| e.time_ns >= from_ns && e.time_ns < to_ns)
-    }
-
-    /// Clear all recorded events (between experiment phases).
-    pub fn clear(&mut self) {
-        self.events.clear();
-    }
-
     /// Take all recorded events, leaving the oracle empty (shard merge).
     pub(crate) fn drain(&mut self) -> Vec<GtEvent> {
         std::mem::take(&mut self.events)
@@ -138,22 +128,5 @@ mod tests {
         gt.record(ev(1, 1, EventType::MmuDrop, 5));
         gt.record(ev(1, 2, EventType::MmuDrop, 5));
         assert_eq!(gt.flow_events(EventType::MmuDrop).len(), 2);
-    }
-
-    #[test]
-    fn window_filtering() {
-        let mut gt = GroundTruth::new();
-        gt.record(ev(10, 0, EventType::Pause, 1));
-        gt.record(ev(20, 0, EventType::Pause, 2));
-        gt.record(ev(30, 0, EventType::Pause, 3));
-        assert_eq!(gt.in_window(15, 30).count(), 1);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut gt = GroundTruth::new();
-        gt.record(ev(1, 0, EventType::Congestion, 1));
-        gt.clear();
-        assert!(gt.events().is_empty());
     }
 }

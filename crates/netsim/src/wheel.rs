@@ -63,7 +63,7 @@ const LEVELS: usize = 3;
 
 /// Hierarchical timer wheel holding [`QEntry`] events, popped in exact
 /// canonical `(time, lane, seq)` order.
-pub struct EventWheel {
+pub(crate) struct EventWheel {
     /// Start of the current 64 ns slot (a multiple of 64).
     base: u64,
     /// `levels[l][s]` holds events with granularity `64^(l+1)`.
@@ -84,7 +84,7 @@ impl Default for EventWheel {
 
 impl EventWheel {
     /// Empty wheel based at t = 0.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventWheel {
             base: 0,
             levels: (0..LEVELS).map(|_| (0..SLOTS).map(|_| Vec::new()).collect()).collect(),
@@ -95,14 +95,14 @@ impl EventWheel {
     }
 
     /// Number of events queued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         let wheel: usize = self.levels.iter().flatten().map(Vec::len).sum();
         self.ready.len() + self.overflow.len() + wheel
     }
 
     /// True when no events are queued.
     #[cfg(test)]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
@@ -114,7 +114,7 @@ impl EventWheel {
 
     /// Queue an event. O(1) plus at most `LEVELS` window checks, or a
     /// binary search when it lands in the current slot.
-    pub fn push(&mut self, e: QEntry) {
+    pub(crate) fn push(&mut self, e: QEntry) {
         if e.time >> SHIFT <= self.base >> SHIFT {
             let key = e.key();
             let at = self.ready.partition_point(|r| r.key() > key);
@@ -134,7 +134,7 @@ impl EventWheel {
     }
 
     /// Key of the next event to pop, if any.
-    pub fn peek_key(&mut self) -> Option<EventKey> {
+    pub(crate) fn peek_key(&mut self) -> Option<EventKey> {
         if self.ready.is_empty() {
             self.advance();
         }
@@ -142,7 +142,7 @@ impl EventWheel {
     }
 
     /// Pop the event with the smallest canonical key.
-    pub fn pop(&mut self) -> Option<QEntry> {
+    pub(crate) fn pop(&mut self) -> Option<QEntry> {
         if self.ready.is_empty() {
             self.advance();
         }
@@ -151,7 +151,7 @@ impl EventWheel {
 
     /// Drain every queued event, unordered. Used by the parallel
     /// executor to partition the pending set across shards.
-    pub fn drain_unordered(&mut self) -> Vec<QEntry> {
+    pub(crate) fn drain_unordered(&mut self) -> Vec<QEntry> {
         let mut out = Vec::with_capacity(self.len());
         out.append(&mut self.ready);
         out.extend(std::mem::take(&mut self.overflow).into_iter().map(|r| r.0));

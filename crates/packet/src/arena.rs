@@ -37,10 +37,6 @@ pub(crate) fn tag_ready(len: usize) -> Vec<u8> {
 #[derive(Debug, Default)]
 pub struct FrameArena {
     pool: Vec<Vec<u8>>,
-    /// Buffers handed out (gets that found a pooled buffer + fresh ones).
-    gets: u64,
-    /// Gets that had to heap-allocate because the pool was empty.
-    misses: u64,
 }
 
 /// Retired buffers kept per arena; beyond this, `put` lets buffers drop.
@@ -55,8 +51,7 @@ impl FrameArena {
     /// A zeroed buffer of `len` bytes with capacity for a sequence tag
     /// on top, reusing a pooled buffer when it is large enough (a smaller
     /// one is dropped and a fresh buffer allocated).
-    pub fn get(&mut self, len: usize) -> Vec<u8> {
-        self.gets += 1;
+    pub(crate) fn get(&mut self, len: usize) -> Vec<u8> {
         match self.pool.pop() {
             Some(mut buf) if buf.capacity() >= len + SEQTAG_LEN => {
                 // From length 0, `resize` writes every byte: nothing of the
@@ -65,29 +60,15 @@ impl FrameArena {
                 buf.resize(len, 0);
                 buf
             }
-            _ => {
-                self.misses += 1;
-                tag_ready(len)
-            }
+            _ => tag_ready(len),
         }
     }
 
-    /// Retire a buffer into the pool for a later [`get`](Self::get).
+    /// Retire a buffer into the pool for a later `get`.
     pub fn put(&mut self, buf: Vec<u8>) {
         if self.pool.len() < MAX_POOLED && buf.capacity() > 0 {
             self.pool.push(buf);
         }
-    }
-
-    /// Buffers currently pooled.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// `(gets, misses)` — misses are gets that had to heap-allocate. A
-    /// steady-state source shows a growing `gets` with constant `misses`.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.gets, self.misses)
     }
 }
 
@@ -103,12 +84,11 @@ mod tests {
         b[10] = 0xAB;
         let cap = b.capacity();
         a.put(b);
-        assert_eq!(a.pooled(), 1);
+        assert_eq!(a.pool.len(), 1);
         let c = a.get(32);
         assert_eq!(c.len(), 32);
         assert_eq!(c.capacity(), cap, "capacity reused");
         assert!(c.iter().all(|&x| x == 0), "stale bytes cleared");
-        assert_eq!(a.stats(), (2, 1), "second get hit the pool");
     }
 
     #[test]
@@ -117,7 +97,7 @@ mod tests {
         for _ in 0..(MAX_POOLED + 10) {
             a.put(vec![0u8; 16]);
         }
-        assert_eq!(a.pooled(), MAX_POOLED);
+        assert_eq!(a.pool.len(), MAX_POOLED);
     }
 
     #[test]
@@ -128,6 +108,6 @@ mod tests {
         assert_eq!(b.len(), 1500);
         assert!(b.capacity() >= 1500 + SEQTAG_LEN);
         assert!(b.iter().all(|&x| x == 0));
-        assert_eq!(a.stats(), (1, 1), "a too-small buffer is a miss");
+        assert!(a.pool.is_empty(), "a too-small buffer is dropped");
     }
 }

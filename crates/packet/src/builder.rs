@@ -145,12 +145,6 @@ pub fn build_pfc_frame(class: usize, quanta: u16) -> Vec<u8> {
     buf
 }
 
-/// Build the three redundant loss-notification frames for a missing range
-/// (the paper's default redundancy).
-pub fn build_notification_frames(lo: u32, hi: u32, observer_port: u8) -> Vec<Vec<u8>> {
-    build_notification_frames_with(lo, hi, observer_port, crate::notification::NOTIFICATION_COPIES)
-}
-
 /// Build `copies` redundant loss-notification frames (ablation knob).
 pub fn build_notification_frames_with(
     lo: u32,
@@ -221,48 +215,9 @@ pub fn parse_cebp_frame(frame: &[u8]) -> Result<Vec<EventRecord>> {
     cebp::CebpPacket::new_checked(body)?.events()
 }
 
-/// Insert a NetSeer sequence tag into a frame (paper Figure 5 step 1),
-/// returning the re-framed packet. The original EtherType moves into the
-/// tag's inner-EtherType field.
-pub fn insert_seqtag(frame: &[u8], seq: u32) -> Result<Vec<u8>> {
-    let eth = EthernetFrame::new_checked(frame)?;
-    if eth.ethertype() == EtherType::NetSeerSeq {
-        return Err(ParseError::Malformed { what: "seqtag.double-insert" });
-    }
-    let inner = eth.ethertype();
-    let mut out = Vec::with_capacity(frame.len() + SEQTAG_LEN);
-    out.extend_from_slice(&frame[..ETHERNET_HEADER_LEN]);
-    out.extend_from_slice(&[0u8; SEQTAG_LEN]);
-    out.extend_from_slice(&frame[ETHERNET_HEADER_LEN..]);
-    let mut eth = EthernetFrame::new_unchecked(&mut out[..]);
-    eth.set_ethertype(EtherType::NetSeerSeq);
-    let mut tag = SeqTag::new_checked(&mut out[ETHERNET_HEADER_LEN..]).expect("sized");
-    tag.set_seq(seq);
-    tag.set_inner_ethertype(inner);
-    Ok(out)
-}
-
-/// Strip a NetSeer sequence tag (paper Figure 5 step 2), returning the
-/// sequence number and the restored frame.
-pub fn strip_seqtag(frame: &[u8]) -> Result<(u32, Vec<u8>)> {
-    let eth = EthernetFrame::new_checked(frame)?;
-    if eth.ethertype() != EtherType::NetSeerSeq {
-        return Err(ParseError::Malformed { what: "seqtag.missing" });
-    }
-    let tag = SeqTag::new_checked(eth.payload())?;
-    let seq = tag.seq();
-    let inner = tag.inner_ethertype();
-    let mut out = Vec::with_capacity(frame.len() - SEQTAG_LEN);
-    out.extend_from_slice(&frame[..ETHERNET_HEADER_LEN]);
-    out.extend_from_slice(&frame[ETHERNET_HEADER_LEN + SEQTAG_LEN..]);
-    let mut eth = EthernetFrame::new_unchecked(&mut out[..]);
-    eth.set_ethertype(inner);
-    Ok((seq, out))
-}
-
 /// Insert a NetSeer sequence tag **in place**: the frame grows by
 /// [`SEQTAG_LEN`] bytes but keeps its buffer — the zero-allocation form of
-/// [`insert_seqtag`], for a frame with no headroom to
+/// `reference::insert_seqtag`, for a frame with no headroom to
 /// [`slide_in_seqtag`] into (it moves the payload). Data and
 /// notification frames from this module and [`crate::FrameArena`] have
 /// the capacity for it, so their buffers never move.
@@ -285,7 +240,7 @@ pub fn insert_seqtag_in_place(frame: &mut Vec<u8>, seq: u32) -> Result<()> {
 
 /// Strip a NetSeer sequence tag **in place**, returning the sequence
 /// number. The frame shrinks by [`SEQTAG_LEN`] bytes but keeps its buffer
-/// — the zero-allocation form of [`strip_seqtag`]. It moves the payload;
+/// — the zero-allocation form of `reference::strip_seqtag`. It moves the payload;
 /// the switch's parser uses [`slide_out_seqtag`] instead.
 pub fn strip_seqtag_in_place(frame: &mut Vec<u8>) -> Result<u32> {
     let eth = EthernetFrame::new_checked(&frame[..])?;
@@ -558,6 +513,7 @@ pub fn parse_notification(frame: &[u8]) -> Result<(u32, u32, u8, u8)> {
 mod tests {
     use super::*;
     use crate::ipv4::Ipv4Addr;
+    use crate::reference::{insert_seqtag, strip_seqtag};
     use crate::tcp::flags;
 
     fn flow() -> FlowKey {
@@ -635,7 +591,7 @@ mod tests {
         arena.put(Vec::with_capacity(100));
         let from_small = build_data_packet_in(&mut arena, &flow(), 1000, 0, 0, 64);
         let mut frames = vec![fresh, recycled, from_small, build_data_packet(&flow(), 0, 0, 0, 64)];
-        frames.extend(build_notification_frames(1, 9, 3));
+        frames.extend(build_notification_frames_with(1, 9, 3, 3));
         for (i, mut f) in frames.into_iter().enumerate() {
             assert!(f.capacity() >= f.len() + SEQTAG_LEN, "frame {i} lacks tag room");
             let (ptr, cap) = (f.as_ptr(), f.capacity());
@@ -691,7 +647,7 @@ mod tests {
 
     #[test]
     fn notification_frames_are_redundant_copies() {
-        let frames = build_notification_frames(10, 20, 5);
+        let frames = build_notification_frames_with(10, 20, 5, 3);
         assert_eq!(frames.len(), 3);
         for (i, f) in frames.iter().enumerate() {
             assert_eq!(classify(f), FrameKind::LossNotification);
@@ -703,7 +659,7 @@ mod tests {
 
     #[test]
     fn notification_survives_seqtag() {
-        let frames = build_notification_frames(1, 2, 0);
+        let frames = build_notification_frames_with(1, 2, 0, 3);
         let tagged = insert_seqtag(&frames[0], 77).unwrap();
         assert_eq!(classify(&tagged), FrameKind::LossNotification);
         let (lo, hi, _, _) = parse_notification(&tagged).unwrap();
@@ -752,7 +708,7 @@ mod tests {
 
     #[test]
     fn notification_crc_rejects_payload_corruption() {
-        let frames = build_notification_frames(10, 20, 5);
+        let frames = build_notification_frames_with(10, 20, 5, 3);
         for i in ETHERNET_HEADER_LEN..ETHERNET_HEADER_LEN + NOTIFICATION_LEN + 4 {
             let mut bad = frames[0].clone();
             bad[i] ^= 0x01;
@@ -782,7 +738,7 @@ mod tests {
             insert_seqtag(&build_data_packet(&f, 33, 0, 0, 64), 7).unwrap(),
             insert_seqtag(&build_data_packet(&udp, 0, 0, 0, 64), u32::MAX).unwrap(),
             build_pfc_frame(2, 55),
-            build_notification_frames(3, 9, 1).remove(0),
+            build_notification_frames_with(3, 9, 1, 3).remove(0),
             build_cebp_frame(4, &[]).unwrap(),
             vec![],
             vec![0u8; 13],

@@ -21,9 +21,6 @@ use crate::event::{EventRecord, EVENT_RECORD_LEN};
 /// CEBP fixed header length.
 pub const CEBP_HEADER_LEN: usize = 4;
 
-/// The paper's recommended batch size.
-pub const RECOMMENDED_BATCH: u16 = 50;
-
 /// Typed view over a CEBP payload.
 #[derive(Debug, Clone)]
 pub struct CebpPacket<T: AsRef<[u8]>> {
@@ -50,24 +47,19 @@ impl<T: AsRef<[u8]>> CebpPacket<T> {
     }
 
     /// Number of events currently carried.
-    pub fn count(&self) -> u16 {
+    pub(crate) fn count(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[0], b[1]])
     }
 
     /// Batch capacity this CEBP was created with.
-    pub fn capacity(&self) -> u16 {
+    pub(crate) fn capacity(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
 
-    /// True once the CEBP should be forwarded to the CPU.
-    pub fn is_full(&self) -> bool {
-        self.count() >= self.capacity()
-    }
-
     /// Decode the `i`-th carried event.
-    pub fn event(&self, i: u16) -> Result<EventRecord> {
+    pub(crate) fn event(&self, i: u16) -> Result<EventRecord> {
         if i >= self.count() {
             return Err(ParseError::Malformed { what: "cebp.index" });
         }
@@ -79,18 +71,12 @@ impl<T: AsRef<[u8]>> CebpPacket<T> {
     pub fn events(&self) -> Result<Vec<EventRecord>> {
         (0..self.count()).map(|i| self.event(i)).collect()
     }
-
-    /// Total bytes this CEBP occupies on the internal wire
-    /// (header + carried events), excluding Ethernet framing.
-    pub fn wire_len(&self) -> usize {
-        CEBP_HEADER_LEN + usize::from(self.count()) * EVENT_RECORD_LEN
-    }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> CebpPacket<T> {
     /// Initialize an empty CEBP with the given capacity. The buffer must be
     /// at least `buffer_len_for(capacity)` bytes.
-    pub fn init(&mut self, capacity: u16) {
+    pub(crate) fn init(&mut self, capacity: u16) {
         let b = self.buffer.as_mut();
         b[0..2].copy_from_slice(&0u16.to_be_bytes());
         b[2..4].copy_from_slice(&capacity.to_be_bytes());
@@ -98,7 +84,7 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> CebpPacket<T> {
 
     /// Append one event; fails with `Malformed` when already full and
     /// `Truncated` when the buffer cannot hold another record.
-    pub fn push_event(&mut self, ev: &EventRecord) -> Result<()> {
+    pub(crate) fn push_event(&mut self, ev: &EventRecord) -> Result<()> {
         let count = self.count();
         if count >= self.capacity() {
             return Err(ParseError::Malformed { what: "cebp.full" });
@@ -121,15 +107,8 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> CebpPacket<T> {
 }
 
 /// Buffer size needed for a CEBP with the given capacity.
-pub fn buffer_len_for(capacity: u16) -> usize {
+pub(crate) fn buffer_len_for(capacity: u16) -> usize {
     CEBP_HEADER_LEN + usize::from(capacity) * EVENT_RECORD_LEN
-}
-
-/// Allocate and initialize an empty CEBP buffer.
-pub fn new_cebp_buffer(capacity: u16) -> Vec<u8> {
-    let mut buf = vec![0u8; buffer_len_for(capacity)];
-    CebpPacket { buffer: &mut buf[..] }.init(capacity);
-    buf
 }
 
 #[cfg(test)]
@@ -138,6 +117,13 @@ mod tests {
     use crate::event::{EventDetail, EventType};
     use crate::flow::FlowKey;
     use crate::ipv4::Ipv4Addr;
+
+    /// An empty CEBP buffer of `capacity` records.
+    fn new_cebp_buffer(capacity: u16) -> Vec<u8> {
+        let mut buf = vec![0u8; buffer_len_for(capacity)];
+        CebpPacket { buffer: &mut buf[..] }.init(capacity);
+        buf
+    }
 
     fn ev(n: u16) -> EventRecord {
         EventRecord {
@@ -159,10 +145,8 @@ mod tests {
         let mut buf = new_cebp_buffer(50);
         let mut p = CebpPacket::new_checked(&mut buf[..]).unwrap();
         for i in 0..50 {
-            assert!(!p.is_full());
             p.push_event(&ev(i)).unwrap();
         }
-        assert!(p.is_full());
         assert!(p.push_event(&ev(99)).is_err());
 
         let p = CebpPacket::new_checked(&buf[..]).unwrap();
@@ -171,15 +155,6 @@ mod tests {
         let evs = p.events().unwrap();
         assert_eq!(evs.len(), 50);
         assert_eq!(evs[17], ev(17));
-    }
-
-    #[test]
-    fn wire_len_grows_with_events() {
-        let mut buf = new_cebp_buffer(10);
-        let mut p = CebpPacket::new_checked(&mut buf[..]).unwrap();
-        assert_eq!(p.wire_len(), CEBP_HEADER_LEN);
-        p.push_event(&ev(0)).unwrap();
-        assert_eq!(p.wire_len(), CEBP_HEADER_LEN + 24);
     }
 
     #[test]
@@ -195,13 +170,5 @@ mod tests {
         let buf = new_cebp_buffer(4);
         let p = CebpPacket::new_checked(&buf[..]).unwrap();
         assert!(p.event(0).is_err());
-    }
-
-    #[test]
-    fn recommended_batch_fits_jumbo_free_mtu() {
-        // 50 events * 24B + 4B header + 14B eth + 4B CRC trailer = 1222 < 1518.
-        assert!(
-            buffer_len_for(RECOMMENDED_BATCH) + 14 + crate::CRC_TRAILER_LEN <= crate::MAX_FRAME_LEN
-        );
     }
 }

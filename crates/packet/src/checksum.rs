@@ -1,67 +1,27 @@
 //! Internet checksum (RFC 1071) and CRC-32 (Ethernet FCS) helpers.
 
-/// Running one's-complement sum used by the Internet checksum family.
-///
-/// Fold with [`Checksum::finish`] to obtain the 16-bit complement value.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Checksum {
-    sum: u32,
-}
-
-impl Checksum {
-    /// Start a fresh accumulation.
-    pub fn new() -> Self {
-        Self::default()
+/// Compute the Internet checksum of one contiguous buffer: the one's
+/// complement of the folded one's-complement sum of its big-endian 16-bit
+/// words. An odd trailing byte is padded with zero, matching RFC 1071's
+/// treatment of the final octet. A buffer whose checksum field is already
+/// in place sums to zero.
+pub(crate) fn internet_checksum(data: &[u8]) -> u16 {
+    let mut chunks = data.chunks_exact(2);
+    let mut sum: u32 = 0;
+    for c in &mut chunks {
+        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
     }
-
-    /// Accumulate a byte slice. Odd trailing bytes are padded with zero,
-    /// matching RFC 1071's treatment of the final octet.
-    pub fn add_bytes(&mut self, data: &[u8]) {
-        let mut chunks = data.chunks_exact(2);
-        for c in &mut chunks {
-            self.sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-        }
-        if let [last] = chunks.remainder() {
-            self.sum += u32::from(u16::from_be_bytes([*last, 0]));
-        }
+    if let [last] = chunks.remainder() {
+        sum += u32::from(u16::from_be_bytes([*last, 0]));
     }
-
-    /// Accumulate a big-endian 16-bit word.
-    pub fn add_u16(&mut self, v: u16) {
-        self.sum += u32::from(v);
+    while sum >> 16 != 0 {
+        sum = (sum & 0xffff) + (sum >> 16);
     }
-
-    /// Accumulate a big-endian 32-bit word as two 16-bit halves.
-    pub fn add_u32(&mut self, v: u32) {
-        self.add_u16((v >> 16) as u16);
-        self.add_u16((v & 0xffff) as u16);
-    }
-
-    /// Fold carries and return the one's complement of the sum.
-    pub fn finish(self) -> u16 {
-        let mut s = self.sum;
-        while s >> 16 != 0 {
-            s = (s & 0xffff) + (s >> 16);
-        }
-        !(s as u16)
-    }
-}
-
-/// Compute the Internet checksum of one contiguous buffer.
-pub fn internet_checksum(data: &[u8]) -> u16 {
-    let mut c = Checksum::new();
-    c.add_bytes(data);
-    c.finish()
-}
-
-/// Verify a buffer whose checksum field is already in place sums to zero.
-pub fn verify_internet_checksum(data: &[u8]) -> bool {
-    // A correct buffer folds to 0xffff before complement, i.e. finish() == 0.
-    internet_checksum(data) == 0
+    !(sum as u16)
 }
 
 /// Reflected CRC-32 (IEEE 802.3) polynomial.
-const CRC32_POLY: u32 = 0xedb8_8320;
+pub(crate) const CRC32_POLY: u32 = 0xedb8_8320;
 
 /// Slice-by-8 lookup tables for CRC-32, built at compile time.
 static CRC32_TABLES: [[u32; 256]; 8] = build_slice8_tables(CRC32_POLY);
@@ -137,7 +97,7 @@ fn slice8_update(t: &[[u32; 256]; 8], mut crc: u32, data: &[u8]) -> u32 {
 /// The simulator uses this both for FCS validation of corrupted frames and
 /// as the PDP hash units (ECMP, path table, dedup indexes), so it runs
 /// several times per switch hop. Slice-by-8; bit-identical to the
-/// one-bit-at-a-time [`crc32_reference`].
+/// one-bit-at-a-time `reference::crc32_reference`.
 pub fn crc32(data: &[u8]) -> u32 {
     !crc32_update(0xffff_ffff, data)
 }
@@ -149,21 +109,6 @@ pub fn crc32(data: &[u8]) -> u32 {
 #[inline]
 pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     slice8_update(&CRC32_TABLES, crc, data)
-}
-
-/// One-bit-at-a-time CRC-32 with the reflected polynomial 0xEDB88320 —
-/// the original implementation, kept as the oracle the table kernel is
-/// tested against (the PDP hash units' golden values depend on it).
-pub fn crc32_reference(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (CRC32_POLY & mask);
-        }
-    }
-    !crc
 }
 
 /// Reflected CRC-32C (Castagnoli) polynomial, as computed in hardware by
@@ -182,7 +127,7 @@ static CRC32C_TABLES: [[u32; 256]; 8] = build_slice8_tables(CRC32C_POLY);
 /// `crc32` instruction where the CPU has it (runtime-detected, result
 /// cached by `std`), and otherwise to a portable slice-by-8 kernel.
 /// Both produce bit-identical results to the one-bit-at-a-time
-/// [`crc32c_reference`]; the property tests in this module and the CI
+/// `crc32c_reference` in the tests; the property tests in this module and the CI
 /// fuzz harness hold all three together.
 pub fn crc32c(data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
@@ -222,40 +167,25 @@ unsafe fn crc32c_hw(data: &[u8]) -> u32 {
     !crc
 }
 
-/// One-bit-at-a-time CRC-32C with the reflected polynomial 0x82F63B78 —
-/// the original implementation, kept as the oracle the slice-by-8 and
-/// SSE4.2 kernels are property-tested against.
-pub fn crc32c_reference(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xffff_ffff;
-    for &b in data {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (CRC32C_POLY & mask);
-        }
-    }
-    !crc
-}
-
-/// CRC-16/CCITT used as the second independent PDP hash unit.
-pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xffff;
-    for &b in data {
-        crc ^= u16::from(b) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
-            } else {
-                crc <<= 1;
-            }
-        }
-    }
-    crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::crc32_reference;
+
+    /// One-bit-at-a-time CRC-32C with the reflected polynomial 0x82F63B78 —
+    /// the original implementation, kept as the oracle the slice-by-8 and
+    /// SSE4.2 kernels are property-tested against.
+    fn crc32c_reference(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xffff_ffff;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (CRC32C_POLY & mask);
+            }
+        }
+        !crc
+    }
 
     #[test]
     fn rfc1071_example() {
@@ -272,7 +202,7 @@ mod tests {
         let cks = internet_checksum(&data);
         data[10] = (cks >> 8) as u8;
         data[11] = (cks & 0xff) as u8;
-        assert!(verify_internet_checksum(&data));
+        assert_eq!(internet_checksum(&data), 0);
     }
 
     #[test]
@@ -366,29 +296,5 @@ mod tests {
         buf[7] ^= 0x80;
         buf.pop();
         assert_ne!(orig, crc32c(&buf));
-    }
-
-    #[test]
-    fn crc16_known_vector() {
-        // CRC-16/CCITT-FALSE of "123456789".
-        assert_eq!(crc16(b"123456789"), 0x29b1);
-    }
-
-    #[test]
-    fn incremental_matches_oneshot() {
-        let data: Vec<u8> = (0..=255u8).collect();
-        let mut c = Checksum::new();
-        c.add_bytes(&data[..100]);
-        c.add_bytes(&data[100..]);
-        assert_eq!(c.finish(), internet_checksum(&data));
-    }
-
-    #[test]
-    fn add_u32_matches_bytes() {
-        let mut a = Checksum::new();
-        a.add_u32(0xdead_beef);
-        let mut b = Checksum::new();
-        b.add_bytes(&0xdead_beefu32.to_be_bytes());
-        assert_eq!(a.finish(), b.finish());
     }
 }

@@ -8,20 +8,11 @@ pub const ETHERNET_HEADER_LEN: usize = 14;
 
 /// A 48-bit MAC address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct MacAddr(pub [u8; 6]);
+pub(crate) struct MacAddr(pub [u8; 6]);
 
 impl MacAddr {
     /// The broadcast address ff:ff:ff:ff:ff:ff.
-    pub const BROADCAST: MacAddr = MacAddr([0xff; 6]);
-
-    /// Locally-administered address derived from a device/port pair, used by
-    /// the simulator to give every port a distinct, deterministic MAC.
-    pub fn for_port(device: u32, port: u16) -> Self {
-        let d = device.to_be_bytes();
-        let p = port.to_be_bytes();
-        // 0x02 sets the locally-administered bit.
-        MacAddr([0x02, d[1], d[2], d[3], p[0], p[1]])
-    }
+    pub(crate) const BROADCAST: MacAddr = MacAddr([0xff; 6]);
 }
 
 impl fmt::Display for MacAddr {
@@ -50,7 +41,7 @@ pub enum EtherType {
 
 impl EtherType {
     /// Wire value.
-    pub fn value(self) -> u16 {
+    pub(crate) fn value(self) -> u16 {
         match self {
             EtherType::Ipv4 => 0x0800,
             EtherType::MacControl => 0x8808,
@@ -62,7 +53,7 @@ impl EtherType {
     }
 
     /// Decode from the wire value.
-    pub fn from_value(v: u16) -> Self {
+    pub(crate) fn from_value(v: u16) -> Self {
         match v {
             0x0800 => EtherType::Ipv4,
             0x8808 => EtherType::MacControl,
@@ -99,18 +90,6 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
         EthernetFrame { buffer }
     }
 
-    /// Destination MAC.
-    pub fn dst(&self) -> MacAddr {
-        let b = self.buffer.as_ref();
-        MacAddr([b[0], b[1], b[2], b[3], b[4], b[5]])
-    }
-
-    /// Source MAC.
-    pub fn src(&self) -> MacAddr {
-        let b = self.buffer.as_ref();
-        MacAddr([b[6], b[7], b[8], b[9], b[10], b[11]])
-    }
-
     /// EtherType.
     pub fn ethertype(&self) -> EtherType {
         let b = self.buffer.as_ref();
@@ -121,37 +100,22 @@ impl<T: AsRef<[u8]>> EthernetFrame<T> {
     pub fn payload(&self) -> &[u8] {
         &self.buffer.as_ref()[ETHERNET_HEADER_LEN..]
     }
-
-    /// Consume the view and return the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
-    /// Total frame length.
-    pub fn total_len(&self) -> usize {
-        self.buffer.as_ref().len()
-    }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> EthernetFrame<T> {
     /// Set the destination MAC.
-    pub fn set_dst(&mut self, mac: MacAddr) {
+    pub(crate) fn set_dst(&mut self, mac: MacAddr) {
         self.buffer.as_mut()[0..6].copy_from_slice(&mac.0);
     }
 
     /// Set the source MAC.
-    pub fn set_src(&mut self, mac: MacAddr) {
+    pub(crate) fn set_src(&mut self, mac: MacAddr) {
         self.buffer.as_mut()[6..12].copy_from_slice(&mac.0);
     }
 
     /// Set the EtherType.
-    pub fn set_ethertype(&mut self, ty: EtherType) {
+    pub(crate) fn set_ethertype(&mut self, ty: EtherType) {
         self.buffer.as_mut()[12..14].copy_from_slice(&ty.value().to_be_bytes());
-    }
-
-    /// Mutable access to the payload.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[ETHERNET_HEADER_LEN..]
     }
 }
 
@@ -170,11 +134,10 @@ mod tests {
         let mut buf = [0u8; 64];
         let mut f = EthernetFrame::new_checked(&mut buf[..]).unwrap();
         f.set_dst(MacAddr([1, 2, 3, 4, 5, 6]));
-        f.set_src(MacAddr::for_port(7, 3));
+        f.set_src(MacAddr([2, 0, 0, 7, 0, 3]));
         f.set_ethertype(EtherType::Ipv4);
-        assert_eq!(f.dst(), MacAddr([1, 2, 3, 4, 5, 6]));
-        assert_eq!(f.src(), MacAddr::for_port(7, 3));
         assert_eq!(f.ethertype(), EtherType::Ipv4);
+        assert_eq!(buf[..12], [1, 2, 3, 4, 5, 6, 2, 0, 0, 7, 0, 3]);
     }
 
     #[test]
@@ -198,12 +161,6 @@ mod tests {
         ] {
             assert_eq!(EtherType::from_value(ty.value()), ty);
         }
-    }
-
-    #[test]
-    fn port_macs_are_distinct() {
-        assert_ne!(MacAddr::for_port(1, 1), MacAddr::for_port(1, 2));
-        assert_ne!(MacAddr::for_port(1, 1), MacAddr::for_port(2, 1));
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl DropCode {
     }
 
     /// Decode a wire code.
-    pub fn from_code(c: u8) -> Result<Self> {
+    pub(crate) fn from_code(c: u8) -> Result<Self> {
         Ok(match c {
             1 => DropCode::TableMiss,
             2 => DropCode::PortDown,

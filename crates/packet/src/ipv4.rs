@@ -1,7 +1,7 @@
 //! IPv4 header view (fixed 20-byte header; options unsupported, like most
 //! data center fabrics which drop optioned packets at the edge).
 
-use crate::checksum::{internet_checksum, verify_internet_checksum};
+use crate::checksum::internet_checksum;
 use crate::error::{ParseError, Result};
 use crate::flow::IpProtocol;
 use core::fmt;
@@ -51,7 +51,7 @@ pub struct Ipv4Packet<T: AsRef<[u8]>> {
 
 impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     /// Wrap a buffer, checking length, version, and IHL.
-    pub fn new_checked(buffer: T) -> Result<Self> {
+    pub(crate) fn new_checked(buffer: T) -> Result<Self> {
         let len = buffer.as_ref().len();
         if len < IPV4_HEADER_LEN {
             return Err(ParseError::Truncated { what: "ipv4", need: IPV4_HEADER_LEN, have: len });
@@ -85,7 +85,7 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     }
 
     /// Total length field (header + payload).
-    pub fn total_length(&self) -> u16 {
+    pub(crate) fn total_length(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
@@ -102,48 +102,32 @@ impl<T: AsRef<[u8]>> Ipv4Packet<T> {
     }
 
     /// IP protocol.
-    pub fn protocol(&self) -> IpProtocol {
+    pub(crate) fn protocol(&self) -> IpProtocol {
         IpProtocol::from_number(self.buffer.as_ref()[9])
     }
 
-    /// Header checksum field.
-    pub fn checksum(&self) -> u16 {
-        let b = self.buffer.as_ref();
-        u16::from_be_bytes([b[10], b[11]])
-    }
-
     /// Source address.
-    pub fn src(&self) -> Ipv4Addr {
+    pub(crate) fn src(&self) -> Ipv4Addr {
         let b = self.buffer.as_ref();
         Ipv4Addr::from_octets([b[12], b[13], b[14], b[15]])
     }
 
     /// Destination address.
-    pub fn dst(&self) -> Ipv4Addr {
+    pub(crate) fn dst(&self) -> Ipv4Addr {
         let b = self.buffer.as_ref();
         Ipv4Addr::from_octets([b[16], b[17], b[18], b[19]])
     }
 
-    /// Verify the header checksum.
-    pub fn verify_checksum(&self) -> bool {
-        verify_internet_checksum(&self.buffer.as_ref()[..IPV4_HEADER_LEN])
-    }
-
     /// Payload after the header (bounded by total_length when valid).
-    pub fn payload(&self) -> &[u8] {
+    pub(crate) fn payload(&self) -> &[u8] {
         let end = usize::from(self.total_length()).min(self.buffer.as_ref().len());
         &self.buffer.as_ref()[IPV4_HEADER_LEN..end]
-    }
-
-    /// Consume and return the buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
     }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     /// Initialize version/IHL and sensible defaults.
-    pub fn init(&mut self) {
+    pub(crate) fn init(&mut self) {
         let b = self.buffer.as_mut();
         b[0] = 0x45;
         b[1] = 0;
@@ -153,12 +137,12 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     }
 
     /// Set the total length field.
-    pub fn set_total_length(&mut self, len: u16) {
+    pub(crate) fn set_total_length(&mut self, len: u16) {
         self.buffer.as_mut()[2..4].copy_from_slice(&len.to_be_bytes());
     }
 
     /// Set DSCP (priority class).
-    pub fn set_dscp(&mut self, dscp: u8) {
+    pub(crate) fn set_dscp(&mut self, dscp: u8) {
         let b = self.buffer.as_mut();
         b[1] = (b[1] & 0x03) | (dscp << 2);
     }
@@ -192,17 +176,17 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
     }
 
     /// Set the protocol field.
-    pub fn set_protocol(&mut self, p: IpProtocol) {
+    pub(crate) fn set_protocol(&mut self, p: IpProtocol) {
         self.buffer.as_mut()[9] = p.number();
     }
 
     /// Set the source address.
-    pub fn set_src(&mut self, a: Ipv4Addr) {
+    pub(crate) fn set_src(&mut self, a: Ipv4Addr) {
         self.buffer.as_mut()[12..16].copy_from_slice(&a.octets());
     }
 
     /// Set the destination address.
-    pub fn set_dst(&mut self, a: Ipv4Addr) {
+    pub(crate) fn set_dst(&mut self, a: Ipv4Addr) {
         self.buffer.as_mut()[16..20].copy_from_slice(&a.octets());
     }
 
@@ -213,11 +197,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         b[11] = 0;
         let cks = internet_checksum(&b[..IPV4_HEADER_LEN]);
         b[10..12].copy_from_slice(&cks.to_be_bytes());
-    }
-
-    /// Mutable payload access.
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.buffer.as_mut()[IPV4_HEADER_LEN..]
     }
 }
 
@@ -246,7 +225,7 @@ mod tests {
         assert_eq!(p.dst(), Ipv4Addr::from_octets([10, 0, 0, 2]));
         assert_eq!(p.protocol(), IpProtocol::Tcp);
         assert_eq!(p.ttl(), 64);
-        assert!(p.verify_checksum());
+        assert_eq!(internet_checksum(&buf[..IPV4_HEADER_LEN]), 0);
         assert_eq!(p.payload().len(), 20);
     }
 
@@ -280,7 +259,7 @@ mod tests {
         p.fill_checksum();
         assert_eq!(p.decrement_ttl(), 0);
         assert_eq!(p.decrement_ttl(), 0);
-        assert!(p.verify_checksum());
+        assert_eq!(internet_checksum(&buf[..IPV4_HEADER_LEN]), 0);
     }
 
     #[test]
@@ -302,7 +281,7 @@ mod tests {
             q.fill_checksum();
             assert_eq!(ttl, q.ttl());
             assert_eq!(inc, full, "header {hdr:02x?}");
-            assert!(Ipv4Packet::new_unchecked(&inc[..]).verify_checksum());
+            assert_eq!(internet_checksum(&inc[..IPV4_HEADER_LEN]), 0);
             u16::from_be_bytes([inc[10], inc[11]])
         };
         let (mut carried, mut zero_result) = (0, 0);
@@ -340,8 +319,7 @@ mod tests {
     fn checksum_detects_corruption() {
         let mut buf = sample();
         buf[15] ^= 1;
-        let p = Ipv4Packet::new_checked(&buf[..]).unwrap();
-        assert!(!p.verify_checksum());
+        assert_ne!(internet_checksum(&buf[..IPV4_HEADER_LEN]), 0);
     }
 
     #[test]

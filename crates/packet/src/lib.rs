@@ -19,37 +19,36 @@
 
 #![warn(missing_docs)]
 
-pub mod arena;
+mod arena;
 pub mod builder;
 pub mod cebp;
 pub mod checksum;
-pub mod error;
+mod error;
 pub mod ethernet;
 pub mod event;
 pub mod flow;
 pub mod ipv4;
 pub mod notification;
 pub mod pfc;
+#[doc(hidden)]
+pub mod reference;
 pub mod seqtag;
 pub mod tcp;
-pub mod udp;
+mod udp;
 
 pub use arena::FrameArena;
 pub use error::{ParseError, Result};
-pub use ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
+pub use ethernet::{EtherType, EthernetFrame, ETHERNET_HEADER_LEN};
 pub use event::{DropCode, EventDetail, EventRecord, EventType, EVENT_RECORD_LEN};
 pub use flow::{FlowKey, IpProtocol};
 pub use ipv4::{Ipv4Addr, Ipv4Packet, IPV4_HEADER_LEN};
 pub use seqtag::{SeqTag, SEQTAG_LEN};
 
 /// Minimum Ethernet frame length (without FCS), as on a real wire.
-pub const MIN_FRAME_LEN: usize = 64;
-
-/// Maximum standard (non-jumbo) Ethernet frame length.
-pub const MAX_FRAME_LEN: usize = 1518;
+pub(crate) const MIN_FRAME_LEN: usize = 64;
 
 /// Length of the CRC-32C integrity trailer appended to NetSeer telemetry
 /// framing (CEBP reports and loss notifications). The FCS protects the hop;
 /// this trailer protects the telemetry payload end-to-end, surviving
 /// store-and-forward rewrites that recompute the FCS over corrupted bytes.
-pub const CRC_TRAILER_LEN: usize = 4;
+pub(crate) const CRC_TRAILER_LEN: usize = 4;

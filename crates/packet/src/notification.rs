@@ -22,10 +22,7 @@
 use crate::error::{ParseError, Result};
 
 /// Payload length of a loss notification.
-pub const NOTIFICATION_LEN: usize = 10;
-
-/// Number of redundant copies sent per notification (paper: three).
-pub const NOTIFICATION_COPIES: u8 = 3;
+pub(crate) const NOTIFICATION_LEN: usize = 10;
 
 /// Typed view of a loss notification payload.
 #[derive(Debug, Clone)]
@@ -48,54 +45,49 @@ impl<T: AsRef<[u8]>> LossNotification<T> {
     }
 
     /// First missing sequence number (inclusive).
-    pub fn seq_lo(&self) -> u32 {
+    pub(crate) fn seq_lo(&self) -> u32 {
         let b = self.buffer.as_ref();
         u32::from_be_bytes([b[0], b[1], b[2], b[3]])
     }
 
     /// Last missing sequence number (inclusive).
-    pub fn seq_hi(&self) -> u32 {
+    pub(crate) fn seq_hi(&self) -> u32 {
         let b = self.buffer.as_ref();
         u32::from_be_bytes([b[4], b[5], b[6], b[7]])
     }
 
     /// Redundant copy index (0-based).
-    pub fn copy_index(&self) -> u8 {
+    pub(crate) fn copy_index(&self) -> u8 {
         self.buffer.as_ref()[8]
     }
 
     /// Downstream ingress port that observed the gap.
-    pub fn observer_port(&self) -> u8 {
+    pub(crate) fn observer_port(&self) -> u8 {
         self.buffer.as_ref()[9]
-    }
-
-    /// Number of packets the range covers (wraparound-safe).
-    pub fn missing_count(&self) -> u32 {
-        self.seq_hi().wrapping_sub(self.seq_lo()).wrapping_add(1)
     }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> LossNotification<T> {
     /// Set the missing range.
-    pub fn set_range(&mut self, lo: u32, hi: u32) {
+    pub(crate) fn set_range(&mut self, lo: u32, hi: u32) {
         let b = self.buffer.as_mut();
         b[0..4].copy_from_slice(&lo.to_be_bytes());
         b[4..8].copy_from_slice(&hi.to_be_bytes());
     }
 
     /// Set the copy index.
-    pub fn set_copy_index(&mut self, idx: u8) {
+    pub(crate) fn set_copy_index(&mut self, idx: u8) {
         self.buffer.as_mut()[8] = idx;
     }
 
     /// Set the observing port.
-    pub fn set_observer_port(&mut self, port: u8) {
+    pub(crate) fn set_observer_port(&mut self, port: u8) {
         self.buffer.as_mut()[9] = port;
     }
 }
 
 /// Build a standalone notification payload.
-pub fn build_notification(lo: u32, hi: u32, copy: u8, port: u8) -> [u8; NOTIFICATION_LEN] {
+pub(crate) fn build_notification(lo: u32, hi: u32, copy: u8, port: u8) -> [u8; NOTIFICATION_LEN] {
     let mut buf = [0u8; NOTIFICATION_LEN];
     let mut n = LossNotification::new_checked(&mut buf[..]).expect("sized buffer");
     n.set_range(lo, hi);
@@ -116,22 +108,6 @@ mod tests {
         assert_eq!(n.seq_hi(), 104);
         assert_eq!(n.copy_index(), 2);
         assert_eq!(n.observer_port(), 7);
-        assert_eq!(n.missing_count(), 5);
-    }
-
-    #[test]
-    fn single_packet_range() {
-        let buf = build_notification(42, 42, 0, 0);
-        let n = LossNotification::new_checked(&buf[..]).unwrap();
-        assert_eq!(n.missing_count(), 1);
-    }
-
-    #[test]
-    fn wraparound_range() {
-        let buf = build_notification(u32::MAX - 1, 1, 0, 0);
-        let n = LossNotification::new_checked(&buf[..]).unwrap();
-        // MAX-1, MAX, 0, 1 => 4 packets
-        assert_eq!(n.missing_count(), 4);
     }
 
     #[test]

@@ -8,10 +8,10 @@
 use crate::error::{ParseError, Result};
 
 /// MAC control opcode for PFC.
-pub const PFC_OPCODE: u16 = 0x0101;
+pub(crate) const PFC_OPCODE: u16 = 0x0101;
 
 /// Payload length: opcode (2) + class vector (2) + 8 timers (16).
-pub const PFC_PAYLOAD_LEN: usize = 20;
+pub(crate) const PFC_PAYLOAD_LEN: usize = 20;
 
 /// Number of PFC priority classes.
 pub const PFC_CLASSES: usize = 8;
@@ -38,18 +38,18 @@ impl<T: AsRef<[u8]>> PfcFrame<T> {
     }
 
     /// Wrap without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
+    pub(crate) fn new_unchecked(buffer: T) -> Self {
         PfcFrame { buffer }
     }
 
     /// MAC control opcode.
-    pub fn opcode(&self) -> u16 {
+    pub(crate) fn opcode(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[0], b[1]])
     }
 
     /// Class-enable vector: bit i set means the timer for priority i applies.
-    pub fn class_vector(&self) -> u16 {
+    pub(crate) fn class_vector(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
@@ -75,7 +75,7 @@ impl<T: AsRef<[u8]>> PfcFrame<T> {
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> PfcFrame<T> {
     /// Write opcode and zero all fields.
-    pub fn init(&mut self) {
+    pub(crate) fn init(&mut self) {
         let b = self.buffer.as_mut();
         for x in b[..PFC_PAYLOAD_LEN].iter_mut() {
             *x = 0;
@@ -84,19 +84,19 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> PfcFrame<T> {
     }
 
     /// Set the class-enable vector.
-    pub fn set_class_vector(&mut self, v: u16) {
+    pub(crate) fn set_class_vector(&mut self, v: u16) {
         self.buffer.as_mut()[2..4].copy_from_slice(&v.to_be_bytes());
     }
 
     /// Set the pause timer for a priority class.
-    pub fn set_timer(&mut self, class: usize, quanta: u16) {
+    pub(crate) fn set_timer(&mut self, class: usize, quanta: u16) {
         assert!(class < PFC_CLASSES);
         let off = 4 + class * 2;
         self.buffer.as_mut()[off..off + 2].copy_from_slice(&quanta.to_be_bytes());
     }
 
     /// Convenience: enable `class` and set its timer in one call.
-    pub fn set_pause(&mut self, class: usize, quanta: u16) {
+    pub(crate) fn set_pause(&mut self, class: usize, quanta: u16) {
         let v = {
             let b = self.buffer.as_ref();
             u16::from_be_bytes([b[2], b[3]])

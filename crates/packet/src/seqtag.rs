@@ -42,41 +42,28 @@ impl<T: AsRef<[u8]>> SeqTag<T> {
     }
 
     /// The consecutive per-port packet ID.
-    pub fn seq(&self) -> u32 {
+    pub(crate) fn seq(&self) -> u32 {
         let b = self.buffer.as_ref();
         u32::from_be_bytes([b[0], b[1], b[2], b[3]])
     }
 
     /// EtherType of the encapsulated payload.
-    pub fn inner_ethertype(&self) -> EtherType {
+    pub(crate) fn inner_ethertype(&self) -> EtherType {
         let b = self.buffer.as_ref();
         EtherType::from_value(u16::from_be_bytes([b[4], b[5]]))
-    }
-
-    /// Bytes after the shim.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[SEQTAG_LEN..]
     }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> SeqTag<T> {
     /// Set the packet ID.
-    pub fn set_seq(&mut self, seq: u32) {
+    pub(crate) fn set_seq(&mut self, seq: u32) {
         self.buffer.as_mut()[0..4].copy_from_slice(&seq.to_be_bytes());
     }
 
     /// Set the encapsulated EtherType.
-    pub fn set_inner_ethertype(&mut self, ty: EtherType) {
+    pub(crate) fn set_inner_ethertype(&mut self, ty: EtherType) {
         self.buffer.as_mut()[4..6].copy_from_slice(&ty.value().to_be_bytes());
     }
-}
-
-/// Sequence-number arithmetic with wraparound, shared by the tagger and the
-/// gap detector. `a` comes strictly before `b` if the signed distance is
-/// positive — correct across the u32 wrap as long as the true distance is
-/// below 2^31 packets (weeks of traffic at 100G).
-pub fn seq_before(a: u32, b: u32) -> bool {
-    b.wrapping_sub(a) as i32 > 0
 }
 
 /// Number of packets strictly between two sequence numbers (the gap size).
@@ -97,22 +84,11 @@ mod tests {
         let t = SeqTag::new_checked(&buf[..]).unwrap();
         assert_eq!(t.seq(), 0xfeed_beef);
         assert_eq!(t.inner_ethertype(), EtherType::Ipv4);
-        assert_eq!(t.payload().len(), 4);
     }
 
     #[test]
     fn rejects_short() {
         assert!(SeqTag::new_checked(&[0u8; 5][..]).is_err());
-    }
-
-    #[test]
-    fn ordering_handles_wraparound() {
-        assert!(seq_before(1, 2));
-        assert!(!seq_before(2, 1));
-        assert!(seq_before(u32::MAX, 0));
-        assert!(seq_before(u32::MAX - 1, 3));
-        assert!(!seq_before(3, u32::MAX - 1));
-        assert!(!seq_before(7, 7));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::error::{ParseError, Result};
 
 /// Fixed TCP header length (data offset = 5).
-pub const TCP_HEADER_LEN: usize = 20;
+pub(crate) const TCP_HEADER_LEN: usize = 20;
 
 /// TCP flag bits.
 pub mod flags {
@@ -11,10 +11,6 @@ pub mod flags {
     pub const FIN: u8 = 0x01;
     /// SYN.
     pub const SYN: u8 = 0x02;
-    /// RST.
-    pub const RST: u8 = 0x04;
-    /// PSH.
-    pub const PSH: u8 = 0x08;
     /// ACK.
     pub const ACK: u8 = 0x10;
 }
@@ -36,32 +32,20 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
     }
 
     /// Wrap without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
+    pub(crate) fn new_unchecked(buffer: T) -> Self {
         TcpSegment { buffer }
     }
 
     /// Source port.
-    pub fn sport(&self) -> u16 {
+    pub(crate) fn sport(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[0], b[1]])
     }
 
     /// Destination port.
-    pub fn dport(&self) -> u16 {
+    pub(crate) fn dport(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
-    }
-
-    /// Sequence number.
-    pub fn seq(&self) -> u32 {
-        let b = self.buffer.as_ref();
-        u32::from_be_bytes([b[4], b[5], b[6], b[7]])
-    }
-
-    /// Acknowledgment number.
-    pub fn ack(&self) -> u32 {
-        let b = self.buffer.as_ref();
-        u32::from_be_bytes([b[8], b[9], b[10], b[11]])
     }
 
     /// Flag byte (lower 8 flag bits).
@@ -78,16 +62,11 @@ impl<T: AsRef<[u8]>> TcpSegment<T> {
     pub fn is_fin(&self) -> bool {
         self.flags() & flags::FIN != 0
     }
-
-    /// Payload after the fixed header.
-    pub fn payload(&self) -> &[u8] {
-        &self.buffer.as_ref()[TCP_HEADER_LEN..]
-    }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpSegment<T> {
     /// Initialize data offset and zero the rest of the header.
-    pub fn init(&mut self) {
+    pub(crate) fn init(&mut self) {
         let b = self.buffer.as_mut();
         for x in b[..TCP_HEADER_LEN].iter_mut() {
             *x = 0;
@@ -96,27 +75,17 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> TcpSegment<T> {
     }
 
     /// Set source port.
-    pub fn set_sport(&mut self, p: u16) {
+    pub(crate) fn set_sport(&mut self, p: u16) {
         self.buffer.as_mut()[0..2].copy_from_slice(&p.to_be_bytes());
     }
 
     /// Set destination port.
-    pub fn set_dport(&mut self, p: u16) {
+    pub(crate) fn set_dport(&mut self, p: u16) {
         self.buffer.as_mut()[2..4].copy_from_slice(&p.to_be_bytes());
     }
 
-    /// Set sequence number.
-    pub fn set_seq(&mut self, s: u32) {
-        self.buffer.as_mut()[4..8].copy_from_slice(&s.to_be_bytes());
-    }
-
-    /// Set ack number.
-    pub fn set_ack(&mut self, a: u32) {
-        self.buffer.as_mut()[8..12].copy_from_slice(&a.to_be_bytes());
-    }
-
     /// Set flag byte.
-    pub fn set_flags(&mut self, f: u8) {
+    pub(crate) fn set_flags(&mut self, f: u8) {
         self.buffer.as_mut()[13] = f;
     }
 }
@@ -132,17 +101,12 @@ mod tests {
         t.init();
         t.set_sport(5555);
         t.set_dport(80);
-        t.set_seq(0xdead_beef);
-        t.set_ack(42);
         t.set_flags(flags::SYN | flags::ACK);
         let t = TcpSegment::new_checked(&buf[..]).unwrap();
         assert_eq!(t.sport(), 5555);
         assert_eq!(t.dport(), 80);
-        assert_eq!(t.seq(), 0xdead_beef);
-        assert_eq!(t.ack(), 42);
         assert!(t.is_syn());
         assert!(!t.is_fin());
-        assert_eq!(t.payload().len(), 12);
     }
 
     #[test]

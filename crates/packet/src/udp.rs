@@ -3,17 +3,17 @@
 use crate::error::{ParseError, Result};
 
 /// UDP header length.
-pub const UDP_HEADER_LEN: usize = 8;
+pub(crate) const UDP_HEADER_LEN: usize = 8;
 
 /// Typed view of a UDP datagram.
 #[derive(Debug, Clone)]
-pub struct UdpDatagram<T: AsRef<[u8]>> {
+pub(crate) struct UdpDatagram<T: AsRef<[u8]>> {
     buffer: T,
 }
 
 impl<T: AsRef<[u8]>> UdpDatagram<T> {
     /// Wrap a buffer, checking the header fits and the length field agrees.
-    pub fn new_checked(buffer: T) -> Result<Self> {
+    pub(crate) fn new_checked(buffer: T) -> Result<Self> {
         let len = buffer.as_ref().len();
         if len < UDP_HEADER_LEN {
             return Err(ParseError::Truncated { what: "udp", need: UDP_HEADER_LEN, have: len });
@@ -27,48 +27,42 @@ impl<T: AsRef<[u8]>> UdpDatagram<T> {
     }
 
     /// Wrap without validation.
-    pub fn new_unchecked(buffer: T) -> Self {
+    pub(crate) fn new_unchecked(buffer: T) -> Self {
         UdpDatagram { buffer }
     }
 
     /// Source port.
-    pub fn sport(&self) -> u16 {
+    pub(crate) fn sport(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[0], b[1]])
     }
 
     /// Destination port.
-    pub fn dport(&self) -> u16 {
+    pub(crate) fn dport(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[2], b[3]])
     }
 
     /// Length field (header + payload).
-    pub fn length(&self) -> u16 {
+    pub(crate) fn length(&self) -> u16 {
         let b = self.buffer.as_ref();
         u16::from_be_bytes([b[4], b[5]])
-    }
-
-    /// Payload, bounded by the length field.
-    pub fn payload(&self) -> &[u8] {
-        let end = usize::from(self.length()).min(self.buffer.as_ref().len());
-        &self.buffer.as_ref()[UDP_HEADER_LEN..end]
     }
 }
 
 impl<T: AsRef<[u8]> + AsMut<[u8]>> UdpDatagram<T> {
     /// Set source port.
-    pub fn set_sport(&mut self, p: u16) {
+    pub(crate) fn set_sport(&mut self, p: u16) {
         self.buffer.as_mut()[0..2].copy_from_slice(&p.to_be_bytes());
     }
 
     /// Set destination port.
-    pub fn set_dport(&mut self, p: u16) {
+    pub(crate) fn set_dport(&mut self, p: u16) {
         self.buffer.as_mut()[2..4].copy_from_slice(&p.to_be_bytes());
     }
 
     /// Set the length field.
-    pub fn set_length(&mut self, l: u16) {
+    pub(crate) fn set_length(&mut self, l: u16) {
         self.buffer.as_mut()[4..6].copy_from_slice(&l.to_be_bytes());
     }
 }
@@ -87,7 +81,7 @@ mod tests {
         let d = UdpDatagram::new_checked(&buf[..]).unwrap();
         assert_eq!(d.sport(), 9999);
         assert_eq!(d.dport(), 53);
-        assert_eq!(d.payload().len(), 8);
+        assert_eq!(d.length(), 16);
     }
 
     #[test]

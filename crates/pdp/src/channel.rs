@@ -27,7 +27,7 @@ impl RateLimitedChannel {
     }
 
     /// Nanoseconds to serialize `bytes` at this bandwidth.
-    pub fn serialize_ns(&self, bytes: usize) -> u64 {
+    pub(crate) fn serialize_ns(&self, bytes: usize) -> u64 {
         ((bytes as f64 * 8.0) / self.gbps).ceil() as u64
     }
 

@@ -181,7 +181,8 @@ mod tests {
     /// buffers of every length 0..=64 and random 13-byte flow keys.
     #[test]
     fn table_crc32_matches_bitwise_reference() {
-        use fet_packet::checksum::{crc32, crc32_reference};
+        use fet_packet::checksum::crc32;
+        use fet_packet::reference::crc32_reference;
         let mut rng = fet_netsim::rng::Pcg32::new(0xC3C3_2C32, 7);
         for len in 0..=64usize {
             for _ in 0..8 {

@@ -17,13 +17,13 @@ const MAX_CELL_BITS_PER_STAGE: u32 = 128;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Placement {
     /// Program module that owns the structure (a ledger label).
-    pub module: &'static str,
+    pub(crate) module: &'static str,
     /// Structure name (diagnostics).
     pub name: &'static str,
     /// Logical cell width, bits.
-    pub cell_bits: u32,
+    pub(crate) cell_bits: u32,
     /// Stateful ALUs the structure needs per occupied stage.
-    pub alus_per_stage: u32,
+    pub(crate) alus_per_stage: u32,
 }
 
 impl Placement {
@@ -45,7 +45,7 @@ pub struct PipelineProfile {
     /// Physical match-action stages (Tofino-class: 12).
     pub stages: u32,
     /// Stateful ALUs available per stage.
-    pub alus_per_stage: u32,
+    pub(crate) alus_per_stage: u32,
 }
 
 /// The Tofino-like profile matching [`crate::resources::TOFINO_32D`].
@@ -77,7 +77,7 @@ impl LayoutResult {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DoesNotFit {
     /// The structure that failed to place.
-    pub name: &'static str,
+    pub(crate) name: &'static str,
 }
 
 impl std::fmt::Display for DoesNotFit {

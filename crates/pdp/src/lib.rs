@@ -8,28 +8,28 @@
 //! * **match-action tables** — longest-prefix and ternary (ACL) tables
 //!   ([`table`]);
 //! * **stateful register arrays** — memories with bounded cell width per
-//!   stage, the model of Tofino's stateful ALUs ([`register`]). The width
+//!   stage, the model of Tofino's stateful ALUs (`register`). The width
 //!   is accounted (a wide cell spans stages); the one read-modify-write
 //!   per array per packet is not enforced;
 //! * **hash units** — CRC-based hash engines with hash-bit accounting
 //!   ([`hash`]);
 //! * **packet header vector** — the metadata bundle that accompanies a
-//!   packet through the pipeline ([`phv`]);
+//!   packet through the pipeline (`phv`);
 //! * **rate-limited internal channels** — the internal ports / recirculation
 //!   paths / PCIe link whose finite bandwidth caps NetSeer's event capacity,
-//!   enforced by refusing what overflows the buffer ([`channel`]);
+//!   enforced by refusing what overflows the buffer (`channel`);
 //! * **resource ledger and stage placement** — aggregates SRAM/TCAM/
 //!   stateful-ALU/hash-bit/PHV usage per module to regenerate the paper's
 //!   Figure 7 ([`resources`]), and places the stateful structures declared
-//!   to it into the fixed stages ([`layout`]).
+//!   to it into the fixed stages (`layout`).
 
 #![warn(missing_docs)]
 
-pub mod channel;
+mod channel;
 pub mod hash;
-pub mod layout;
-pub mod phv;
-pub mod register;
+mod layout;
+mod phv;
+mod register;
 pub mod resources;
 pub mod table;
 

@@ -10,8 +10,6 @@ use fet_packet::FlowKey;
 /// Intrinsic + user metadata accompanying a packet through one device.
 #[derive(Debug, Clone)]
 pub struct PacketMeta {
-    /// Port the packet arrived on.
-    pub ingress_port: u8,
     /// Resolved egress port (`None` until routing runs; stays `None` on a
     /// pipeline drop before route resolution).
     pub egress_port: Option<u8>,
@@ -26,23 +24,18 @@ pub struct PacketMeta {
     /// Frame length in bytes, without the hop tag the parser removed
     /// (the length the MMU, the MTU check and the queues account).
     pub frame_len: usize,
-    /// True when the frame failed FCS at the ingress MAC (corrupted on the
-    /// wire); such frames are dropped at MAC as the paper notes.
-    pub fcs_error: bool,
 }
 
 impl PacketMeta {
     /// Metadata for a freshly received packet.
-    pub fn arriving(ingress_port: u8, now_ns: u64, frame_len: usize) -> Self {
+    pub fn arriving(now_ns: u64, frame_len: usize) -> Self {
         PacketMeta {
-            ingress_port,
             egress_port: None,
             queue: 0,
             ingress_ts_ns: now_ns,
             egress_ts_ns: 0,
             flow: None,
             frame_len,
-            fcs_error: false,
         }
     }
 
@@ -59,25 +52,23 @@ mod tests {
 
     #[test]
     fn arriving_defaults() {
-        let m = PacketMeta::arriving(3, 1_000, 64);
-        assert_eq!(m.ingress_port, 3);
+        let m = PacketMeta::arriving(1_000, 64);
         assert_eq!(m.egress_port, None);
         assert_eq!(m.ingress_ts_ns, 1_000);
         assert_eq!(m.frame_len, 64);
-        assert!(!m.fcs_error);
         assert_eq!(m.queuing_delay_ns(), 0);
     }
 
     #[test]
     fn queuing_delay_is_difference() {
-        let mut m = PacketMeta::arriving(0, 5_000, 64);
+        let mut m = PacketMeta::arriving(5_000, 64);
         m.egress_ts_ns = 12_500;
         assert_eq!(m.queuing_delay_ns(), 7_500);
     }
 
     #[test]
     fn queuing_delay_saturates() {
-        let mut m = PacketMeta::arriving(0, 5_000, 64);
+        let mut m = PacketMeta::arriving(5_000, 64);
         m.egress_ts_ns = 4_000; // clock skew should not underflow
         assert_eq!(m.queuing_delay_ns(), 0);
     }

@@ -63,8 +63,6 @@ impl ResourceKind {
 /// Capacity profile of a device.
 #[derive(Debug, Clone, Copy)]
 pub struct CapacityProfile {
-    /// Device name.
-    pub name: &'static str,
     /// Capacity per resource kind, indexed in `ALL_RESOURCE_KINDS` order.
     pub capacity: [u64; 8],
 }
@@ -74,7 +72,6 @@ pub struct CapacityProfile {
 /// for Figure 7 is the *fraction* each module consumes, which our charges
 /// are calibrated against.
 pub const TOFINO_32D: CapacityProfile = CapacityProfile {
-    name: "tofino-32d",
     capacity: [
         12 * 128 * 8,             // ExactXbar: 128 bytes/stage
         12 * 66 * 8,              // TernaryXbar: 66 bytes/stage
@@ -137,7 +134,7 @@ impl ResourceLedger {
     }
 
     /// Total usage of one resource kind across modules.
-    pub fn used(&self, kind: ResourceKind) -> u64 {
+    pub(crate) fn used(&self, kind: ResourceKind) -> u64 {
         self.used.iter().filter(|((_, k), _)| *k == kind).map(|(_, v)| *v).sum()
     }
 

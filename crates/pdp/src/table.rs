@@ -57,13 +57,9 @@ impl<A: Clone> LpmTable<A> {
     }
 
     /// Number of routes installed.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.by_len.iter().map(|(_, routes)| routes.len()).sum()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.by_len.is_empty()
     }
 }
 
@@ -130,7 +126,8 @@ pub struct AclRule {
 
 impl AclRule {
     /// A permit-everything rule.
-    pub fn permit_all(rule_id: u32, priority: u32) -> Self {
+    #[cfg(test)]
+    fn permit_all(rule_id: u32, priority: u32) -> Self {
         AclRule {
             rule_id,
             priority,
@@ -174,13 +171,6 @@ impl AclTable {
         self.rules.sort_by_key(|r| r.priority);
     }
 
-    /// Remove a rule by id.
-    pub fn remove(&mut self, rule_id: u32) -> bool {
-        let before = self.rules.len();
-        self.rules.retain(|r| r.rule_id != rule_id);
-        self.rules.len() != before
-    }
-
     /// Evaluate a flow; returns the matching rule's (verdict, rule_id).
     /// No match ⇒ implicit permit with rule id 0.
     pub fn evaluate(&self, flow: &fet_packet::FlowKey) -> (AclAction, u32) {
@@ -190,16 +180,6 @@ impl AclTable {
             }
         }
         (AclAction::Permit, 0)
-    }
-
-    /// Number of installed rules.
-    pub fn len(&self) -> usize {
-        self.rules.len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 }
 
@@ -317,15 +297,6 @@ mod tests {
         let acl = AclTable::new();
         let f = FlowKey::tcp(ip(1, 1, 1, 1), 1, ip(2, 2, 2, 2), 2);
         assert_eq!(acl.evaluate(&f), (AclAction::Permit, 0));
-    }
-
-    #[test]
-    fn acl_remove() {
-        let mut acl = AclTable::new();
-        acl.install(AclRule::permit_all(5, 1));
-        assert!(acl.remove(5));
-        assert!(!acl.remove(5));
-        assert!(acl.is_empty());
     }
 
     #[test]

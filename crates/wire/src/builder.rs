@@ -198,7 +198,7 @@ impl V9Builder {
     }
 
     /// Finish with an arbitrary (possibly lying) header count.
-    pub fn build_with_count(self, count: u16) -> Vec<u8> {
+    pub(crate) fn build_with_count(self, count: u16) -> Vec<u8> {
         let body_len: usize = self.flowsets.iter().map(Vec::len).sum();
         let mut out = Vec::with_capacity(V9_HEADER_LEN + body_len);
         push16(&mut out, 9);

@@ -8,7 +8,7 @@
 //!
 //! * the **collector's receive time is authoritative** — a header export
 //!   time is accepted as the datagram's event time only when it is
-//!   plausible (not in the future beyond [`FUTURE_SLACK_SECS`], not
+//!   plausible (not in the future beyond `FUTURE_SLACK_SECS`, not
 //!   running backwards against the same stream's previous claim), and
 //!   even a plausible claim never stamps later than the receive time;
 //! * an implausible claim is a **soft** defect, never fatal: the datagram
@@ -16,7 +16,7 @@
 //!   lie is counted under exactly one [`ClockLie`] bucket;
 //! * a **zero** time field is the long-standing "not set" convention and
 //!   is treated as absent — no lie, event time falls back to receive time;
-//! * per-record durations use [`uptime_delta_ms`], which is wrap-aware: a
+//! * per-record durations use `uptime_delta_ms`, which is wrap-aware: a
 //!   flow straddling the 2^32 ms sysuptime wrap has a small, correct
 //!   delta, while a genuinely backwards pair shows up as an implausibly
 //!   huge one and is booked [`ClockLie::ImplausibleDuration`].
@@ -30,16 +30,16 @@ pub enum ClockLie {
     FutureExport,
     /// Export time behind the same stream's previous claim.
     BackwardsExport,
-    /// Sysuptime frozen across [`FROZEN_RUN`]+ datagrams while export
+    /// Sysuptime frozen across `FROZEN_RUN`+ datagrams while export
     /// continues — the exporter's tick source is dead.
     FrozenSysuptime,
     /// A record's wrap-aware first→last switched delta exceeds
-    /// [`MAX_FLOW_DURATION_MS`] (usually last < first without a wrap).
+    /// `MAX_FLOW_DURATION_MS` (usually last < first without a wrap).
     ImplausibleDuration,
 }
 
 /// Number of distinct clock-lie kinds; sizes per-kind counter arrays.
-pub const CLOCK_LIE_COUNT: usize = 4;
+pub(crate) const CLOCK_LIE_COUNT: usize = 4;
 
 /// Every clock-lie kind, in `index()` order.
 pub const ALL_CLOCK_LIES: [ClockLie; CLOCK_LIE_COUNT] = [
@@ -80,57 +80,57 @@ impl core::fmt::Display for ClockLie {
 /// Export times this far ahead of the collector clock are still plausible
 /// (clock granularity is whole seconds, so one second of skew is noise):
 /// not booked as a lie, but stamped at the receive time.
-pub const FUTURE_SLACK_SECS: u64 = 1;
+pub(crate) const FUTURE_SLACK_SECS: u64 = 1;
 
 /// Consecutive identical nonzero sysuptimes before the stream's tick
 /// source is declared frozen.
-pub const FROZEN_RUN: u32 = 3;
+pub(crate) const FROZEN_RUN: u32 = 3;
 
 /// Longest believable single-flow duration. Routers expire flows after
 /// minutes; an hour-plus delta means the first/last pair is garbage, not
 /// a long flow.
-pub const MAX_FLOW_DURATION_MS: u32 = 3_600_000;
+pub(crate) const MAX_FLOW_DURATION_MS: u32 = 3_600_000;
 
 /// Wrap-aware sysuptime delta: milliseconds from `first` to `last` on the
 /// u32 millisecond clock. A flow straddling the ~49.7-day wrap (`first`
 /// near `u32::MAX`, `last` small) yields the small true delta; a
 /// genuinely backwards pair yields a huge one the caller rejects via
 /// [`MAX_FLOW_DURATION_MS`].
-pub fn uptime_delta_ms(first: u32, last: u32) -> u32 {
+pub(crate) fn uptime_delta_ms(first: u32, last: u32) -> u32 {
     last.wrapping_sub(first)
 }
 
 /// Per-stream clock-vetting state. Bounded exactly like sequence
 /// tracking: it lives in the session's LRU-evicted stream map.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct ClockState {
+pub(crate) struct ClockState {
     /// Last accepted nonzero export time (seconds).
-    pub last_export_secs: u32,
+    pub(crate) last_export_secs: u32,
     /// Last seen nonzero sysuptime (ms).
-    pub last_sysuptime_ms: u32,
+    pub(crate) last_sysuptime_ms: u32,
     /// Consecutive datagrams with an identical nonzero sysuptime.
-    pub frozen_run: u32,
+    pub(crate) frozen_run: u32,
 }
 
 /// The verdict on one datagram's clock claims.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClockVerdict {
+pub(crate) struct ClockVerdict {
     /// The authoritative event time for the datagram's records, ns: the
     /// exporter's export time when plausible (capped at the receive time),
     /// else the receive time.
-    pub event_time_ns: u64,
+    pub(crate) event_time_ns: u64,
     /// Lies found, by [`ClockLie::index`].
-    pub lies: [u64; CLOCK_LIE_COUNT],
+    pub(crate) lies: [u64; CLOCK_LIE_COUNT],
     /// 1 if the export time was present but distrusted (clamped to the
     /// receive time).
-    pub clamped: u64,
+    pub(crate) clamped: u64,
 }
 
 impl ClockState {
     /// Vet one datagram's header clock claims against this stream's
     /// history and the collector's receive time. `export_secs` and
     /// `sysuptime_ms` are 0 when the wire did not carry them.
-    pub fn vet(&mut self, export_secs: u32, sysuptime_ms: u32, now_ns: u64) -> ClockVerdict {
+    pub(crate) fn vet(&mut self, export_secs: u32, sysuptime_ms: u32, now_ns: u64) -> ClockVerdict {
         let mut v = ClockVerdict { event_time_ns: now_ns, ..Default::default() };
         if export_secs != 0 {
             let export_ns = u64::from(export_secs).saturating_mul(1_000_000_000);
@@ -169,7 +169,7 @@ impl ClockState {
     /// Vet one record's first/last-switched pair; returns the wrap-aware
     /// duration if believable, `None` (and books the lie in `lies`) if
     /// not. Zero pairs are absent: no duration, no lie.
-    pub fn vet_record(
+    pub(crate) fn vet_record(
         first_ms: u32,
         last_ms: u32,
         lies: &mut [u64; CLOCK_LIE_COUNT],

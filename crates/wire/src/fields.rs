@@ -11,31 +11,31 @@ use fet_packet::flow::IpProtocol;
 use fet_packet::Ipv4Addr;
 
 /// IN_BYTES — octet count.
-pub const IN_BYTES: u16 = 1;
+pub(crate) const IN_BYTES: u16 = 1;
 /// IN_PKTS — packet count.
-pub const IN_PKTS: u16 = 2;
+pub(crate) const IN_PKTS: u16 = 2;
 /// PROTOCOL — IP protocol number.
-pub const PROTOCOL: u16 = 4;
+pub(crate) const PROTOCOL: u16 = 4;
 /// TCP_FLAGS — cumulative TCP flags.
-pub const TCP_FLAGS: u16 = 6;
+pub(crate) const TCP_FLAGS: u16 = 6;
 /// L4_SRC_PORT — transport source port.
-pub const L4_SRC_PORT: u16 = 7;
+pub(crate) const L4_SRC_PORT: u16 = 7;
 /// IPV4_SRC_ADDR — source address.
-pub const IPV4_SRC_ADDR: u16 = 8;
+pub(crate) const IPV4_SRC_ADDR: u16 = 8;
 /// INPUT_SNMP — ingress interface index.
-pub const INPUT_SNMP: u16 = 10;
+pub(crate) const INPUT_SNMP: u16 = 10;
 /// L4_DST_PORT — transport destination port.
-pub const L4_DST_PORT: u16 = 11;
+pub(crate) const L4_DST_PORT: u16 = 11;
 /// IPV4_DST_ADDR — destination address.
-pub const IPV4_DST_ADDR: u16 = 12;
+pub(crate) const IPV4_DST_ADDR: u16 = 12;
 /// OUTPUT_SNMP — egress interface index (0 = unresolved / blackholed).
-pub const OUTPUT_SNMP: u16 = 14;
+pub(crate) const OUTPUT_SNMP: u16 = 14;
 /// LAST_SWITCHED — sysuptime (ms) at the flow's last packet.
 pub const LAST_SWITCHED: u16 = 21;
 /// FIRST_SWITCHED — sysuptime (ms) at the flow's first packet.
 pub const FIRST_SWITCHED: u16 = 22;
 /// FORWARDING_STATUS — RFC 7270 forwarding status + reason code.
-pub const FORWARDING_STATUS: u16 = 89;
+pub(crate) const FORWARDING_STATUS: u16 = 89;
 
 /// Big-endian unsigned read of 1–8 bytes; longer fields keep the low 8.
 fn be_uint(bytes: &[u8]) -> u64 {
@@ -50,7 +50,7 @@ fn be_uint(bytes: &[u8]) -> u64 {
 ///
 /// Returns the sample and the bytes consumed, or `None` if the buffer is
 /// too short (a truncated record). Never panics on any input.
-pub fn decode_record(tpl: &Template, buf: &[u8]) -> Option<(FlowSample, usize)> {
+pub(crate) fn decode_record(tpl: &Template, buf: &[u8]) -> Option<(FlowSample, usize)> {
     let mut off = 0usize;
     let mut s = FlowSample::default();
     for f in &tpl.fields {
@@ -109,7 +109,7 @@ fn apply_field(s: &mut FlowSample, id: u16, val: &[u8]) {
 }
 
 /// Encode `sample` under a field layout (the builder-side inverse of
-/// [`decode_record`]). Unknown fields are zero-filled; varlen fields are
+/// `decode_record`). Unknown fields are zero-filled; varlen fields are
 /// emitted empty (a single 0-length prefix byte).
 pub fn encode_record(fields: &[TemplateField], sample: &FlowSample) -> Vec<u8> {
     let mut out = Vec::new();
@@ -168,16 +168,16 @@ pub fn base_flow_fields() -> Vec<TemplateField> {
     ]
 }
 
-/// `base_flow_fields` record length in bytes.
-pub fn base_flow_record_len() -> usize {
-    base_flow_fields().iter().map(|f| f.length as usize).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::template::VARLEN;
     use fet_packet::flow::FlowKey;
+
+    /// `base_flow_fields` record length in bytes.
+    fn base_flow_record_len() -> usize {
+        base_flow_fields().iter().map(|f| f.length as usize).sum()
+    }
 
     fn sample() -> FlowSample {
         FlowSample {

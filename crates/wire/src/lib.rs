@@ -26,7 +26,7 @@
 //!    plausibility-clamped against the collector's receive time, frozen
 //!    sysuptimes and implausible flow durations are booked under a
 //!    [`clock::ClockLie`], and sysuptime arithmetic is wrap-aware
-//!    ([`clock::uptime_delta_ms`]) across the ~49.7-day u32 wrap.
+//!    (`clock::uptime_delta_ms`) across the ~49.7-day u32 wrap.
 //!
 //! Layering: this crate depends only on `fet-packet`. The simulator's
 //! hostile-exporter model (`fet_netsim::exporter`) and the collector
@@ -35,11 +35,11 @@
 #![warn(missing_docs)]
 
 pub mod builder;
-pub mod clock;
+mod clock;
 pub mod fields;
-pub mod reason;
-pub mod template;
-pub mod translate;
+mod reason;
+mod template;
+mod translate;
 
 // The three dialects each decode into one `sets::Datagram`; the session is
 // their only caller.
@@ -49,20 +49,17 @@ mod sets;
 mod v5;
 mod v9;
 
-pub use clock::{uptime_delta_ms, ClockLie, ALL_CLOCK_LIES, CLOCK_LIE_COUNT};
-pub use reason::{RejectReason, ALL_REASONS, REASON_COUNT};
+pub use clock::{ClockLie, ALL_CLOCK_LIES};
+pub use reason::{RejectReason, ALL_REASONS};
 pub use session::{
     IngestReport, UpstreamLossReport, WireProtocol, WireSession, WireSessionConfig,
-    WireSessionStats, MAX_PLAUSIBLE_GAP,
+    WireSessionStats,
 };
-pub use template::{
-    InstallOutcome, Template, TemplateCache, TemplateCacheConfig, TemplateCacheStats,
-    TemplateField, VARLEN,
-};
+pub use template::{Template, TemplateCache, TemplateCacheConfig, TemplateField};
 pub use translate::{flow_hash, translate, FlowSample};
 
 #[cfg(test)]
-pub(crate) mod test_support {
+mod test_support {
     use crate::translate::FlowSample;
     use fet_packet::flow::FlowKey;
     use fet_packet::Ipv4Addr;

@@ -46,7 +46,7 @@ pub enum RejectReason {
 }
 
 /// Number of distinct reasons; sizes per-reason counter arrays.
-pub const REASON_COUNT: usize = 9;
+pub(crate) const REASON_COUNT: usize = 9;
 
 /// Every reason, in `index()` order.
 pub const ALL_REASONS: [RejectReason; REASON_COUNT] = [

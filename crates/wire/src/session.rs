@@ -31,15 +31,6 @@ impl WireProtocol {
             WireProtocol::Ipfix => 10,
         }
     }
-
-    /// Human-readable label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            WireProtocol::V5 => "netflow-v5",
-            WireProtocol::V9 => "netflow-v9",
-            WireProtocol::Ipfix => "ipfix",
-        }
-    }
 }
 
 /// Session bounds.
@@ -87,17 +78,17 @@ pub struct IngestReport {
     pub soft: [u64; REASON_COUNT],
     /// Records the exporter's sequence numbers say we never received
     /// (datagrams for v9, whose sequence counts datagrams).
-    pub lost_upstream: u64,
+    pub(crate) lost_upstream: u64,
     /// 1 if this datagram revealed a fresh sequence gap.
-    pub gap_events: u64,
+    pub(crate) gap_events: u64,
     /// The authoritative event time for this datagram's records, ns: the
     /// exporter's export time when plausible, else the collector receive
     /// time (`now_ns`). 0 only on rejected datagrams.
     pub event_time_ns: u64,
     /// Clock lies found, by [`ClockLie::index`](crate::ClockLie::index).
-    pub clock_lies: [u64; CLOCK_LIE_COUNT],
+    pub(crate) clock_lies: [u64; CLOCK_LIE_COUNT],
     /// 1 if the export time was present but distrusted (clamped).
-    pub clamped_stamps: u64,
+    pub(crate) clamped_stamps: u64,
 }
 
 impl IngestReport {
@@ -145,7 +136,7 @@ pub struct WireSessionStats {
     /// Upstream loss units (records; datagrams for v9).
     pub lost_upstream: u64,
     /// Distinct sequence gaps observed.
-    pub gap_events: u64,
+    pub(crate) gap_events: u64,
     /// Clock lies by [`ClockLie::index`](crate::ClockLie::index).
     pub clock_lies: [u64; CLOCK_LIE_COUNT],
     /// Datagrams whose export time was present but distrusted.
@@ -185,7 +176,7 @@ pub struct UpstreamLossReport {
 
 /// Largest single sequence jump still believed to be real upstream loss;
 /// larger jumps are treated as an exporter restart.
-pub const MAX_PLAUSIBLE_GAP: u32 = 1 << 24;
+pub(crate) const MAX_PLAUSIBLE_GAP: u32 = 1 << 24;
 
 #[derive(Debug, Clone, Copy)]
 struct SeqState {
@@ -527,7 +518,7 @@ mod tests {
         let now = 42_000_000_000;
         let r = s.ingest(&v5_datagram(0, 0, 1, &[sample(1)]), now);
         assert_eq!(r.event_time_ns, now);
-        assert_eq!(r.clock_lies, [0; crate::CLOCK_LIE_COUNT]);
+        assert_eq!(r.clock_lies, [0; crate::clock::CLOCK_LIE_COUNT]);
         assert_eq!(r.clamped_stamps, 0);
         assert_eq!(s.stats().clamped_stamps, 0);
     }
@@ -574,7 +565,7 @@ mod tests {
         ok.first_ms = u32::MAX - 100;
         ok.last_ms = 400; // 501 ms across the wrap: plausible
         let r = s.ingest(&v5_datagram(0, 0, 1, &[ok]), 0);
-        assert_eq!(r.clock_lies, [0; crate::CLOCK_LIE_COUNT]);
+        assert_eq!(r.clock_lies, [0; crate::clock::CLOCK_LIE_COUNT]);
         // A genuinely backwards pair IS a lie.
         let mut bad = sample(2);
         bad.first_ms = 9_000;

@@ -22,24 +22,24 @@ const DATA_SET_MIN: u16 = 256;
 pub(crate) struct Datagram {
     /// Sequence stream: v9 source id, IPFIX observation domain, v5
     /// `engine_type << 8 | engine_id`.
-    pub domain: u32,
+    pub(crate) domain: u32,
     /// Header sequence number.
-    pub sequence: u32,
+    pub(crate) sequence: u32,
     /// How far this datagram moves its stream's sequence: the header count
     /// for v5 (records), 1 for v9 (datagrams), data + malformed records for
     /// IPFIX.
-    pub seq_advance: u32,
+    pub(crate) seq_advance: u32,
     /// Exporter wall-clock at export, unix seconds; 0 = not set.
-    pub export_secs: u32,
+    pub(crate) export_secs: u32,
     /// Exporter uptime at export, ms (u32: wraps every ~49.7 days); 0 =
     /// not set, as always for IPFIX, which carries none.
-    pub sysuptime_ms: u32,
+    pub(crate) sysuptime_ms: u32,
     /// Decoded flow records, in wire order.
-    pub samples: Vec<FlowSample>,
+    pub(crate) samples: Vec<FlowSample>,
     /// Records claimed or started but not decodable.
-    pub malformed: u64,
+    pub(crate) malformed: u64,
     /// Soft reject counters by [`RejectReason::index`].
-    pub soft: [u64; REASON_COUNT],
+    pub(crate) soft: [u64; REASON_COUNT],
 }
 
 pub(crate) fn be16(buf: &[u8], off: usize) -> u16 {
@@ -80,12 +80,12 @@ pub(crate) type TemplateSetParser =
 #[derive(Debug, Default)]
 pub(crate) struct SetWalk {
     /// Template and options-template records walked.
-    pub templates: u64,
+    pub(crate) templates: u64,
     /// Data records walked (flow + option records).
-    pub data: u64,
+    pub(crate) data: u64,
     /// Data sets under a template the cache does not hold. Their records
     /// cannot be counted, so each dialect books them by its own rule.
-    pub unknown_template_sets: u64,
+    pub(crate) unknown_template_sets: u64,
 }
 
 /// Walk the sets that follow a v9 or IPFIX header into `dg`.

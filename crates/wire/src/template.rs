@@ -11,8 +11,8 @@
 //! * at most [`TemplateCacheConfig::max_domains`] observation domains
 //!   (whole-domain LRU eviction — the v9 `source_id` is a 32-bit
 //!   attacker-controlled value, so domains must be bounded too);
-//! * at most [`TemplateCacheConfig::max_fields`] fields and
-//!   [`TemplateCacheConfig::max_record_len`] bytes per record per template;
+//! * at most 128 fields and 2048 bytes per record per template (the
+//!   `MAX_FIELDS` and `MAX_RECORD_LEN` safety bounds);
 //! * templates not referenced for
 //!   [`TemplateCacheConfig::template_timeout_ns`] expire.
 //!
@@ -24,7 +24,14 @@
 use std::collections::BTreeMap;
 
 /// IPFIX "variable length" marker in a template field spec (RFC 7011 §7).
-pub const VARLEN: u16 = 65535;
+pub(crate) const VARLEN: u16 = 65535;
+
+/// Maximum fields per template; templates claiming more are rejected.
+const MAX_FIELDS: usize = 128;
+
+/// Maximum fixed record length in bytes; templates describing longer
+/// records are rejected.
+const MAX_RECORD_LEN: usize = 2048;
 
 /// One field spec inside a template: what to decode and how wide it is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,7 +39,7 @@ pub struct TemplateField {
     /// Information element id (v9 field type / IPFIX IE id, enterprise bit
     /// stripped).
     pub field_id: u16,
-    /// Encoded length in bytes, or [`VARLEN`].
+    /// Encoded length in bytes, or `VARLEN`.
     pub length: u16,
     /// IPFIX enterprise number, if the enterprise bit was set.
     pub enterprise: Option<u32>,
@@ -45,7 +52,7 @@ impl TemplateField {
     }
 
     /// True for IPFIX variable-length fields.
-    pub fn is_varlen(&self) -> bool {
+    pub(crate) fn is_varlen(&self) -> bool {
         self.length == VARLEN
     }
 }
@@ -54,13 +61,13 @@ impl TemplateField {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Template {
     /// Template id (must be >= 256; lower ids name set types).
-    pub id: u16,
+    pub(crate) id: u16,
     /// Field specs in wire order (scope fields first for options
     /// templates).
-    pub fields: Vec<TemplateField>,
+    pub(crate) fields: Vec<TemplateField>,
     /// Number of leading scope fields; > 0 marks an options template,
     /// whose data records are exporter metadata, not flow records.
-    pub scope_fields: u16,
+    pub(crate) scope_fields: u16,
     /// When this template was installed or last refreshed (caller clock).
     installed_ns: u64,
     /// Logical recency tick for LRU eviction.
@@ -74,12 +81,12 @@ impl Template {
     }
 
     /// True if data records under this template are option records.
-    pub fn is_options(&self) -> bool {
+    pub(crate) fn is_options(&self) -> bool {
         self.scope_fields > 0
     }
 
     /// Total record length if every field is fixed-width, else `None`.
-    pub fn fixed_record_len(&self) -> Option<usize> {
+    pub(crate) fn fixed_record_len(&self) -> Option<usize> {
         let mut total = 0usize;
         for f in &self.fields {
             if f.is_varlen() {
@@ -92,7 +99,7 @@ impl Template {
 
     /// Smallest number of bytes any record under this template can occupy
     /// (varlen fields cost at least their 1-byte length prefix).
-    pub fn min_record_len(&self) -> usize {
+    pub(crate) fn min_record_len(&self) -> usize {
         self.fields.iter().map(|f| if f.is_varlen() { 1 } else { f.length as usize }).sum()
     }
 }
@@ -109,11 +116,6 @@ pub struct TemplateCacheConfig {
     /// Nanoseconds since last reference after which a template expires;
     /// 0 disables expiry.
     pub template_timeout_ns: u64,
-    /// Maximum fields per template; templates claiming more are rejected.
-    pub max_fields: usize,
-    /// Maximum fixed record length in bytes; templates describing longer
-    /// records are rejected.
-    pub max_record_len: usize,
 }
 
 impl Default for TemplateCacheConfig {
@@ -122,8 +124,6 @@ impl Default for TemplateCacheConfig {
             max_templates: 1000,
             max_domains: 64,
             template_timeout_ns: 3_600_000_000_000,
-            max_fields: 128,
-            max_record_len: 2048,
         }
     }
 }
@@ -199,22 +199,22 @@ impl TemplateCache {
         if tpl.id < 256 {
             return false;
         }
-        if tpl.fields.is_empty() || tpl.fields.len() > self.cfg.max_fields {
+        if tpl.fields.is_empty() || tpl.fields.len() > MAX_FIELDS {
             return false;
         }
         if (tpl.scope_fields as usize) > tpl.fields.len() {
             return false;
         }
         for f in &tpl.fields {
-            if !f.is_varlen() && (f.length == 0 || f.length as usize > self.cfg.max_record_len) {
+            if !f.is_varlen() && (f.length == 0 || f.length as usize > MAX_RECORD_LEN) {
                 return false;
             }
         }
         if let Some(len) = tpl.fixed_record_len() {
-            if len == 0 || len > self.cfg.max_record_len {
+            if len == 0 || len > MAX_RECORD_LEN {
                 return false;
             }
-        } else if tpl.min_record_len() > self.cfg.max_record_len {
+        } else if tpl.min_record_len() > MAX_RECORD_LEN {
             return false;
         }
         true
@@ -416,7 +416,7 @@ mod tests {
             c.install(1, Template::new(256, vec![TemplateField::std(8, 0)], 0), 0),
             InstallOutcome::Rejected
         );
-        // record longer than max_record_len
+        // record longer than MAX_RECORD_LEN
         assert_eq!(
             c.install(1, Template::new(256, vec![TemplateField::std(8, 4000)], 0), 0),
             InstallOutcome::Rejected

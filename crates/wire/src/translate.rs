@@ -41,7 +41,7 @@ pub struct FlowSample {
     pub forwarding_status: Option<u8>,
     /// Sysuptime (ms) at the flow's first packet; 0 = not carried. A u32
     /// millisecond clock wraps every ~49.7 days, so consumers must use
-    /// [`uptime_delta_ms`](crate::clock::uptime_delta_ms), never `last -
+    /// `uptime_delta_ms`, never `last -
     /// first`.
     pub first_ms: u32,
     /// Sysuptime (ms) at the flow's last packet; 0 = not carried.
@@ -75,7 +75,7 @@ const FWD_STATUS_DROPPED: u8 = 0b10;
 
 impl FlowSample {
     /// True if this record attests the flow was dropped.
-    pub fn is_dropped(&self) -> bool {
+    pub(crate) fn is_dropped(&self) -> bool {
         match self.forwarding_status {
             Some(fs) => (fs >> 6) == FWD_STATUS_DROPPED,
             None => self.out_port == 0,

@@ -13,7 +13,7 @@ pub struct FlowSizeDist {
     /// Workload name as the paper labels it.
     pub name: &'static str,
     /// (size bytes, cumulative probability), strictly increasing in both.
-    pub points: &'static [(f64, f64)],
+    pub(crate) points: &'static [(f64, f64)],
 }
 
 /// DCTCP / web-search.
@@ -35,7 +35,7 @@ pub const DCTCP: FlowSizeDist = FlowSizeDist {
 };
 
 /// VL2 measured DC traffic.
-pub const VL2: FlowSizeDist = FlowSizeDist {
+pub(crate) const VL2: FlowSizeDist = FlowSizeDist {
     name: "VL2",
     points: &[
         (100.0, 0.0),
@@ -62,7 +62,7 @@ pub const CACHE: FlowSizeDist = FlowSizeDist {
 };
 
 /// Facebook Hadoop cluster.
-pub const HADOOP: FlowSizeDist = FlowSizeDist {
+pub(crate) const HADOOP: FlowSizeDist = FlowSizeDist {
     name: "HADOOP",
     points: &[
         (100.0, 0.0),
@@ -93,7 +93,7 @@ pub const ALL_WORKLOADS: [&FlowSizeDist; 5] = [&DCTCP, &VL2, &CACHE, &HADOOP, &W
 impl FlowSizeDist {
     /// Sample a flow size in bytes (inverse-CDF with log-size
     /// interpolation between the published points).
-    pub fn sample(&self, rng: &mut Pcg32) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut Pcg32) -> u64 {
         let u = rng.next_f64();
         let pts = self.points;
         if u <= pts[0].1 {
@@ -112,7 +112,7 @@ impl FlowSizeDist {
     }
 
     /// Numeric mean of the distribution (for arrival-rate sizing).
-    pub fn mean_bytes(&self) -> f64 {
+    pub(crate) fn mean_bytes(&self) -> f64 {
         // Integrate the piecewise log-linear inverse CDF numerically.
         let n = 10_000;
         let mut acc = 0.0;
@@ -124,7 +124,7 @@ impl FlowSizeDist {
     }
 
     /// The u-th quantile in bytes.
-    pub fn quantile(&self, u: f64) -> f64 {
+    pub(crate) fn quantile(&self, u: f64) -> f64 {
         let pts = self.points;
         if u <= pts[0].1 {
             return pts[0].0;

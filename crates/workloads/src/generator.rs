@@ -10,17 +10,19 @@ use fet_netsim::topology::FatTree;
 use fet_netsim::Simulator;
 use fet_packet::FlowKey;
 
+/// Fan-in: each destination receives from this many sources (§5.2).
+const FAN_IN: usize = 4;
+
+/// Per-flow pacing rate, Gbps.
+const FLOW_RATE_GBPS: f64 = 5.0;
+
 /// Traffic generation parameters.
 #[derive(Debug, Clone)]
 pub struct TrafficParams {
     /// Target average utilization of host uplinks (0..1).
     pub utilization: f64,
-    /// Fan-in: each destination receives from this many sources.
-    pub fan_in: usize,
     /// Traffic runs from 0 to this horizon, ns.
     pub duration_ns: u64,
-    /// Per-flow pacing rate, Gbps.
-    pub flow_rate_gbps: f64,
     /// Payload bytes per packet.
     pub pkt_payload: usize,
     /// RNG seed.
@@ -33,9 +35,7 @@ impl Default for TrafficParams {
     fn default() -> Self {
         TrafficParams {
             utilization: 0.7,
-            fan_in: 4,
             duration_ns: 50 * fet_netsim::MILLIS,
-            flow_rate_gbps: 5.0,
             pkt_payload: 1000,
             seed: 0x1337,
             max_flows: 50_000,
@@ -71,9 +71,9 @@ pub fn generate_traffic(
             break;
         }
         let src = rng.next_below(n_hosts as u32) as usize;
-        // Fan-in pattern: each source sends to the next `fan_in` hosts, so
-        // every destination receives from exactly `fan_in` sources.
-        let fan = params.fan_in.clamp(1, n_hosts - 1);
+        // Fan-in pattern: each source sends to the next `FAN_IN` hosts, so
+        // every destination receives from exactly `FAN_IN` sources.
+        let fan = FAN_IN.clamp(1, n_hosts - 1);
         let offset = rng.next_below(fan as u32) as usize;
         let dst = (src + 1 + offset) % n_hosts;
         let size = dist.sample(&mut rng).max(1);
@@ -84,7 +84,7 @@ pub fn generate_traffic(
             key,
             total_bytes: size,
             pkt_payload: params.pkt_payload,
-            rate_gbps: params.flow_rate_gbps,
+            rate_gbps: FLOW_RATE_GBPS,
             start_ns,
             dscp: 0,
         });

@@ -13,4 +13,4 @@ pub mod tickets;
 
 pub use distributions::{FlowSizeDist, ALL_WORKLOADS};
 pub use generator::{generate_traffic, TrafficParams};
-pub use tickets::{synthesize_tickets, Ticket};
+pub use tickets::synthesize_tickets;

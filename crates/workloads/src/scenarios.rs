@@ -12,7 +12,7 @@ use crate::generator::{generate_incast, generate_traffic, TrafficParams};
 use fet_netsim::host::FlowSpec;
 use fet_netsim::routing::{install_ecmp_routes, override_route, remove_route};
 use fet_netsim::time::MILLIS;
-use fet_netsim::topology::{build_fat_tree, FatTree, FatTreeParams};
+use fet_netsim::topology::{build_fat_tree, FatTreeParams};
 use fet_netsim::Simulator;
 use fet_packet::event::EventType;
 use fet_packet::FlowKey;
@@ -99,8 +99,6 @@ impl CaseId {
 pub struct BuiltCase {
     /// The simulator, traffic scheduled and fault scripted.
     pub sim: Simulator,
-    /// Topology handles.
-    pub ft: FatTree,
     /// The customer's affected flows (what the operator knows going in).
     pub victim_flows: Vec<FlowKey>,
     /// Ground-truth faulty device (what the diagnosis must find).
@@ -209,7 +207,7 @@ pub fn build_case(case: CaseId, seed: u64) -> BuiltCase {
         }
     }
 
-    BuiltCase { sim, ft, victim_flows, fault_device, fault_at_ns, horizon_ns }
+    BuiltCase { sim, victim_flows, fault_device, fault_at_ns, horizon_ns }
 }
 
 #[cfg(test)]

@@ -64,6 +64,7 @@ fn main() {
     let top: Vec<_> = ranked.iter().take(hogs.len()).map(|(f, _)| *f).collect();
     let found = hogs.iter().filter(|h| top.contains(h)).count();
     println!("\n=> {found}/{} hog flows identified from drop counters alone", hogs.len());
+    assert_eq!((found, hogs.len()), (6, 6), "every incast hog must rank among the top droppers");
 
     let congestion = store.query(&Query::any().device(tor).ty(EventType::Congestion));
     println!("congestion events at the same ToR: {}", congestion.len());

@@ -88,11 +88,13 @@ fn main() {
     // been blamed on the network falsely, and the incast victims should
     // all have events.
     let app_only: Vec<_> = rpcs.iter().filter(|(_, s)| *s).collect();
+    let app_only_clean = app_only.iter().filter(|(k, _)| anomaly_events(k).is_empty()).count();
     println!(
-        "  app-slow RPCs: {} — of which {} (correctly) show no network events",
+        "  app-slow RPCs: {} — of which {app_only_clean} (correctly) show no network events",
         app_only.len(),
-        app_only.iter().filter(|(k, _)| anomaly_events(k).is_empty()).count()
     );
+    assert_eq!((exonerated, rpcs.len()), (57, 60), "the network must exonerate 57 of 60 RPCs");
+    assert_eq!((app_only_clean, app_only.len()), (18, 20), "18 of 20 app-slow RPCs are clean");
     println!("\n=> with NetSeer the network answers in seconds; without it, case #5");
     println!("   took 284 minutes of back-and-forth before the SSD bug surfaced.");
 }

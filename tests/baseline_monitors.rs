@@ -29,13 +29,7 @@ fn netsight_full_coverage_heavy_overhead() {
 
 #[test]
 fn sampling_thins_with_k() {
-    let inject = InjectSpec {
-        interswitch_burst: 0,
-        blackhole: false,
-        reroute: false,
-        incast: true,
-        ..Default::default()
-    };
+    let inject = InjectSpec { interswitch_burst: 0, blackhole: false, reroute: false };
     let mut ratios = Vec::new();
     for k in [10u64, 100, 1000] {
         let mut out = run_experiment(&DCTCP, MonitorKind::Sampling(k), &inject, 7, 10 * MILLIS);

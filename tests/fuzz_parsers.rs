@@ -25,9 +25,8 @@ use fet_netsim::corrupt::{corrupt_buffer, CorruptionSpec};
 use fet_netsim::rng::Pcg32;
 use fet_packet::builder::{
     build_cebp_frame, build_data_packet, build_notification_frames_with, build_pfc_frame, classify,
-    extract_flow, insert_seqtag, insert_seqtag_in_place, parse_cebp_frame, parse_hop,
-    parse_notification, peek_seqtag, slide_in_seqtag, slide_out_seqtag, strip_seqtag,
-    strip_seqtag_in_place, taggable, FrameKind,
+    extract_flow, insert_seqtag_in_place, parse_cebp_frame, parse_hop, parse_notification,
+    peek_seqtag, slide_in_seqtag, slide_out_seqtag, strip_seqtag_in_place, taggable, FrameKind,
 };
 use fet_packet::cebp::CebpPacket;
 use fet_packet::ethernet::EthernetFrame;
@@ -35,6 +34,7 @@ use fet_packet::event::{EventDetail, EventRecord, EventType, EVENT_RECORD_LEN};
 use fet_packet::ipv4::Ipv4Addr;
 use fet_packet::notification::LossNotification;
 use fet_packet::pfc::PfcFrame;
+use fet_packet::reference::{insert_seqtag, strip_seqtag};
 use fet_packet::seqtag::SeqTag;
 use fet_packet::{FlowKey, SEQTAG_LEN};
 use netseer::spill::{
