@@ -1,6 +1,7 @@
 //! The sharded streaming engine: a [`Collector`] subscriber that fans
-//! delivered events out to flow-hash shards (windows + top-k + ledger)
-//! and feeds the engine-level cross-shard views (correlator, SLA).
+//! delivered events out to flow-hash shards (per-key totals + top-k +
+//! ledger) and feeds the engine-level cross-shard views (correlator,
+//! SLA).
 //!
 //! Sharding is by a stable FNV-1a hash of the 13-byte flow key wire
 //! encoding — *not* `EventRecord::hash`, which is salted per device and
@@ -19,20 +20,16 @@
 //! holds across the crash.
 
 use crate::correlate::{Correlator, GapReport, LinkMap, LinkVerdict};
-use crate::shard::{AnalyticsLedger, ShardWorker};
+use crate::shard::{AggKey, AnalyticsLedger, ShardWorker, WindowStats};
 use crate::sla::{BreachWindow, SlaEvaluator, SlaPolicy};
 use crate::topk::{heaviest, TopKEntry};
-use crate::window::{AggKey, WindowStats};
 use fet_packet::flow::FLOW_KEY_LEN;
 use fet_packet::FlowKey;
 use fet_wire::{UpstreamLossReport, WireProtocol};
 use netseer::faults::CrashKind;
 use netseer::recovery::Collector;
 use netseer::StoredEvent;
-use std::collections::BTreeMap;
-
-/// Sliding view: retained windows per shard.
-pub(crate) const SLIDING_BUCKETS: usize = 8;
+use std::collections::{BTreeMap, HashMap};
 
 /// Max retained SLA breach windows.
 pub(crate) const MAX_BREACHES: usize = 1024;
@@ -43,11 +40,9 @@ pub(crate) const MAX_BREACHES: usize = 1024;
 pub struct AnalyticsConfig {
     /// Flow-hash shards.
     pub shards: usize,
-    /// Tumbling window width, ns.
-    pub window_ns: u64,
     /// Space-Saving capacity per shard.
     pub topk_k: usize,
-    /// Max (device, type, reason) keys per shard aggregator.
+    /// Max (device, type, reason) keys per shard totals table.
     pub max_agg_keys: usize,
     /// SLA budget per device window.
     pub sla: SlaPolicy,
@@ -63,7 +58,6 @@ impl Default for AnalyticsConfig {
     fn default() -> Self {
         AnalyticsConfig {
             shards: 4,
-            window_ns: 1_000_000,
             topk_k: 32,
             max_agg_keys: 4096,
             sla: SlaPolicy::default(),
@@ -131,12 +125,7 @@ pub(crate) const UPSTREAM_STREAM_CAP: usize = 1024;
 impl AnalyticsEngine {
     /// Build an engine over the fleet wiring in `links`.
     pub fn new(cfg: AnalyticsConfig, links: LinkMap) -> Self {
-        let shards = (0..cfg.shards.max(1))
-            .map(|_| {
-                ShardWorker::new(cfg.window_ns, SLIDING_BUCKETS, cfg.max_agg_keys, cfg.topk_k)
-                    .with_event_time(cfg.lateness_bound_ns, cfg.reorder_cap)
-            })
-            .collect();
+        let shards = (0..cfg.shards.max(1)).map(|_| ShardWorker::new(&cfg)).collect();
         AnalyticsEngine {
             cfg,
             shards,
@@ -265,11 +254,13 @@ impl AnalyticsEngine {
     /// Cumulative (device, type, reason) totals merged across shards,
     /// deterministically ordered.
     pub fn totals(&self) -> Vec<(AggKey, WindowStats)> {
-        let mut merged = crate::window::WindowAggregator::new(self.cfg.window_ns, 1, usize::MAX);
-        for s in &self.shards {
-            merged.merge_totals_from(&s.windows);
+        let mut merged: HashMap<AggKey, WindowStats> = HashMap::new();
+        for (&k, &s) in self.shards.iter().flat_map(|s| &s.totals) {
+            merged.entry(k).or_default().merge(s);
         }
-        merged.totals()
+        let mut v: Vec<(AggKey, WindowStats)> = merged.into_iter().collect();
+        v.sort_by_key(|(k, _)| k.order());
+        v
     }
 
     /// End-of-stream flush: drain every shard's event-time reorder

@@ -4,8 +4,9 @@
 //! crate answers the paper's *operational* questions (§6) online, in
 //! bounded memory, under the repo's ledger-invariant discipline:
 //!
-//! * **Where is the network hurting?** Tumbling + sliding time-window
-//!   aggregates per (device, event type, drop reason) — `window`.
+//! * **Where is the network hurting?** Cumulative event and packet
+//!   counts per (device, event type, drop reason), in a capped table per
+//!   shard — `shard`.
 //! * **Which flows are the victims?** A Space-Saving top-k sketch with
 //!   provable error bounds — `topk`.
 //! * **Which link is eating packets?** A cross-device correlator joining
@@ -29,13 +30,11 @@ mod engine;
 mod shard;
 mod sla;
 mod topk;
-mod window;
 mod wire;
 
 pub use correlate::{GapReport, LinkId, LinkMap, LinkVerdict};
 pub use engine::{AnalyticsConfig, AnalyticsEngine};
-pub use shard::AnalyticsLedger;
+pub use shard::{AggKey, AnalyticsLedger, WindowStats};
 pub use sla::{BreachWindow, SlaPolicy};
 pub use topk::TopKEntry;
-pub use window::{AggKey, WindowStats};
 pub use wire::{harvest_gap_reports, link_map_from_sim};

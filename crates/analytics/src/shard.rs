@@ -1,16 +1,64 @@
-//! One analytics shard: a windowed aggregator plus a Space-Saving sketch,
-//! with a per-shard [`AnalyticsLedger`] that accounts for every ingested
-//! event so nothing disappears silently — the analytics-side extension of
-//! the transport's `generated == delivered + shed + pending +
-//! lost_to_crash` discipline.
+//! One analytics shard: a capped per-key count table plus a
+//! Space-Saving sketch, with a per-shard [`AnalyticsLedger`] that
+//! accounts for every ingested event so nothing disappears silently —
+//! the analytics-side extension of the transport's `generated ==
+//! delivered + shed + pending + lost_to_crash` discipline.
 
+use crate::engine::AnalyticsConfig;
 use crate::topk::SpaceSaving;
-use crate::window::{AggKey, WindowAggregator};
+use fet_packet::event::{DropCode, EventDetail, EventType};
 use netseer::StoredEvent;
+use std::collections::HashMap;
+
 /// Parks between merges of the reorder buffer's incoming chunk into its
 /// sorted run: small enough to bound the forced-release scan, large
 /// enough to keep the merge amortized-cheap per event.
 const REORDER_CHUNK: usize = 256;
+
+/// The aggregation key: where, what, and (for drops) why.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct AggKey {
+    /// Reporting device.
+    pub device: u32,
+    /// Event class.
+    pub ty: EventType,
+    /// Drop reason for the three drop classes, `None` otherwise.
+    pub reason: Option<DropCode>,
+}
+
+impl AggKey {
+    /// The key of a stored event.
+    fn of(e: &StoredEvent) -> Self {
+        let reason = match e.record.detail {
+            EventDetail::Drop { code, .. } => Some(code),
+            _ => None,
+        };
+        AggKey { device: e.device, ty: e.record.ty, reason }
+    }
+
+    /// Deterministic sort key (DropCode has no Ord; use wire codes).
+    pub(crate) fn order(&self) -> (u32, u8, u8) {
+        (self.device, self.ty.code(), self.reason.map_or(0, |c| c.code()))
+    }
+}
+
+/// Cumulative counts for one key since the engine started.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WindowStats {
+    /// Event records aggregated.
+    pub events: u64,
+    /// Total weight (the records' packet counters — a counter report for
+    /// 128 suppressed packets weighs 128, not 1).
+    pub weight: u64,
+}
+
+impl WindowStats {
+    /// Fold `other` into these counts.
+    pub(crate) fn merge(&mut self, other: WindowStats) {
+        self.events += other.events;
+        self.weight += other.weight;
+    }
+}
 
 /// Disposition accounting for one shard (or, summed, the whole engine).
 ///
@@ -18,8 +66,8 @@ const REORDER_CHUNK: usize = 256;
 /// + late_shed + pending_reorder`.
 ///
 /// Every event gets exactly one disposition:
-/// * `aggregated` — the window aggregator accepted it (the common case);
-/// * `sketch_absorbed` — the aggregator's key table was full but the event
+/// * `aggregated` — the shard's per-key table counted it (the common case);
+/// * `sketch_absorbed` — the per-key table was full but the event
 ///   is a loss/congestion report, so the top-k sketch (which never
 ///   rejects) still captured its flow;
 /// * `shed_analytics` — neither structure could hold it; counted, not lost;
@@ -37,9 +85,9 @@ const REORDER_CHUNK: usize = 256;
 pub struct AnalyticsLedger {
     /// Events handed to the shard.
     pub ingested: u64,
-    /// Accepted by the window aggregator.
+    /// Counted in the per-key table.
     pub aggregated: u64,
-    /// Refused by the aggregator, absorbed by the top-k sketch.
+    /// Refused by the full per-key table, absorbed by the top-k sketch.
     pub sketch_absorbed: u64,
     /// Refused by both; accounted as analytics shed.
     pub shed_analytics: u64,
@@ -118,12 +166,14 @@ impl std::iter::Sum for AnalyticsLedger {
     }
 }
 
-/// One flow-hash shard: windows + sketch + ledger, with an optional
-/// event-time front end (watermark + bounded reorder buffer).
+/// One flow-hash shard: per-key totals + sketch + ledger, with an
+/// optional event-time front end (watermark + bounded reorder buffer).
 #[derive(Debug, Clone)]
 pub(crate) struct ShardWorker {
-    /// Tumbling/sliding aggregates for this shard's flows.
-    pub(crate) windows: WindowAggregator,
+    /// Cumulative counts per (device, type, reason) for this shard's
+    /// flows, at most `max_agg_keys` keys.
+    pub(crate) totals: HashMap<AggKey, WindowStats>,
+    max_agg_keys: usize,
     /// Heaviest loss/congestion flows in this shard.
     pub(crate) topk: SpaceSaving,
     /// Disposition accounting.
@@ -134,16 +184,20 @@ pub(crate) struct ShardWorker {
     lateness_bound_ns: u64,
     /// Max parked events; an overflow releases the oldest immediately.
     reorder_cap: usize,
-    /// Parked events sorted *descending* by (stamp, arrival tiebreak):
-    /// the buffer minimum pops O(1) off the tail.
-    sorted: Vec<(u64, u64, StoredEvent)>,
+    /// Parked (stamp, arrival tiebreak, `slab` slot) keys sorted
+    /// *descending*: the buffer minimum pops O(1) off the tail.
+    sorted: Vec<(u64, u64, u32)>,
     /// Recent parks, unsorted; merged into `sorted` every
     /// [`REORDER_CHUNK`] parks so the merge stays amortized-O(1)/event.
-    incoming: Vec<(u64, u64, StoredEvent)>,
+    incoming: Vec<(u64, u64, u32)>,
     /// Minimum (stamp, arrival) key across `incoming` (`None` = empty).
     incoming_min: Option<(u64, u64)>,
     /// Merge scratch, reused to avoid per-merge allocation.
-    scratch: Vec<(u64, u64, StoredEvent)>,
+    scratch: Vec<(u64, u64, u32)>,
+    /// Parked events, by slot: the sort and merge move only the keys.
+    slab: Vec<StoredEvent>,
+    /// Slots of `slab` free for the next park.
+    free: Vec<u32>,
     /// Arrival tiebreak so equal stamps release in arrival order.
     arrival_seq: u64,
     /// Largest event-time stamp seen; the watermark trails it by
@@ -152,38 +206,30 @@ pub(crate) struct ShardWorker {
 }
 
 impl ShardWorker {
-    /// A shard with the given window geometry and sketch capacity, in
-    /// arrival-order (processing-time) mode.
-    pub(crate) fn new(
-        window_ns: u64,
-        sliding_buckets: usize,
-        max_agg_keys: usize,
-        topk_k: usize,
-    ) -> Self {
+    /// A shard with `cfg`'s key cap and sketch capacity. With
+    /// `cfg.lateness_bound_ns` and `cfg.reorder_cap` both zero it runs
+    /// the arrival-order (processing-time) path; otherwise events sort
+    /// in a reorder buffer (≤ `reorder_cap` parked) until the watermark
+    /// — max stamp seen minus `lateness_bound_ns` — passes them, and
+    /// events arriving behind the watermark are admitted if within the
+    /// bound, shed (and booked) otherwise.
+    pub(crate) fn new(cfg: &AnalyticsConfig) -> Self {
         ShardWorker {
-            windows: WindowAggregator::new(window_ns, sliding_buckets, max_agg_keys),
-            topk: SpaceSaving::new(topk_k),
+            totals: HashMap::new(),
+            max_agg_keys: cfg.max_agg_keys.max(1),
+            topk: SpaceSaving::new(cfg.topk_k),
             ledger: AnalyticsLedger::default(),
-            lateness_bound_ns: 0,
-            reorder_cap: 0,
+            lateness_bound_ns: cfg.lateness_bound_ns,
+            reorder_cap: cfg.reorder_cap,
             sorted: Vec::new(),
             incoming: Vec::new(),
             incoming_min: None,
             scratch: Vec::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
             arrival_seq: 0,
             max_stamp_ns: 0,
         }
-    }
-
-    /// Switch on the event-time front end: events sort in a reorder
-    /// buffer (≤ `reorder_cap` parked) until the watermark — max stamp
-    /// seen minus `lateness_bound_ns` — passes them; events arriving
-    /// behind the watermark are admitted if within the bound, shed (and
-    /// booked) otherwise. `(0, 0)` keeps the arrival-order path.
-    pub(crate) fn with_event_time(mut self, lateness_bound_ns: u64, reorder_cap: usize) -> Self {
-        self.lateness_bound_ns = lateness_bound_ns;
-        self.reorder_cap = reorder_cap;
-        self
     }
 
     /// True when the event-time front end is active.
@@ -208,8 +254,8 @@ impl ShardWorker {
         let watermark = self.watermark_ns();
         if self.max_stamp_ns > 0 && t < watermark {
             // Late: behind the watermark. Within the bound it still
-            // counts (the aggregator books it `late`, totals stay
-            // exact); beyond the bound it is shed — and booked.
+            // counts (totals stay exact); beyond the bound it is shed —
+            // and booked.
             if watermark - t <= self.lateness_bound_ns {
                 self.ledger.late_admitted += 1;
                 self.dispose(e);
@@ -225,7 +271,17 @@ impl ShardWorker {
             Some(m) if m < key => m,
             _ => key,
         });
-        self.incoming.push((key.0, key.1, *e));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = *e;
+                slot
+            }
+            None => {
+                self.slab.push(*e);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.incoming.push((key.0, key.1, slot));
         if self.incoming.len() >= REORDER_CHUNK {
             self.compact();
         }
@@ -244,13 +300,15 @@ impl ShardWorker {
         if self.incoming.is_empty() {
             return;
         }
-        self.incoming.sort_unstable_by_key(|p| std::cmp::Reverse((p.0, p.1)));
+        // Arrival tiebreaks are unique, so whole keys order as (stamp,
+        // arrival) does.
+        self.incoming.sort_unstable_by(|a, b| b.cmp(a));
         self.scratch.clear();
         self.scratch.reserve(self.sorted.len() + self.incoming.len());
         let (mut i, mut j) = (0, 0);
         while i < self.sorted.len() && j < self.incoming.len() {
             let (a, b) = (self.sorted[i], self.incoming[j]);
-            if (a.0, a.1) > (b.0, b.1) {
+            if a > b {
                 self.scratch.push(a);
                 i += 1;
             } else {
@@ -284,21 +342,16 @@ impl ShardWorker {
             (Some(_), None) => false,
             (None, None) => return,
         };
-        let ev = if from_incoming {
-            let mut k = 0;
-            for (i, p) in self.incoming.iter().enumerate() {
-                if (p.0, p.1) < (self.incoming[k].0, self.incoming[k].1) {
-                    k = i;
-                }
-            }
+        let slot = if from_incoming {
+            let k =
+                (0..self.incoming.len()).min_by_key(|&i| self.incoming[i]).expect("chunk nonempty");
             let p = self.incoming.swap_remove(k);
             self.incoming_min = self.incoming.iter().map(|p| (p.0, p.1)).min();
             p.2
         } else {
             self.sorted.pop().expect("sorted run nonempty on this branch").2
         };
-        self.ledger.pending_reorder -= 1;
-        self.dispose(&ev);
+        self.release_slot(slot);
     }
 
     /// Release parked events the watermark has passed, in event-time
@@ -319,22 +372,33 @@ impl ShardWorker {
     pub(crate) fn flush(&mut self) {
         self.compact();
         while let Some(p) = self.sorted.pop() {
-            self.ledger.pending_reorder -= 1;
-            self.dispose(&p.2);
+            self.release_slot(p.2);
         }
     }
 
+    /// Free a parked event's slot and give the event its disposition.
+    fn release_slot(&mut self, slot: u32) {
+        self.free.push(slot);
+        self.ledger.pending_reorder -= 1;
+        let e = self.slab[slot as usize];
+        self.dispose(&e);
+    }
+
     /// The final disposition: exactly the pre-event-time absorb logic.
+    /// A new key is refused once the table holds `max_agg_keys`, leaving
+    /// the table untouched so the event takes another disposition.
     fn dispose(&mut self, e: &StoredEvent) {
         let weight = u64::from(e.record.counter.max(1));
-        let interesting = e.record.ty.is_drop() || e.record.ty == fet_packet::EventType::Congestion;
-        // Victim flows feed the sketch regardless of the aggregator's
-        // verdict — the sketch ranks flows, the windows count keys, and
-        // the two answer different questions.
+        let interesting = e.record.ty.is_drop() || e.record.ty == EventType::Congestion;
+        // Victim flows feed the sketch regardless of the table's verdict
+        // — the sketch ranks flows, the table counts keys, and the two
+        // answer different questions.
         if interesting {
             self.topk.offer(e.record.flow, weight);
         }
-        if self.windows.offer(e.time_ns, AggKey::of(e), weight) {
+        let key = AggKey::of(e);
+        if self.totals.len() < self.max_agg_keys || self.totals.contains_key(&key) {
+            self.totals.entry(key).or_default().merge(WindowStats { events: 1, weight });
             self.ledger.aggregated += 1;
         } else if interesting {
             self.ledger.sketch_absorbed += 1;
@@ -347,9 +411,20 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fet_packet::event::{DropCode, EventDetail, EventRecord, EventType};
+    use fet_packet::event::EventRecord;
     use fet_packet::ipv4::Ipv4Addr;
     use fet_packet::FlowKey;
+
+    /// A shard with the given key cap and event-time front end, k = 8.
+    fn shard(max_agg_keys: usize, lateness_bound_ns: u64, reorder_cap: usize) -> ShardWorker {
+        ShardWorker::new(&AnalyticsConfig {
+            max_agg_keys,
+            topk_k: 8,
+            lateness_bound_ns,
+            reorder_cap,
+            ..AnalyticsConfig::default()
+        })
+    }
 
     fn ev(device: u32, ty: EventType, time_ns: u64) -> StoredEvent {
         let detail = if ty.is_drop() {
@@ -380,7 +455,7 @@ mod tests {
     #[test]
     fn every_event_gets_exactly_one_disposition() {
         // max_agg_keys = 2: devices 1 and 2 aggregate, the rest overflow.
-        let mut s = ShardWorker::new(100, 4, 2, 8);
+        let mut s = shard(2, 0, 0);
         for device in 1..=6u32 {
             // Half drops (sketch-absorbable), half PathChange (sheddable).
             let ty = if device % 2 == 0 { EventType::PathChange } else { EventType::MmuDrop };
@@ -394,8 +469,26 @@ mod tests {
     }
 
     #[test]
+    fn key_cap_refuses_without_side_effects() {
+        let mut s = shard(2, 0, 0);
+        let key = |device| AggKey::of(&ev(device, EventType::PathChange, 0));
+        s.absorb(&ev(1, EventType::PathChange, 0));
+        s.absorb(&ev(2, EventType::PathChange, 0));
+        s.absorb(&ev(3, EventType::PathChange, 0));
+        assert_eq!(s.ledger.shed_analytics, 1, "third key must be refused");
+        assert!(!s.totals.contains_key(&key(3)), "a refused key leaves no entry");
+        // Existing keys still aggregate.
+        s.absorb(&ev(1, EventType::PathChange, 0));
+        s.ledger.assert_balanced();
+        assert_eq!(s.ledger.aggregated, 3);
+        assert_eq!(s.totals.len(), 2);
+        assert_eq!(s.totals[&key(1)], WindowStats { events: 2, weight: 4 });
+        assert_eq!(s.totals[&key(2)], WindowStats { events: 1, weight: 2 });
+    }
+
+    #[test]
     fn drop_weight_reaches_the_sketch_even_when_aggregated() {
-        let mut s = ShardWorker::new(100, 4, 64, 8);
+        let mut s = shard(64, 0, 0);
         let e = ev(1, EventType::InterSwitchDrop, 5);
         s.absorb(&e);
         assert_eq!(s.ledger.aggregated, 1);
@@ -405,38 +498,57 @@ mod tests {
 
     #[test]
     fn event_time_zero_config_is_exact_passthrough() {
-        let mut a = ShardWorker::new(100, 4, 64, 8);
-        let mut b = ShardWorker::new(100, 4, 64, 8).with_event_time(0, 0);
+        // (0, 0) disposes each event on arrival, whatever its stamp: no
+        // event parks, none is late, and the totals are the plain
+        // per-key counts of the stream.
+        let mut s = shard(64, 0, 0);
+        let mut want: HashMap<AggKey, WindowStats> = HashMap::new();
         for (i, t) in [500u64, 10, 350, 350, 90].into_iter().enumerate() {
             let e = ev(i as u32 % 3 + 1, EventType::MmuDrop, t);
-            a.absorb(&e);
-            b.absorb(&e);
+            s.absorb(&e);
+            want.entry(AggKey::of(&e)).or_default().merge(WindowStats { events: 1, weight: 2 });
+            assert_eq!(s.ledger.aggregated, i as u64 + 1, "event {i} disposed on arrival");
+            assert_eq!(s.ledger.pending_reorder, 0);
         }
-        assert_eq!(a.ledger, b.ledger);
-        assert_eq!(a.windows.totals(), b.windows.totals());
-        assert_eq!(a.windows.late, b.windows.late);
+        s.ledger.assert_balanced();
+        assert_eq!((s.ledger.late_admitted, s.ledger.late_shed), (0, 0));
+        assert_eq!(s.totals, want);
     }
 
     #[test]
     fn reorder_buffer_releases_in_event_time_order() {
-        let mut s = ShardWorker::new(100, 8, 64, 8).with_event_time(200, 16);
-        // Stamps arrive shuffled; watermark (max - 200) releases them
-        // sorted, so the aggregator books zero of its own `late`.
-        for t in [300u64, 100, 250, 600, 420, 500, 900, 880] {
-            s.absorb(&ev(1, EventType::MmuDrop, t));
+        // Stamps arrive shuffled, one device (hence one key) each. With
+        // the key cap at `k`, the table admits exactly the keys of the
+        // first `k` events released, so stepping `k` up from 1 reads the
+        // release order off the table one event at a time.
+        let stamps = [300u64, 100, 250, 600, 420, 500, 900, 880];
+        let mut released: Vec<u64> = Vec::new();
+        for k in 1..=stamps.len() {
+            let mut s = shard(k, 200, 16);
+            for (device, &t) in stamps.iter().enumerate() {
+                s.absorb(&ev(device as u32, EventType::MmuDrop, t));
+            }
+            s.flush();
+            s.ledger.assert_balanced();
+            assert_eq!(s.ledger.pending_reorder, 0);
+            assert_eq!(s.ledger.late_shed, 0);
+            assert_eq!(s.ledger.aggregated, k as u64);
+            let newest = s
+                .totals
+                .keys()
+                .map(|key| stamps[key.device as usize])
+                .find(|t| !released.contains(t))
+                .expect("one more key admitted per step");
+            released.push(newest);
         }
-        s.flush();
-        s.ledger.assert_balanced();
-        assert_eq!(s.ledger.pending_reorder, 0);
-        assert_eq!(s.ledger.ingested, 8);
-        assert_eq!(s.ledger.aggregated, 8);
-        assert_eq!(s.ledger.late_shed, 0);
-        assert_eq!(s.windows.late, 0, "reorder buffer absorbed the disorder");
+        let mut sorted = stamps;
+        sorted.sort_unstable();
+        assert_eq!(released, sorted, "watermark releases in event-time order");
     }
 
     #[test]
     fn deep_late_events_are_shed_and_booked() {
-        let mut s = ShardWorker::new(100, 8, 64, 8).with_event_time(50, 4);
+        let mut s = shard(64, 50, 4);
         s.absorb(&ev(1, EventType::MmuDrop, 10_000));
         // Watermark is 9_950; within-bound late admits, deeper sheds.
         s.absorb(&ev(1, EventType::MmuDrop, 9_920));
@@ -446,12 +558,12 @@ mod tests {
         assert_eq!(s.ledger.late_admitted, 1);
         assert_eq!(s.ledger.late_shed, 1);
         assert_eq!(s.ledger.ingested, 3);
-        assert_eq!(s.ledger.aggregated, 2, "the shed event never reached the windows");
+        assert_eq!(s.ledger.aggregated, 2, "the shed event never reached the table");
     }
 
     #[test]
     fn cap_overflow_releases_oldest_instead_of_dropping() {
-        let mut s = ShardWorker::new(100, 8, 64, 8).with_event_time(u64::MAX / 2, 2);
+        let mut s = shard(64, u64::MAX / 2, 2);
         // Watermark never advances past 0 (huge bound), so only the cap
         // can release events — and it must release, not drop.
         for t in [40u64, 10, 30, 20] {

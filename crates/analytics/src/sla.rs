@@ -61,8 +61,6 @@ pub(crate) struct SlaEvaluator {
     max_breaches: usize,
     /// Breach windows discarded because `max_breaches` was reached.
     pub(crate) dropped_breaches: u64,
-    /// Events inspected.
-    pub(crate) observed: u64,
 }
 
 impl SlaEvaluator {
@@ -75,7 +73,6 @@ impl SlaEvaluator {
             breaches: Vec::new(),
             max_breaches: max_breaches.max(1),
             dropped_breaches: 0,
-            observed: 0,
         }
     }
 
@@ -85,7 +82,6 @@ impl SlaEvaluator {
     /// device's previous evaluation window; slight cross-device interleave
     /// is fine because all state is per-device.
     pub(crate) fn observe(&mut self, e: &StoredEvent) {
-        self.observed += 1;
         let bucket = e.time_ns / self.policy.window_ns.max(1);
         let w = self.open.entry(e.device).or_insert(DeviceWindow { bucket, ..Default::default() });
         if bucket != w.bucket {

@@ -17,6 +17,10 @@ use std::time::Instant;
 const EVENTS: usize = 2_000_000;
 const FLOWS: u32 = 50_000;
 const HEAVY_FLOWS: u32 = 24;
+/// Timed rounds over the shard counts in leg (a).
+const SHARD_SAMPLES: usize = 5;
+/// Interleaved (reference, skewed) pairs timed for leg (c).
+const SKEW_PAIRS: usize = 7;
 
 fn flow(n: u32) -> FlowKey {
     FlowKey::tcp(
@@ -93,26 +97,44 @@ fn main() {
         HEAVY_FLOWS
     );
 
-    // (a) ingest throughput vs shard count.
-    println!("\n(a) ingest throughput (events/s) vs shards");
+    // Every timed leg ingests the whole stream into a fresh engine and
+    // flushes it; the engine is dropped outside the timed span.
+    let timed = |cfg: AnalyticsConfig, events: &[StoredEvent]| {
+        let mut e = AnalyticsEngine::new(cfg, LinkMap::default());
+        let t0 = Instant::now();
+        e.ingest_slice(events);
+        e.flush();
+        (e, EVENTS as f64 / t0.elapsed().as_secs_f64())
+    };
+
+    // (a) ingest throughput vs shard count: one warm-up, then
+    // `SHARD_SAMPLES` rounds over the shard counts, so a slow spell of the
+    // host hits every count alike; each count reports its median.
+    println!("\n(a) ingest throughput (events/s) vs shards, median of {SHARD_SAMPLES}");
     println!("{:>8} {:>14} {:>12}", "shards", "events/s", "elapsed_ms");
-    let mut meps_4 = 0.0;
     let mut report = fet_bench::BenchReport::new("fig16_analytics");
     report.metric("cores", fet_bench::host_cores() as f64);
-    for shards in [1usize, 2, 4, 8] {
-        let cfg = AnalyticsConfig { shards, ..AnalyticsConfig::default() };
-        let mut engine = AnalyticsEngine::new(cfg, LinkMap::default());
-        let t0 = Instant::now();
-        engine.ingest_slice(&stream);
-        let dt = t0.elapsed();
-        let eps = EVENTS as f64 / dt.as_secs_f64();
+    let shard_counts = [1usize, 2, 4, 8];
+    timed(AnalyticsConfig { shards: 4, ..AnalyticsConfig::default() }, &stream);
+    let mut samples = vec![Vec::with_capacity(SHARD_SAMPLES); shard_counts.len()];
+    for _ in 0..SHARD_SAMPLES {
+        for (rates, &shards) in samples.iter_mut().zip(&shard_counts) {
+            let (engine, eps) =
+                timed(AnalyticsConfig { shards, ..AnalyticsConfig::default() }, &stream);
+            engine.ledger().assert_balanced();
+            assert_eq!(engine.ledger().ingested, EVENTS as u64);
+            rates.push(eps);
+        }
+    }
+    let mut meps_4 = 0.0;
+    for (rates, &shards) in samples.iter_mut().zip(&shard_counts) {
+        rates.sort_by(f64::total_cmp);
+        let eps = rates[SHARD_SAMPLES / 2];
         if shards == 4 {
             meps_4 = eps;
         }
         report.metric(&format!("events_per_s_shards{shards}"), eps);
-        println!("{:>8} {:>14.0} {:>12.1}", shards, eps, dt.as_secs_f64() * 1e3);
-        engine.ledger().assert_balanced();
-        assert_eq!(engine.ledger().ingested, EVENTS as u64);
+        println!("{:>8} {:>14.0} {:>12.1}", shards, eps, EVENTS as f64 / eps * 1e3);
     }
     report.metric("events_per_s", meps_4);
 
@@ -169,59 +191,44 @@ fn main() {
     }
     let horizon = EVENTS as u64 * 200;
     let bound = 2 * spec.max_abs_skew_ns(horizon) + 1_000;
-    // Interleaved best-of-3 on both legs: the ratio, not the absolute
-    // rate, is the acceptance bar, so measure the arrival-time reference
-    // adjacent in time to the watermark leg.
-    let mut eps_ref = 0.0f64;
-    let mut eps_skewed = 0.0f64;
-    let mut skew_engine = AnalyticsEngine::new(
-        AnalyticsConfig {
-            shards: 4,
-            lateness_bound_ns: bound,
-            reorder_cap: 8192,
-            ..AnalyticsConfig::default()
-        },
-        LinkMap::default(),
-    );
-    for _ in 0..3 {
-        let mut r = AnalyticsEngine::new(
-            AnalyticsConfig { shards: 4, ..AnalyticsConfig::default() },
-            LinkMap::default(),
+    // Interleaved pairs after one warm-up of each leg: the ratio, not the
+    // absolute rate, is the acceptance bar, so each pair measures the
+    // arrival-time reference adjacent in time to the watermark leg, and
+    // the gate reads the median of the per-pair ratios.
+    let reference_cfg = AnalyticsConfig { shards: 4, ..AnalyticsConfig::default() };
+    let skew_cfg = AnalyticsConfig { lateness_bound_ns: bound, reorder_cap: 8192, ..reference_cfg };
+    timed(reference_cfg, &stream);
+    timed(skew_cfg, &skewed);
+    let mut pairs: Vec<(f64, f64)> = Vec::with_capacity(SKEW_PAIRS);
+    for _ in 0..SKEW_PAIRS {
+        let (_, eps_ref) = timed(reference_cfg, &stream);
+        let (skew_engine, eps_skewed) = timed(skew_cfg, &skewed);
+        let l = skew_engine.ledger();
+        l.assert_balanced();
+        assert_eq!(l.late_shed, 0, "the watermark bound must cover the injected skew");
+        assert_eq!(l.pending_reorder, 0, "flush must drain every reorder buffer");
+        assert_eq!(
+            skew_engine.totals(),
+            engine.totals(),
+            "event-time aggregates must converge to the zero-skew reference"
         );
-        let t0 = Instant::now();
-        r.ingest_slice(&stream);
-        eps_ref = eps_ref.max(EVENTS as f64 / t0.elapsed().as_secs_f64());
-        skew_engine = AnalyticsEngine::new(
-            AnalyticsConfig {
-                shards: 4,
-                lateness_bound_ns: bound,
-                reorder_cap: 8192,
-                ..AnalyticsConfig::default()
-            },
-            LinkMap::default(),
-        );
-        let t1 = Instant::now();
-        skew_engine.ingest_slice(&skewed);
-        skew_engine.flush();
-        eps_skewed = eps_skewed.max(EVENTS as f64 / t1.elapsed().as_secs_f64());
+        pairs.push((eps_skewed / eps_ref, eps_skewed));
     }
-    let l = skew_engine.ledger();
-    l.assert_balanced();
-    assert_eq!(l.late_shed, 0, "the watermark bound must cover the injected skew");
-    assert_eq!(l.pending_reorder, 0, "flush must drain every reorder buffer");
-    assert_eq!(
-        skew_engine.totals(),
-        engine.totals(),
-        "event-time aggregates must converge to the zero-skew reference"
-    );
-    let ratio = eps_skewed / eps_ref;
+    // Sorting by ratio keeps each pair's skewed rate beside its ratio.
+    pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let (ratio, eps_skewed) = pairs[SKEW_PAIRS / 2];
+    let (min, max) = (pairs[0].0, pairs[SKEW_PAIRS - 1].0);
     println!("\n(c) event-time watermarks under clock skew (bound {bound} ns, cap 8192)");
     println!(
-        "skewed ingest {eps_skewed:.0} events/s vs zero-skew {eps_ref:.0} ({ratio:.2}x, >= 0.8x bar)"
+        "skewed / zero-skew ingest over {SKEW_PAIRS} interleaved pairs: min {min:.2}x, \
+         median {ratio:.2}x, max {max:.2}x (>= 0.8x bar on the median); \
+         median-pair skewed ingest {eps_skewed:.0} events/s"
     );
-    assert!(ratio >= 0.8, "watermark path {ratio:.2}x below the 0.8x overhead bar");
+    assert!(ratio >= 0.8, "watermark path median {ratio:.2}x below the 0.8x overhead bar");
     report.metric("events_per_s_skewed", eps_skewed);
     report.metric("skew_overhead_ratio", ratio);
+    report.metric("skew_overhead_ratio_min", min);
+    report.metric("skew_overhead_ratio_max", max);
 
     report.write().expect("write BENCH_fig16_analytics.json");
 }

@@ -183,19 +183,19 @@ pub fn scrape_analytics(reg: &mut MetricRegistry, e: &AnalyticsEngine, top_n: us
     );
     reg.counter_add(
         "fet_analytics_aggregated_total",
-        "Events accepted by the window aggregators.",
+        "Events counted in the per-key totals tables.",
         &[],
         l.aggregated,
     );
     reg.counter_add(
         "fet_analytics_sketch_absorbed_total",
-        "Events absorbed by the top-k sketches past the aggregator caps.",
+        "Events absorbed by the top-k sketches past the per-key table caps.",
         &[],
         l.sketch_absorbed,
     );
     reg.counter_add(
         "fet_analytics_shed_total",
-        "Events refused by both aggregator and sketch (counted shed).",
+        "Events refused by both the per-key table and the sketch (counted shed).",
         &[],
         l.shed_analytics,
     );

@@ -118,8 +118,6 @@ pub struct CorruptionGen {
     pub(crate) bits_flipped: u64,
     /// Total truncations applied.
     pub(crate) truncations: u64,
-    /// Total duplicated runs inserted.
-    pub(crate) duplications: u64,
 }
 
 impl CorruptionGen {
@@ -132,7 +130,6 @@ impl CorruptionGen {
             buffers_damaged: 0,
             bits_flipped: 0,
             truncations: 0,
-            duplications: 0,
         }
     }
 
@@ -148,7 +145,6 @@ impl CorruptionGen {
         }
         self.bits_flipped += u64::from(tally.bits_flipped);
         self.truncations += u64::from(tally.truncated);
-        self.duplications += u64::from(tally.duplicated);
         tally
     }
 

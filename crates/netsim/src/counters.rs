@@ -19,8 +19,6 @@ pub struct PortCounters {
     pub mmu_drops: u64,
     /// Frames discarded at the MAC for FCS errors (corruption).
     pub(crate) fcs_errors: u64,
-    /// PFC pause frames received.
-    pub(crate) pfc_rx: u64,
     /// PFC pause frames sent.
     pub pfc_tx: u64,
 }

@@ -377,7 +377,6 @@ impl Host {
 
         match ctx.kind {
             FrameKind::Pfc => {
-                self.counters.pfc_rx += 1;
                 if let Ok(pfc) = fet_packet::pfc::PfcFrame::new_checked(
                     &untagged[fet_packet::ETHERNET_HEADER_LEN..],
                 ) {

@@ -329,7 +329,6 @@ impl SwitchDevice {
     }
 
     fn handle_pfc(&mut self, now_ns: u64, port: u8, frame: &[u8], fx: &mut Effects) {
-        self.counters[usize::from(port)].pfc_rx += 1;
         let Ok(pfc) = PfcFrame::new_checked(&frame[ETHERNET_HEADER_LEN..]) else {
             return;
         };
