@@ -8,12 +8,48 @@ use crate::engine::AnalyticsConfig;
 use crate::topk::SpaceSaving;
 use fet_packet::event::{DropCode, EventDetail, EventType};
 use netseer::StoredEvent;
-use std::collections::HashMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashMap};
 
-/// Parks between merges of the reorder buffer's incoming chunk into its
-/// sorted run: small enough to bound the forced-release scan, large
-/// enough to keep the merge amortized-cheap per event.
-const REORDER_CHUNK: usize = 256;
+/// Event-time buckets in the reorder ring. Parked stamps lie within the
+/// lateness bound below the max stamp, and the bound spans at most
+/// `RING - 2` buckets, so events a lap apart never share a slot.
+const RING: usize = 256;
+
+/// A parked event, ordered by its release key.
+#[derive(Debug, Clone, Copy)]
+struct Parked {
+    /// Tiebreak so equal stamps release in arrival order.
+    arrival: u64,
+    event: StoredEvent,
+}
+
+impl Parked {
+    /// (stamp, arrival): unique per shard, so a total order.
+    fn key(&self) -> (u64, u64) {
+        (self.event.time_ns, self.arrival)
+    }
+}
+
+impl PartialEq for Parked {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Parked {}
+
+impl PartialOrd for Parked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Parked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
+    }
+}
 
 /// The aggregation key: where, what, and (for drops) why.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -184,20 +220,19 @@ pub(crate) struct ShardWorker {
     lateness_bound_ns: u64,
     /// Max parked events; an overflow releases the oldest immediately.
     reorder_cap: usize,
-    /// Parked (stamp, arrival tiebreak, `slab` slot) keys sorted
-    /// *descending*: the buffer minimum pops O(1) off the tail.
-    sorted: Vec<(u64, u64, u32)>,
-    /// Recent parks, unsorted; merged into `sorted` every
-    /// [`REORDER_CHUNK`] parks so the merge stays amortized-O(1)/event.
-    incoming: Vec<(u64, u64, u32)>,
-    /// Minimum (stamp, arrival) key across `incoming` (`None` = empty).
-    incoming_min: Option<(u64, u64)>,
-    /// Merge scratch, reused to avoid per-merge allocation.
-    scratch: Vec<(u64, u64, u32)>,
-    /// Parked events, by slot: the sort and merge move only the keys.
-    slab: Vec<StoredEvent>,
-    /// Slots of `slab` free for the next park.
-    free: Vec<u32>,
+    /// Parked events in buckets after `front_bucket`, unsorted, at
+    /// `(stamp >> bucket_shift) % RING`.
+    ring: Vec<Vec<Parked>>,
+    /// Log2 of the bucket width, ns.
+    bucket_shift: u32,
+    /// Parked events of bucket `front_bucket`, sorted descending: the
+    /// next release pops off the tail.
+    front: Vec<Parked>,
+    /// Events parked after their bucket was opened into `front`: a
+    /// min-heap, so such a park costs O(log n) however full the bucket.
+    opened: BinaryHeap<Reverse<Parked>>,
+    /// The last bucket opened into `front`.
+    front_bucket: u64,
     /// Arrival tiebreak so equal stamps release in arrival order.
     arrival_seq: u64,
     /// Largest event-time stamp seen; the watermark trails it by
@@ -221,12 +256,12 @@ impl ShardWorker {
             ledger: AnalyticsLedger::default(),
             lateness_bound_ns: cfg.lateness_bound_ns,
             reorder_cap: cfg.reorder_cap,
-            sorted: Vec::new(),
-            incoming: Vec::new(),
-            incoming_min: None,
-            scratch: Vec::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            ring: vec![Vec::new(); RING],
+            // Buckets just wide enough that `lateness_bound_ns >> shift < RING - 2`.
+            bucket_shift: u64::BITS - (cfg.lateness_bound_ns / (RING as u64 - 2)).leading_zeros(),
+            front: Vec::new(),
+            opened: BinaryHeap::new(),
+            front_bucket: 0,
             arrival_seq: 0,
             max_stamp_ns: 0,
         }
@@ -265,123 +300,91 @@ impl ShardWorker {
             return;
         }
         self.max_stamp_ns = self.max_stamp_ns.max(t);
-        self.arrival_seq += 1;
-        let key = (t, self.arrival_seq);
-        self.incoming_min = Some(match self.incoming_min {
-            Some(m) if m < key => m,
-            _ => key,
-        });
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                self.slab[slot as usize] = *e;
-                slot
-            }
-            None => {
-                self.slab.push(*e);
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.incoming.push((key.0, key.1, slot));
-        if self.incoming.len() >= REORDER_CHUNK {
-            self.compact();
-        }
-        self.ledger.pending_reorder += 1;
-        if self.sorted.len() + self.incoming.len() > self.reorder_cap {
+        // Releasing before parking leaves every parked stamp within the
+        // bound below the max, so the ring cannot alias; it releases the
+        // same events in the same order as parking first would.
+        self.release_ripe();
+        self.park(e);
+        if self.ledger.pending_reorder > self.reorder_cap as u64 {
             // Cap overflow: release the oldest parked event now rather
             // than dropping anything.
             self.release_one();
         }
-        self.release_ripe();
     }
 
-    /// Sort the incoming chunk and merge it into the descending run.
-    /// Amortized O(1) comparisons and sequential moves per parked event.
-    fn compact(&mut self) {
-        if self.incoming.is_empty() {
-            return;
+    /// Park `e` until the watermark passes it: in its ring bucket, or
+    /// in `opened` if that bucket is already open.
+    fn park(&mut self, e: &StoredEvent) {
+        self.arrival_seq += 1;
+        let p = Parked { arrival: self.arrival_seq, event: *e };
+        let bucket = e.time_ns >> self.bucket_shift;
+        if self.ledger.pending_reorder == 0 {
+            self.front_bucket = bucket;
         }
-        // Arrival tiebreaks are unique, so whole keys order as (stamp,
-        // arrival) does.
-        self.incoming.sort_unstable_by(|a, b| b.cmp(a));
-        self.scratch.clear();
-        self.scratch.reserve(self.sorted.len() + self.incoming.len());
-        let (mut i, mut j) = (0, 0);
-        while i < self.sorted.len() && j < self.incoming.len() {
-            let (a, b) = (self.sorted[i], self.incoming[j]);
-            if a > b {
-                self.scratch.push(a);
-                i += 1;
-            } else {
-                self.scratch.push(b);
-                j += 1;
-            }
+        if bucket <= self.front_bucket {
+            self.opened.push(Reverse(p));
+        } else {
+            self.ring[bucket as usize % RING].push(p);
         }
-        self.scratch.extend_from_slice(&self.sorted[i..]);
-        self.scratch.extend_from_slice(&self.incoming[j..]);
-        std::mem::swap(&mut self.sorted, &mut self.scratch);
-        self.incoming.clear();
-        self.incoming_min = None;
+        self.ledger.pending_reorder += 1;
     }
 
-    /// The smallest parked (stamp, arrival) key, without releasing it.
-    fn peek_min_key(&self) -> Option<(u64, u64)> {
-        let run = self.sorted.last().map(|p| (p.0, p.1));
-        match (run, self.incoming_min) {
+    /// The release key of the oldest parked event and whether it sits in
+    /// `opened`. Opens ring buckets in order while nothing open is left.
+    fn next_release(&mut self) -> Option<((u64, u64), bool)> {
+        while self.front.is_empty() && self.opened.is_empty() && self.ledger.pending_reorder > 0 {
+            self.front_bucket += 1;
+            let bucket = &mut self.ring[self.front_bucket as usize % RING];
+            std::mem::swap(&mut self.front, bucket);
+            // The drained front goes back to the ring with room for a
+            // typical bucket, so one burst's capacity is not kept in
+            // every slot it passes through.
+            bucket.shrink_to(16);
+            self.front.sort_unstable_by(|a, b| b.cmp(a));
+        }
+        let front = self.front.last().map(|p| (p.key(), false));
+        let opened = self.opened.peek().map(|Reverse(p)| (p.key(), true));
+        match (front, opened) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         }
     }
 
-    /// Pop the oldest parked event and give it its final disposition.
-    /// O(1) off the sorted run in the common case; a bounded
-    /// O([`REORDER_CHUNK`]) scan when the minimum sits in the chunk.
+    /// Release the oldest parked event to its final disposition.
     fn release_one(&mut self) {
-        let from_incoming = match (self.sorted.last(), self.incoming_min) {
-            (Some(s), Some(m)) => m < (s.0, s.1),
-            (None, Some(_)) => true,
-            (Some(_), None) => false,
-            (None, None) => return,
-        };
-        let slot = if from_incoming {
-            let k =
-                (0..self.incoming.len()).min_by_key(|&i| self.incoming[i]).expect("chunk nonempty");
-            let p = self.incoming.swap_remove(k);
-            self.incoming_min = self.incoming.iter().map(|p| (p.0, p.1)).min();
-            p.2
-        } else {
-            self.sorted.pop().expect("sorted run nonempty on this branch").2
-        };
-        self.release_slot(slot);
+        if let Some((_, opened)) = self.next_release() {
+            self.release(opened);
+        }
     }
 
     /// Release parked events the watermark has passed, in event-time
     /// order.
     fn release_ripe(&mut self) {
         let watermark = self.watermark_ns();
-        while let Some((t, _)) = self.peek_min_key() {
+        while let Some(((t, _), opened)) = self.next_release() {
             if t >= watermark {
                 break;
             }
-            self.release_one();
+            self.release(opened);
         }
+    }
+
+    /// Pop the event [`next_release`](Self::next_release) found and
+    /// give it its final disposition.
+    fn release(&mut self, opened: bool) {
+        let parked = if opened { self.opened.pop().map(|Reverse(p)| p) } else { self.front.pop() };
+        let p = parked.expect("next_release found a parked event");
+        self.ledger.pending_reorder -= 1;
+        self.dispose(&p.event);
     }
 
     /// Drain the reorder buffer unconditionally (end of stream): every
     /// parked event gets its final disposition and `pending_reorder`
     /// returns to zero.
     pub(crate) fn flush(&mut self) {
-        self.compact();
-        while let Some(p) = self.sorted.pop() {
-            self.release_slot(p.2);
+        while self.ledger.pending_reorder > 0 {
+            self.release_one();
         }
-    }
-
-    /// Free a parked event's slot and give the event its disposition.
-    fn release_slot(&mut self, slot: u32) {
-        self.free.push(slot);
-        self.ledger.pending_reorder -= 1;
-        let e = self.slab[slot as usize];
-        self.dispose(&e);
     }
 
     /// The final disposition: exactly the pre-event-time absorb logic.
@@ -411,6 +414,7 @@ impl ShardWorker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fet_netsim::rng::Pcg32;
     use fet_packet::event::EventRecord;
     use fet_packet::ipv4::Ipv4Addr;
     use fet_packet::FlowKey;
@@ -515,35 +519,100 @@ mod tests {
         assert_eq!(s.totals, want);
     }
 
-    #[test]
-    fn reorder_buffer_releases_in_event_time_order() {
-        // Stamps arrive shuffled, one device (hence one key) each. With
-        // the key cap at `k`, the table admits exactly the keys of the
-        // first `k` events released, so stepping `k` up from 1 reads the
-        // release order off the table one event at a time.
-        let stamps = [300u64, 100, 250, 600, 420, 500, 900, 880];
-        let mut released: Vec<u64> = Vec::new();
-        for k in 1..=stamps.len() {
-            let mut s = shard(k, 200, 16);
+    /// The order in which a shard releases events stamped `stamps`, one
+    /// device (hence one key) each. With the key cap at `k` the table
+    /// admits exactly the keys of the first `k` events released, so
+    /// stepping `k` up from 1 reads the order off the table.
+    fn release_order(stamps: &[u64], bound: u64, cap: usize) -> Vec<usize> {
+        let mut order = Vec::new();
+        loop {
+            let mut s = shard(order.len() + 1, bound, cap);
             for (device, &t) in stamps.iter().enumerate() {
                 s.absorb(&ev(device as u32, EventType::MmuDrop, t));
             }
             s.flush();
             s.ledger.assert_balanced();
             assert_eq!(s.ledger.pending_reorder, 0);
-            assert_eq!(s.ledger.late_shed, 0);
-            assert_eq!(s.ledger.aggregated, k as u64);
-            let newest = s
-                .totals
-                .keys()
-                .map(|key| stamps[key.device as usize])
-                .find(|t| !released.contains(t))
-                .expect("one more key admitted per step");
-            released.push(newest);
+            match s.totals.keys().map(|k| k.device as usize).find(|d| !order.contains(d)) {
+                Some(d) => order.push(d),
+                None => return order,
+            }
         }
+    }
+
+    /// The reorder contract, run naively: park, release the oldest on
+    /// cap overflow, then release whatever the watermark has passed;
+    /// late events are admitted on arrival within the bound, never
+    /// released beyond it.
+    fn naive_release_order(stamps: &[u64], bound: u64, cap: usize) -> Vec<usize> {
+        let (mut max, mut parked, mut out) = (0u64, Vec::<(u64, usize)>::new(), Vec::new());
+        let pop_oldest = |parked: &mut Vec<(u64, usize)>| {
+            let i = (0..parked.len()).min_by_key(|&i| parked[i]).expect("parked");
+            parked.remove(i).1
+        };
+        for (i, &t) in stamps.iter().enumerate() {
+            let watermark = max.saturating_sub(bound);
+            if max > 0 && t < watermark {
+                if watermark - t <= bound {
+                    out.push(i);
+                }
+                continue;
+            }
+            max = max.max(t);
+            parked.push((t, i));
+            if parked.len() > cap {
+                out.push(pop_oldest(&mut parked));
+            }
+            let watermark = max.saturating_sub(bound);
+            while parked.iter().any(|p| p.0 < watermark) {
+                out.push(pop_oldest(&mut parked));
+            }
+        }
+        parked.sort_unstable();
+        out.extend(parked.iter().map(|p| p.1));
+        out
+    }
+
+    #[test]
+    fn reorder_buffer_releases_in_event_time_order() {
+        let stamps = [300u64, 100, 250, 600, 420, 500, 900, 880];
+        let released: Vec<u64> =
+            release_order(&stamps, 200, 16).into_iter().map(|d| stamps[d]).collect();
         let mut sorted = stamps;
         sorted.sort_unstable();
         assert_eq!(released, sorted, "watermark releases in event-time order");
+    }
+
+    #[test]
+    fn reorder_buffer_matches_naive_model() {
+        // A slowly rising clock; each stamp is the clock itself, the
+        // watermark give or take a few ns (often landing in a bucket
+        // already opened), or up to 2.5 bounds behind (late admits and
+        // sheds). Equal stamps, many laps of the bucket ring, and caps
+        // small enough to force overflow releases all occur.
+        for (seed, bound) in [0u64, 3, 1_000, 1 << 40].into_iter().enumerate() {
+            for cap in [1usize, 4, 16, 1_000] {
+                let mut rng = Pcg32::new(seed as u64, cap as u64);
+                let b = bound.min(1 << 20);
+                let mut clock = b;
+                let stamps: Vec<u64> = (0..200)
+                    .map(|_| {
+                        clock += u64::from(rng.next_below(b as u32 / 8 + 2));
+                        match rng.next_below(3) {
+                            0 => clock,
+                            1 => clock - b + u64::from(rng.next_below(8)),
+                            _ => clock
+                                .saturating_sub(u64::from(rng.next_below(b as u32 * 5 / 2 + 1))),
+                        }
+                    })
+                    .collect();
+                assert_eq!(
+                    release_order(&stamps, bound, cap),
+                    naive_release_order(&stamps, bound, cap),
+                    "bound {bound}, cap {cap}"
+                );
+            }
+        }
     }
 
     #[test]
