@@ -53,10 +53,6 @@ pub enum PushOutcome {
     ShedVictim {
         /// The victim's event type.
         ty: EventType,
-        /// The victim's position in the pending order (open CEBP first,
-        /// then stack, oldest first) — what a recovery WAL needs to mirror
-        /// the eviction.
-        pending_pos: usize,
     },
 }
 
@@ -164,7 +160,7 @@ impl CebpBatcher {
                     self.shed(vty);
                     self.stack.push(ev);
                     self.accepted += 1;
-                    return PushOutcome::ShedVictim { ty: vty, pending_pos: self.open.len() + i };
+                    return PushOutcome::ShedVictim { ty: vty };
                 }
                 _ => {
                     self.shed(ev.ty);
@@ -270,8 +266,8 @@ impl CebpBatcher {
 
     /// The pending events in removal order: the open CEBP's cargo first
     /// (it drains on the next delivery), then the stack, oldest first.
-    /// This is the ground truth a recovery checkpoint snapshots and that
-    /// WAL replay must reconstruct.
+    /// A hard kill keeps all but the un-fsynced tail of it (see
+    /// [`crate::recovery::RecoveryLog`]).
     pub(crate) fn pending_events(&self) -> Vec<EventRecord> {
         self.open.iter().chain(self.stack.iter()).copied().collect()
     }
@@ -426,19 +422,13 @@ mod tests {
         }
         // A congestion event outranks path-change: the oldest path-change
         // (pending position 0, nothing in the open CEBP) is evicted.
-        assert_eq!(
-            b.push(0, ev(100)),
-            PushOutcome::ShedVictim { ty: EventType::PathChange, pending_pos: 0 }
-        );
+        assert_eq!(b.push(0, ev(100)), PushOutcome::ShedVictim { ty: EventType::PathChange });
         // A drop event outranks congestion.
         let mut d = ev(101);
         d.ty = EventType::MmuDrop;
         d.detail =
             EventDetail::Drop { ingress_port: 0, egress_port: 1, code: DropCode::BufferFull };
-        assert_eq!(
-            b.push(0, d),
-            PushOutcome::ShedVictim { ty: EventType::PathChange, pending_pos: 0 }
-        );
+        assert_eq!(b.push(0, d), PushOutcome::ShedVictim { ty: EventType::PathChange });
         // Another path-change cannot displace anyone: it is shed itself.
         let mut p = ev(102);
         p.ty = EventType::PathChange;
@@ -470,15 +460,14 @@ mod tests {
             assert_eq!(b.push(0, e), PushOutcome::Stored);
         }
         assert_eq!(b.pending_events().len(), 8);
-        // An eviction's position is global across open ++ stack: the
-        // victim is the oldest path-change, behind the 4 open events.
-        assert_eq!(
-            b.push(0, ev(200)),
-            PushOutcome::ShedVictim { ty: EventType::PathChange, pending_pos: 4 }
-        );
+        // The victim is the oldest path-change, behind the 4 open events;
+        // the arrival is appended at the back.
+        let parked = b.pending_events();
+        assert_eq!(b.push(0, ev(200)), PushOutcome::ShedVictim { ty: EventType::PathChange });
         let pending = b.pending_events();
-        assert_eq!(pending.len(), 8);
-        assert_eq!(pending[7], ev(200), "arrival appended at the back");
+        assert_eq!(pending[..4], parked[..4]);
+        assert_eq!(pending[4..7], parked[5..8]);
+        assert_eq!(pending[7], ev(200));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::detect::pause::PauseTracker;
 use crate::detect::{GapDetector, PathTable, PortTagger};
 use crate::extract::Extractor;
 use crate::faults::{streams, CorruptionGen, CrashKind, DeliveryLedger, DeviceClock, LossGen};
-use crate::recovery::{CrashReport, RecoveryLog, Snapshot};
+use crate::recovery::{CrashReport, RecoveryLog};
 use crate::storage::StoredEvent;
 use crate::tables::{DedupTable, PortTable};
 use crate::transport::{ReliableChannel, DEFAULT_MAX_RETRIES};
@@ -142,8 +142,8 @@ pub struct NetSeerMonitor {
     /// Arriving loss-notification copies rejected by their CRC trailer.
     pub notifications_crc_rejected: u64,
     // --- crash recovery ---
-    /// Write-ahead log + periodic checkpoint for the pending set, tagger
-    /// heads, and group-cache summaries (see [`crate::recovery`]).
+    /// Write-ahead log positions for the pending set plus a periodic
+    /// checkpoint of the tagger heads (see [`crate::recovery`]).
     pub recovery: RecoveryLog,
     /// Monotonic delivery sequence number; `(device, epoch, seq)` is the
     /// collector's exactly-once dedup key.
@@ -432,17 +432,17 @@ impl NetSeerMonitor {
         }
     }
 
-    /// Offer one record to the batcher, mirroring the mutation into the
-    /// WAL. Shedding (priority-aware, when the bounded stack is full) is
+    /// Offer one record to the batcher, logging the mutation in the WAL.
+    /// Shedding (priority-aware, when the bounded stack is full) is
     /// counted inside the batcher — never silent — and an eviction is made
     /// durable immediately: the victim's shed is already counted, so a
     /// post-crash replay must never resurrect it.
     fn push_pending(&mut self, now_ns: u64, rec: EventRecord) {
         match self.batcher.push(now_ns, rec) {
-            PushOutcome::Stored => self.recovery.log_enq(rec),
-            PushOutcome::ShedVictim { pending_pos, .. } => {
-                self.recovery.log_evict(pending_pos);
-                self.recovery.log_enq(rec);
+            PushOutcome::Stored => self.recovery.log_enq(),
+            PushOutcome::ShedVictim { .. } => {
+                self.recovery.log_removal();
+                self.recovery.log_enq();
             }
             PushOutcome::ShedIncoming => {}
         }
@@ -465,7 +465,7 @@ impl NetSeerMonitor {
         // The batch's events just left the pending set; the departure is
         // fsynced before any downstream effect (delivery or a counted
         // shed) so replay can never bring them back.
-        self.recovery.log_deq(batch.events.len());
+        self.recovery.log_removal();
         let wire = batch.wire_bytes();
         let survived = self.cpu.process_batch(batch.ready_ns, &batch.events, wire);
         if survived.is_empty() {
@@ -554,15 +554,12 @@ impl NetSeerMonitor {
         }
     }
 
-    /// Take a checkpoint now: materialize the pending set and the tagger
-    /// heads (ascending by port, as the port table iterates); the WAL
-    /// truncates behind it. Global time drives the cadence.
+    /// Take a checkpoint now: record the tagger heads (ascending by port,
+    /// as the port table iterates) and fsync the WAL. Global time drives
+    /// the cadence.
     pub(crate) fn checkpoint(&mut self, now_ns: u64) {
-        let snap = Snapshot {
-            pending: self.batcher.pending_events(),
-            tagger_heads: self.taggers.iter().map(|(p, t)| (p, t.head())).collect(),
-        };
-        self.recovery.checkpoint(now_ns, snap);
+        let heads = self.taggers.iter().map(|(p, t)| (p, t.head())).collect();
+        self.recovery.checkpoint(now_ns, heads);
     }
 
     /// This device's virtual clock (identity unless clock faults are
@@ -583,12 +580,12 @@ impl NetSeerMonitor {
         if kind == CrashKind::Clean {
             self.checkpoint(now_ns);
         }
-        self.recovery.record_kill(kind, now_ns, self.batcher.backlog() as u64);
+        self.recovery.record_kill(kind, now_ns, self.batcher.pending_events());
     }
 
     /// Recover from the durable state: reset the pipeline in place, replay
-    /// snapshot + WAL into it, reconnect the transport under a new epoch,
-    /// and account exactly what the kill destroyed.
+    /// the durable pending set into it, reconnect the transport under a new
+    /// epoch, and account exactly what the kill destroyed.
     ///
     /// Counters are the measurement apparatus, so they never move: each
     /// subsystem's `reset` clears only its genuinely volatile state (the
@@ -600,14 +597,14 @@ impl NetSeerMonitor {
     pub(crate) fn restart(&mut self, now_ns: u64) -> CrashReport {
         // A restart always un-wedges: the fresh process has a live loop.
         self.wedged = false;
-        let replayed = self.recovery.replay();
+        let kill = self.recovery.complete_restart();
 
         // Each subsystem clears its volatile state in place; counters stay.
         self.batcher.reset();
         self.cpu.reset();
         // Ring contents are lost — lookups in the gap window count misses,
         // never misreport — but numbering resumes at the checkpointed head.
-        let heads = &self.recovery.snapshot().tagger_heads;
+        let heads = self.recovery.tagger_heads();
         for (port, tagger) in self.taggers.iter_mut() {
             tagger.reset(heads.iter().find(|&&(p, _)| p == port).map_or(0, |&(_, head)| head));
         }
@@ -633,28 +630,27 @@ impl NetSeerMonitor {
         // Reconnect under a new epoch: the collector rejects retransmits
         // from the dead epoch, and the `(device, epoch, seq)` key turns
         // redelivery into exactly-once accounting.
-        let handshake = self.transport.reconnect(now_ns);
+        let epoch = self.transport.reconnect(now_ns);
 
-        // Re-materialize the replayed pending set (already counted in
+        // Re-materialize the durable pending set (already counted in
         // `events_generated` before the crash).
-        for rec in &replayed {
-            self.push_pending(now_ns, *rec);
+        for &rec in &kill.durable {
+            self.push_pending(now_ns, rec);
         }
 
-        let replayed_len = replayed.len() as u64;
-        let (kind, killed_ns, lost) = self.recovery.complete_restart(replayed_len);
         // A fresh post-recovery baseline: the next hard kill can only
         // lose what arrives after this instant.
         self.checkpoint(now_ns);
+        let replayed = kill.durable.len() as u64;
         CrashReport {
             device: self.device,
-            kind,
-            killed_ns,
+            kind: kill.kind,
+            killed_ns: kill.at_ns,
             restart_ns: now_ns,
-            epoch: handshake.epoch,
-            pending_at_kill: replayed_len + lost,
-            replayed: replayed_len,
-            lost,
+            epoch,
+            pending_at_kill: replayed + kill.lost,
+            replayed,
+            lost: kill.lost,
         }
     }
 
@@ -977,8 +973,8 @@ impl SwitchMonitor for NetSeerMonitor {
         }
         self.cpu.expire(now_ns);
         self.pump(now_ns, out);
-        // Periodic durability: snapshot the pending set + detector heads
-        // and truncate the WAL, bounding what a hard kill can destroy.
+        // Periodic durability: checkpoint the detector heads and fsync the
+        // WAL, bounding what a hard kill can destroy.
         if self.recovery.due(now_ns) {
             self.checkpoint(now_ns);
         }

@@ -6,26 +6,28 @@
 //! assumes neither the switch CPU nor the collector ever restarts. This
 //! module supplies the missing half of the fault model:
 //!
-//! 1. **Write-ahead log + periodic snapshot** ([`RecoveryLog`]): the
-//!    monitor mirrors every mutation of its pending set (enqueue, priority
-//!    eviction, batch departure) into a compact op log, and periodically
-//!    checkpoints the materialized state (pending events, per-port tagger
-//!    heads, group-cache summaries, the ledger). Replaying the log over
-//!    the snapshot reconstructs the pending set deterministically.
+//! 1. **Write-ahead log + periodic checkpoint** ([`RecoveryLog`]): the
+//!    monitor logs every mutation of its pending set (enqueue, priority
+//!    eviction, batch departure) and periodically checkpoints the per-port
+//!    tagger heads. The log is kept as one position, the count of
+//!    enqueues since the last fsync: the pending set itself is the live
+//!    batcher's, and a kill keeps all of it but that un-fsynced tail.
 //!
-//! 2. **Fsync discipline**: every *removal* op (a batch leaving, a victim
+//! 2. **Fsync discipline**: every *removal* (a batch leaving, a victim
 //!    evicted) is fsynced before its effect is externalized, so a hard
 //!    kill can only lose trailing *enqueues*. Replay therefore never
 //!    resurrects an event that was already delivered or shed — the ledger
 //!    can lose to a crash but never double-count — and `lost_to_crash` is
-//!    provably bounded by the enqueues since the last fsync, i.e. by the
-//!    checkpoint window.
+//!    bounded by the enqueues since the last fsync. A torn write damages
+//!    that tail on its way to disk; per-record CRCs keep its valid prefix.
 //!
 //! 3. **Exactly-once reconciliation** ([`Collector`]): senders stamp every
 //!    delivered event with `(epoch, seq)`; the collector gates on
 //!    `EpochReceiver` per device, so at-least-once retransmission after
 //!    any restart (sender's or collector's) dedups to exactly-once
-//!    accounting, and pre-restart retransmits are rejected by epoch.
+//!    accounting, and pre-restart retransmits are rejected by epoch. The
+//!    store is insert-only, so a collector checkpoint records its length
+//!    and a hard kill truncates back to it.
 //!
 //! 4. **Restart drivers** ([`schedule_device_crashes`],
 //!    [`run_collector_crash_drill`]): turn a crash schedule — typically
@@ -35,7 +37,7 @@
 //!
 //! [`seeded_device_crashes`]: crate::faults::seeded_device_crashes
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use crate::config::CollectorConfig;
@@ -48,27 +50,8 @@ use fet_netsim::engine::Simulator;
 use fet_packet::checksum::crc32c;
 use fet_packet::event::{EventRecord, EVENT_RECORD_LEN};
 
-/// One mirrored mutation of the monitor's pending set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WalOp {
-    /// An event entered the pending set (appended at the back).
-    Enq(EventRecord),
-    /// A priority eviction removed the pending event at this position
-    /// (open CEBP first, then stack, oldest first).
-    Evict {
-        /// Position in the pending order at eviction time.
-        pending_pos: u32,
-    },
-    /// A batch departed: the `count` oldest pending events left.
-    Deq {
-        /// Events in the departing batch.
-        count: u32,
-    },
-}
-
+/// Record tag of an enqueued event in the serialized WAL tail.
 const WAL_TAG_ENQ: u8 = 1;
-const WAL_TAG_EVICT: u8 = 2;
-const WAL_TAG_DEQ: u8 = 3;
 
 /// Per-record CRC trailer length in the serialized WAL.
 pub(crate) const WAL_RECORD_CRC_LEN: usize = 4;
@@ -119,129 +102,35 @@ pub(crate) fn decode_prefix<T>(
     out
 }
 
-impl WalOp {
-    /// Serialize one op as a `[tag][payload][crc32c]` record.
-    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        match *self {
-            WalOp::Enq(rec) => {
-                let mut b = [0u8; EVENT_RECORD_LEN];
-                rec.write_to(&mut b);
-                encode_record(out, WAL_TAG_ENQ, &b);
-            }
-            WalOp::Evict { pending_pos } => {
-                encode_record(out, WAL_TAG_EVICT, &pending_pos.to_be_bytes());
-            }
-            WalOp::Deq { count } => encode_record(out, WAL_TAG_DEQ, &count.to_be_bytes()),
-        }
-    }
-
-    /// Decode one record from the head of `buf`. Returns the op and the
-    /// bytes consumed, or `None` on a truncated tail, an unknown tag, a
-    /// CRC mismatch, or a semantically invalid payload — all the ways a
-    /// torn write manifests. Never panics on arbitrary bytes.
-    pub(crate) fn decode_from(buf: &[u8]) -> Option<(WalOp, usize)> {
-        let len = |tag| match tag {
-            WAL_TAG_ENQ => Some(EVENT_RECORD_LEN),
-            WAL_TAG_EVICT | WAL_TAG_DEQ => Some(4),
-            _ => None,
-        };
-        decode_record(buf, len, |tag, p| {
-            Some(match tag {
-                WAL_TAG_ENQ => WalOp::Enq(EventRecord::parse(p).ok()?),
-                WAL_TAG_EVICT => {
-                    WalOp::Evict { pending_pos: u32::from_be_bytes(p.try_into().ok()?) }
-                }
-                _ => WalOp::Deq { count: u32::from_be_bytes(p.try_into().ok()?) },
-            })
-        })
-    }
-}
-
-/// Serialize a slice of ops into the on-disk record stream.
-pub(crate) fn encode_wal(ops: &[WalOp]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for op in ops {
-        op.encode_into(&mut out);
+/// Serialize enqueued events as the WAL's `[1][24 B record][crc32c]`
+/// records.
+fn encode_enqueues(recs: &[EventRecord]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(recs.len() * (1 + EVENT_RECORD_LEN + WAL_RECORD_CRC_LEN));
+    for rec in recs {
+        let mut b = [0u8; EVENT_RECORD_LEN];
+        rec.write_to(&mut b);
+        encode_record(&mut out, WAL_TAG_ENQ, &b);
     }
     out
 }
 
-/// Decode the longest valid record prefix of a (possibly torn) WAL byte
-/// stream. Replay stops cleanly at the first bad record: everything before
-/// it is recovered, everything at and after it is counted as lost — never
-/// deserialized as garbage.
-pub(crate) fn decode_wal_prefix(bytes: &[u8]) -> Vec<WalOp> {
-    decode_prefix(bytes, WalOp::decode_from)
+/// Decode the longest valid enqueue-record prefix of a (possibly torn)
+/// WAL tail: everything before the first bad record is recovered,
+/// everything at and after it is lost — never deserialized as garbage.
+fn decode_enqueues(bytes: &[u8]) -> Vec<EventRecord> {
+    let len = |tag| (tag == WAL_TAG_ENQ).then_some(EVENT_RECORD_LEN);
+    decode_prefix(bytes, |buf| decode_record(buf, len, |_, p| EventRecord::parse(p).ok()))
 }
 
-/// Replay a slice of WAL ops over a checkpointed base state. Pure and
-/// deterministic: the same `(base, ops)` always yields the same pending
-/// set, and replaying a durable log twice yields the same result as once
-/// (the function has no hidden state).
-pub(crate) fn replay_ops(base: &[EventRecord], ops: &[WalOp]) -> VecDeque<EventRecord> {
-    let mut q: VecDeque<EventRecord> = base.iter().copied().collect();
-    for op in ops {
-        match *op {
-            WalOp::Enq(rec) => q.push_back(rec),
-            WalOp::Evict { pending_pos } => {
-                q.remove(pending_pos as usize);
-            }
-            WalOp::Deq { count } => {
-                q.drain(..(count as usize).min(q.len()));
-            }
-        }
-    }
-    q
-}
-
-/// The in-memory model of an append-only log file with an fsync watermark:
-/// `ops[..synced]` survive a hard kill, the tail does not.
-#[derive(Debug, Clone, Default)]
-struct Wal {
-    ops: Vec<WalOp>,
-    synced: usize,
-}
-
-impl Wal {
-    fn append(&mut self, op: WalOp) {
-        self.ops.push(op);
-    }
-
-    fn fsync(&mut self) {
-        self.synced = self.ops.len();
-    }
-
-    /// A hard kill: drop the un-fsynced tail, returning how many ops died.
-    fn truncate_unsynced(&mut self) -> u64 {
-        let lost = self.ops.len() - self.synced;
-        self.ops.truncate(self.synced);
-        lost as u64
-    }
-
-    fn clear(&mut self) {
-        self.ops.clear();
-        self.synced = 0;
-    }
-}
-
-/// A materialized checkpoint: everything needed to rebuild the durable
-/// part of the monitor's state without the WAL.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Snapshot {
-    /// The pending set (open CEBP cargo first, then stack, oldest first).
-    pub(crate) pending: Vec<EventRecord>,
-    /// Per-port tagger numbering heads (the notification ring-buffer
-    /// heads): `(port, next_seq)`.
-    pub(crate) tagger_heads: Vec<(u8, u32)>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct KillRecord {
-    kind: CrashKind,
-    at_ns: u64,
-    pending_at_kill: u64,
-    /// WAL ops destroyed by the kill (0 for clean stops).
-    ops_lost: u64,
+/// A recorded kill, held while the component is down.
+#[derive(Debug)]
+pub(crate) struct Kill {
+    pub(crate) kind: CrashKind,
+    pub(crate) at_ns: u64,
+    /// The pending set the durable log rebuilds, in pending order.
+    pub(crate) durable: Vec<EventRecord>,
+    /// Pending events the kill destroyed.
+    pub(crate) lost: u64,
 }
 
 /// Accounting summary of one completed restart.
@@ -259,7 +148,7 @@ pub struct CrashReport {
     pub epoch: u32,
     /// Pending events at the moment of death.
     pub pending_at_kill: u64,
-    /// Pending events reconstructed by snapshot + WAL replay.
+    /// Pending events the durable log rebuilt and the restart replayed.
     pub replayed: u64,
     /// Pending events the kill destroyed (`pending_at_kill - replayed`);
     /// 0 for clean stops, bounded by the un-fsynced enqueue tail for hard
@@ -267,27 +156,34 @@ pub struct CrashReport {
     pub lost: u64,
 }
 
-/// The write-ahead log + snapshot machinery for one monitor.
+/// The write-ahead log for one monitor, kept as one position.
 ///
-/// The monitor calls `log_*` as it mutates its pending set, `checkpoint`
-/// on its cadence, and `record_kill`/`replay`/`complete_restart` across a
-/// crash. Removal ops fsync eagerly (write-ahead discipline: the log entry
-/// is durable before the removal's effect — a delivery or a counted shed —
-/// is externalized); enqueues ride until the next checkpoint, which is
-/// what bounds `lost_to_crash`.
-#[derive(Debug, Clone, Default)]
+/// The monitor calls `log_enq` and `log_removal` as it mutates its pending
+/// set, `checkpoint` on its cadence, and `record_kill`/`complete_restart`
+/// across a crash. Removals (an eviction, a batch departure) fsync eagerly
+/// (write-ahead discipline: the log entry is durable before the removal's
+/// effect — a delivery or a counted shed — is externalized); enqueues ride
+/// until the next fsync, which is what bounds `lost_to_crash`.
+///
+/// Every removal, checkpoint and clean stop fsyncs, and enqueues append at
+/// the back of the pending order, so the un-fsynced tail of the log is
+/// always the last `unsynced` events of the live pending set (open CEBP,
+/// then stack). The durable pending set is therefore the live set minus
+/// that suffix: the log needs no copy of either.
+#[derive(Debug, Default)]
 pub struct RecoveryLog {
-    wal: Wal,
-    snapshot: Snapshot,
+    /// Enqueues since the last fsync.
+    unsynced: usize,
+    /// Per-port tagger numbering heads at the last checkpoint (the
+    /// notification ring-buffer heads): `(port, next_seq)`.
+    tagger_heads: Vec<(u8, u32)>,
     interval_ns: u64,
     last_checkpoint_ns: u64,
-    kill: Option<KillRecord>,
+    kill: Option<Kill>,
     /// When armed, hard kills tear the un-fsynced tail instead of cleanly
     /// truncating it: the tail is serialized, damaged, and decoded back,
     /// keeping only the record prefix whose per-record CRCs still verify.
     torn_wal: Option<CorruptionGen>,
-    /// Checkpoints taken.
-    pub(crate) checkpoints: u64,
     /// Completed crash/restart cycles.
     pub restarts: u64,
     /// Events destroyed across all hard kills (the ledger's
@@ -304,27 +200,18 @@ impl RecoveryLog {
         RecoveryLog { interval_ns: interval_ns.max(1), ..Default::default() }
     }
 
-    /// Mirror an enqueue. Not fsynced — this is the only op class a hard
-    /// kill can destroy.
-    pub(crate) fn log_enq(&mut self, rec: EventRecord) {
-        self.wal.append(WalOp::Enq(rec));
+    /// Log an enqueue at the back of the pending set. Not fsynced — this
+    /// is the only record class a hard kill can destroy.
+    pub(crate) fn log_enq(&mut self) {
+        self.unsynced += 1;
     }
 
-    /// Mirror a priority eviction. Fsynced eagerly: the victim is counted
-    /// as shed the moment it is evicted, so the log must never forget the
-    /// eviction (replay would otherwise resurrect an already-counted
-    /// event and double-count it).
-    pub(crate) fn log_evict(&mut self, pending_pos: usize) {
-        self.wal.append(WalOp::Evict { pending_pos: pending_pos as u32 });
-        self.wal.fsync();
-    }
-
-    /// Mirror a batch departure. Fsynced eagerly for the same reason:
-    /// the batch's events are about to be delivered or counted shed
-    /// downstream, and replay must not bring them back.
-    pub(crate) fn log_deq(&mut self, count: usize) {
-        self.wal.append(WalOp::Deq { count: count as u32 });
-        self.wal.fsync();
+    /// Log a removal from the pending set — a priority eviction or a batch
+    /// departure — and fsync. The removed events are about to be counted
+    /// shed or delivered downstream, so the log must never forget the
+    /// removal: replay would otherwise resurrect them and double-count.
+    pub(crate) fn log_removal(&mut self) {
+        self.unsynced = 0;
     }
 
     /// Is a checkpoint due at `now_ns`?
@@ -332,92 +219,71 @@ impl RecoveryLog {
         now_ns.saturating_sub(self.last_checkpoint_ns) >= self.interval_ns
     }
 
-    /// Install a fresh checkpoint: the snapshot replaces the old one, the
-    /// WAL is truncated (its effects are in the snapshot) and the log is
-    /// durable again.
-    pub(crate) fn checkpoint(&mut self, now_ns: u64, snapshot: Snapshot) {
-        self.snapshot = snapshot;
-        self.wal.clear();
-        self.wal.fsync();
+    /// Install a fresh checkpoint of the tagger heads; the log is durable
+    /// again.
+    pub(crate) fn checkpoint(&mut self, now_ns: u64, tagger_heads: Vec<(u8, u32)>) {
+        self.tagger_heads = tagger_heads;
+        self.unsynced = 0;
         self.last_checkpoint_ns = now_ns;
-        self.checkpoints += 1;
     }
 
-    /// The current checkpoint.
-    pub(crate) fn snapshot(&self) -> &Snapshot {
-        &self.snapshot
+    /// The tagger heads of the current checkpoint.
+    pub(crate) fn tagger_heads(&self) -> &[(u8, u32)] {
+        &self.tagger_heads
     }
 
-    /// The component died. A clean stop flushes the tail; a hard kill
-    /// truncates it. `pending_at_kill` is the live pending count at the
-    /// moment of death, used by [`complete_restart`](Self::complete_restart)
-    /// to attribute the difference.
-    pub(crate) fn record_kill(&mut self, kind: CrashKind, at_ns: u64, pending_at_kill: u64) {
-        let ops_lost = match kind {
-            CrashKind::Clean => {
-                self.wal.fsync();
-                0
+    /// The component died with `pending` live (in pending order). A clean
+    /// stop flushes the tail; a hard kill truncates it, or tears it when
+    /// the torn-write model is armed. The durable pending set is computed
+    /// now and held until [`complete_restart`](Self::complete_restart).
+    pub(crate) fn record_kill(&mut self, kind: CrashKind, at_ns: u64, pending: Vec<EventRecord>) {
+        let mut durable = pending;
+        let pending_at_kill = durable.len();
+        if kind == CrashKind::Hard {
+            let synced = pending_at_kill
+                .checked_sub(self.unsynced)
+                .expect("the unsynced enqueues are a suffix of the pending set");
+            let tail = durable.split_off(synced);
+            if let Some(gen) = self.torn_wal.as_mut().filter(|g| g.spec.is_active()) {
+                // Torn-write model: the tail was mid-flush when power
+                // died, so part of it made it to disk — damaged. Replay
+                // keeps the prefix that still passes per-record CRCs and
+                // loses everything at and after the first bad record.
+                let mut bytes = encode_enqueues(&tail);
+                gen.corrupt(&mut bytes);
+                let survivors = decode_enqueues(&bytes);
+                // Byte duplication can re-align into spurious extra
+                // records; never recover more than were written.
+                let survived = survivors.len().min(tail.len());
+                self.wal_records_rejected += (tail.len() - survived) as u64;
+                durable.extend_from_slice(&survivors[..survived]);
             }
-            CrashKind::Hard => match &mut self.torn_wal {
-                Some(gen) if gen.spec.is_active() => {
-                    // Torn-write model: the tail was mid-flush when power
-                    // died, so part of it made it to disk — damaged. Replay
-                    // keeps the prefix that still passes per-record CRCs and
-                    // loses everything at and after the first bad record.
-                    let unsynced = self.wal.ops.split_off(self.wal.synced);
-                    let mut bytes = encode_wal(&unsynced);
-                    gen.corrupt(&mut bytes);
-                    let survivors = decode_wal_prefix(&bytes);
-                    // Byte duplication can re-align into spurious extra
-                    // records; never recover more ops than were written.
-                    let survived = survivors.len().min(unsynced.len());
-                    let lost = (unsynced.len() - survived) as u64;
-                    self.wal_records_rejected += lost;
-                    self.wal.ops.extend(survivors.into_iter().take(survived));
-                    // What decoded off disk is durable by definition.
-                    self.wal.fsync();
-                    lost
-                }
-                _ => self.wal.truncate_unsynced(),
-            },
-        };
-        self.kill = Some(KillRecord { kind, at_ns, pending_at_kill, ops_lost });
+        }
+        self.unsynced = 0;
+        let lost = (pending_at_kill - durable.len()) as u64;
+        self.kill = Some(Kill { kind, at_ns, durable, lost });
     }
 
     /// Arm the torn-write failure model for hard kills. With no generator
     /// (or an inactive spec) hard kills cleanly truncate the un-fsynced
-    /// tail, as before.
+    /// tail.
     pub(crate) fn set_torn_wal(&mut self, gen: CorruptionGen) {
         self.torn_wal = Some(gen);
     }
 
     /// When the component died, while it is down (until `complete_restart`).
     pub(crate) fn killed_at(&self) -> Option<u64> {
-        self.kill.map(|k| k.at_ns)
+        self.kill.as_ref().map(|k| k.at_ns)
     }
 
-    /// Reconstruct the pending set from the durable state (snapshot + the
-    /// surviving WAL). Deterministic; callable any number of times.
-    pub(crate) fn replay(&self) -> Vec<EventRecord> {
-        replay_ops(&self.snapshot.pending, &self.wal.ops).into()
-    }
-
-    /// Close the books on a restart: compute what the kill destroyed and
-    /// fold it into `lost_to_crash`. Panics if no kill was recorded.
-    pub(crate) fn complete_restart(&mut self, replayed: u64) -> (CrashKind, u64, u64) {
+    /// Close the books on a restart: fold what the kill destroyed into
+    /// `lost_to_crash` and hand back the kill, whose durable set the
+    /// caller re-materializes. Panics if no kill was recorded.
+    pub(crate) fn complete_restart(&mut self) -> Kill {
         let kill = self.kill.take().expect("complete_restart without record_kill");
-        let lost = kill.pending_at_kill.saturating_sub(replayed);
-        // The fsync discipline guarantees the bound: only enqueues can be
-        // un-fsynced, so the replay can only be missing events, and no
-        // more of them than the ops the kill destroyed.
-        debug_assert!(lost <= kill.ops_lost, "lost {lost} > destroyed ops {}", kill.ops_lost);
-        debug_assert!(
-            kill.kind == CrashKind::Hard || lost == 0,
-            "a clean stop must lose nothing, lost {lost}"
-        );
-        self.lost_to_crash += lost;
+        self.lost_to_crash += kill.lost;
         self.restarts += 1;
-        (kill.kind, kill.at_ns, lost)
+        kill
     }
 }
 
@@ -430,7 +296,10 @@ impl RecoveryLog {
 /// ingestion is idempotent, recovery after a collector crash is simply
 /// *re-offering*: senders keep their delivered history, and a
 /// reconciliation pass re-ingests it — accepted exactly where the
-/// reverted store is missing events, deduped everywhere else.
+/// reverted store is missing events, deduped everywhere else. The store
+/// only grows, so a checkpoint keeps its length, not a copy: a hard kill
+/// truncates the store to that prefix and restores the gates and cursors
+/// cloned beside it.
 ///
 /// Under burst overload the admission order is **memory → spill → shed**:
 /// once the undrained in-memory backlog passes the configured watermark,
@@ -441,7 +310,7 @@ impl RecoveryLog {
 /// gates always mirror the store exactly, the pair reverts together on a
 /// hard kill, and replaying the spill from the durable cursor re-admits
 /// each event exactly once.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Collector {
     cfg: CollectorConfig,
     store: EventStore,
@@ -484,12 +353,13 @@ pub struct PoisonFrame {
     pub reason: String,
 }
 
-/// The durable part of a collector: what a hard kill reverts to. Cursors
-/// ride along so a subscriber's position rewinds together with the store
-/// it indexes into.
+/// The durable part of a collector: what a hard kill reverts to. The
+/// store is insert-only, so its checkpoint is a length: the surviving
+/// prefix. Cursors ride along so a subscriber's position rewinds together
+/// with the store it indexes into.
 #[derive(Debug, Clone, Default)]
 struct CollectorCheckpoint {
-    store: EventStore,
+    store_len: usize,
     gates: HashMap<u32, EpochReceiver>,
     cursors: HashMap<u32, usize>,
 }
@@ -629,14 +499,14 @@ impl Collector {
         ledger.buffered += buffered;
     }
 
-    /// Durably checkpoint the store, the dedup gates, and the subscriber
-    /// cursors, and commit the spill cursor (fsync data through the read
+    /// Durably checkpoint the store (its length), the dedup gates, and the
+    /// subscriber cursors, and commit the spill cursor (fsync data through the read
     /// position, advance + fsync the durable cursor, delete acked
     /// segments). A hard kill reverts to the latest checkpoint — and the
     /// spill replays exactly the records applied since it.
     pub fn checkpoint(&mut self) {
         self.checkpoint = Some(CollectorCheckpoint {
-            store: self.store.clone(),
+            store_len: self.store.len(),
             gates: self.gates.clone(),
             cursors: self.subscribers.clone(),
         });
@@ -644,8 +514,9 @@ impl Collector {
     }
 
     /// Crash and restart. A clean stop fsyncs the spill and checkpoints
-    /// on the way down (loses nothing); a hard kill reverts store, gates,
-    /// and subscriber cursors to the last checkpoint, tears the spill's
+    /// on the way down (loses nothing); a hard kill truncates the store to
+    /// its checkpointed length, reverts gates and subscriber cursors to
+    /// the last checkpoint, tears the spill's
     /// un-fsynced tail (longest-valid-prefix recovery), and rewinds the
     /// spill read position to the durable cursor so the unacked suffix
     /// replays through the reverted gates. Returns how many stored events
@@ -657,11 +528,10 @@ impl Collector {
         }
         let before = self.store.len();
         let cp = self.checkpoint.clone().unwrap_or_default();
-        self.store = cp.store;
+        self.store.truncate(cp.store_len);
         self.gates = cp.gates;
         // Subscribers registered after the checkpoint keep their id but
-        // rewind to the surviving prefix (the checkpoint store is always a
-        // prefix of the pre-kill store: ingestion is insert-only).
+        // rewind to the surviving prefix.
         for (id, cursor) in self.subscribers.iter_mut() {
             *cursor = cp.cursors.get(id).copied().unwrap_or(*cursor).min(self.store.len());
         }
@@ -864,6 +734,9 @@ pub fn run_collector_crash_drill(
 }
 
 #[cfg(test)]
+mod wal_model;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use fet_packet::event::{EventDetail, EventType};
@@ -889,104 +762,82 @@ mod tests {
         StoredEvent { time_ns: seq * 10, device, epoch, seq, record: rec(seq as u16) }
     }
 
-    #[test]
-    fn replay_reconstructs_enq_evict_deq() {
-        let base = [rec(0), rec(1)];
-        let ops = [
-            WalOp::Enq(rec(2)),
-            WalOp::Enq(rec(3)),
-            // Evict position 1 (= rec(1)).
-            WalOp::Evict { pending_pos: 1 },
-            // A batch of 2 departs (= rec(0), rec(2)).
-            WalOp::Deq { count: 2 },
-            WalOp::Enq(rec(4)),
-        ];
-        let q = replay_ops(&base, &ops);
-        assert_eq!(Vec::from(q), vec![rec(3), rec(4)]);
+    /// A log that saw `n` enqueues since its last fsync.
+    fn log_with_unsynced(n: usize) -> RecoveryLog {
+        let mut log = RecoveryLog::new(1_000_000);
+        for _ in 0..n {
+            log.log_enq();
+        }
+        log
     }
 
-    #[test]
-    fn replay_is_idempotent_over_a_durable_log() {
-        let base = [rec(7)];
-        let ops = [WalOp::Enq(rec(8)), WalOp::Deq { count: 1 }, WalOp::Enq(rec(9))];
-        assert_eq!(replay_ops(&base, &ops), replay_ops(&base, &ops));
+    fn recs(range: std::ops::Range<u16>) -> Vec<EventRecord> {
+        range.map(rec).collect()
     }
 
     #[test]
     fn clean_stop_loses_nothing() {
-        let mut log = RecoveryLog::new(1_000_000);
-        for n in 0..5 {
-            log.log_enq(rec(n));
-        }
-        assert_eq!(log.wal.ops.len() - log.wal.synced, 5);
-        log.record_kill(CrashKind::Clean, 500, 5);
-        let replayed = log.replay();
-        assert_eq!(replayed.len(), 5, "clean stop fsyncs the tail");
-        let (kind, at, lost) = log.complete_restart(replayed.len() as u64);
-        assert_eq!((kind, at, lost), (CrashKind::Clean, 500, 0));
+        let mut log = log_with_unsynced(5);
+        log.record_kill(CrashKind::Clean, 500, recs(0..5));
+        let kill = log.complete_restart();
+        assert_eq!(kill.durable, recs(0..5), "clean stop fsyncs the tail");
+        assert_eq!((kill.kind, kill.at_ns, kill.lost), (CrashKind::Clean, 500, 0));
         assert_eq!(log.lost_to_crash, 0);
         assert_eq!(log.restarts, 1);
     }
 
     #[test]
     fn hard_kill_loses_only_the_unsynced_enqueue_tail() {
-        let mut log = RecoveryLog::new(1_000_000);
-        log.log_enq(rec(0));
-        log.log_enq(rec(1));
-        // Checkpoint materializes the two and truncates the WAL.
-        log.checkpoint(100, Snapshot { pending: vec![rec(0), rec(1)], ..Default::default() });
-        // A batch departs (fsynced eagerly) then three arrive un-fsynced.
-        log.log_deq(2);
-        for n in 2..5 {
-            log.log_enq(rec(n));
+        let mut log = log_with_unsynced(2);
+        log.checkpoint(100, Vec::new());
+        // A batch departs (fsynced eagerly), then three arrive un-fsynced
+        // behind the two still pending.
+        log.log_removal();
+        for _ in 2..5 {
+            log.log_enq();
         }
-        assert_eq!(log.wal.ops.len() - log.wal.synced, 3);
-        log.record_kill(CrashKind::Hard, 900, 3);
-        let replayed = log.replay();
-        // The Deq survived (fsynced), the three enqueues died.
-        assert!(replayed.is_empty());
-        let (kind, _, lost) = log.complete_restart(replayed.len() as u64);
-        assert_eq!(kind, CrashKind::Hard);
-        assert_eq!(lost, 3, "exactly the un-fsynced tail");
+        log.record_kill(CrashKind::Hard, 900, recs(0..5));
+        assert!(log.killed_at() == Some(900));
+        let kill = log.complete_restart();
+        assert_eq!(kill.durable, recs(0..2));
+        assert_eq!((kill.kind, kill.lost), (CrashKind::Hard, 3), "exactly the un-fsynced tail");
         assert_eq!(log.lost_to_crash, 3);
+        assert_eq!(log.killed_at(), None);
     }
 
     #[test]
     fn hard_kill_never_resurrects_removed_events() {
         // The dangerous interleaving: deliver a batch, then die hard
-        // before any further fsync. If the Deq were not fsynced eagerly,
-        // replay would resurrect the delivered events (double count).
-        let mut log = RecoveryLog::new(1_000_000);
-        log.checkpoint(0, Snapshot { pending: vec![rec(0), rec(1), rec(2)], ..Default::default() });
-        log.log_deq(3); // delivered downstream
-        log.record_kill(CrashKind::Hard, 50, 0);
-        assert!(log.replay().is_empty(), "delivered events must stay gone");
-        let (_, _, lost) = log.complete_restart(0);
-        assert_eq!(lost, 0);
+        // before any further fsync. If the departure did not fsync, the
+        // enqueues of the delivered events would still count as unsynced.
+        let mut log = log_with_unsynced(3);
+        log.log_removal(); // all three delivered downstream
+        log.record_kill(CrashKind::Hard, 50, Vec::new());
+        assert_eq!(log.complete_restart().lost, 0);
     }
 
     #[test]
     fn eviction_is_durable_before_the_shed_is_counted() {
         let mut log = RecoveryLog::new(1_000_000);
-        log.checkpoint(0, Snapshot { pending: vec![rec(0), rec(1)], ..Default::default() });
-        // rec(0) evicted (counted shed), a replacement arrives un-fsynced.
-        log.log_evict(0);
-        log.log_enq(rec(9));
-        log.record_kill(CrashKind::Hard, 10, 2);
-        let replayed = log.replay();
-        assert_eq!(replayed, vec![rec(1)], "the evicted event must not come back");
-        let (_, _, lost) = log.complete_restart(replayed.len() as u64);
-        assert_eq!(lost, 1, "only the un-fsynced arrival died");
+        log.checkpoint(0, Vec::new());
+        // rec(0) of [rec(0), rec(1)] is evicted (counted shed), and a
+        // replacement arrives un-fsynced at the back.
+        log.log_removal();
+        log.log_enq();
+        log.record_kill(CrashKind::Hard, 10, vec![rec(1), rec(9)]);
+        let kill = log.complete_restart();
+        assert_eq!(kill.durable, vec![rec(1)], "the evicted event must not come back");
+        assert_eq!(kill.lost, 1, "only the un-fsynced arrival died");
     }
 
     #[test]
     fn checkpoint_cadence_gates_due() {
         let mut log = RecoveryLog::new(1_000);
         assert!(log.due(1_000));
-        log.checkpoint(1_000, Snapshot::default());
+        log.checkpoint(1_000, vec![(2, 7)]);
         assert!(!log.due(1_500));
         assert!(log.due(2_000));
-        assert_eq!(log.checkpoints, 1);
+        assert_eq!(log.tagger_heads(), [(2, 7)]);
     }
 
     #[test]
@@ -1094,34 +945,32 @@ mod tests {
 
     #[test]
     fn wal_records_roundtrip_through_bytes() {
-        let ops =
-            vec![WalOp::Enq(rec(7)), WalOp::Evict { pending_pos: 3 }, WalOp::Deq { count: 12 }];
-        let bytes = encode_wal(&ops);
-        assert_eq!(decode_wal_prefix(&bytes), ops);
+        let bytes = encode_enqueues(&recs(7..10));
+        assert_eq!(bytes.len(), 3 * (1 + EVENT_RECORD_LEN + WAL_RECORD_CRC_LEN));
+        assert_eq!(decode_enqueues(&bytes), recs(7..10));
         // A truncated tail is tolerated: full records decode, the stub is
         // dropped without error.
-        assert_eq!(decode_wal_prefix(&bytes[..bytes.len() - 1]), ops[..2].to_vec());
+        assert_eq!(decode_enqueues(&bytes[..bytes.len() - 1]), recs(7..9));
     }
 
     #[test]
     fn wal_decode_stops_at_first_bad_record() {
-        let ops: Vec<WalOp> = (0..4).map(|n| WalOp::Enq(rec(n))).collect();
-        let mut bytes = encode_wal(&ops);
+        let mut bytes = encode_enqueues(&recs(0..4));
         let rec_len = bytes.len() / 4;
         // Damage the second record: everything at and after it is lost,
         // even though records three and four are intact on disk.
         bytes[rec_len + 5] ^= 0x40;
-        assert_eq!(decode_wal_prefix(&bytes), ops[..1].to_vec());
+        assert_eq!(decode_enqueues(&bytes), recs(0..1));
         // Garbage decodes to nothing rather than panicking.
-        assert!(decode_wal_prefix(&[0xff; 200]).is_empty());
-        assert!(decode_wal_prefix(&[]).is_empty());
+        assert!(decode_enqueues(&[0xff; 200]).is_empty());
+        assert!(decode_enqueues(&[]).is_empty());
     }
 
     #[test]
     fn torn_hard_kill_keeps_the_surviving_record_prefix() {
         use crate::faults::{streams, CorruptionGen, CorruptionSpec};
         let mut log = RecoveryLog::new(1_000_000);
-        log.checkpoint(0, Snapshot::default());
+        log.checkpoint(0, Vec::new());
         // Flip enough bits that some of the 32-record tail is damaged, but
         // at ~1e-3/byte almost never all of it.
         log.set_torn_wal(CorruptionGen::new(
@@ -1129,17 +978,17 @@ mod tests {
             42,
             streams::WAL_CORRUPT,
         ));
-        for n in 0..32 {
-            log.log_enq(rec(n));
+        for _ in 0..32 {
+            log.log_enq();
         }
-        log.record_kill(CrashKind::Hard, 900, 32);
-        let replayed = log.replay();
-        assert!(!replayed.is_empty(), "torn write should save a prefix");
-        assert!(replayed.len() < 32, "seed 42 at 1e-3 damages the tail");
-        assert_eq!(replayed, (0..replayed.len()).map(|n| rec(n as u16)).collect::<Vec<_>>());
-        let (_, _, lost) = log.complete_restart(replayed.len() as u64);
-        assert_eq!(lost as usize + replayed.len(), 32);
-        assert_eq!(log.wal_records_rejected, lost);
+        log.record_kill(CrashKind::Hard, 900, recs(0..32));
+        let kill = log.complete_restart();
+        let replayed = kill.durable.len();
+        assert!(replayed > 0, "torn write should save a prefix");
+        assert!(replayed < 32, "seed 42 at 1e-3 damages the tail");
+        assert_eq!(kill.durable, recs(0..replayed as u16));
+        assert_eq!(kill.lost as usize + replayed, 32);
+        assert_eq!(log.wal_records_rejected, kill.lost);
     }
 
     #[test]
@@ -1154,13 +1003,14 @@ mod tests {
                     streams::WAL_CORRUPT,
                 ));
             }
-            log.checkpoint(0, Snapshot { pending: vec![rec(0)], ..Default::default() });
-            log.log_deq(1);
-            log.log_enq(rec(1));
-            log.record_kill(CrashKind::Hard, 10, 1);
-            log.replay()
+            log.checkpoint(0, Vec::new());
+            log.log_removal();
+            log.log_enq();
+            log.record_kill(CrashKind::Hard, 10, vec![rec(1)]);
+            log.complete_restart().durable
         };
         assert_eq!(run(false), run(true));
+        assert!(run(false).is_empty());
     }
 
     #[test]

@@ -48,7 +48,8 @@ use crate::recovery::{decode_prefix, decode_record, encode_record, WAL_RECORD_CR
 use crate::storage::StoredEvent;
 use fet_packet::event::{EventRecord, EVENT_RECORD_LEN};
 
-/// Record tag for a spilled [`StoredEvent`] (the recovery WAL owns 1–3).
+/// Record tag for a spilled [`StoredEvent`] (the recovery WAL's enqueue
+/// records use 1).
 pub(crate) const SPILL_RECORD_TAG: u8 = 4;
 
 /// Serialized payload: delivery stamp (8) + device (4) + epoch (4) +

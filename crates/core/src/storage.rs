@@ -74,11 +74,11 @@ impl Query {
 }
 
 /// Event store, indexed by flow and by device; a query with neither
-/// filter (window- or type-only) scans every event. `Clone` is
-/// deliberate: the collector's crash model checkpoints the store by
-/// value and reverts to the clone on a hard kill (see
+/// filter (window- or type-only) scans every event. The store is
+/// insert-only, so the collector's crash model checkpoints it as a length
+/// and reverts a hard kill by truncating to it (see
 /// [`crate::recovery::Collector`]).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct EventStore {
     events: Vec<StoredEvent>,
     by_flow: HashMap<FlowKey, Vec<usize>>,
@@ -97,6 +97,20 @@ impl EventStore {
         self.by_flow.entry(e.record.flow).or_default().push(i);
         self.by_device.entry(e.device).or_default().push(i);
         self.events.push(e);
+    }
+
+    /// Keep the first `len` events (the prefix a collector checkpoint
+    /// recorded) and drop every index position past them.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        if len >= self.events.len() {
+            return;
+        }
+        self.events.truncate(len);
+        for idx in self.by_flow.values_mut().chain(self.by_device.values_mut()) {
+            idx.truncate(idx.partition_point(|&i| i < len));
+        }
+        self.by_flow.retain(|_, idx| !idx.is_empty());
+        self.by_device.retain(|_, idx| !idx.is_empty());
     }
 
     /// Bulk insert.
@@ -259,6 +273,36 @@ mod tests {
             assert_eq!(s.query(&q), want, "{q:?}");
         }
         assert!(window_only >= 5, "only {window_only} window-only queries drawn");
+    }
+
+    #[test]
+    fn truncate_matches_a_store_rebuilt_from_the_prefix() {
+        let mut rng = fet_netsim::rng::Pcg32::new(0x7E0C_A7E5, 1);
+        let ty = |rng: &mut fet_netsim::rng::Pcg32| {
+            EventType::from_code(1 + rng.next_below(6) as u8).unwrap()
+        };
+        for _ in 0..200 {
+            let mut s = EventStore::new();
+            for _ in 0..rng.next_below(60) {
+                let t = u64::from(rng.next_below(1_000));
+                s.insert(ev(t, rng.next_below(4), ty(&mut rng), rng.next_below(8) as u16));
+            }
+            let len = rng.next_below(s.len() as u32 + 3) as usize;
+            let mut rebuilt = EventStore::new();
+            rebuilt.extend(s.events().iter().take(len).copied());
+            s.truncate(len);
+            assert_eq!(s.events(), rebuilt.events());
+            assert_eq!((&s.by_flow, &s.by_device), (&rebuilt.by_flow, &rebuilt.by_device));
+            let queries = [
+                Query::any().flow(flow(rng.next_below(8) as u16)),
+                Query::any().device(rng.next_below(4)),
+                Query::any().ty(ty(&mut rng)),
+                Query::any().window(u64::from(rng.next_below(500)), 500),
+            ];
+            for q in &queries {
+                assert_eq!(s.query(q), rebuilt.query(q), "{q:?}");
+            }
+        }
     }
 
     #[test]

@@ -46,19 +46,6 @@ pub(crate) struct SendFailure {
 /// that a real partition surfaces as a failure in bounded time.
 pub(crate) const DEFAULT_MAX_RETRIES: u32 = 12;
 
-/// The sender's side of the reconnect handshake: sent to the receiver on
-/// the first message after a restart so it can adopt the new epoch and
-/// tell the sender which suffix is uncovered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Handshake {
-    /// The sender's new epoch (bumped once per restart).
-    pub(crate) epoch: u32,
-    /// Highest sequence number the sender saw acknowledged before the
-    /// crash, if any: everything after it is the uncovered suffix the
-    /// sender must retransmit.
-    pub(crate) last_acked_seq: Option<u64>,
-}
-
 /// Stop-and-wait reliable channel with adaptive RTO and injectable faults.
 #[derive(Debug)]
 pub(crate) struct ReliableChannel {
@@ -78,9 +65,6 @@ pub(crate) struct ReliableChannel {
     /// Connection epoch: bumped by [`ReliableChannel::reconnect`] on every
     /// sender restart. Receivers reject traffic from older epochs.
     pub(crate) epoch: u32,
-    /// Highest sequence number acknowledged by the receiver (i.e. the last
-    /// `Ok` delivery). Carried into the reconnect [`Handshake`].
-    pub(crate) last_acked_seq: Option<u64>,
     /// Receiver-pressure hint piggybacked on the most recent ACK (0 = no
     /// pressure): the collector's widening level, applied by the monitor's
     /// control loop to its batch-flush stride. Carried as channel state
@@ -120,7 +104,6 @@ impl ReliableChannel {
             next_seq: 0,
             next_send_ns: 0,
             epoch: 0,
-            last_acked_seq: None,
             rx_backpressure_hint: 0,
             wire_bytes: 0,
             transmissions: 0,
@@ -178,7 +161,6 @@ impl ReliableChannel {
                     self.rttvar_ns = 0.75 * self.rttvar_ns + 0.25 * (self.srtt_ns - sample).abs();
                     self.srtt_ns = 0.875 * self.srtt_ns + 0.125 * sample;
                 }
-                self.last_acked_seq = Some(seq);
                 return Ok(Delivery { seq, delivered_ns, attempts });
             }
             if attempts > self.max_retries {
@@ -201,15 +183,15 @@ impl ReliableChannel {
 
     /// Reconnect after a sender restart: bump the epoch, reset the RTT
     /// estimator (the old path estimate is stale) and the pacing clock, and
-    /// return the [`Handshake`] the receiver needs to dedup the uncovered
-    /// suffix. Cumulative wire counters and the sequence counter survive —
-    /// they are measurement, not connection state.
-    pub(crate) fn reconnect(&mut self, now_ns: u64) -> Handshake {
+    /// return the new epoch, which the receiver adopts to reject the dead
+    /// epoch's retransmits. Cumulative wire counters and the sequence
+    /// counter survive — they are measurement, not connection state.
+    pub(crate) fn reconnect(&mut self, now_ns: u64) -> u32 {
         self.epoch += 1;
         self.srtt_ns = self.rtt_ns as f64;
         self.rttvar_ns = self.rtt_ns as f64 / 2.0;
         self.next_send_ns = now_ns;
-        Handshake { epoch: self.epoch, last_acked_seq: self.last_acked_seq }
+        self.epoch
     }
 }
 
@@ -237,8 +219,6 @@ pub(crate) struct EpochReceiver {
     /// Per-epoch next-expected sequence number: `seq < next[epoch]` has
     /// already been accepted.
     next: HashMap<u32, u64>,
-    /// Messages accepted.
-    pub(crate) accepted: u64,
     /// Retransmits rejected for carrying a pre-restart epoch.
     pub(crate) stale_epoch_rejected: u64,
     /// Same-epoch duplicates suppressed.
@@ -259,7 +239,6 @@ impl EpochReceiver {
             return RxVerdict::Duplicate;
         }
         *next = seq + 1;
-        self.accepted += 1;
         RxVerdict::Accepted
     }
 }
@@ -444,28 +423,20 @@ mod tests {
     }
 
     #[test]
-    fn reconnect_bumps_epoch_and_carries_last_ack() {
+    fn reconnect_bumps_epoch_and_keeps_counters() {
         let mut ch = ReliableChannel::new(0.0, 1_000, 0, 1);
         assert_eq!(ch.epoch, 0);
         for _ in 0..3 {
             ch.send(0, 10).expect("delivered");
         }
         let tx_before = ch.transmissions;
-        let hs = ch.reconnect(5_000);
-        assert_eq!(hs, Handshake { epoch: 1, last_acked_seq: Some(2) });
+        assert_eq!(ch.reconnect(5_000), 1);
         assert_eq!(ch.epoch, 1);
         // Counters and the sequence space survive the restart.
         assert_eq!(ch.transmissions, tx_before);
         assert_eq!(ch.send(5_000, 10).expect("delivered").seq, 3);
         // A second restart keeps bumping.
-        assert_eq!(ch.reconnect(9_000).epoch, 2);
-    }
-
-    #[test]
-    fn reconnect_with_nothing_acked_has_empty_handshake() {
-        let mut ch = ReliableChannel::new(1.0, 1_000, 0, 1);
-        assert!(ch.send(0, 10).is_err(), "total loss: nothing ever acked");
-        assert_eq!(ch.reconnect(0).last_acked_seq, None);
+        assert_eq!(ch.reconnect(9_000), 2);
     }
 
     #[test]
@@ -481,7 +452,6 @@ mod tests {
         assert_eq!(rx.accept(0, 3), RxVerdict::StaleEpoch);
         assert_eq!(rx.accept(0, 99), RxVerdict::StaleEpoch);
         assert_eq!(rx.stale_epoch_rejected, 2);
-        assert_eq!(rx.accepted, 6);
     }
 
     #[test]
@@ -497,7 +467,7 @@ mod tests {
         for seq in 0..2 {
             assert_eq!(rx.accept(2, seq), RxVerdict::Duplicate);
         }
-        assert_eq!(rx.accepted, 2);
+        assert_eq!(rx.duplicates_rejected, 4);
     }
 
     #[test]

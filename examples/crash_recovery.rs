@@ -56,6 +56,9 @@ fn run(seed: u64) -> Outcome {
         // A tight checkpoint cadence keeps the hard-kill exposure window
         // (and therefore `lost_to_crash`) small.
         checkpoint_interval_ns: MILLIS,
+        // Every detection becomes an event, so each kill finds some in
+        // flight: waiting in the open CEBP for the next timer flush.
+        enable_dedup: false,
         ..NetSeerConfig::default()
     };
 
@@ -64,25 +67,27 @@ fn run(seed: u64) -> Outcome {
     install_ecmp_routes(&mut sim);
     deploy(&mut sim, &DeployOptions { cfg, on_nics: true });
 
-    // Cross-pod traffic over lossy uplinks: a steady stream of real events
-    // still flowing when the crash windows open.
+    // Cross-pod traffic both ways through lossy ToR ports: a steady stream
+    // of real events still flowing while the crash windows are open (the
+    // reverse flows outlast the last restart).
     for s in 0..8 {
-        let key = FlowKey::tcp(ft.host_ips[s], 2000 + s as u16, ft.host_ips[7 - s], 80);
-        let h = ft.hosts[s];
-        let idx = sim.host_mut(h).add_flow(FlowSpec {
-            key,
-            total_bytes: 4_000_000,
-            pkt_payload: 1000,
-            rate_gbps: 5.0,
-            start_ns: 0,
-            dscp: 0,
-        });
-        sim.schedule_flow(h, idx);
+        for (src, dst, sport, bytes) in [(s, 7 - s, 2000, 4_000_000), (7 - s, s, 3000, 8_000_000)] {
+            let key = FlowKey::tcp(ft.host_ips[src], sport + s as u16, ft.host_ips[dst], 80);
+            let h = ft.hosts[src];
+            let idx = sim.host_mut(h).add_flow(FlowSpec {
+                key,
+                total_bytes: bytes,
+                pkt_payload: 1000,
+                rate_gbps: 5.0,
+                start_ns: 0,
+                dscp: 0,
+            });
+            sim.schedule_flow(h, idx);
+        }
     }
-    for pod in 0..2 {
-        let tor = ft.edges[pod][0];
-        for port in 0..2 {
-            sim.link_direction_mut(tor, port).unwrap().faults.drop_prob = 0.02;
+    for &tor in ft.edges.iter().flatten() {
+        for port in 0..4 {
+            sim.link_direction_mut(tor, port).unwrap().faults.drop_prob = 0.05;
         }
     }
 
@@ -177,6 +182,9 @@ fn main() {
         assert!(r.lost <= r.pending_at_kill, "loss is bounded by the pending set");
         assert_eq!(r.replayed + r.lost, r.pending_at_kill, "replay + loss covers it");
     }
+    assert!(a.reports.iter().any(|r| r.pending_at_kill > 0), "kills must find events in flight");
+    assert!(a.ledger.lost_to_crash > 0, "hard kills must destroy un-fsynced enqueues");
+    assert!(a.wal_rejected > 0, "torn tails must reject WAL records");
     assert!(a.reverted > 0, "the hard kill must actually revert ingested work");
     assert_eq!(a.stored, a.delivered_history, "exactly-once after reconciliation");
 

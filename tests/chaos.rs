@@ -13,7 +13,9 @@
 
 mod common;
 
-use common::{add_flow, drive_lossy_fabric, seed, setup};
+use common::{
+    add_flow, drive_lossy_fabric, drive_through_the_kills, in_flight_at_kills, seed, setup,
+};
 use fet_netsim::link::BurstDrop;
 use fet_netsim::time::{MICROS, MILLIS};
 use fet_netsim::Simulator;
@@ -252,10 +254,8 @@ fn clean_restart_of_every_switch_cpu_is_lossless() {
 #[test]
 fn hard_kill_of_every_switch_cpu_bounds_the_loss() {
     let faults = FaultPlan { seed: seed(0xDEAD), ..FaultPlan::default() };
-    // A short checkpoint cadence keeps the exposure window tight.
-    let cfg = NetSeerConfig { faults, checkpoint_interval_ns: MILLIS, ..NetSeerConfig::default() };
-    let (mut sim, ft) = setup(cfg);
-    drive_lossy_fabric(&mut sim, &ft, 0.02);
+    let (mut sim, ft) = setup(in_flight_at_kills(faults));
+    drive_through_the_kills(&mut sim, &ft);
     let crashes = crash_schedule(seed(0xDEAD), &sim, CrashKind::Hard);
     let n_switches = crashes.len();
     let log = schedule_device_crashes(&mut sim, &crashes);
@@ -276,6 +276,9 @@ fn hard_kill_of_every_switch_cpu_bounds_the_loss() {
         assert!(r.lost <= r.pending_at_kill, "{r:?}");
         assert_eq!(r.replayed + r.lost, r.pending_at_kill, "{r:?}");
     }
+    let in_flight: u64 = log.reports().iter().map(|r| r.pending_at_kill).sum();
+    assert!(in_flight > 0, "the kills must find events in flight");
+    assert!(log.total_lost() > 0, "the kills must destroy un-fsynced enqueues");
     assert_eq!(ledger.missing(), 0, "hard kills must be accounted, not silent");
 }
 
@@ -454,9 +457,8 @@ fn torn_wal_restart_converges_to_reference() {
         torn_wal: CorruptionSpec { flip_per_byte: 0.25, truncate_prob: 0.5, duplicate_prob: 0.0 },
         ..FaultPlan::default()
     };
-    let cfg = NetSeerConfig { faults, checkpoint_interval_ns: MILLIS, ..NetSeerConfig::default() };
-    let (mut sim, ft) = setup(cfg);
-    drive_lossy_fabric(&mut sim, &ft, 0.02);
+    let (mut sim, ft) = setup(in_flight_at_kills(faults));
+    drive_through_the_kills(&mut sim, &ft);
     let crashes = crash_schedule(seed(0x7047), &sim, CrashKind::Hard);
     let n_switches = crashes.len();
     let log = schedule_device_crashes(&mut sim, &crashes);
@@ -470,6 +472,10 @@ fn torn_wal_restart_converges_to_reference() {
     for r in log.reports() {
         assert_eq!(r.replayed + r.lost, r.pending_at_kill, "{r:?}");
     }
+    let in_flight: u64 = log.reports().iter().map(|r| r.pending_at_kill).sum();
+    assert!(in_flight > 0, "the kills must find events in flight");
+    assert!(log.total_lost() > 0, "the torn tails must destroy records");
+    assert!(fleet_stats(&sim).wal_records_rejected > 0, "replay must reject torn records");
 
     // The analytics side must not care that the fleet's WALs tore: over
     // the same delivered history, a collector+engine that hard-crashes

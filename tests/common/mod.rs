@@ -4,11 +4,12 @@
 
 use fet_netsim::host::FlowSpec;
 use fet_netsim::routing::install_ecmp_routes;
+use fet_netsim::time::MILLIS;
 use fet_netsim::topology::{build_fat_tree, FatTree, FatTreeParams};
 use fet_netsim::Simulator;
 use fet_packet::FlowKey;
 use netseer::deploy::{deploy, DeployOptions};
-use netseer::NetSeerConfig;
+use netseer::{FaultPlan, NetSeerConfig};
 
 /// Seed diversification for the CI matrix: when `CHAOS_SEED` is set, every
 /// scenario's base seed is mixed with it so each matrix leg sweeps a
@@ -57,6 +58,38 @@ pub fn drive_lossy_fabric(sim: &mut Simulator, ft: &FatTree, drop_prob: f64) {
         let tor = ft.edges[pod][0];
         for port in 0..2 {
             sim.link_direction_mut(tor, port).unwrap().faults.drop_prob = drop_prob;
+        }
+    }
+}
+
+/// A hard-kill drill's monitor configuration. In-pipeline dedup is off,
+/// so every detection becomes an event and, under
+/// [`drive_through_the_kills`], each kill finds some in flight: waiting in
+/// the open CEBP for the next timer flush. With dedup on, a kill almost
+/// always lands on an empty pending set and tests nothing about crash
+/// loss or torn tails.
+pub fn in_flight_at_kills(faults: FaultPlan) -> NetSeerConfig {
+    NetSeerConfig {
+        faults,
+        enable_dedup: false,
+        // A short checkpoint cadence keeps the exposure window tight.
+        checkpoint_interval_ns: MILLIS,
+        ..NetSeerConfig::default()
+    }
+}
+
+/// Lossy traffic that outlasts a crash window of [2 ms, 10 ms) plus a
+/// 500 µs restart: on top of [`drive_lossy_fabric`], reverse flows that
+/// run past the last restart, and a 2% drop rate on the uplinks of every
+/// ToR, so each ToR keeps raising events while the kills land.
+pub fn drive_through_the_kills(sim: &mut Simulator, ft: &FatTree) {
+    drive_lossy_fabric(sim, ft, 0.02);
+    for s in 0..8 {
+        add_flow(sim, ft, 7 - s, s, 3000 + s as u16, 8_000_000);
+    }
+    for &tor in ft.edges.iter().flatten() {
+        for port in 0..4 {
+            sim.link_direction_mut(tor, port).unwrap().faults.drop_prob = 0.05;
         }
     }
 }

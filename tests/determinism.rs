@@ -18,7 +18,9 @@ use fet_export::{
 };
 mod common;
 
-use common::{add_flow, drive_lossy_fabric, seed, setup};
+use common::{
+    add_flow, drive_lossy_fabric, drive_through_the_kills, in_flight_at_kills, seed, setup,
+};
 use fet_netsim::link::BurstDrop;
 use fet_netsim::time::{MICROS, MILLIS};
 use fet_netsim::topology::FatTree;
@@ -449,14 +451,13 @@ fn det_07_clean_restarts() {
 /// Scenario 8 — every switch CPU is hard-killed once (WAL tail lost).
 #[test]
 fn det_08_hard_kills() {
-    let cfg = || NetSeerConfig {
-        faults: FaultPlan { seed: seed(0xDEAD), ..FaultPlan::default() },
-        checkpoint_interval_ns: MILLIS,
-        ..NetSeerConfig::default()
-    };
-    assert_deterministic("hard-kill", cfg, Some((seed(0xDEAD), CrashKind::Hard)), |sim, ft| {
-        drive_lossy_fabric(sim, ft, 0.02)
-    });
+    let cfg = || in_flight_at_kills(FaultPlan { seed: seed(0xDEAD), ..FaultPlan::default() });
+    assert_deterministic(
+        "hard-kill",
+        cfg,
+        Some((seed(0xDEAD), CrashKind::Hard)),
+        drive_through_the_kills,
+    );
 }
 
 /// Scenario 9 — restart discontinuities on a clean fabric (gap detectors
@@ -528,8 +529,8 @@ fn det_11_corruption_storm() {
 /// ledger term) must be bit-identical across shard counts.
 #[test]
 fn det_12_torn_wal_hard_kills() {
-    let cfg = || NetSeerConfig {
-        faults: FaultPlan {
+    let cfg = || {
+        in_flight_at_kills(FaultPlan {
             seed: seed(0x7047),
             torn_wal: CorruptionSpec {
                 flip_per_byte: 0.25,
@@ -537,13 +538,14 @@ fn det_12_torn_wal_hard_kills() {
                 duplicate_prob: 0.0,
             },
             ..FaultPlan::default()
-        },
-        checkpoint_interval_ns: MILLIS,
-        ..NetSeerConfig::default()
+        })
     };
-    assert_deterministic("torn-wal", cfg, Some((seed(0x7047), CrashKind::Hard)), |sim, ft| {
-        drive_lossy_fabric(sim, ft, 0.02)
-    });
+    assert_deterministic(
+        "torn-wal",
+        cfg,
+        Some((seed(0x7047), CrashKind::Hard)),
+        drive_through_the_kills,
+    );
 }
 
 /// Scenario 14 — burst-overload spill-then-drain: the delivered history
