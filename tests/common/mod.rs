@@ -80,8 +80,9 @@ pub fn in_flight_at_kills(faults: FaultPlan) -> NetSeerConfig {
 
 /// Lossy traffic that outlasts a crash window of [2 ms, 10 ms) plus a
 /// 500 µs restart: on top of [`drive_lossy_fabric`], reverse flows that
-/// run past the last restart, and a 2% drop rate on the uplinks of every
-/// ToR, so each ToR keeps raising events while the kills land.
+/// run past the last restart, and a 5% drop rate on all four ports of
+/// every ToR (overriding that workload's 2%), so each ToR keeps raising
+/// events while the kills land.
 pub fn drive_through_the_kills(sim: &mut Simulator, ft: &FatTree) {
     drive_lossy_fabric(sim, ft, 0.02);
     for s in 0..8 {
